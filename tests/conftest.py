@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -56,3 +59,15 @@ def random_bloch(rng, pure=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+GOLDEN_HASHES = Path(__file__).parent / "golden" / "preset_hashes.json"
+
+
+def golden_hashes(preset: str) -> dict[str, str]:
+    """SHA-256 of each output file of `preset` at its shipped seed, by name.
+
+    Regenerate with `python3 tests/golden/regen.py` when a change means to
+    alter preset outputs.
+    """
+    return json.loads(GOLDEN_HASHES.read_text())[preset]

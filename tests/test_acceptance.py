@@ -20,7 +20,7 @@ from fiberlink import stabilizer as st
 from fiberlink.output import sha256_file
 from fiberlink.protocols import run_protocol
 
-from conftest import make_test_channel, random_mixed_state_2q
+from conftest import golden_hashes, make_test_channel, random_mixed_state_2q
 
 
 def _report(num, text):
@@ -251,6 +251,9 @@ def test_criterion_10_entanglement_duty_cycle(tmp_path):
     t0 = time.time()
     scn = config.load(cli._resolve("ppe_dutycycle"))
     run_protocol(scn, tmp_path / "ppe")
+    golden = golden_hashes("ppe_dutycycle")
+    for name in ("dutycycle.csv", "dutycycle_summary.csv"):
+        assert sha256_file(tmp_path / "ppe" / name) == golden[name], name
     rows = (tmp_path / "ppe" / "dutycycle_summary.csv").read_text().splitlines()[1:]
     means = {}
     for line in rows:
