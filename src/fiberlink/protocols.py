@@ -180,9 +180,13 @@ def run_stabilize(scn: Scenario, out: Path) -> list[Path]:
 # distribute-entanglement
 # ---------------------------------------------------------------------------
 
-def _arm_b_operator(ch, piezo: PiezoController) -> np.ndarray:
+def _compensator(piezo: PiezoController) -> np.ndarray:
+    """SU(2) matrix of the piezo compensator at its current voltages."""
+    return polcore.su2_of_rotation(piezo.rotation())
+
+
+def _arm_b_operator(ch, comp: np.ndarray) -> np.ndarray:
     """Arm-B single-qubit operator: link (rotation + loss) then compensator."""
-    comp = polcore.su2_of_rotation(piezo.rotation())
     return comp @ chmod.transmit_qubit_kraus(ch)
 
 
@@ -243,9 +247,19 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
 
         window_states: dict[int, np.ndarray] = {}
         window_norms: dict[int, float] = {}
+        # The piezo is idle during a transmit window, so its compensator is
+        # kept for the last voltage vector seen. A value is reused only for
+        # bit-identical voltages of this interval's controller, which have
+        # already passed its range check.
+        compensator: dict[bytes, np.ndarray] = {}
 
-        def accumulate(window, ch, piezo, _states=window_states, _norms=window_norms):
-            k = np.kron(np.eye(2, dtype=complex), _arm_b_operator(ch, piezo))
+        def accumulate(window, ch, piezo, _states=window_states, _norms=window_norms,
+                       _comp=compensator):
+            key = piezo.voltages.tobytes()
+            if key not in _comp:
+                _comp.clear()
+                _comp[key] = _compensator(piezo)
+            k = np.kron(np.eye(2, dtype=complex), _arm_b_operator(ch, _comp[key]))
             term = k @ rho_src @ k.conj().T
             if window not in _states:
                 _states[window] = term
@@ -339,7 +353,7 @@ def _prepare_arm_b(scn: Scenario, rho_pair: np.ndarray):
             ch, piezo, scn.make_polarimeter(), scn.make_stabilizer_config(),
             scn.make_switch(),
         )
-    k = np.kron(np.eye(2, dtype=complex), _arm_b_operator(ch, piezo))
+    k = np.kron(np.eye(2, dtype=complex), _arm_b_operator(ch, _compensator(piezo)))
     rho = k @ rho_pair @ k.conj().T
     prob = float(np.trace(rho).real)
     if prob <= 1e-12:

@@ -24,6 +24,7 @@ last element is the "z" rotation of the memory basis.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -330,17 +331,51 @@ def _projector(label: str) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
+@functools.lru_cache(maxsize=64)
+def _projector_2q(ba: str, bb: str) -> np.ndarray:
+    """Read-only two-qubit projector P_a (x) P_b, built once per label pair.
+
+    An unknown label raises SingularDesign and leaves nothing cached.
+    """
+    proj = np.kron(_projector(ba), _projector(bb))
+    proj.flags.writeable = False
+    return proj
+
+
 def coincidence_probabilities(
     rho: np.ndarray,
     bases: tuple[tuple[str, str], ...] = TOMO_BASES_2Q,
 ) -> dict[tuple[str, str], float]:
-    """Forward model: coincidence probability per analyzer setting."""
+    """Forward model: coincidence probability per analyzer setting.
+
+    The 4x4 projector of each setting comes from a small read-only table
+    filled on first use, so repeated calls do no `np.kron` work.
+    """
     rho = np.asarray(rho, dtype=complex)
     out = {}
     for ba, bb in bases:
-        proj = np.kron(_projector(ba), _projector(bb))
-        out[(ba, bb)] = float(np.trace(proj @ rho).real)
+        out[(ba, bb)] = float(np.trace(_projector_2q(ba, bb) @ rho).real)
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _design_matrix(settings: tuple[tuple[str, str], ...]) -> np.ndarray:
+    """Read-only linear-inversion design matrix of a setting list.
+
+    Row nu holds tr(P_nu B_k) over the Hermitian basis B_k. The matrix is
+    built, and its rank checked, once per distinct setting tuple; a
+    rank-deficient or unknown setting list raises SingularDesign and is
+    never cached, so every call with it raises again.
+    """
+    basis = _hermitian_basis()
+    design = np.empty((len(settings), 16))
+    for i, (ba, bb) in enumerate(settings):
+        proj = _projector_2q(ba, bb)
+        design[i] = [np.trace(proj @ b).real for b in basis]
+    if np.linalg.matrix_rank(design, tol=1e-10) < 16:
+        raise SingularDesign("measurement settings are not informationally complete")
+    design.flags.writeable = False
+    return design
 
 
 def tomography_2q(counts) -> np.ndarray:
@@ -353,23 +388,20 @@ def tomography_2q(counts) -> np.ndarray:
     the physical cone (eigenvalue clipping). Exact probabilities of any
     physical state round-trip to that state.
 
+    The design matrix depends only on the settings, not on the counts: it
+    is built and rank-checked once per distinct setting tuple and kept in a
+    small bounded, read-only cache (James et al., PRA 64, 052312, 2001).
+
     Raises SingularDesign when the setting list does not span the two-qubit
     operator space.
     """
     rows = [_count_row(r) for r in counts]
     if len(rows) < 16:
         raise SingularDesign(f"need at least 16 settings, got {len(rows)}")
-    basis = _hermitian_basis()
-    design = np.empty((len(rows), 16))
-    rates = np.empty(len(rows))
-    for i, (ba, bb, n, integration) in enumerate(rows):
-        proj = np.kron(_projector(ba), _projector(bb))
-        design[i] = [np.trace(proj @ b).real for b in basis]
-        rates[i] = n / integration
-    if np.linalg.matrix_rank(design, tol=1e-10) < 16:
-        raise SingularDesign("measurement settings are not informationally complete")
+    design = _design_matrix(tuple((ba, bb) for ba, bb, _, _ in rows))
+    rates = np.array([n / integration for _, _, n, integration in rows])
     params, *_ = np.linalg.lstsq(design, rates, rcond=None)
-    x = sum(p * b for p, b in zip(params, basis))
+    x = sum(p * b for p, b in zip(params, _hermitian_basis()))
     total = float(np.trace(x).real)
     if total <= 0.0:
         # Pathological data (e.g. all-zero counts): fall back to the
@@ -455,11 +487,15 @@ def mc_uncertainty(
             f"degenerate design: only {nonzero} of {len(rows)} settings have counts"
         )
     point = float(metric(tomography_2q(rows)))
+    means = np.array([n for _, _, n, _ in rows])
     values = np.empty(n_resamples)
     for k in range(n_resamples):
+        # One vector draw consumes the stream exactly as a per-row loop of
+        # scalar rng.poisson(n) calls would.
+        draws = rng.poisson(means)
         resampled = [
-            (ba, bb, float(rng.poisson(n)), integration)
-            for ba, bb, n, integration in rows
+            (ba, bb, float(d), integration)
+            for (ba, bb, _, integration), d in zip(rows, draws)
         ]
         values[k] = metric(tomography_2q(resampled))
     return McResult(

@@ -231,6 +231,39 @@ def test_tomography_singular_design_raises():
         q.tomography_2q([("H", "X", 5.0)] * 16)
 
 
+def test_design_cache_never_holds_a_singular_design():
+    valid = exact_counts(q.spdc_state(IDEAL_SOURCE))
+    deficient = [("H", "H", 10.0)] * 16
+    unknown = [("H", "X", 5.0)] + [tuple(r) for r in valid[1:]]
+    for _ in range(3):
+        q.tomography_2q(valid)
+        for rows in (deficient, unknown):
+            with pytest.raises(q.SingularDesign):
+                q.tomography_2q(rows)
+
+
+def test_design_matrix_is_cached_read_only():
+    settings = q.TOMO_BASES_2Q
+    design = q._design_matrix(settings)
+    assert q._design_matrix(settings) is design
+    assert not design.flags.writeable
+    with pytest.raises(ValueError):
+        design[0, 0] = 1.0
+    proj = q._projector_2q("H", "D")
+    assert not proj.flags.writeable
+    assert np.array_equal(proj, np.kron(q._projector("H"), q._projector("D")))
+
+
+def test_tomography_row_order_and_repeat_calls(rng):
+    rho = random_mixed_state_2q(rng)
+    rows = exact_counts(rho)
+    first = q.tomography_2q(rows)
+    assert np.array_equal(q.tomography_2q(rows), first)
+    assert np.allclose(first, rho, atol=1e-8)
+    permuted = [rows[i] for i in rng.permutation(len(rows))]
+    assert np.abs(q.tomography_2q(permuted) - first).max() <= 1e-12
+
+
 def test_tomography_all_zero_counts_falls_back_to_mixed():
     rows = [(a, b, 0.0) for a, b in q.TOMO_BASES_2Q]
     rec = q.tomography_2q(rows)
@@ -245,6 +278,24 @@ def test_mc_uncertainty_degenerate_design_flagged(rng):
     rows = [(a, b, 0.0) for a, b in q.TOMO_BASES_2Q[:-1]] + [("R", "R", 100.0)]
     res = q.mc_uncertainty(rows, n_resamples=100, rng=rng)
     assert res.warnings
+
+
+def test_mc_uncertainty_matches_per_row_resampling_bit_for_bit():
+    target = q.spdc_state(q.SpdcSource(noise_p=0.1))
+    counts = [(a, b, float(np.random.default_rng(i).poisson(50.0 * p)) if i % 5 else 0.0)
+              for i, ((a, b), p) in enumerate(q.coincidence_probabilities(target).items())]
+    counts[3] = (*counts[3][:2], 2500.0)
+
+    rng = np.random.default_rng(4242)
+    res = q.mc_uncertainty(counts, n_resamples=120, rng=rng)
+
+    ref_rng = np.random.default_rng(4242)
+    reference = np.empty(120)
+    for k in range(120):
+        resampled = [(a, b, float(ref_rng.poisson(n)), 1.0) for a, b, n in counts]
+        reference[k] = q.bell_fidelity(q.tomography_2q(resampled))
+    assert res.values.tobytes() == reference.tobytes()
+    assert rng.random() == ref_rng.random()
 
 
 def test_mc_uncertainty_sigma_scales_inverse_sqrt_n(rng):
