@@ -20,7 +20,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from . import __version__, config
+from . import __version__, config, quantum
 from .output import sha256_file, write_json
 from .protocols import ProtocolFailed, run_protocol
 
@@ -96,7 +96,7 @@ def _cmd_run(args) -> int:
 
     try:
         files = run_protocol(scn, out_dir)
-    except ProtocolFailed as exc:
+    except (ProtocolFailed, quantum.SingularDesign) as exc:
         print(f"protocol failed: {exc}", file=sys.stderr)
         return 3
 

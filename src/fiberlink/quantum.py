@@ -569,9 +569,13 @@ def process_matrix_from_io(
     normalize_trace the returned chi is rescaled to unit trace, which is the
     convention used for the heralded teleportation branches. chi is
     Hermitized and clipped to the positive cone.
+
+    Raises SingularDesign when the inputs do not span the single-qubit
+    operator space.
     """
     if len(inputs) != len(outputs) or len(inputs) < 4:
         raise SingularDesign("need >= 4 input/output pairs")
+    _check_input_completeness(inputs)
     columns = []
     for m in range(4):
         for n in range(4):
@@ -611,7 +615,6 @@ def process_tomography(
         rho_in = _projector(label)
         inputs.append(rho_in)
         outputs.append(np.asarray(channel_fn(rho_in), dtype=complex))
-    _check_input_completeness(inputs)
     return process_matrix_from_io(inputs, outputs, normalize_trace=normalize_trace)
 
 

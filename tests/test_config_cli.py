@@ -272,3 +272,20 @@ def test_distribute_entanglement_sampled_counts(tmp_path):
     assert raw < corrected
     assert corrected > 0.95
     assert 0.7 < raw < 0.9  # source admixture dominates the raw value
+
+
+@pytest.mark.parametrize("counts_per_basis", [0, 2000])
+def test_cli_run_incomplete_teleport_inputs_exit_3(tmp_path, capsys, counts_per_basis):
+    path = tmp_path / "hhhh.ini"
+    path.write_text(
+        "[scenario]\nprotocol = teleport\nseed = 7\n"
+        f"[protocol]\ncounts_per_basis = {counts_per_basis}\n"
+        "apply_link_to_arm_b = false\ninput_states = H,H,H,H\n"
+    )
+    assert cli.main(["validate", str(path), "--quiet"]) == 0
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err and "operator space" in err
+    assert not (out / "manifest.json").exists()

@@ -411,6 +411,12 @@ def test_process_tomography_singular_inputs():
         q.process_tomography(lambda rho: rho, input_labels=("H", "V", "H", "V"))
 
 
+def test_process_matrix_from_io_rejects_incomplete_inputs():
+    h = np.outer(q.BASIS_KETS["H"], q.BASIS_KETS["H"].conj())
+    with pytest.raises(q.SingularDesign):
+        q.process_matrix_from_io([h] * 4, [h] * 4)
+
+
 def test_process_matrix_psd_and_normalized(rng):
     src = q.SpdcSource(noise_p=0.3)
     ion = q.IonMemory(decay_per_s=500.0)
