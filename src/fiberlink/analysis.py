@@ -8,11 +8,13 @@ and temperature/delay correlation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from .output import write_csv
 
 __all__ = [
     "EmptyOverlap",
@@ -108,23 +110,25 @@ def quantile_surface(
     )
 
 
-def write_quantile_surface_csv(surface: QuantileSurface, curves_path, incidence_path) -> None:
+def write_quantile_surface_csv(
+    surface: QuantileSurface, curves_path, incidence_path
+) -> tuple[Path, Path]:
     """Write the quantile curves and the incidence matrix as two panel files."""
     qs = sorted(surface.curves)
-    with open(curves_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau_s"] + [f"q{q:g}" for q in qs] + ["n_samples"])
-        for i, tau in enumerate(surface.tau_grid):
-            writer.writerow(
-                [repr(float(tau))]
-                + [repr(float(surface.curves[q][i])) for q in qs]
-                + [int(surface.counts[i])]
-            )
-    with open(incidence_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau_s"] + [repr(float(f)) for f in surface.fidelity_grid])
-        for i, tau in enumerate(surface.tau_grid):
-            writer.writerow([repr(float(tau))] + [repr(float(x)) for x in surface.incidence[i]])
+    taus = surface.tau_grid
+    return (
+        write_csv(
+            curves_path,
+            ["tau_s"] + [f"q{q:g}" for q in qs] + ["n_samples"],
+            ((tau, *(surface.curves[q][i] for q in qs), surface.counts[i])
+             for i, tau in enumerate(taus)),
+        ),
+        write_csv(
+            incidence_path,
+            ["tau_s"] + [repr(float(f)) for f in surface.fidelity_grid],
+            ((tau, *surface.incidence[i]) for i, tau in enumerate(taus)),
+        ),
+    )
 
 
 def pdl_statistics(samples_db, detection_db) -> tuple[float, float]:

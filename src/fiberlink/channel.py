@@ -1,13 +1,13 @@
 """Time-dependent model of the deployed fiber link.
 
-The link is a composite of
+The link (`ChannelState`) is a composite of
   * a slowly drifting polarization rotation (isotropic angular random walk
     with a day/night diffusion-rate schedule),
   * a weak polarization-dependent loss element (static axis by default,
-    optional transient spikes),
-  * a static attenuation budget in dB,
-  * a Poisson background source at the receiver, and
+    optional transient spikes), and
   * a propagation-delay drift model for the overhead fiber section.
+The static attenuation budget in dB and the Poisson background source at
+the receiver are modelled on their own.
 
 One ChannelState instance is a single logical timeline: `advance` and the
 transmit calls must be serialized per instance. Independent instances with
@@ -216,12 +216,10 @@ class PdlSpikeProcess:
 
 @dataclass
 class ChannelState:
-    """Composite time-dependent link: drift + loss element + budget + background."""
+    """Composite time-dependent link: drift + loss element + delay model."""
 
     drift: DriftProcess
     pdl: PdlElement
-    budget: AttenuationBudget
-    background: BackgroundSource
     delay: DelayDriftModel
     spikes: PdlSpikeProcess = field(default_factory=PdlSpikeProcess)
     _spike_until_s: float = field(default=-1.0, repr=False)

@@ -6,10 +6,10 @@
     fiberlink presets list
 
 `run` executes the scenario protocol and writes a manifest.json (scenario
-name, seed, config hash and full text, package version, output hashes) next
-to the protocol outputs; the manifest alone suffices to reproduce the run
-bit-identically. Exit codes: 0 success, 2 invalid configuration, 3 protocol
-failure.
+name, seed, config hash and full text, package version, output hashes, and
+the `--trials` value when one was applied) next to the protocol outputs; the
+manifest alone suffices to reproduce the run bit-identically. Exit codes:
+0 success, 2 invalid configuration, 3 protocol failure.
 """
 
 from __future__ import annotations
@@ -22,15 +22,9 @@ from pathlib import Path
 
 from . import __version__, config, quantum
 from .output import sha256_file, write_json
-from .protocols import ProtocolFailed, run_protocol
+from .protocols import PROTOCOLS, ProtocolFailed, run_protocol
 
 __all__ = ["main"]
-
-_TRIALS_KEY = {
-    "pdl-characterize": ("protocol", "n_samples"),
-    "stabilize": ("protocol", "n_trials"),
-    "distribute-entanglement": ("protocol", "total_per_interval_s"),
-}
 
 
 def _preset_dir():
@@ -84,14 +78,13 @@ def _cmd_run(args) -> int:
 
     if args.seed is not None:
         scn.seed = args.seed
-    if args.trials is not None:
-        key = _TRIALS_KEY.get(scn.protocol)
-        if key is None:
-            if not args.quiet:
-                print(f"note: --trials has no effect on protocol {scn.protocol}")
-        else:
-            kind = type(scn.values[key])
-            scn.values[key] = kind(args.trials)
+    trials_key = PROTOCOLS[scn.protocol].trials_key
+    if args.trials is not None and trials_key is None:
+        if not args.quiet:
+            print(f"note: --trials has no effect on protocol {scn.protocol}")
+    elif args.trials is not None:
+        kind = type(scn.protocol_value(trials_key))
+        scn.values[("protocol", trials_key)] = kind(args.trials)
     out_dir = Path(args.out) if args.out else Path(scn.out_dir)
 
     try:
@@ -109,6 +102,8 @@ def _cmd_run(args) -> int:
         "package_version": __version__,
         "outputs": {f.name: sha256_file(f) for f in sorted(files)},
     }
+    if args.trials is not None and trials_key is not None:
+        manifest["trials"] = args.trials
     write_json(out_dir / "manifest.json", manifest)
     if not args.quiet:
         print(f"{scn.name}: wrote {len(files) + 1} files to {out_dir}")

@@ -26,36 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from . import seeding
-from .channel import (
-    AttenuationBudget,
-    BackgroundSource,
-    ChannelState,
-    DaySchedule,
-    DelayDriftModel,
-    DriftProcess,
-    PdlSpikeProcess,
-)
-from .instruments import Detector, PiezoController, Polarimeter, ReferenceSwitch
+from .channel import ChannelState, DaySchedule, DelayDriftModel, DriftProcess, PdlSpikeProcess
+from .instruments import PiezoController, Polarimeter, ReferenceSwitch
 from .polcore import PdlElement
-from .quantum import IonMemory, SpdcSource
+from .protocols import PROTOCOLS
+from .quantum import BASIS_KETS, IonMemory, SpdcSource
 from .stabilizer import StabilizerConfig
 
-__all__ = ["ConfigInvalid", "Issue", "Scenario", "load", "loads", "validate_file", "PROTOCOLS"]
-
-PROTOCOLS = (
-    "pdl-characterize",
-    "drift-characterize",
-    "stabilize",
-    "distribute-entanglement",
-    "ion-photon",
-    "teleport",
-    "delay-drift",
-)
-
-_DEFAULT_BUDGET = (
-    "qfc_and_transfer:6.78, link_q:10.4, stab_sender:0.46, stab_receiver:1.3, "
-    "filter_projection:0.65, detector:0.97, residual:2.17"
-)
+__all__ = ["ConfigInvalid", "Issue", "Scenario", "load", "loads", "validate_file"]
 
 
 class ConfigInvalid(ValueError):
@@ -94,17 +72,21 @@ def _unit_open(x: float) -> bool:
     return 0.0 < x <= 1.0
 
 
+def _time_of_day(seconds: float) -> bool:
+    return 0.0 <= seconds <= 86400.0
+
+
 # (section, key) -> (parser, default, predicate, constraint description)
 _FIELDS: dict[tuple[str, str], tuple] = {
     ("scenario", "name"): (str, "", None, ""),
     ("scenario", "seed"): (int, 12345, lambda v: 0 <= v < 2**64, "in [0, 2^64)"),
-    ("scenario", "protocol"): (str, None, lambda v: v in PROTOCOLS, f"one of {PROTOCOLS}"),
+    ("scenario", "protocol"): (str, None, lambda v: v in PROTOCOLS, f"one of {tuple(PROTOCOLS)}"),
     ("scenario", "out_dir"): (str, "", None, ""),
 
     ("channel", "day_rate_rad2_per_s"): (float, 1.5e-6, _non_negative, ">= 0"),
     ("channel", "night_rate_rad2_per_s"): (float, 2.0e-7, _non_negative, ">= 0"),
-    ("channel", "day_start_hms"): (str, "07:30", None, ""),
-    ("channel", "day_end_hms"): (str, "18:00", None, ""),
+    ("channel", "day_start_hms"): ("hms", "07:30", _time_of_day, "in [00:00, 24:00]"),
+    ("channel", "day_end_hms"): ("hms", "18:00", _time_of_day, "in [00:00, 24:00]"),
     ("channel", "start_clock_s"): (float, 0.0, _non_negative, ">= 0"),
     ("channel", "drift_dt_s"): (float, 1.0, _positive, "> 0"),
     ("channel", "pdl_db"): (float, 0.08, _non_negative, ">= 0"),
@@ -112,8 +94,6 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     ("channel", "spike_rate_per_s"): (float, 0.0, _non_negative, ">= 0"),
     ("channel", "spike_extra_db"): (float, 0.5, _non_negative, ">= 0"),
     ("channel", "spike_duration_s"): (float, 30.0, _positive, "> 0"),
-    ("channel", "background_rate_per_s"): (float, 19.7, _non_negative, ">= 0"),
-    ("channel", "loss_budget"): ("budget", _DEFAULT_BUDGET, None, ""),
     ("channel", "overhead_km"): (float, 1.278, _positive, "> 0"),
     ("channel", "temp_sensitivity_ps_per_km_k"): (float, 37.4, _positive, "> 0"),
     ("channel", "reference_frequency_hz"): (float, 1.9986e14, _positive, "> 0"),
@@ -125,9 +105,6 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     ("instruments", "piezo_gain_rad_per_v"): (float, 0.5, lambda v: v != 0 and math.isfinite(v), "finite nonzero"),
     ("instruments", "piezo_limit_v"): (float, 10.0, _positive, "> 0"),
     ("instruments", "piezo_settle_s"): (float, 0.0, _non_negative, ">= 0"),
-    ("instruments", "detector_efficiency"): (float, 0.8, _fraction, "in [0, 1]"),
-    ("instruments", "detector_dark_rate_per_s"): (float, 0.5, _non_negative, ">= 0"),
-    ("instruments", "detector_jitter_s"): (float, 50e-12, _non_negative, ">= 0"),
 
     ("stabilizer", "fp_threshold"): (float, 0.99, _unit_open, "in (0, 1]"),
     ("stabilizer", "fp_crossover"): (float, 0.95, lambda v: 0 < v < 1, "in (0, 1)"),
@@ -136,7 +113,6 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     ("stabilizer", "du0_v"): (float, 0.2, _positive, "> 0"),
     ("stabilizer", "du1_v"): (float, 0.02, _positive, "> 0"),
     ("stabilizer", "max_iterations"): (int, 200, lambda v: v >= 1, ">= 1"),
-    ("stabilizer", "drift_during_run"): (bool, False, None, ""),
 
     ("source", "phase_rad"): (float, 0.0, None, ""),
     ("source", "noise_p"): (float, 0.2187, _fraction, "in [0, 1]"),
@@ -169,7 +145,9 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     # ion-photon / teleport
     ("protocol", "apply_link_to_arm_b"): (bool, True, None, ""),
     ("protocol", "stabilize_first"): (bool, True, None, ""),
-    ("protocol", "input_states"): ("labels", "H,V,D,R", None, ""),
+    ("protocol", "input_states"): (
+        "labels", "H,V,D,R", lambda v: set(v) <= set(BASIS_KETS), f"labels from {','.join(BASIS_KETS)}"
+    ),
     # delay-drift
     ("protocol", "days"): (float, 2.0, _positive, "> 0"),
     ("protocol", "temp_amplitude_k"): (float, 4.0, _non_negative, ">= 0"),
@@ -178,27 +156,6 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     ("protocol", "temp_noise_k"): (float, 0.02, _non_negative, ">= 0"),
     ("protocol", "measurement_noise_ps"): (float, 1.0, _non_negative, ">= 0"),
     ("protocol", "series_period_s"): (float, 120.0, _positive, "> 0"),
-}
-
-_PROTOCOL_KEYS = {
-    "pdl-characterize": {
-        "n_samples", "sample_period_s", "link_pdl_mean_db", "link_pdl_sigma_db",
-        "det_pdl_mean_db", "det_pdl_sigma_db",
-    },
-    "drift-characterize": {"total_s", "trace_period_s", "tau_grid_s"},
-    "stabilize": {"n_trials"},
-    "distribute-entanglement": {
-        "intervals_s", "total_per_interval_s", "counts_per_basis", "correct_background",
-        "accidental_rate_a_per_s", "accidental_rate_b_per_s", "coincidence_window_s",
-    },
-    "ion-photon": {"counts_per_basis", "apply_link_to_arm_b", "stabilize_first"},
-    "teleport": {
-        "counts_per_basis", "apply_link_to_arm_b", "stabilize_first", "input_states",
-    },
-    "delay-drift": {
-        "days", "temp_amplitude_k", "temp_period_s", "temp_trend_k_per_day",
-        "temp_noise_k", "measurement_noise_ps", "series_period_s",
-    },
 }
 
 
@@ -225,20 +182,13 @@ def _parse_value(kind, raw: str):
         return tuple(float(x) for x in raw.split(","))
     if kind == "labels":
         return tuple(x.strip().upper() for x in raw.split(","))
-    if kind == "budget":
-        comps = []
-        for item in raw.split(","):
-            label, _, value = item.partition(":")
-            if not value:
-                raise ValueError(f"budget item {item.strip()!r} is not label:loss_db")
-            comps.append((label.strip(), float(value)))
-        return tuple(comps)
+    if kind == "hms":
+        h, _, m = raw.partition(":")
+        try:
+            return float(h) * 3600.0 + float(m or 0) * 60.0
+        except ValueError:
+            raise ValueError(f"not a time of day HH:MM: {raw.strip()!r}") from None
     raise AssertionError(kind)
-
-
-def _parse_hms(raw: str) -> float:
-    h, _, m = raw.partition(":")
-    return float(h) * 3600.0 + float(m or 0) * 60.0
 
 
 @dataclass
@@ -263,17 +213,19 @@ class Scenario:
     def rng(self, label: str) -> np.random.Generator:
         return seeding.stream(self.seed, label)
 
-    def make_channel(self, label: str = "channel.drift") -> ChannelState:
+    def make_channel(self, label: str = "channel.drift", rotation=None) -> ChannelState:
+        """The configured link, its drift walk on stream `label`, starting at
+        `rotation` (identity by default)."""
         v = self.values
-        schedule = DaySchedule(
-            day_start_s=_parse_hms(v[("channel", "day_start_hms")]),
-            day_end_s=_parse_hms(v[("channel", "day_end_hms")]),
-        )
         drift = DriftProcess(
             rng=self.rng(label),
             day_rate=v[("channel", "day_rate_rad2_per_s")],
             night_rate=v[("channel", "night_rate_rad2_per_s")],
-            schedule=schedule,
+            schedule=DaySchedule(
+                day_start_s=v[("channel", "day_start_hms")],
+                day_end_s=v[("channel", "day_end_hms")],
+            ),
+            rotation=np.eye(3) if rotation is None else rotation,
             clock_s=v[("channel", "start_clock_s")],
         )
         pdl_db = v[("channel", "pdl_db")]
@@ -284,8 +236,6 @@ class Scenario:
         return ChannelState(
             drift=drift,
             pdl=pdl,
-            budget=AttenuationBudget(components=v[("channel", "loss_budget")]),
-            background=BackgroundSource(v[("channel", "background_rate_per_s")]),
             delay=DelayDriftModel(
                 overhead_km=v[("channel", "overhead_km")],
                 sensitivity_ps_per_km_k=v[("channel", "temp_sensitivity_ps_per_km_k")],
@@ -318,14 +268,6 @@ class Scenario:
 
     def make_switch(self) -> ReferenceSwitch:
         return ReferenceSwitch(latency_s=self.values[("instruments", "switch_latency_s")])
-
-    def make_detector(self) -> Detector:
-        v = self.values
-        return Detector(
-            efficiency=v[("instruments", "detector_efficiency")],
-            dark_rate_per_s=v[("instruments", "detector_dark_rate_per_s")],
-            jitter_s=v[("instruments", "detector_jitter_s")],
-        )
 
     def make_stabilizer_config(self) -> StabilizerConfig:
         v = self.values
@@ -415,20 +357,14 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
         issues.append(Issue("stabilizer", "fp_crossover", f"must be < fp_threshold ({fp_th})"))
 
     protocol = values.get(("scenario", "protocol"))
-    if protocol in _PROTOCOL_KEYS and parser.has_section("protocol"):
-        allowed = _PROTOCOL_KEYS[protocol]
+    if protocol in PROTOCOLS and parser.has_section("protocol"):
+        allowed = PROTOCOLS[protocol].keys
         for key in parser.options("protocol"):
             if (("protocol", key) in _FIELDS) and key not in allowed:
                 issues.append(
                     Issue("protocol", key, f"not a parameter of protocol {protocol!r}",
                           _find_line(text, "protocol", key))
                 )
-
-    budget = values.get(("channel", "loss_budget"))
-    if budget:
-        for label, loss in budget:
-            if loss < 0.0:
-                issues.append(Issue("channel", "loss_budget", f"component {label!r} has negative loss"))
     return values, issues
 
 

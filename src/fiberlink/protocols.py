@@ -4,22 +4,26 @@ state engine into reproducible experiments.
 Each runner takes a parsed Scenario and an output directory, writes its
 protocol-specific CSV/JSON files, and returns the list of files written.
 All randomness comes from labeled streams of the scenario seed, so outputs
-are byte-identical across runs of the same configuration.
+are byte-identical across runs of the same configuration. `PROTOCOLS` is
+the one table of protocols: the configuration schema and the CLI read it.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import analysis, channel as chmod, polcore, quantum, stabilizer
-from .config import Scenario
 from .instruments import PiezoController
 from .output import matrix_payload, write_csv, write_json
 
-__all__ = ["ProtocolFailed", "run_protocol", "RUNNERS"]
+if TYPE_CHECKING:
+    from .config import Scenario
+
+__all__ = ["PROTOCOLS", "Protocol", "ProtocolFailed", "run_protocol", "RUNNERS"]
 
 
 class ProtocolFailed(RuntimeError):
@@ -107,11 +111,10 @@ def run_drift_characterize(scn: Scenario, out: Path) -> list[Path]:
             ("t_s", "h_s1", "h_s2", "h_s3", "d_s1", "d_s2", "d_s3"),
             trace_rows,
         ),
+        *analysis.write_quantile_surface_csv(
+            surface, out / "quantile_curves.csv", out / "incidence.csv"
+        ),
     ]
-    analysis.write_quantile_surface_csv(
-        surface, out / "quantile_curves.csv", out / "incidence.csv"
-    )
-    files += [out / "quantile_curves.csv", out / "incidence.csv"]
     if surface.warnings:
         files.append(write_json(out / "warnings.json", {"warnings": surface.warnings}))
     return files
@@ -120,18 +123,6 @@ def run_drift_characterize(scn: Scenario, out: Path) -> list[Path]:
 # ---------------------------------------------------------------------------
 # stabilize
 # ---------------------------------------------------------------------------
-
-def _static_channel(scn: Scenario, rotation: np.ndarray, label: str):
-    ch = scn.make_channel(label)
-    ch.drift = chmod.DriftProcess(
-        rng=ch.drift.rng,
-        day_rate=0.0,
-        night_rate=0.0,
-        schedule=ch.drift.schedule,
-        rotation=rotation,
-        clock_s=ch.drift.clock_s,
-    )
-    return ch
 
 def run_stabilize(scn: Scenario, out: Path) -> list[Path]:
     n_trials = scn.protocol_value("n_trials")
@@ -142,7 +133,7 @@ def run_stabilize(scn: Scenario, out: Path) -> list[Path]:
     first_run = None
     for trial in range(n_trials):
         rotation = polcore.random_rotation(rot_rng)
-        ch = _static_channel(scn, rotation, f"channel.drift.{trial}")
+        ch = scn.make_channel(f"channel.drift.{trial}", rotation)
         piezo = scn.make_piezo()
         pol = scn.make_polarimeter(f"polarimeter.{trial}")
         run = stabilizer.stabilize(ch, piezo, pol, cfg, scn.make_switch())
@@ -171,8 +162,7 @@ def run_stabilize(scn: Scenario, out: Path) -> list[Path]:
             },
         ),
     ]
-    first_run.write_trace_csv(out / "stabilize_trace.csv")
-    files.append(out / "stabilize_trace.csv")
+    files.append(first_run.write_trace_csv(out / "stabilize_trace.csv"))
     return files
 
 
@@ -225,14 +215,9 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
     rows = []
     summary = []
     for interval in intervals:
-        ch = scn.make_channel(f"channel.drift.{interval:g}")
-        ch.drift = chmod.DriftProcess(
-            rng=ch.drift.rng,
-            day_rate=ch.drift.day_rate,
-            night_rate=ch.drift.night_rate,
-            schedule=ch.drift.schedule,
-            rotation=polcore.random_rotation(scn.rng(f"protocol.initial.{interval:g}")),
-            clock_s=ch.drift.clock_s,
+        ch = scn.make_channel(
+            f"channel.drift.{interval:g}",
+            polcore.random_rotation(scn.rng(f"protocol.initial.{interval:g}")),
         )
         piezo = scn.make_piezo()
         pol = scn.make_polarimeter(f"polarimeter.{interval:g}")
@@ -285,7 +270,8 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
                 raise ProtocolFailed("window state fully extinguished")
             rho_bar = acc_rho / tr
             n_steps = max(1, round(interval / drift_dt))
-            success = window_norms[rec.window] / n_steps
+            # Each step's trace is at most 1; rounding of the sum may not be.
+            success = min(1.0, window_norms[rec.window] / n_steps)
             counts = _window_counts(rho_bar, n_per_basis, accidental_mean, count_rng)
             fid_raw = quantum.bell_fidelity(quantum.tomography_2q(counts))
             if correct:
@@ -337,15 +323,7 @@ def _prepare_arm_b(scn: Scenario, rho_pair: np.ndarray):
     """Optionally transmit arm B through the link after one stabilization."""
     if not scn.protocol_value("apply_link_to_arm_b"):
         return rho_pair, 1.0, None
-    ch = scn.make_channel()
-    ch.drift = chmod.DriftProcess(
-        rng=ch.drift.rng,
-        day_rate=ch.drift.day_rate,
-        night_rate=ch.drift.night_rate,
-        schedule=ch.drift.schedule,
-        rotation=polcore.random_rotation(scn.rng("protocol.initial_rotation")),
-        clock_s=ch.drift.clock_s,
-    )
+    ch = scn.make_channel(rotation=polcore.random_rotation(scn.rng("protocol.initial_rotation")))
     piezo = scn.make_piezo()
     run = None
     if scn.protocol_value("stabilize_first"):
@@ -382,9 +360,8 @@ def run_ion_photon(scn: Scenario, out: Path) -> list[Path]:
 
     fid_raw = quantum.fidelity(rho_hat, quantum.ION_PHOTON_TARGET)
     fid_corr = quantum.fidelity(rho_corr, quantum.ION_PHOTON_TARGET)
-    quantum.write_counts_csv(out / "tomo_counts.csv", counts)
     files = [
-        out / "tomo_counts.csv",
+        quantum.write_counts_csv(out / "tomo_counts.csv", counts),
         write_json(out / "ion_photon_state.json", matrix_payload(rho_hat)),
         write_json(
             out / "ion_photon_summary.json",
@@ -551,15 +528,44 @@ def run_delay_drift(scn: Scenario, out: Path) -> list[Path]:
     ]
 
 
-RUNNERS = {
-    "pdl-characterize": run_pdl_characterize,
-    "drift-characterize": run_drift_characterize,
-    "stabilize": run_stabilize,
-    "distribute-entanglement": run_distribute_entanglement,
-    "ion-photon": run_ion_photon,
-    "teleport": run_teleport,
-    "delay-drift": run_delay_drift,
+class Protocol(NamedTuple):
+    runner: Callable[[Scenario, Path], list[Path]]
+    keys: tuple[str, ...]  # the [protocol] keys the runner reads
+    trials_key: str | None = None  # the [protocol] key that `--trials` sets
+
+
+PROTOCOLS = {
+    "pdl-characterize": Protocol(
+        run_pdl_characterize,
+        ("n_samples", "sample_period_s", "link_pdl_mean_db", "link_pdl_sigma_db",
+         "det_pdl_mean_db", "det_pdl_sigma_db"),
+        "n_samples",
+    ),
+    "drift-characterize": Protocol(
+        run_drift_characterize, ("total_s", "trace_period_s", "tau_grid_s"),
+    ),
+    "stabilize": Protocol(run_stabilize, ("n_trials",), "n_trials"),
+    "distribute-entanglement": Protocol(
+        run_distribute_entanglement,
+        ("intervals_s", "total_per_interval_s", "counts_per_basis", "correct_background",
+         "accidental_rate_a_per_s", "accidental_rate_b_per_s", "coincidence_window_s"),
+        "total_per_interval_s",
+    ),
+    "ion-photon": Protocol(
+        run_ion_photon, ("counts_per_basis", "apply_link_to_arm_b", "stabilize_first"),
+    ),
+    "teleport": Protocol(
+        run_teleport,
+        ("counts_per_basis", "apply_link_to_arm_b", "stabilize_first", "input_states"),
+    ),
+    "delay-drift": Protocol(
+        run_delay_drift,
+        ("days", "temp_amplitude_k", "temp_period_s", "temp_trend_k_per_day",
+         "temp_noise_k", "measurement_noise_ps", "series_period_s"),
+    ),
 }
+
+RUNNERS = {name: protocol.runner for name, protocol in PROTOCOLS.items()}
 
 
 def run_protocol(scn: Scenario, out_dir) -> list[Path]:

@@ -23,14 +23,15 @@ last element is the "z" rotation of the memory basis.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .channel import ChannelState, transmit_qubit_kraus
+from .output import read_csv_rows, write_csv
 from .polcore import PAULI, FullyExtinguished
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "SpdcSource",
     "TeleportOutcome",
     "apply_channel_arm_b",
-    "background_correction",
     "bell_fidelity",
     "bsm_branches",
     "bsm_teleport",
@@ -507,24 +507,13 @@ def mc_uncertainty(
     )
 
 
-def background_correction(counts, rate_a_per_s: float, rate_b_per_s: float, window_s: float):
-    """Subtract expected accidental coincidences from a count table.
-
-    The expectation per setting is rate_a * rate_b * window * integration
-    (singles rates on the two arms, coincidence window, per-setting
-    integration time); corrected counts are clamped at zero.
-    """
-    if rate_a_per_s < 0.0 or rate_b_per_s < 0.0 or window_s < 0.0:
-        raise ValueError("rates and window must be >= 0")
-    out = []
-    for ba, bb, n, integration in (_count_row(r) for r in counts):
-        expected = rate_a_per_s * rate_b_per_s * window_s * integration
-        out.append((ba, bb, max(0.0, n - expected), integration))
-    return out
-
-
 def subtract_expected_accidentals(counts, expected_per_setting: float):
-    """Subtract a flat expected accidental count from every setting."""
+    """Subtract a flat expected accidental count from every setting.
+
+    For accidentals of singles rates a and b in a coincidence window w over
+    an integration time t, the expectation is a * b * w * t. Corrected
+    counts are clamped at zero.
+    """
     out = []
     for ba, bb, n, integration in (_count_row(r) for r in counts):
         out.append((ba, bb, max(0.0, n - expected_per_setting), integration))
@@ -534,24 +523,17 @@ def subtract_expected_accidentals(counts, expected_per_setting: float):
 COUNTS_CSV_HEADER = ("basis_a", "basis_b", "counts", "integration_s")
 
 
-def write_counts_csv(path, counts) -> None:
+def write_counts_csv(path, counts) -> Path:
     """Write a coincidence count table with the fixed four-column schema."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COUNTS_CSV_HEADER)
-        for ba, bb, n, integration in (_count_row(r) for r in counts):
-            writer.writerow([ba, bb, repr(n), repr(integration)])
+    return write_csv(path, COUNTS_CSV_HEADER, (_count_row(r) for r in counts))
 
 
 def read_counts_csv(path) -> list[tuple[str, str, float, float]]:
     """Read a coincidence count table written by `write_counts_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != COUNTS_CSV_HEADER:
-            raise ValueError(f"unexpected count-table header {header}")
-        return [(ba, bb, float(n), float(integration))
-                for ba, bb, n, integration in reader]
+    header, rows = read_csv_rows(path)
+    if tuple(header) != COUNTS_CSV_HEADER:
+        raise ValueError(f"unexpected count-table header {tuple(header)}")
+    return [(ba, bb, float(n), float(integration)) for ba, bb, n, integration in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,17 @@ terminates when fidelity reaches the configured threshold.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import polcore
 from .channel import ChannelState, transmit_probe
 from .instruments import PiezoController, Polarimeter, ReferenceSwitch, VoltageOutOfRange
+from .output import write_csv
 
 __all__ = [
     "Outcome",
@@ -92,11 +93,8 @@ class StabilizerRun:
     trace: list[tuple] = field(default_factory=list)
     clamp_events: int = 0
 
-    def write_trace_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_HEADER)
-            writer.writerows(self.trace)
+    def write_trace_csv(self, path) -> Path:
+        return write_csv(path, TRACE_HEADER, self.trace)
 
 
 class _Clock:
@@ -229,13 +227,11 @@ def stabilize(
     polarimeter: Polarimeter,
     cfg: StabilizerConfig | None = None,
     switch: ReferenceSwitch | None = None,
-    drift_during_run: bool = False,
 ) -> StabilizerRun:
     """Run the feedback loop until fidelity reaches the threshold.
 
     Records one trace row per iteration (voltages, error, fidelity,
-    simulated time). With drift_during_run the channel keeps drifting by the
-    simulated duration of each iteration.
+    simulated time). The channel is held still during the run.
     """
     cfg = cfg or StabilizerConfig()
     switch = switch or ReferenceSwitch()
@@ -253,7 +249,6 @@ def stabilize(
     d_step, du = cfg.d0, cfg.du0_v
     outcome = Outcome.MAX_ITERATIONS
     iterations = 0
-    t_last = 0.0
     for iteration in range(1, cfg.max_iterations + 1):
         iterations = iteration
         direction = gradient(ch, piezo, polarimeter, du, switch, clock)
@@ -265,9 +260,6 @@ def stabilize(
         f_val = _error_of_pair(s1, s2)
         fp = _fidelity_of_pair(s1, s2)
         trace.append((iteration, *piezo.voltages, f_val, fp, clock.t))
-        if drift_during_run and clock.t > t_last:
-            ch.advance(clock.t - t_last)
-            t_last = clock.t
         if fp >= cfg.fp_threshold:
             outcome = Outcome.CONVERGED
             break

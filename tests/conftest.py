@@ -19,7 +19,6 @@ def make_test_channel(
     night_rate=0.0,
     pdl_axis=None,
     pdl_transmission=1.0,
-    background_rate=19.7,
 ):
     """Channel with explicit rotation and loss, zero drift by default."""
     if rotation is None:
@@ -36,8 +35,6 @@ def make_test_channel(
     return chmod.ChannelState(
         drift=drift,
         pdl=pdl,
-        budget=chmod.AttenuationBudget.of(("link_q", 10.4)),
-        background=chmod.BackgroundSource(background_rate),
         delay=chmod.DelayDriftModel(),
     )
 

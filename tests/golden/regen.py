@@ -5,8 +5,10 @@ shipped preset, `manifest.json` included, at the preset's own seed.
 
 Run it from any directory; the package is imported from `src/` of this
 checkout. Only a change that means to alter preset outputs regenerates the
-file, and it says why in CHANGES.md. Running all eight presets takes about
-half a minute, most of it `ppe_dutycycle`.
+file, and it says why in CHANGES.md. Each `preset/file` whose hash differs
+from the record being overwritten (or that is new or gone) is printed, so
+the change can list exactly what it altered. Running all eight presets
+takes about half a minute, most of it `ppe_dutycycle`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ def main() -> int:
     from fiberlink import cli
     from fiberlink.output import sha256_file
 
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.is_file() else {}
     golden = {}
     with tempfile.TemporaryDirectory() as tmp:
         for preset in cli.list_presets():
@@ -35,6 +38,11 @@ def main() -> int:
                 return 1
             golden[preset] = {p.name: sha256_file(p) for p in sorted(out.iterdir())}
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    for preset in sorted(golden.keys() | old.keys()):
+        new_hashes, old_hashes = golden.get(preset, {}), old.get(preset, {})
+        for name in sorted(new_hashes.keys() | old_hashes.keys()):
+            if new_hashes.get(name) != old_hashes.get(name):
+                print(f"changed: {preset}/{name}")
     print(f"wrote {GOLDEN} ({len(golden)} presets)")
     return 0
 

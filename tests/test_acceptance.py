@@ -17,7 +17,7 @@ from fiberlink import instruments as ins
 from fiberlink import polcore as pc
 from fiberlink import quantum as q
 from fiberlink import stabilizer as st
-from fiberlink.output import sha256_file
+from fiberlink.output import read_csv_rows, sha256_file
 from fiberlink.protocols import run_protocol
 
 from conftest import golden_hashes, make_test_channel, random_mixed_state_2q
@@ -254,6 +254,10 @@ def test_criterion_10_entanglement_duty_cycle(tmp_path):
     golden = golden_hashes("ppe_dutycycle")
     for name in ("dutycycle.csv", "dutycycle_summary.csv"):
         assert sha256_file(tmp_path / "ppe" / name) == golden[name], name
+        assert b"\r" not in (tmp_path / "ppe" / name).read_bytes(), name
+    header, windows = read_csv_rows(tmp_path / "ppe" / "dutycycle.csv")
+    col = header.index("success_prob")
+    assert all(0.0 <= float(row[col]) <= 1.0 for row in windows)
     rows = (tmp_path / "ppe" / "dutycycle_summary.csv").read_text().splitlines()[1:]
     means = {}
     for line in rows:

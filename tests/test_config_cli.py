@@ -6,7 +6,7 @@ import pytest
 
 from fiberlink import cli, config, seeding
 from fiberlink.output import sha256_file
-from fiberlink.protocols import run_protocol
+from fiberlink.protocols import PROTOCOLS, run_protocol
 
 
 MINIMAL = """
@@ -68,11 +68,60 @@ def test_threshold_out_of_bounds_names_field(tmp_path):
     assert issue.line is not None
 
 
-def test_negative_loss_is_invalid(tmp_path):
-    path = tmp_path / "bad.ini"
-    path.write_text(MINIMAL + "\n[channel]\nloss_budget = link:-3.0\n")
+# Keys that no run reads are not in the schema, so `validate` rejects them.
+@pytest.mark.parametrize("section, key, value", [
+    ("instruments", "detector_efficiency", "0.8"),
+    ("instruments", "detector_dark_rate_per_s", "0.5"),
+    ("instruments", "detector_jitter_s", "5e-11"),
+    ("channel", "background_rate_per_s", "19.7"),
+    ("channel", "loss_budget", "link_q:10.4"),
+    ("stabilizer", "drift_during_run", "true"),
+])
+def test_deleted_key_is_unknown(tmp_path, section, key, value):
+    path = tmp_path / "old.ini"
+    path.write_text(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
     issues = config.validate_file(path)
-    assert any(i.key == "loss_budget" and "negative" in i.message for i in issues)
+    assert [(i.section, i.key, i.message) for i in issues] == [(section, key, "unknown key")]
+
+
+def test_every_protocol_field_is_read_by_a_protocol():
+    read = {key for protocol in PROTOCOLS.values() for key in protocol.keys}
+    for section, key in config._FIELDS:
+        if section == "protocol":
+            assert key in read, key
+
+
+def test_every_protocol_table_key_is_a_field():
+    for name, protocol in PROTOCOLS.items():
+        for key in protocol.keys:
+            assert ("protocol", key) in config._FIELDS, (name, key)
+        assert protocol.trials_key is None or protocol.trials_key in protocol.keys, name
+
+
+# Inputs that `run` cannot use fail validation (exit 2) instead of crashing `run`.
+@pytest.mark.parametrize("head, section, key, value", [
+    ("[scenario]\nprotocol = teleport\n", "protocol", "input_states", "H,V,X,R"),
+    (MINIMAL, "channel", "day_start_hms", "banana"),
+], ids=["input_states", "day_start_hms"])
+def test_validate_rejects_what_run_would_crash_on(tmp_path, capsys, head, section, key, value):
+    path = tmp_path / "bad.ini"
+    text = head + f"\n[{section}]\n{key} = {value}\n"
+    path.write_text(text)
+    issues = config.validate_file(path)
+    assert [(i.section, i.key, i.line) for i in issues] == [
+        (section, key, text.splitlines().index(f"{key} = {value}") + 1)
+    ]
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and key in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_day_window_is_parsed_at_validate_time():
+    scn = config.loads(MINIMAL + "\n[channel]\nday_start_hms = 6:15\nday_end_hms = 20\n")
+    schedule = scn.make_channel().drift.schedule
+    assert (schedule.day_start_s, schedule.day_end_s) == (6.25 * 3600.0, 20 * 3600.0)
 
 
 def test_unknown_key_is_flagged(tmp_path):
@@ -197,6 +246,24 @@ def test_cli_trials_override(tmp_path):
     cli.main(["run", "pdl_characterize", "--out", str(out), "--trials", "64", "--quiet"])
     lines = (out / "pdl_series.csv").read_text().splitlines()
     assert len(lines) == 65  # header + 64 samples
+
+
+def test_manifest_replays_trials_override(tmp_path):
+    out1 = tmp_path / "a"
+    assert cli.main(["run", "pdl_characterize", "--out", str(out1), "--trials", "3", "--quiet"]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["trials"] == 3
+    replay = tmp_path / "replay.ini"
+    replay.write_text(manifest["config_text"])
+    out2 = tmp_path / "b"
+    argv = ["run", str(replay), "--out", str(out2), "--seed", str(manifest["seed"]),
+            "--trials", str(manifest["trials"]), "--quiet"]
+    assert cli.main(argv) == 0
+    assert json.loads((out2 / "manifest.json").read_text())["outputs"] == manifest["outputs"]
+    # an override the protocol has no use for changes nothing and is not recorded
+    out3 = tmp_path / "c"
+    assert cli.main(["run", "delay_drift", "--out", str(out3), "--trials", "3", "--quiet"]) == 0
+    assert "trials" not in json.loads((out3 / "manifest.json").read_text())
 
 
 def test_manifest_config_text_reruns_identically(tmp_path):

@@ -1,6 +1,6 @@
 """Golden-output gate: every shipped preset, run through the CLI at its own
 seed, reproduces the SHA-256 of each output file recorded in
-`golden/preset_hashes.json`.
+`golden/preset_hashes.json`, and every output ends its lines with LF only.
 
 `ppe_dutycycle` is left out here: acceptance criterion 10 already runs it
 and checks its two CSV files against the same record.
@@ -31,3 +31,5 @@ def test_preset_outputs_match_golden_hashes(preset, tmp_path):
     assert cli.main(["run", preset, "--out", str(out), "--quiet"]) == 0
     got = {p.name: sha256_file(p) for p in sorted(out.iterdir())}
     assert got == golden_hashes(preset)
+    for p in out.iterdir():
+        assert b"\r" not in p.read_bytes(), p.name

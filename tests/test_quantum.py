@@ -321,13 +321,13 @@ def test_mc_uncertainty_mean_near_point_estimate(rng):
 
 
 # ---------------------------------------------------------------------------
-# background correction
+# background correction: subtract rate_a * rate_b * window accidentals per
+# unit integration time
 # ---------------------------------------------------------------------------
 
 def test_background_correction_zero_rates_unchanged():
-    rows = [(a, b, 100.0, 2.0) for a, b in q.TOMO_BASES_2Q]
-    out = q.background_correction(rows, 0.0, 0.0, 1e-9)
-    assert [r[2] for r in out] == [100.0] * 16
+    rows = [(a, b, 100.0, 1.0) for a, b in q.TOMO_BASES_2Q]
+    assert q.subtract_expected_accidentals(rows, 0.0) == rows  # zero singles rates
 
 
 def test_background_correction_recovers_injected_accidentals(rng):
@@ -339,7 +339,7 @@ def test_background_correction_recovers_injected_accidentals(rng):
     counts = [(a, b, rng.poisson(n * p + accidental), integration)
               for (a, b), p in probs.items()]
     raw_fid = q.bell_fidelity(q.tomography_2q(counts))
-    corrected = q.background_correction(counts, rate_a, rate_b, window)
+    corrected = q.subtract_expected_accidentals(counts, rate_a * rate_b * window)
     corr_fid = q.bell_fidelity(q.tomography_2q(corrected))
     mc = q.mc_uncertainty(corrected, n_resamples=200, rng=rng)
     assert corr_fid > raw_fid
@@ -348,8 +348,9 @@ def test_background_correction_recovers_injected_accidentals(rng):
 
 def test_background_correction_clamps_at_zero():
     rows = [("H", "H", 1.0, 1.0)] + [(a, b, 50.0, 1.0) for a, b in q.TOMO_BASES_2Q[1:]]
-    out = q.background_correction(rows, 1e3, 1e3, 1e-5)  # expected accidentals = 10
+    out = q.subtract_expected_accidentals(rows, 1e3 * 1e3 * 1e-5)  # 10 accidentals
     assert out[0][2] == 0.0
+    assert all(r[2] == pytest.approx(40.0) for r in out[1:])
 
 
 def test_background_correction_lifts_fidelity_toward_source_limit(rng):
