@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 DEFAULT_QUANTILES = (0.90, 0.99, 0.999)
+FIDELITY_BINS = 60
 
 
 class FitDiverged(ValueError):
@@ -67,7 +68,6 @@ class QuantileSurface:
 def quantile_surface(
     samples,
     quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-    fidelity_bins: int = 60,
     min_samples_per_bin: int = 100,
 ) -> QuantileSurface:
     """Bin (tau, fidelity) samples by tau and extract maintenance quantiles.
@@ -82,8 +82,8 @@ def quantile_surface(
         raise ValueError("no samples")
     taus = np.unique(samples[:, 0])
     f_lo = min(0.0, samples[:, 1].min())
-    edges = np.linspace(f_lo, 1.0, fidelity_bins + 1)
-    incidence = np.zeros((taus.size, fidelity_bins))
+    edges = np.linspace(f_lo, 1.0, FIDELITY_BINS + 1)
+    incidence = np.zeros((taus.size, FIDELITY_BINS))
     counts = np.zeros(taus.size, dtype=int)
     curves = {q: np.empty(taus.size) for q in quantiles}
     warnings = []

@@ -56,13 +56,19 @@ class EmptySeries(ValueError):
 
 @dataclass(frozen=True)
 class DaySchedule:
-    """Daily window with elevated drift, in seconds since local midnight."""
+    """Daily window with elevated drift, in seconds since local midnight.
+
+    A window whose start lies after its end wraps past midnight: 22:00 to
+    06:00 is day from 22:00 until 06:00 the next morning.
+    """
 
     day_start_s: float = 7.5 * 3600.0
     day_end_s: float = 18.0 * 3600.0
 
     def is_day(self, clock_s: float) -> bool:
         t = clock_s % 86400.0
+        if self.day_start_s > self.day_end_s:
+            return t >= self.day_start_s or t < self.day_end_s
         return self.day_start_s <= t < self.day_end_s
 
 
@@ -224,12 +230,11 @@ class ChannelState:
     spikes: PdlSpikeProcess = field(default_factory=PdlSpikeProcess)
     _spike_until_s: float = field(default=-1.0, repr=False)
 
-    def advance(self, dt: float, steps: int = 1) -> None:
-        """Advance the link timeline by steps * dt seconds of free drift."""
-        for _ in range(steps):
-            self.drift = drift_step(self.drift, dt)
-            if self.spikes.rate_per_s > 0.0:
-                self._maybe_spike(dt)
+    def advance(self, dt: float) -> None:
+        """Advance the link timeline by dt seconds of free drift."""
+        self.drift = drift_step(self.drift, dt)
+        if self.spikes.rate_per_s > 0.0:
+            self._maybe_spike(dt)
 
     def _maybe_spike(self, dt: float) -> None:
         rng = self.drift.rng

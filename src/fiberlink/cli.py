@@ -20,7 +20,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from . import __version__, config, quantum
+from . import __version__, config
 from .output import sha256_file, write_json
 from .protocols import PROTOCOLS, ProtocolFailed, run_protocol
 
@@ -89,7 +89,7 @@ def _cmd_run(args) -> int:
 
     try:
         files = run_protocol(scn, out_dir)
-    except (ProtocolFailed, quantum.SingularDesign) as exc:
+    except (ProtocolFailed, ValueError) as exc:
         print(f"protocol failed: {exc}", file=sys.stderr)
         return 3
 

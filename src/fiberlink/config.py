@@ -90,7 +90,7 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     ("channel", "start_clock_s"): (float, 0.0, _non_negative, ">= 0"),
     ("channel", "drift_dt_s"): (float, 1.0, _positive, "> 0"),
     ("channel", "pdl_db"): (float, 0.08, _non_negative, ">= 0"),
-    ("channel", "pdl_axis"): ("vec3", "1,0,0", None, ""),
+    ("channel", "pdl_axis"): ("vec3", "1,0,0", lambda v: np.any(v != 0.0), "nonzero"),
     ("channel", "spike_rate_per_s"): (float, 0.0, _non_negative, ">= 0"),
     ("channel", "spike_extra_db"): (float, 0.5, _non_negative, ">= 0"),
     ("channel", "spike_duration_s"): (float, 30.0, _positive, "> 0"),
@@ -159,13 +159,20 @@ _FIELDS: dict[tuple[str, str], tuple] = {
 }
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
+
 def _parse_value(kind, raw: str):
     if kind is str:
         return raw.strip()
     if kind is int:
         return int(raw.strip())
     if kind is float:
-        return float(raw.strip())
+        return _finite(raw)
     if kind is bool:
         low = raw.strip().lower()
         if low in ("true", "yes", "on", "1"):
@@ -174,12 +181,12 @@ def _parse_value(kind, raw: str):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
     if kind == "vec3":
-        parts = [float(x) for x in raw.split(",")]
+        parts = [_finite(x) for x in raw.split(",")]
         if len(parts) != 3:
             raise ValueError("need 3 comma-separated components")
         return np.array(parts)
     if kind == "floats":
-        return tuple(float(x) for x in raw.split(","))
+        return tuple(_finite(x) for x in raw.split(","))
     if kind == "labels":
         return tuple(x.strip().upper() for x in raw.split(","))
     if kind == "hms":
@@ -356,6 +363,17 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
     if fp_th is not None and fp_x is not None and not fp_x < fp_th:
         issues.append(Issue("stabilizer", "fp_crossover", f"must be < fp_threshold ({fp_th})"))
 
+    # The controller idles at a quarter turn on two channels (`bias_neutral`).
+    gain = values.get(("instruments", "piezo_gain_rad_per_v"))
+    limit = values.get(("instruments", "piezo_limit_v"))
+    if gain is not None and limit is not None and 0.5 * math.pi / abs(gain) > limit:
+        issues.append(
+            Issue("instruments", "piezo_limit_v",
+                  f"below the neutral bias pi/(2*|piezo_gain_rad_per_v|) = "
+                  f"{0.5 * math.pi / abs(gain):g} V",
+                  _find_line(text, "instruments", "piezo_limit_v"))
+        )
+
     protocol = values.get(("scenario", "protocol"))
     if protocol in PROTOCOLS and parser.has_section("protocol"):
         allowed = PROTOCOLS[protocol].keys
@@ -365,6 +383,18 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
                     Issue("protocol", key, f"not a parameter of protocol {protocol!r}",
                           _find_line(text, "protocol", key))
                 )
+
+    if protocol == "drift-characterize":
+        total = values.get(("protocol", "total_s"))
+        period = values.get(("protocol", "trace_period_s"))
+        taus = values.get(("protocol", "tau_grid_s"))
+        # the runner's sample count and shortest lag, in trace periods
+        if None not in (total, period, taus) and int(total / period) < max(1, round(min(taus) / period)):
+            issues.append(
+                Issue("protocol", "total_s",
+                      "too short for every tau_grid_s lag at this trace_period_s",
+                      _find_line(text, "protocol", "total_s"))
+            )
     return values, issues
 
 

@@ -24,8 +24,6 @@ __all__ = [
     "ProjectionSetup",
     "ReferenceSwitch",
     "VoltageOutOfRange",
-    "piezo_rotation",
-    "polarimeter_read",
     "project_and_count",
     "waveplate_angles_for_axis",
     "projector_for_waveplates",
@@ -65,24 +63,21 @@ class Polarimeter:
             raise ValueError("sigma and latency must be >= 0")
 
     def read(self, s_true: np.ndarray) -> np.ndarray:
-        return polarimeter_read(self, s_true)
+        """Noisy Stokes read; renormalized only if the noisy norm exceeds 1.
 
-
-def polarimeter_read(p: Polarimeter, s_true: np.ndarray) -> np.ndarray:
-    """Noisy Stokes read; renormalized only if the noisy norm exceeds 1.
-
-    The renormalization keeps reads inside the physical ball. It shifts the
-    reported degree of polarization of pure inputs inward by O(sigma) but
-    leaves the polarization direction unbiased to O(sigma^2), which is what
-    the downstream two-probe fidelity estimate consumes.
-    """
-    s = np.asarray(s_true, dtype=float)
-    if p.sigma > 0.0:
-        s = s + p.rng.normal(0.0, p.sigma, size=3)
-    n = np.linalg.norm(s)
-    if n > 1.0:
-        s = s / n
-    return s
+        The renormalization keeps reads inside the physical ball. It shifts
+        the reported degree of polarization of pure inputs inward by
+        O(sigma) but leaves the polarization direction unbiased to
+        O(sigma^2), which is what the downstream two-probe fidelity
+        estimate consumes.
+        """
+        s = np.asarray(s_true, dtype=float)
+        if self.sigma > 0.0:
+            s = s + self.rng.normal(0.0, self.sigma, size=3)
+        n = np.linalg.norm(s)
+        if n > 1.0:
+            s = s / n
+        return s
 
 
 @dataclass
@@ -146,17 +141,13 @@ class PiezoController:
         return u
 
     def rotation(self) -> np.ndarray:
-        return piezo_rotation(self)
-
-
-def piezo_rotation(c: PiezoController) -> np.ndarray:
-    """Net Stokes rotation of the controller at its current voltages."""
-    if np.any(np.abs(c.voltages) > c.limit_v + 1e-12):
-        raise VoltageOutOfRange("voltages exceed limits")
-    m = np.eye(3)
-    for axis, gain, u in zip(c.axes, c.gains_rad_per_v, c.voltages):
-        m = polcore.rotation_about(axis, gain * u) @ m
-    return m
+        """Net Stokes rotation of the controller at its current voltages."""
+        if np.any(np.abs(self.voltages) > self.limit_v + 1e-12):
+            raise VoltageOutOfRange("voltages exceed limits")
+        m = np.eye(3)
+        for axis, gain, u in zip(self.axes, self.gains_rad_per_v, self.voltages):
+            m = polcore.rotation_about(axis, gain * u) @ m
+        return m
 
 
 @dataclass(frozen=True)

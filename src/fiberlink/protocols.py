@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import numpy as np
 
 from . import analysis, channel as chmod, polcore, quantum, stabilizer
-from .instruments import PiezoController
 from .output import matrix_payload, write_csv, write_json
 
 if TYPE_CHECKING:
@@ -170,20 +169,11 @@ def run_stabilize(scn: Scenario, out: Path) -> list[Path]:
 # distribute-entanglement
 # ---------------------------------------------------------------------------
 
-def _compensator(piezo: PiezoController) -> np.ndarray:
-    """SU(2) matrix of the piezo compensator at its current voltages."""
-    return polcore.su2_of_rotation(piezo.rotation())
-
-
-def _arm_b_operator(ch, comp: np.ndarray) -> np.ndarray:
-    """Arm-B single-qubit operator: link (rotation + loss) then compensator."""
-    return comp @ chmod.transmit_qubit_kraus(ch)
-
-
-def _window_counts(rho_bar, n_per_basis, accidental_mean, rng):
-    probs = quantum.coincidence_probabilities(rho_bar)
+def _window_counts(rho, n_per_basis, accidental_mean, rng):
+    """Count table of the 16 tomography settings: the expected counts
+    n_per_basis * p + accidental_mean, or a Poisson draw of them with `rng`."""
     counts = []
-    for (ba, bb), p in probs.items():
+    for (ba, bb), p in quantum.coincidence_probabilities(rho).items():
         mean = n_per_basis * p + accidental_mean
         value = float(rng.poisson(mean)) if rng is not None else mean
         counts.append((ba, bb, value, 1.0))
@@ -232,10 +222,10 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
 
         window_states: dict[int, np.ndarray] = {}
         window_norms: dict[int, float] = {}
-        # The piezo is idle during a transmit window, so its compensator is
-        # kept for the last voltage vector seen. A value is reused only for
-        # bit-identical voltages of this interval's controller, which have
-        # already passed its range check.
+        # The piezo is idle during a transmit window, so its compensator
+        # SU(2) matrix is kept for the last voltage vector seen. A value is
+        # reused only for bit-identical voltages of this interval's
+        # controller, which have already passed its range check.
         compensator: dict[bytes, np.ndarray] = {}
 
         def accumulate(window, ch, piezo, _states=window_states, _norms=window_norms,
@@ -243,9 +233,9 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
             key = piezo.voltages.tobytes()
             if key not in _comp:
                 _comp.clear()
-                _comp[key] = _compensator(piezo)
-            k = np.kron(np.eye(2, dtype=complex), _arm_b_operator(ch, _comp[key]))
-            term = k @ rho_src @ k.conj().T
+                _comp[key] = polcore.su2_of_rotation(piezo.rotation())
+            # arm B: link (rotation + loss), then the compensator
+            term = quantum.on_arm_b(rho_src, _comp[key] @ chmod.transmit_qubit_kraus(ch))
             if window not in _states:
                 _states[window] = term
                 _norms[window] = float(np.trace(term).real)
@@ -331,8 +321,8 @@ def _prepare_arm_b(scn: Scenario, rho_pair: np.ndarray):
             ch, piezo, scn.make_polarimeter(), scn.make_stabilizer_config(),
             scn.make_switch(),
         )
-    k = np.kron(np.eye(2, dtype=complex), _arm_b_operator(ch, _compensator(piezo)))
-    rho = k @ rho_pair @ k.conj().T
+    comp = polcore.su2_of_rotation(piezo.rotation())
+    rho = quantum.on_arm_b(rho_pair, comp @ chmod.transmit_qubit_kraus(ch))
     prob = float(np.trace(rho).real)
     if prob <= 1e-12:
         raise ProtocolFailed("arm-B photon fully blocked")
@@ -346,13 +336,9 @@ def run_ion_photon(scn: Scenario, out: Path) -> list[Path]:
     rho_pair, success, run = _prepare_arm_b(scn, quantum.spdc_state(src))
     rho = quantum.heralded_absorption(rho_pair, ion)
 
-    probs = quantum.coincidence_probabilities(rho)
     rng = scn.rng("counts.ion_photon") if counts_per_basis > 0 else None
     n_per_basis = counts_per_basis if counts_per_basis > 0 else 1e6
-    counts = []
-    for (ba, bb), p in probs.items():
-        mean = n_per_basis * p
-        counts.append((ba, bb, float(rng.poisson(mean)) if rng else mean, 1.0))
+    counts = _window_counts(rho, n_per_basis, 0.0, rng)
 
     rho_hat = quantum.tomography_2q(counts)
     corrected = _corrected_counts(counts, src.noise_p, 0.0)

@@ -54,7 +54,7 @@ __all__ = [
     "fidelity",
     "heralded_absorption",
     "mc_uncertainty",
-    "pauli_basis",
+    "on_arm_b",
     "process_fidelity_element",
     "process_matrix_from_io",
     "process_tomography",
@@ -97,6 +97,8 @@ ION_PHOTON_TARGET = (
 # Absorption isometry: photon polarization -> memory qubit, fixed by the
 # requirement that the ideal pair input maps onto ION_PHOTON_TARGET.
 _ABSORB = np.array([[1.0j, 1.0], [1.0j, -1.0]], dtype=complex) / _SQ2
+# The isometry acting on arm A of a pair state.
+_ABSORB_ARM_A = np.kron(_ABSORB, np.eye(2, dtype=complex))
 
 # Preparation encoding making the ideal teleportation the identity channel:
 # the memory amplitudes carry the circular components of the target state.
@@ -136,10 +138,6 @@ def bell_fidelity(rho: np.ndarray) -> float:
     return fidelity(rho, BELL_PSI_PLUS)
 
 
-def pauli_basis() -> tuple[np.ndarray, ...]:
-    return _PAULI4
-
-
 # ---------------------------------------------------------------------------
 # Pair source and channel action
 # ---------------------------------------------------------------------------
@@ -173,10 +171,15 @@ def spdc_state(src: SpdcSource) -> np.ndarray:
     return check_state(rho, "spdc_state")
 
 
+def on_arm_b(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """(I (x) op) rho (I (x) op)^dag: a single-qubit operator acting on arm B."""
+    k = np.kron(np.eye(2, dtype=complex), op)
+    return k @ rho @ k.conj().T
+
+
 def apply_channel_arm_b(rho: np.ndarray, ch: ChannelState) -> tuple[np.ndarray, float]:
     """Send the arm-B photon through the link; post-selected state + success."""
-    k = np.kron(np.eye(2, dtype=complex), transmit_qubit_kraus(ch))
-    out = k @ np.asarray(rho, dtype=complex) @ k.conj().T
+    out = on_arm_b(np.asarray(rho, dtype=complex), transmit_qubit_kraus(ch))
     prob = float(np.trace(out).real)
     if prob <= 1e-12:
         raise FullyExtinguished("arm-B photon is fully blocked")
@@ -220,8 +223,7 @@ def heralded_absorption(rho_pair: np.ndarray, ion: IonMemory) -> np.ndarray:
     Returns the (memory (x) photon-B) state; a perfect pair input yields the
     ideal memory-photon target up to the dephasing of the exposure window.
     """
-    v = np.kron(_ABSORB, np.eye(2, dtype=complex))
-    out = v @ np.asarray(rho_pair, dtype=complex) @ v.conj().T
+    out = _ABSORB_ARM_A @ np.asarray(rho_pair, dtype=complex) @ _ABSORB_ARM_A.conj().T
     out = _dephase_first_qubit(out, ion.coherence())
     return check_state(out, "heralded_absorption")
 
@@ -260,10 +262,9 @@ def bsm_branches(
     rho_m = _dephase_first_qubit(
         np.kron(rho_m, np.eye(2, dtype=complex) / 2.0), ion.coherence()
     )
-    rho_m = _partial_trace(rho_m, keep=0, dims=(2, 2))
+    rho_m = np.einsum("ikjk->ij", rho_m.reshape(2, 2, 2, 2))  # trace out the ancilla
 
-    v = np.kron(_ABSORB, np.eye(2, dtype=complex))
-    rho_ab = v @ np.asarray(rho_pair, dtype=complex) @ v.conj().T
+    rho_ab = _ABSORB_ARM_A @ np.asarray(rho_pair, dtype=complex) @ _ABSORB_ARM_A.conj().T
     joint = np.kron(rho_m, rho_ab)  # qubits (m, a, B)
 
     branches = {}
@@ -305,14 +306,6 @@ def bsm_teleport(
     )
 
 
-def _partial_trace(rho: np.ndarray, keep: int, dims: tuple[int, int]) -> np.ndarray:
-    d0, d1 = dims
-    r = rho.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        return np.einsum("ikjk->ij", r)
-    return np.einsum("kikj->ij", r)
-
-
 def _partial_trace_to_last(rho8: np.ndarray) -> np.ndarray:
     """Trace out the first two qubits of a three-qubit state."""
     r = rho8.reshape(4, 2, 4, 2)
@@ -342,18 +335,15 @@ def _projector_2q(ba: str, bb: str) -> np.ndarray:
     return proj
 
 
-def coincidence_probabilities(
-    rho: np.ndarray,
-    bases: tuple[tuple[str, str], ...] = TOMO_BASES_2Q,
-) -> dict[tuple[str, str], float]:
-    """Forward model: coincidence probability per analyzer setting.
+def coincidence_probabilities(rho: np.ndarray) -> dict[tuple[str, str], float]:
+    """Forward model: coincidence probability per setting of TOMO_BASES_2Q.
 
     The 4x4 projector of each setting comes from a small read-only table
     filled on first use, so repeated calls do no `np.kron` work.
     """
     rho = np.asarray(rho, dtype=complex)
     out = {}
-    for ba, bb in bases:
+    for ba, bb in TOMO_BASES_2Q:
         out[(ba, bb)] = float(np.trace(_projector_2q(ba, bb) @ rho).real)
     return out
 
@@ -367,11 +357,10 @@ def _design_matrix(settings: tuple[tuple[str, str], ...]) -> np.ndarray:
     rank-deficient or unknown setting list raises SingularDesign and is
     never cached, so every call with it raises again.
     """
-    basis = _hermitian_basis()
     design = np.empty((len(settings), 16))
     for i, (ba, bb) in enumerate(settings):
         proj = _projector_2q(ba, bb)
-        design[i] = [np.trace(proj @ b).real for b in basis]
+        design[i] = [np.trace(proj @ b).real for b in _HERM_BASIS]
     if np.linalg.matrix_rank(design, tol=1e-10) < 16:
         raise SingularDesign("measurement settings are not informationally complete")
     design.flags.writeable = False
@@ -401,7 +390,7 @@ def tomography_2q(counts) -> np.ndarray:
     design = _design_matrix(tuple((ba, bb) for ba, bb, _, _ in rows))
     rates = np.array([n / integration for _, _, n, integration in rows])
     params, *_ = np.linalg.lstsq(design, rates, rcond=None)
-    x = sum(p * b for p, b in zip(params, _hermitian_basis()))
+    x = sum(p * b for p, b in zip(params, _HERM_BASIS))
     total = float(np.trace(x).real)
     if total <= 0.0:
         # Pathological data (e.g. all-zero counts): fall back to the
@@ -418,29 +407,26 @@ def _count_row(row) -> tuple[str, str, float, float]:
     return str(ba), str(bb), float(n), float(integration)
 
 
-_HERM_BASIS: list[np.ndarray] | None = None
-
-
-def _hermitian_basis() -> list[np.ndarray]:
+def _hermitian_basis() -> tuple[np.ndarray, ...]:
     """Real basis of the 4x4 Hermitian matrices (diagonal, symmetric, antisymmetric)."""
-    global _HERM_BASIS
-    if _HERM_BASIS is None:
-        basis = []
-        for i in range(4):
+    basis = []
+    for i in range(4):
+        m = np.zeros((4, 4), dtype=complex)
+        m[i, i] = 1.0
+        basis.append(m)
+    for i in range(4):
+        for j in range(i + 1, 4):
             m = np.zeros((4, 4), dtype=complex)
-            m[i, i] = 1.0
+            m[i, j] = m[j, i] = 1.0
             basis.append(m)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                m = np.zeros((4, 4), dtype=complex)
-                m[i, j] = m[j, i] = 1.0
-                basis.append(m)
-                m = np.zeros((4, 4), dtype=complex)
-                m[i, j] = -1.0j
-                m[j, i] = 1.0j
-                basis.append(m)
-        _HERM_BASIS = basis
-    return _HERM_BASIS
+            m = np.zeros((4, 4), dtype=complex)
+            m[i, j] = -1.0j
+            m[j, i] = 1.0j
+            basis.append(m)
+    return tuple(basis)
+
+
+_HERM_BASIS = _hermitian_basis()
 
 
 def _project_physical(rho: np.ndarray) -> np.ndarray:
@@ -469,13 +455,12 @@ def mc_uncertainty(
     counts,
     n_resamples: int,
     rng: np.random.Generator,
-    metric=bell_fidelity,
 ) -> McResult:
     """Poisson-resample the count table and propagate through tomography.
 
-    Each count is resampled as Poisson(count); the tomography and the metric
-    (default: fidelity to the maximally entangled pair state) are re-run per
-    resample. Deterministic given the generator state.
+    Each count is resampled as Poisson(count); the tomography and the Bell
+    fidelity (to the maximally entangled pair state BELL_PSI_PLUS) are
+    re-run per resample. Deterministic given the generator state.
     """
     if n_resamples < 100:
         raise ValueError("need n_resamples >= 100 for a meaningful spread")
@@ -486,7 +471,7 @@ def mc_uncertainty(
         warnings.append(
             f"degenerate design: only {nonzero} of {len(rows)} settings have counts"
         )
-    point = float(metric(tomography_2q(rows)))
+    point = bell_fidelity(tomography_2q(rows))
     means = np.array([n for _, _, n, _ in rows])
     values = np.empty(n_resamples)
     for k in range(n_resamples):
@@ -497,7 +482,7 @@ def mc_uncertainty(
             (ba, bb, float(d), integration)
             for (ba, bb, _, integration), d in zip(rows, draws)
         ]
-        values[k] = metric(tomography_2q(resampled))
+        values[k] = bell_fidelity(tomography_2q(resampled))
     return McResult(
         mean=float(values.mean()),
         sigma=float(values.std(ddof=1)),
@@ -543,17 +528,15 @@ def read_counts_csv(path) -> list[tuple[str, str, float, float]]:
 def process_matrix_from_io(
     inputs: list[np.ndarray],
     outputs: list[np.ndarray],
-    normalize_trace: bool = True,
 ) -> np.ndarray:
     """Pauli-basis process matrix from input/output density-matrix pairs.
 
-    Outputs may be unnormalized (trace = branch probability); with
-    normalize_trace the returned chi is rescaled to unit trace, which is the
-    convention used for the heralded teleportation branches. chi is
-    Hermitized and clipped to the positive cone.
+    Outputs may be unnormalized (trace = branch probability). chi is
+    Hermitized, clipped to the positive cone and rescaled to unit trace,
+    the convention used for the heralded teleportation branches.
 
     Raises SingularDesign when the inputs do not span the single-qubit
-    operator space.
+    operator space, or when the reconstructed chi has no positive trace.
     """
     if len(inputs) != len(outputs) or len(inputs) < 4:
         raise SingularDesign("need >= 4 input/output pairs")
@@ -574,18 +557,15 @@ def process_matrix_from_io(
     evals, evecs = np.linalg.eigh(chi)
     evals = np.clip(evals, 0.0, None)
     chi = (evecs * evals) @ evecs.conj().T
-    if normalize_trace:
-        t = float(np.trace(chi).real)
-        if t <= 0.0:
-            raise SingularDesign("reconstructed process has non-positive trace")
-        chi = chi / t
-    return chi
+    t = float(np.trace(chi).real)
+    if t <= 0.0:
+        raise SingularDesign("reconstructed process has non-positive trace")
+    return chi / t
 
 
 def process_tomography(
     channel_fn,
     input_labels: tuple[str, ...] = TOMO_BASES_1Q,
-    normalize_trace: bool = True,
 ) -> np.ndarray:
     """Process matrix of a single-qubit map probed with an input set.
 
@@ -597,7 +577,7 @@ def process_tomography(
         rho_in = _projector(label)
         inputs.append(rho_in)
         outputs.append(np.asarray(channel_fn(rho_in), dtype=complex))
-    return process_matrix_from_io(inputs, outputs, normalize_trace=normalize_trace)
+    return process_matrix_from_io(inputs, outputs)
 
 
 def _check_input_completeness(inputs: list[np.ndarray]) -> None:

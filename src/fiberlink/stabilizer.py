@@ -164,11 +164,20 @@ def gradient(
     """Finite-difference descent direction over the four voltages.
 
     Probes that would exceed the voltage limits fall back to a one-sided
-    difference with the in-range probe only.
+    difference with the in-range probe only. Each probe's piezo settling
+    and probe-pair reads are charged to `clock`.
     """
     if delta_u_v <= 0.0:
         raise ValueError("delta_u must be > 0")
     switch = switch or ReferenceSwitch()
+    clock = clock or _Clock(polarimeter, piezo, switch)
+
+    def probe(u: np.ndarray) -> float:
+        piezo.set_voltages(u)
+        clock.piezo_apply()
+        clock.probe_pair()
+        return error_function(ch, piezo, polarimeter, switch)
+
     u0 = piezo.voltages.copy()
     f0 = None
     out = np.zeros(4)
@@ -179,11 +188,7 @@ def gradient(
             u[i] += sign * delta_u_v
             if abs(u[i]) > piezo.limit_v:
                 continue
-            piezo.set_voltages(u)
-            if clock is not None:
-                clock.piezo_apply()
-                clock.probe_pair()
-            f = error_function(ch, piezo, polarimeter, switch)
+            f = probe(u)
             if sign < 0:
                 f_lo = f
             else:
@@ -194,11 +199,7 @@ def gradient(
             )
         if f_lo is None or f_hi is None:
             if f0 is None:
-                piezo.set_voltages(u0)
-                if clock is not None:
-                    clock.piezo_apply()
-                    clock.probe_pair()
-                f0 = error_function(ch, piezo, polarimeter, switch)
+                f0 = probe(u0)
             if f_lo is None:
                 out[i] = (f0 - f_hi) / delta_u_v
             else:
@@ -278,7 +279,6 @@ def stabilize(
 @dataclass
 class WindowRecord:
     window: int
-    t_start_s: float
     fp_before: float
     stabilized: bool
     stab_iterations: int
@@ -292,8 +292,6 @@ class DutyCycleLog:
 
     records: list[WindowRecord]
     transmit_window_s: float
-    total_transmit_s: float
-    total_stabilization_s: float
 
     @property
     def duty_ratio(self) -> float:
@@ -315,24 +313,20 @@ def duty_cycle_run(
     total_s: float,
     switch: ReferenceSwitch | None = None,
     drift_dt_s: float = 1.0,
-    check_first: bool = True,
     on_step=None,
-    on_window_complete=None,
 ) -> DutyCycleLog:
     """Alternate free-drift transmission windows with stabilization runs.
 
-    With check_first, fidelity is probed at each window boundary and the
-    loop runs only when it has dropped below the threshold (otherwise the
-    boundary costs just the probe pair). `on_step(window, ch, piezo)` is
-    called after every drift sub-step inside a window and
-    `on_window_complete(window, ch, piezo)` once the window has elapsed, so
-    callers can integrate transmission observables over the windows.
+    Fidelity is probed at each window boundary, and the loop runs only when
+    it has dropped below the threshold (otherwise the boundary costs just
+    the probe pair). `on_step(window, ch, piezo)` is called after every
+    drift sub-step inside a window, so callers can integrate transmission
+    observables over the windows.
     """
     if transmit_window_s <= 0.0 or total_s <= 0.0:
         raise ValueError("windows must be > 0")
     switch = switch or ReferenceSwitch()
     records: list[WindowRecord] = []
-    total_stab = 0.0
     t = 0.0
     window = 0
     n_steps = max(1, round(transmit_window_s / drift_dt_s))
@@ -341,32 +335,22 @@ def duty_cycle_run(
         s1, s2 = measure_probe_pair(ch, piezo, polarimeter, switch)
         fp_before = _fidelity_of_pair(s1, s2)
         run = None
-        if not check_first or fp_before < cfg.fp_threshold:
+        if fp_before < cfg.fp_threshold:
             run = stabilize(ch, piezo, polarimeter, cfg, switch)
-            total_stab += run.duration_s
-        fp_after = run.final_fp if run is not None else fp_before
         records.append(
             WindowRecord(
                 window=window,
-                t_start_s=t,
                 fp_before=fp_before,
                 stabilized=run is not None and run.iterations > 0,
                 stab_iterations=run.iterations if run is not None else 0,
                 stab_duration_s=run.duration_s if run is not None else 0.0,
-                fp_after=fp_after,
+                fp_after=run.final_fp if run is not None else fp_before,
             )
         )
         for _ in range(n_steps):
             ch.advance(dt)
             if on_step is not None:
                 on_step(window, ch, piezo)
-        if on_window_complete is not None:
-            on_window_complete(window, ch, piezo)
         t += transmit_window_s
         window += 1
-    return DutyCycleLog(
-        records=records,
-        transmit_window_s=transmit_window_s,
-        total_transmit_s=t,
-        total_stabilization_s=total_stab,
-    )
+    return DutyCycleLog(records=records, transmit_window_s=transmit_window_s)

@@ -105,6 +105,14 @@ def test_day_schedule_rate_selection():
     assert sched.is_day((24 + 12) * 3600.0)  # wraps across midnight
 
 
+def test_day_window_past_midnight():
+    sched = chm.DaySchedule(day_start_s=22 * 3600.0, day_end_s=6 * 3600.0)
+    assert sched.is_day(23 * 3600.0)
+    assert sched.is_day(3 * 3600.0)
+    assert not sched.is_day(12 * 3600.0)
+    assert sched.is_day(22 * 3600.0) and not sched.is_day(6 * 3600.0)
+
+
 # ---------------------------------------------------------------------------
 # probe and qubit transmission
 # ---------------------------------------------------------------------------

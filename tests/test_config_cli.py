@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fiberlink import cli, config, seeding
 from fiberlink.output import sha256_file
@@ -102,7 +106,12 @@ def test_every_protocol_table_key_is_a_field():
 @pytest.mark.parametrize("head, section, key, value", [
     ("[scenario]\nprotocol = teleport\n", "protocol", "input_states", "H,V,X,R"),
     (MINIMAL, "channel", "day_start_hms", "banana"),
-], ids=["input_states", "day_start_hms"])
+    (MINIMAL, "channel", "pdl_axis", "0,0,0"),
+    ("[scenario]\nprotocol = stabilize\n", "instruments", "piezo_limit_v", "1.0"),
+    # the default trace_period_s = 10 and shortest tau_grid_s lag of 10 s
+    ("[scenario]\nprotocol = drift-characterize\n", "protocol", "total_s", "5"),
+    ("[scenario]\nprotocol = drift-characterize\n", "protocol", "tau_grid_s", "10,inf"),
+], ids=["input_states", "day_start_hms", "pdl_axis", "piezo_limit_v", "total_s", "non_finite"])
 def test_validate_rejects_what_run_would_crash_on(tmp_path, capsys, head, section, key, value):
     path = tmp_path / "bad.ini"
     text = head + f"\n[{section}]\n{key} = {value}\n"
@@ -116,6 +125,66 @@ def test_validate_rejects_what_run_would_crash_on(tmp_path, capsys, head, sectio
     err = capsys.readouterr().err
     assert "Traceback" not in err and key in err
     assert not (out / "manifest.json").exists()
+
+
+# Candidate values per key: edges of the bounds in `config._FIELDS`, one
+# value past an edge, and the default. The drift-characterize sizes are kept
+# small so that every run is cheap.
+_GENERIC = {
+    float: ("0", "-1e-9", "1e-9", "1", "1e3"),
+    "vec3": ("0,0,0", "0,0,1", "1,1,1"),
+    "hms": ("00:00", "06:00", "22:00", "24:00"),
+}
+_DRIFT_SIZES = {
+    "total_s": ("0", "5", "10", "40"),
+    "trace_period_s": ("-1", "1", "10", "40"),
+    "tau_grid_s": ("10", "1,20", "100", "10,inf"),
+}
+_CANDIDATES = {
+    (section, key): _DRIFT_SIZES.get(key, _GENERIC.get(kind, ())) + (str(default),)
+    for (section, key), (kind, default, _, _) in config._FIELDS.items()
+    if section in ("channel", "instruments") or key in PROTOCOLS["drift-characterize"].keys
+}
+# protocol -> the cheapest settings of its size keys
+_CHEAP = {
+    "stabilize": {("protocol", "n_trials"): "1", ("stabilizer", "max_iterations"): "3"},
+    "drift-characterize": {("protocol", "total_s"): "10"},
+}
+
+
+def _scenario_text(protocol, values) -> str:
+    sections = {"scenario": {"protocol": protocol, "seed": "1"}}
+    for (section, key), value in {**_CHEAP[protocol], **values}.items():
+        sections.setdefault(section, {})[key] = value
+    return "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+        for section, entries in sections.items()
+    )
+
+
+@st.composite
+def _scenarios(draw):
+    protocol = draw(st.sampled_from(sorted(_CHEAP)))
+    keys = [k for k in _CANDIDATES if k[0] != "protocol" or protocol == "drift-characterize"]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=4))
+    return _scenario_text(protocol, {k: draw(st.sampled_from(_CANDIDATES[k])) for k in chosen})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(text=_scenarios())
+@example(text=_scenario_text("stabilize", {("channel", "pdl_axis"): "0,0,0"}))
+@example(text=_scenario_text("stabilize", {("instruments", "piezo_limit_v"): "1"}))
+@example(text=_scenario_text("drift-characterize", {("protocol", "total_s"): "5"}))
+def test_valid_scenario_runs_or_fails_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.ini"
+        path.write_text(text)
+        if config.validate_file(path):
+            return
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--out", str(Path(tmp) / "out"), "--quiet"])
+        assert code == 0 or (code == 3 and len(err.getvalue().splitlines()) == 1), err.getvalue()
 
 
 def test_day_window_is_parsed_at_validate_time():
@@ -330,6 +399,10 @@ def test_distribute_entanglement_sampled_counts(tmp_path):
     # raw and approaches the channel-limited value
     scn = config.loads(SAMPLED_PPE, name="sampled")
     run_protocol(scn, tmp_path)
+    # the Poisson branch of the count table, pinned
+    assert sha256_file(tmp_path / "dutycycle.csv") == (
+        "f5b2aa5d88e0bc9d153153f4c9693c50603dc4dc87afd54c3d0a7c3e9a5da810"
+    )
     lines = (tmp_path / "dutycycle_summary.csv").read_text().splitlines()
     header = lines[0].split(",")
     row = dict(zip(header, lines[1].split(",")))
@@ -339,6 +412,19 @@ def test_distribute_entanglement_sampled_counts(tmp_path):
     assert raw < corrected
     assert corrected > 0.95
     assert 0.7 < raw < 0.9  # source admixture dominates the raw value
+
+
+def test_ion_photon_sampled_counts_pinned(tmp_path):
+    # no preset samples counts; pin the Poisson branch of the count table
+    text = (cli._resolve("ion_photon").read_text()
+            .replace("counts_per_basis = 0", "counts_per_basis = 5000"))
+    run_protocol(config.loads(text, name="ion_photon"), tmp_path)
+    assert {name: sha256_file(tmp_path / name)
+            for name in ("tomo_counts.csv", "ion_photon_summary.json")} == {
+        "tomo_counts.csv": "370956220f7f3e02393c91a426a8bfa9f0517c73adce8833c06925ff27b5f380",
+        "ion_photon_summary.json":
+            "2fb52e70672463f9242b354937b27cf982ed4d4b4284020dcaf6b3939fd423ea",
+    }
 
 
 @pytest.mark.parametrize("counts_per_basis", [0, 2000])

@@ -79,7 +79,7 @@ def test_polarimeter_validation():
 
 def test_piezo_zero_voltages_identity():
     c = ins.PiezoController()
-    assert np.allclose(ins.piezo_rotation(c), np.eye(3), atol=1e-15)
+    assert np.allclose(c.rotation(), np.eye(3), atol=1e-15)
 
 
 def test_piezo_single_channel_axis_angle(rng):
@@ -89,7 +89,7 @@ def test_piezo_single_channel_axis_angle(rng):
         volts[i] = u
         c = ins.PiezoController(voltages=volts)
         expected = pc.rotation_about(ins.PIEZO_AXES_DEFAULT[i], 0.5 * u)
-        assert np.allclose(ins.piezo_rotation(c), expected, atol=1e-12)
+        assert np.allclose(c.rotation(), expected, atol=1e-12)
 
 
 def test_piezo_reverse_negated_composition_is_identity(rng):
@@ -102,19 +102,19 @@ def test_piezo_reverse_negated_composition_is_identity(rng):
             gains_rad_per_v=c.gains_rad_per_v[::-1],
         )
         assert np.allclose(
-            ins.piezo_rotation(reverse) @ ins.piezo_rotation(c), np.eye(3), atol=1e-10
+            reverse.rotation() @ c.rotation(), np.eye(3), atol=1e-10
         )
 
 
 def test_piezo_continuity(rng):
     u = rng.uniform(-5, 5, size=4)
     c = ins.PiezoController(voltages=u)
-    base = ins.piezo_rotation(c)
+    base = c.rotation()
     for i in range(4):
         du = np.zeros(4)
         du[i] = 1e-7
         c2 = ins.PiezoController(voltages=u + du)
-        assert np.linalg.norm(ins.piezo_rotation(c2) - base) < 1e-6
+        assert np.linalg.norm(c2.rotation() - base) < 1e-6
 
 
 def test_piezo_voltage_limits():
@@ -131,7 +131,7 @@ def test_piezo_clamp_recenters_by_full_period():
     c.apply_clamped(np.array([10.5, 0, 0, 0]))
     assert c.clamp_events == 1
     assert abs(c.voltages[0] - (10.5 - 4 * math.pi)) < 1e-12
-    rot_wrapped = ins.piezo_rotation(c)
+    rot_wrapped = c.rotation()
     expected = pc.rotation_about([1, 0, 0], 0.5 * 10.5)
     assert np.allclose(rot_wrapped, expected, atol=1e-10)
 
@@ -139,15 +139,15 @@ def test_piezo_clamp_recenters_by_full_period():
 def test_piezo_neutral_bias_identity_and_full_rank():
     c = ins.PiezoController()
     c.bias_neutral()
-    assert np.allclose(ins.piezo_rotation(c), np.eye(3), atol=1e-12)
+    assert np.allclose(c.rotation(), np.eye(3), atol=1e-12)
     # finite-difference generators must span all three rotation directions
-    base = ins.piezo_rotation(c)
+    base = c.rotation()
     gens = []
     for i in range(4):
         du = np.zeros(4)
         du[i] = 1e-6
         c2 = ins.PiezoController(voltages=c.voltages + du)
-        diff = (ins.piezo_rotation(c2) - base) / 1e-6
+        diff = (c2.rotation() - base) / 1e-6
         gens.append([diff[2, 1], diff[0, 2], diff[1, 0]])
     assert np.linalg.matrix_rank(np.array(gens), tol=1e-3) == 3
 
