@@ -1,13 +1,11 @@
 """Time-dependent model of the deployed fiber link.
 
-The link (`ChannelState`) is a composite of
-  * a slowly drifting polarization rotation (isotropic angular random walk
-    with a day/night diffusion-rate schedule),
-  * a weak polarization-dependent loss element (static axis by default,
-    optional transient spikes), and
-  * a propagation-delay drift model for the overhead fiber section.
-The static attenuation budget in dB and the Poisson background source at
-the receiver are modelled on their own.
+The link (`ChannelState`) is a slowly drifting polarization rotation (an
+isotropic angular random walk with a day/night diffusion-rate schedule)
+followed by a weak polarization-dependent loss element (static axis by
+default, optional transient spikes). The propagation-delay drift of the
+overhead section (`DelayDriftModel`), the static attenuation budget in dB
+and the Poisson background source at the receiver are modelled on their own.
 
 One ChannelState instance is a single logical timeline: `advance` and the
 transmit calls must be serialized per instance. Independent instances with
@@ -17,7 +15,7 @@ independent generators may run in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,12 +28,10 @@ __all__ = [
     "ChannelState",
     "DaySchedule",
     "DelayDriftModel",
-    "DriftProcess",
     "EmptySeries",
     "PdlSpikeProcess",
     "doppler_delay_step",
     "doppler_shift_from_path_rate",
-    "drift_step",
     "sample_background",
     "temperature_delay_prediction",
     "total_loss_db",
@@ -70,44 +66,6 @@ class DaySchedule:
         if self.day_start_s > self.day_end_s:
             return t >= self.day_start_s or t < self.day_end_s
         return self.day_start_s <= t < self.day_end_s
-
-
-@dataclass(frozen=True)
-class DriftProcess:
-    """Isotropic angular random walk of the link rotation.
-
-    Each step multiplies the current rotation from the left by a small
-    rotation about a uniformly random axis, with angle drawn from
-    Normal(0, sqrt(2 * rate * dt)). The generator advances with each step,
-    so a linear chain of steps is deterministic given the initial seed.
-    """
-
-    rng: np.random.Generator
-    day_rate: float = DAY_RATE_DEFAULT
-    night_rate: float = NIGHT_RATE_DEFAULT
-    schedule: DaySchedule = field(default_factory=DaySchedule)
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    clock_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.day_rate < 0.0 or self.night_rate < 0.0:
-            raise ValueError("diffusion rates must be >= 0")
-
-    def current_rate(self) -> float:
-        return self.day_rate if self.schedule.is_day(self.clock_s) else self.night_rate
-
-
-def drift_step(state: DriftProcess, dt: float) -> DriftProcess:
-    """Advance the drift walk by dt seconds and return the new state."""
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    rate = state.current_rate()
-    rotation = state.rotation
-    if rate > 0.0:
-        axis = _random_axis(state.rng)
-        angle = state.rng.normal(0.0, math.sqrt(2.0 * rate * dt))
-        rotation = polcore.rotation_about(axis, angle) @ rotation
-    return replace(state, rotation=rotation, clock_s=state.clock_s + dt)
 
 
 def _random_axis(rng: np.random.Generator) -> np.ndarray:
@@ -222,41 +180,63 @@ class PdlSpikeProcess:
 
 @dataclass
 class ChannelState:
-    """Composite time-dependent link: drift + loss element + delay model."""
+    """The link: a drifting rotation followed by a weak loss element.
 
-    drift: DriftProcess
-    pdl: PdlElement
-    delay: DelayDriftModel
+    The rotation follows an isotropic angular random walk: each `advance`
+    multiplies it from the left by a small rotation about a uniformly random
+    axis, with angle drawn from Normal(0, sqrt(2 * rate * dt)), where the
+    rate is the day or night rate of the schedule at the current clock. The
+    generator advances with each step, so a linear chain of steps is
+    deterministic given the initial seed.
+    """
+
+    rng: np.random.Generator
+    pdl: PdlElement = field(default_factory=lambda: PdlElement.from_axis(np.zeros(3), 1.0))
+    day_rate: float = DAY_RATE_DEFAULT
+    night_rate: float = NIGHT_RATE_DEFAULT
+    schedule: DaySchedule = field(default_factory=DaySchedule)
+    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
+    clock_s: float = 0.0
     spikes: PdlSpikeProcess = field(default_factory=PdlSpikeProcess)
     _spike_until_s: float = field(default=-1.0, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.day_rate < 0.0 or self.night_rate < 0.0:
+            raise ValueError("diffusion rates must be >= 0")
+
+    def current_rate(self) -> float:
+        return self.day_rate if self.schedule.is_day(self.clock_s) else self.night_rate
+
     def advance(self, dt: float) -> None:
         """Advance the link timeline by dt seconds of free drift."""
-        self.drift = drift_step(self.drift, dt)
+        if dt <= 0.0:
+            raise ValueError("dt must be > 0")
+        rate = self.current_rate()
+        if rate > 0.0:
+            axis = _random_axis(self.rng)
+            angle = self.rng.normal(0.0, math.sqrt(2.0 * rate * dt))
+            self.rotation = polcore.rotation_about(axis, angle) @ self.rotation
+        self.clock_s += dt
         if self.spikes.rate_per_s > 0.0:
             self._maybe_spike(dt)
 
     def _maybe_spike(self, dt: float) -> None:
-        rng = self.drift.rng
-        if rng.random() < 1.0 - math.exp(-self.spikes.rate_per_s * dt):
-            self._spike_until_s = self.drift.clock_s + self.spikes.duration_s
+        if self.rng.random() < 1.0 - math.exp(-self.spikes.rate_per_s * dt):
+            self._spike_until_s = self.clock_s + self.spikes.duration_s
 
     def current_pdl(self) -> PdlElement:
-        if self._spike_until_s >= self.drift.clock_s and self.pdl.gamma > 0.0:
+        if self._spike_until_s >= self.clock_s and self.pdl.gamma > 0.0:
             return PdlElement.from_db(
                 self.pdl.pass_axis(), self.pdl.loss_db + self.spikes.extra_db
             )
-        if self._spike_until_s >= self.drift.clock_s:
+        if self._spike_until_s >= self.clock_s:
             return PdlElement.from_db(polcore.S_H, self.spikes.extra_db)
         return self.pdl
-
-    def rotation(self) -> np.ndarray:
-        return self.drift.rotation
 
 
 def transmit_probe(ch: ChannelState, s_in: np.ndarray) -> np.ndarray:
     """Stokes vector after the link: rotation first, then the loss element."""
-    rotated = ch.rotation() @ np.asarray(s_in, dtype=float)
+    rotated = ch.rotation @ np.asarray(s_in, dtype=float)
     return polcore.pdl_apply_bloch(rotated, ch.current_pdl())
 
 
@@ -267,5 +247,5 @@ def transmit_qubit_kraus(ch: ChannelState) -> np.ndarray:
     post-selected state map is rho -> K rho K^dag / tr(K rho K^dag) with
     success probability tr(K rho K^dag) in [T^2, 1].
     """
-    u = polcore.su2_of_rotation(ch.rotation())
+    u = polcore.su2_of_rotation(ch.rotation)
     return ch.current_pdl().operator() @ u

@@ -76,15 +76,20 @@ def _cmd_run(args) -> int:
             print(f"{path}: {issue}", file=sys.stderr)
         return 2
 
-    if args.seed is not None:
-        scn.seed = args.seed
     trials_key = PROTOCOLS[scn.protocol].trials_key
-    if args.trials is not None and trials_key is None:
-        if not args.quiet:
-            print(f"note: --trials has no effect on protocol {scn.protocol}")
-    elif args.trials is not None:
-        kind = type(scn.protocol_value(trials_key))
-        scn.values[("protocol", trials_key)] = kind(args.trials)
+    if args.trials is not None and trials_key is None and not args.quiet:
+        print(f"note: --trials has no effect on protocol {scn.protocol}")
+    # each override is held to the bound of the scenario key it replaces
+    for flag, raw, section, key in (("--seed", args.seed, "scenario", "seed"),
+                                    ("--trials", args.trials, "protocol", trials_key)):
+        if raw is None or key is None:
+            continue
+        try:
+            scn.values[(section, key)] = config.parse_value(section, key, str(raw))
+        except ValueError as exc:
+            print(f"error: {flag} {raw}: [{section}] {key}: {exc}", file=sys.stderr)
+            return 2
+    scn.seed = scn[("scenario", "seed")]
     out_dir = Path(args.out) if args.out else Path(scn.out_dir)
 
     try:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import seeding
-from .channel import ChannelState, DaySchedule, DelayDriftModel, DriftProcess, PdlSpikeProcess
+from .channel import ChannelState, DaySchedule, PdlSpikeProcess
 from .instruments import PiezoController, Polarimeter, ReferenceSwitch
 from .polcore import PdlElement
 from .protocols import PROTOCOLS
@@ -96,8 +96,6 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     ("channel", "spike_duration_s"): (float, 30.0, _positive, "> 0"),
     ("channel", "overhead_km"): (float, 1.278, _positive, "> 0"),
     ("channel", "temp_sensitivity_ps_per_km_k"): (float, 37.4, _positive, "> 0"),
-    ("channel", "reference_frequency_hz"): (float, 1.9986e14, _positive, "> 0"),
-    ("channel", "gate_time_s"): (float, 0.01, _positive, "> 0"),
 
     ("instruments", "polarimeter_sigma"): (float, 1e-3, _non_negative, ">= 0"),
     ("instruments", "polarimeter_latency_s"): (float, 0.045, _non_negative, ">= 0"),
@@ -198,6 +196,16 @@ def _parse_value(kind, raw: str):
     raise AssertionError(kind)
 
 
+def parse_value(section: str, key: str, raw: str):
+    """`raw` parsed as the value of `[section] key`; a ValueError names the
+    bound it violates."""
+    kind, _, predicate, bound = _FIELDS[(section, key)]
+    value = _parse_value(kind, raw)
+    if predicate is not None and not predicate(value):
+        raise ValueError(f"value {raw.strip()!r} violates bound {bound}")
+    return value
+
+
 @dataclass
 class Scenario:
     """Fully parsed scenario: typed values plus the raw file text."""
@@ -224,8 +232,14 @@ class Scenario:
         """The configured link, its drift walk on stream `label`, starting at
         `rotation` (identity by default)."""
         v = self.values
-        drift = DriftProcess(
+        pdl_db = v[("channel", "pdl_db")]
+        if pdl_db > 0.0:
+            pdl = PdlElement.from_db(v[("channel", "pdl_axis")], pdl_db)
+        else:
+            pdl = PdlElement.from_axis(np.zeros(3), 1.0)
+        return ChannelState(
             rng=self.rng(label),
+            pdl=pdl,
             day_rate=v[("channel", "day_rate_rad2_per_s")],
             night_rate=v[("channel", "night_rate_rad2_per_s")],
             schedule=DaySchedule(
@@ -234,21 +248,6 @@ class Scenario:
             ),
             rotation=np.eye(3) if rotation is None else rotation,
             clock_s=v[("channel", "start_clock_s")],
-        )
-        pdl_db = v[("channel", "pdl_db")]
-        if pdl_db > 0.0:
-            pdl = PdlElement.from_db(v[("channel", "pdl_axis")], pdl_db)
-        else:
-            pdl = PdlElement.from_axis(np.zeros(3), 1.0)
-        return ChannelState(
-            drift=drift,
-            pdl=pdl,
-            delay=DelayDriftModel(
-                overhead_km=v[("channel", "overhead_km")],
-                sensitivity_ps_per_km_k=v[("channel", "temp_sensitivity_ps_per_km_k")],
-                nu0_hz=v[("channel", "reference_frequency_hz")],
-                gate_time_s=v[("channel", "gate_time_s")],
-            ),
             spikes=PdlSpikeProcess(
                 rate_per_s=v[("channel", "spike_rate_per_s")],
                 extra_db=v[("channel", "spike_extra_db")],
@@ -325,21 +324,12 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
         return {}, [Issue("scenario", "(file)", f"parse error: {exc}")]
 
     values: dict[tuple[str, str], object] = {}
-    for (section, key), (kind, default, predicate, bound) in _FIELDS.items():
+    for (section, key), (kind, default, _, _) in _FIELDS.items():
         if parser.has_option(section, key):
-            raw = parser.get(section, key)
             try:
-                value = _parse_value(kind, raw)
+                values[(section, key)] = parse_value(section, key, parser.get(section, key))
             except ValueError as exc:
                 issues.append(Issue(section, key, str(exc), _find_line(text, section, key)))
-                continue
-            if predicate is not None and not predicate(value):
-                issues.append(
-                    Issue(section, key, f"value {raw.strip()!r} violates bound {bound}",
-                          _find_line(text, section, key))
-                )
-                continue
-            values[(section, key)] = value
         else:
             values[(section, key)] = (
                 _parse_value(kind, default) if isinstance(default, str) and kind not in (str,)
@@ -374,6 +364,16 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
                   _find_line(text, "instruments", "piezo_limit_v"))
         )
 
+    # `adapt_parameters` never searches further than du0_v + du1_v, so from
+    # any in-range voltage `gradient` has at least one in-range probe.
+    du0 = values.get(("stabilizer", "du0_v"))
+    du1 = values.get(("stabilizer", "du1_v"))
+    if None not in (du0, du1, limit) and du0 + du1 > limit:
+        issues.append(
+            Issue("stabilizer", "du0_v", f"du0_v + du1_v must be <= piezo_limit_v ({limit:g} V)",
+                  _find_line(text, "stabilizer", "du0_v"))
+        )
+
     protocol = values.get(("scenario", "protocol"))
     if protocol in PROTOCOLS and parser.has_section("protocol"):
         allowed = PROTOCOLS[protocol].keys
@@ -395,6 +395,13 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
                       "too short for every tau_grid_s lag at this trace_period_s",
                       _find_line(text, "protocol", "total_s"))
             )
+    if (protocol == "distribute-entanglement" and values.get(("protocol", "counts_per_basis")) == 0.0
+            and values.get(("source", "pair_rate_per_s")) == 0.0):
+        issues.append(
+            Issue("source", "pair_rate_per_s",
+                  "must be > 0 for exact counts (counts_per_basis = 0): every count table is empty",
+                  _find_line(text, "source", "pair_rate_per_s"))
+        )
     return values, issues
 
 

@@ -85,10 +85,10 @@ def run_drift_characterize(scn: Scenario, out: Path) -> list[Path]:
     ch = scn.make_channel()
 
     n_points = int(total / period) + 1
-    rotations = [ch.rotation().copy()]
+    rotations = [ch.rotation]
     for _ in range(n_points - 1):
         ch.advance(period)
-        rotations.append(ch.rotation().copy())
+        rotations.append(ch.rotation)
 
     trace_rows = []
     for i, m in enumerate(rotations):
@@ -196,7 +196,6 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
     acc_a = scn.protocol_value("accidental_rate_a_per_s")
     acc_b = scn.protocol_value("accidental_rate_b_per_s")
     coinc_w = scn.protocol_value("coincidence_window_s")
-    drift_dt = scn[("channel", "drift_dt_s")]
     cfg = scn.make_stabilizer_config()
     src = scn.make_source()
     rho_src = quantum.spdc_state(src)
@@ -220,48 +219,48 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
         )
         accidental_mean = acc_a * acc_b * coinc_w * integration
 
-        window_states: dict[int, np.ndarray] = {}
-        window_norms: dict[int, float] = {}
+        # window -> [sum of its arm-B terms, sum of their traces, step count]
+        windows: dict[int, list] = {}
         # The piezo is idle during a transmit window, so its compensator
         # SU(2) matrix is kept for the last voltage vector seen. A value is
         # reused only for bit-identical voltages of this interval's
         # controller, which have already passed its range check.
         compensator: dict[bytes, np.ndarray] = {}
 
-        def accumulate(window, ch, piezo, _states=window_states, _norms=window_norms,
-                       _comp=compensator):
+        def accumulate(window, ch, piezo):
             key = piezo.voltages.tobytes()
-            if key not in _comp:
-                _comp.clear()
-                _comp[key] = polcore.su2_of_rotation(piezo.rotation())
+            if key not in compensator:
+                compensator.clear()
+                compensator[key] = polcore.su2_of_rotation(piezo.rotation())
             # arm B: link (rotation + loss), then the compensator
-            term = quantum.on_arm_b(rho_src, _comp[key] @ chmod.transmit_qubit_kraus(ch))
-            if window not in _states:
-                _states[window] = term
-                _norms[window] = float(np.trace(term).real)
+            term = quantum.on_arm_b(rho_src, compensator[key] @ chmod.transmit_qubit_kraus(ch))
+            norm = float(np.trace(term).real)
+            if window not in windows:
+                windows[window] = [term, norm, 1]
             else:
-                _states[window] += term
-                _norms[window] += float(np.trace(term).real)
+                acc = windows[window]
+                acc[0] += term
+                acc[1] += norm
+                acc[2] += 1
 
         log = stabilizer.duty_cycle_run(
             ch, piezo, pol, cfg,
             transmit_window_s=float(interval),
             total_s=total,
             switch=scn.make_switch(),
-            drift_dt_s=drift_dt,
+            drift_dt_s=scn[("channel", "drift_dt_s")],
             on_step=accumulate,
         )
 
         fids_raw, fids_corr = [], []
         for rec in log.records:
-            acc_rho = window_states[rec.window]
+            acc_rho, trace_sum, n_steps = windows[rec.window]
             tr = float(np.trace(acc_rho).real)
             if tr <= 0.0:
                 raise ProtocolFailed("window state fully extinguished")
             rho_bar = acc_rho / tr
-            n_steps = max(1, round(interval / drift_dt))
             # Each step's trace is at most 1; rounding of the sum may not be.
-            success = min(1.0, window_norms[rec.window] / n_steps)
+            success = min(1.0, trace_sum / n_steps)
             counts = _window_counts(rho_bar, n_per_basis, accidental_mean, count_rng)
             fid_raw = quantum.bell_fidelity(quantum.tomography_2q(counts))
             if correct:
@@ -476,7 +475,10 @@ def run_delay_drift(scn: Scenario, out: Path) -> list[Path]:
     temp_noise = scn.protocol_value("temp_noise_k")
     meas_noise = scn.protocol_value("measurement_noise_ps")
 
-    model = scn.make_channel().delay
+    model = chmod.DelayDriftModel(
+        overhead_km=scn[("channel", "overhead_km")],
+        sensitivity_ps_per_km_k=scn[("channel", "temp_sensitivity_ps_per_km_k")],
+    )
     n = int(days * 86400.0 / period) + 1
     t = np.arange(n) * period
     temp_actual = (

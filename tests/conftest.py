@@ -29,13 +29,9 @@ def make_test_channel(
         pdl = polcore.PdlElement.from_axis(np.zeros(3), 1.0)
     else:
         pdl = polcore.PdlElement.from_axis(pdl_axis, pdl_transmission)
-    drift = chmod.DriftProcess(
-        rng=rng, day_rate=day_rate, night_rate=night_rate, rotation=np.asarray(rotation, dtype=float)
-    )
     return chmod.ChannelState(
-        drift=drift,
-        pdl=pdl,
-        delay=chmod.DelayDriftModel(),
+        rng=rng, pdl=pdl, day_rate=day_rate, night_rate=night_rate,
+        rotation=np.asarray(rotation, dtype=float),
     )
 
 

@@ -92,7 +92,7 @@ def test_quantile_surface_after_stabilization(rng):
         comp = piezo.rotation()
         for tau in (20.0, 60.0, 100.0):
             ch.advance(20.0)
-            samples.append((tau, pc.process_fidelity(comp @ ch.rotation())))
+            samples.append((tau, pc.process_fidelity(comp @ ch.rotation)))
     assert converged >= 114  # >= 95 % of the campaign
     surf = an.quantile_surface(samples, quantiles=(0.90,), min_samples_per_bin=100)
     assert np.all(surf.curves[0.90] >= 0.98)

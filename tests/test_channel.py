@@ -11,28 +11,36 @@ from conftest import make_test_channel, random_bloch
 
 
 # ---------------------------------------------------------------------------
-# drift process
+# drift walk
 # ---------------------------------------------------------------------------
 
-def test_drift_step_zero_rate_keeps_rotation(rng):
-    d = chm.DriftProcess(rng=rng, day_rate=0.0, night_rate=0.0)
-    d2 = chm.drift_step(d, 5.0)
-    assert np.array_equal(d2.rotation, d.rotation)
-    assert d2.clock_s == 5.0
+def test_advance_zero_rate_keeps_rotation(rng):
+    ch = chm.ChannelState(rng=rng, day_rate=0.0, night_rate=0.0)
+    before = ch.rotation
+    ch.advance(5.0)
+    assert np.array_equal(ch.rotation, before)
+    assert ch.clock_s == 5.0
 
 
-def test_drift_step_requires_positive_dt(rng):
-    d = chm.DriftProcess(rng=rng)
+def test_advance_requires_positive_dt(rng):
+    ch = chm.ChannelState(rng=rng)
+    for dt in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            ch.advance(dt)
+
+
+@pytest.mark.parametrize("rates", [(-1e-6, 0.0), (0.0, -1e-6)])
+def test_negative_rate_is_rejected(rng, rates):
     with pytest.raises(ValueError):
-        chm.drift_step(d, 0.0)
+        chm.ChannelState(rng=rng, day_rate=rates[0], night_rate=rates[1])
 
 
 def test_drift_is_deterministic_given_seed():
     def run(seed):
-        d = chm.DriftProcess(rng=np.random.default_rng(seed), day_rate=1e-5, night_rate=1e-5)
+        ch = chm.ChannelState(rng=np.random.default_rng(seed), day_rate=1e-5, night_rate=1e-5)
         for _ in range(50):
-            d = chm.drift_step(d, 1.0)
-        return d.rotation
+            ch.advance(1.0)
+        return ch.rotation
 
     assert np.array_equal(run(7), run(7))
     assert not np.array_equal(run(7), run(8))
@@ -44,12 +52,12 @@ def test_drift_mean_fidelity_decays_monotonically():
     for tau in taus:
         fps = []
         for k in range(400):
-            d = chm.DriftProcess(
+            ch = chm.ChannelState(
                 rng=np.random.default_rng(1000 + k), day_rate=1e-5, night_rate=1e-5
             )
             for _ in range(int(tau / 10)):
-                d = chm.drift_step(d, 10.0)
-            fps.append(pc.process_fidelity(d.rotation))
+                ch.advance(10.0)
+            fps.append(pc.process_fidelity(ch.rotation))
         means.append(np.mean(fps))
     assert means[0] > means[1] > means[2]
 
@@ -59,27 +67,27 @@ def test_drift_calibration_night_quantiles():
     # drift and the 90 % curve above 0.98 at 160 s
     fps_60, fps_160 = [], []
     for k in range(1500):
-        d = chm.DriftProcess(rng=np.random.default_rng(3000 + k))  # night at clock 0
+        ch = chm.ChannelState(rng=np.random.default_rng(3000 + k))  # night at clock 0
         for step in range(160):
-            d = chm.drift_step(d, 1.0)
+            ch.advance(1.0)
             if step == 59:
-                fps_60.append(pc.process_fidelity(d.rotation))
-        fps_160.append(pc.process_fidelity(d.rotation))
+                fps_60.append(pc.process_fidelity(ch.rotation))
+        fps_160.append(pc.process_fidelity(ch.rotation))
     assert np.quantile(fps_60, 0.01) >= 0.99
     assert np.quantile(fps_160, 0.10) >= 0.98
 
 
 def test_drift_axis_distribution_uniform_chi2():
-    d = chm.DriftProcess(rng=np.random.default_rng(99), day_rate=1e-4, night_rate=1e-4)
+    ch = chm.ChannelState(rng=np.random.default_rng(99), day_rate=1e-4, night_rate=1e-4)
     n = 100_000
     axes = np.empty((n, 3))
-    prev = d.rotation
+    prev = ch.rotation
     for i in range(n):
-        d = chm.drift_step(d, 1.0)
-        inc = d.rotation @ prev.T
+        ch.advance(1.0)
+        inc = ch.rotation @ prev.T
         axis, _ = pc.rotation_to_axis_angle(inc)
         axes[i] = axis
-        prev = d.rotation
+        prev = ch.rotation
     # equal-area bins: 10 bands in z, 10 sectors in azimuth
     z_bin = np.clip(((axes[:, 2] + 1.0) / 0.2).astype(int), 0, 9)
     az = np.arctan2(axes[:, 1], axes[:, 0])
@@ -92,10 +100,10 @@ def test_drift_axis_distribution_uniform_chi2():
 
 def test_day_schedule_rate_selection():
     sched = chm.DaySchedule()
-    day = chm.DriftProcess(
+    day = chm.ChannelState(
         rng=np.random.default_rng(0), clock_s=12 * 3600.0, schedule=sched
     )
-    night = chm.DriftProcess(
+    night = chm.ChannelState(
         rng=np.random.default_rng(0), clock_s=3 * 3600.0, schedule=sched
     )
     assert day.current_rate() == chm.DAY_RATE_DEFAULT

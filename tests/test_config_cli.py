@@ -80,6 +80,8 @@ def test_threshold_out_of_bounds_names_field(tmp_path):
     ("channel", "background_rate_per_s", "19.7"),
     ("channel", "loss_budget", "link_q:10.4"),
     ("stabilizer", "drift_during_run", "true"),
+    ("channel", "reference_frequency_hz", "3e14"),
+    ("channel", "gate_time_s", "0.5"),
 ])
 def test_deleted_key_is_unknown(tmp_path, section, key, value):
     path = tmp_path / "old.ini"
@@ -111,7 +113,13 @@ def test_every_protocol_table_key_is_a_field():
     # the default trace_period_s = 10 and shortest tau_grid_s lag of 10 s
     ("[scenario]\nprotocol = drift-characterize\n", "protocol", "total_s", "5"),
     ("[scenario]\nprotocol = drift-characterize\n", "protocol", "tau_grid_s", "10,inf"),
-], ids=["input_states", "day_start_hms", "pdl_axis", "piezo_limit_v", "total_s", "non_finite"])
+    # exact counts from no pairs: every table empty, fidelity of I/4
+    ("[scenario]\nprotocol = distribute-entanglement\n"
+     "[protocol]\nintervals_s = 5\ntotal_per_interval_s = 5\n", "source", "pair_rate_per_s", "0"),
+    # a search step wider than the range leaves `gradient` no in-range probe
+    ("[scenario]\nprotocol = stabilize\n[protocol]\nn_trials = 1\n", "stabilizer", "du0_v", "10.5"),
+], ids=["input_states", "day_start_hms", "pdl_axis", "piezo_limit_v", "total_s", "non_finite",
+        "no_pairs", "du0_v"])
 def test_validate_rejects_what_run_would_crash_on(tmp_path, capsys, head, section, key, value):
     path = tmp_path / "bad.ini"
     text = head + f"\n[{section}]\n{key} = {value}\n"
@@ -131,6 +139,7 @@ def test_validate_rejects_what_run_would_crash_on(tmp_path, capsys, head, sectio
 # value past an edge, and the default. The drift-characterize sizes are kept
 # small so that every run is cheap.
 _GENERIC = {
+    int: ("0", "1", "3"),
     float: ("0", "-1e-9", "1e-9", "1", "1e3"),
     "vec3": ("0,0,0", "0,0,1", "1,1,1"),
     "hms": ("00:00", "06:00", "22:00", "24:00"),
@@ -143,12 +152,18 @@ _DRIFT_SIZES = {
 _CANDIDATES = {
     (section, key): _DRIFT_SIZES.get(key, _GENERIC.get(kind, ())) + (str(default),)
     for (section, key), (kind, default, _, _) in config._FIELDS.items()
-    if section in ("channel", "instruments") or key in PROTOCOLS["drift-characterize"].keys
+    if section in ("channel", "instruments", "stabilizer")
+    or key in PROTOCOLS["drift-characterize"].keys
 }
 # protocol -> the cheapest settings of its size keys
 _CHEAP = {
     "stabilize": {("protocol", "n_trials"): "1", ("stabilizer", "max_iterations"): "3"},
     "drift-characterize": {("protocol", "total_s"): "10"},
+}
+# protocol -> the sections whose keys it draws
+_DRAWN = {
+    "stabilize": ("channel", "instruments", "stabilizer"),
+    "drift-characterize": ("channel", "instruments", "protocol"),
 }
 
 
@@ -165,31 +180,35 @@ def _scenario_text(protocol, values) -> str:
 @st.composite
 def _scenarios(draw):
     protocol = draw(st.sampled_from(sorted(_CHEAP)))
-    keys = [k for k in _CANDIDATES if k[0] != "protocol" or protocol == "drift-characterize"]
+    keys = [k for k in _CANDIDATES if k[0] in _DRAWN[protocol]]
     chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=4))
     return _scenario_text(protocol, {k: draw(st.sampled_from(_CANDIDATES[k])) for k in chosen})
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(text=_scenarios())
-@example(text=_scenario_text("stabilize", {("channel", "pdl_axis"): "0,0,0"}))
-@example(text=_scenario_text("stabilize", {("instruments", "piezo_limit_v"): "1"}))
-@example(text=_scenario_text("drift-characterize", {("protocol", "total_s"): "5"}))
-def test_valid_scenario_runs_or_fails_cleanly(text):
+@given(text=_scenarios(), trials=st.sampled_from((None, -1, 0, 1, 2)))
+@example(text=_scenario_text("stabilize", {("channel", "pdl_axis"): "0,0,0"}), trials=None)
+@example(text=_scenario_text("stabilize", {("instruments", "piezo_limit_v"): "1"}), trials=None)
+@example(text=_scenario_text("drift-characterize", {("protocol", "total_s"): "5"}), trials=None)
+@example(text=_scenario_text("stabilize", {}), trials=0)
+def test_valid_scenario_runs_or_fails_cleanly(text, trials):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.ini"
         path.write_text(text)
         if config.validate_file(path):
             return
+        argv = ["run", str(path), "--out", str(Path(tmp) / "out"), "--quiet"]
+        if trials is not None:
+            argv += ["--trials", str(trials)]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = cli.main(["run", str(path), "--out", str(Path(tmp) / "out"), "--quiet"])
-        assert code == 0 or (code == 3 and len(err.getvalue().splitlines()) == 1), err.getvalue()
+            code = cli.main(argv)
+        assert code == 0 or (code in (2, 3) and len(err.getvalue().splitlines()) == 1), err.getvalue()
 
 
 def test_day_window_is_parsed_at_validate_time():
     scn = config.loads(MINIMAL + "\n[channel]\nday_start_hms = 6:15\nday_end_hms = 20\n")
-    schedule = scn.make_channel().drift.schedule
+    schedule = scn.make_channel().schedule
     assert (schedule.day_start_s, schedule.day_end_s) == (6.25 * 3600.0, 20 * 3600.0)
 
 
@@ -315,6 +334,22 @@ def test_cli_trials_override(tmp_path):
     cli.main(["run", "pdl_characterize", "--out", str(out), "--trials", "64", "--quiet"])
     lines = (out / "pdl_series.csv").read_text().splitlines()
     assert len(lines) == 65  # header + 64 samples
+
+
+# Overrides are held to the bounds of the keys they replace: exit 2, one line.
+@pytest.mark.parametrize("argv", [
+    ["stabilize_demo", "--trials", "0"],
+    ["stabilize_demo", "--trials", "-3"],
+    ["pdl_characterize", "--trials", "1"],
+    ["pdl_characterize", "--seed", "-1"],
+], ids=["trials_0", "trials_negative", "n_samples_1", "seed_negative"])
+def test_cli_override_out_of_bounds_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main(["run", *argv, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err and f"{argv[1]} {argv[2]}" in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_manifest_replays_trials_override(tmp_path):
