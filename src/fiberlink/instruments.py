@@ -40,6 +40,9 @@ PIEZO_AXES_DEFAULT = (
     np.array([0.0, 1.0, 0.0]),
 )
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 
 class VoltageOutOfRange(ValueError):
     """Requested piezo voltage exceeds the controller limits."""
@@ -74,7 +77,7 @@ class Polarimeter:
         s = np.asarray(s_true, dtype=float)
         if self.sigma > 0.0:
             s = s + self.rng.normal(0.0, self.sigma, size=3)
-        n = np.linalg.norm(s)
+        n = math.sqrt(s @ s)
         if n > 1.0:
             s = s / n
         return s
@@ -85,7 +88,9 @@ class PiezoController:
     """Four-channel piezo polarization controller.
 
     Channel i rotates the Poincare sphere by gain_i * U_i about its fixed
-    axis; the channels act on the light in order 1 -> 4. Voltages are
+    axis; the channels act on the light in order 1 -> 4. The axes are read
+    once, at construction, into the Rodrigues generators K and K @ K of
+    each channel; assigning `axes` afterwards has no effect. Voltages are
     clamped at +/- limit_v; `set_voltages` raises on out-of-range requests
     while `apply_clamped` clamps after attempting a full-period re-centering
     (a 2*pi/gain shift leaves the rotation unchanged) and logs the event.
@@ -97,12 +102,27 @@ class PiezoController:
     limit_v: float = 10.0
     settle_s: float = 0.0
     clamp_events: int = field(default=0, repr=False)
+    _generators: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self.voltages = np.asarray(self.voltages, dtype=float).copy()
+        self.voltages = _four_voltages(self.voltages).copy()
         self.gains_rad_per_v = np.asarray(self.gains_rad_per_v, dtype=float)
+        if self.gains_rad_per_v.shape != (4,):
+            raise ValueError(f"need 4 gains, got shape {self.gains_rad_per_v.shape}")
         if np.any(self.gains_rad_per_v == 0.0) or not np.all(np.isfinite(self.gains_rad_per_v)):
             raise ValueError("gains must be finite and nonzero")
+        if len(self.axes) != 4:
+            raise ValueError(f"need 4 axes, got {len(self.axes)}")
+        generators = []
+        for axis in self.axes:
+            a = np.asarray(axis, dtype=float)
+            if a.shape != (3,) or not np.all(np.isfinite(a)):
+                raise ValueError(f"axis {axis!r} must be a finite 3-vector")
+            k = polcore.unit_skew(a)  # raises on a zero axis
+            generators.append((k, k @ k))
+        self._generators = tuple(generators)
         if np.any(np.abs(self.voltages) > self.limit_v):
             raise VoltageOutOfRange("initial voltages exceed limits")
 
@@ -123,14 +143,14 @@ class PiezoController:
         self.voltages = bias
 
     def set_voltages(self, u: np.ndarray) -> None:
-        u = np.asarray(u, dtype=float)
+        u = _four_voltages(u)
         if np.any(np.abs(u) > self.limit_v + 1e-12):
             raise VoltageOutOfRange(f"requested voltages {u} exceed +/-{self.limit_v} V")
         self.voltages = u.copy()
 
     def apply_clamped(self, u: np.ndarray) -> np.ndarray:
         """Set voltages, re-centering by full rotation periods where possible."""
-        u = np.asarray(u, dtype=float).copy()
+        u = _four_voltages(u).copy()
         for i in range(4):
             if abs(u[i]) > self.limit_v:
                 period = 2.0 * math.pi / abs(self.gains_rad_per_v[i])
@@ -142,12 +162,21 @@ class PiezoController:
 
     def rotation(self) -> np.ndarray:
         """Net Stokes rotation of the controller at its current voltages."""
-        if np.any(np.abs(self.voltages) > self.limit_v + 1e-12):
+        u = _four_voltages(self.voltages)
+        if np.any(np.abs(u) > self.limit_v + 1e-12):
             raise VoltageOutOfRange("voltages exceed limits")
-        m = np.eye(3)
-        for axis, gain, u in zip(self.axes, self.gains_rad_per_v, self.voltages):
-            m = polcore.rotation_about(axis, gain * u) @ m
+        m = None
+        for (k, k2), angle in zip(self._generators, self.gains_rad_per_v * u):
+            r = _EYE3 + math.sin(angle) * k + (1.0 - math.cos(angle)) * k2
+            m = r if m is None else r @ m
         return m
+
+
+def _four_voltages(u: np.ndarray) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape != (4,):
+        raise ValueError(f"need 4 voltages, got shape {u.shape}")
+    return u
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,7 @@ __all__ = [
     "rotation_to_axis_angle",
     "su2_of_rotation",
     "trace_from_probe_pair",
+    "unit_skew",
 ]
 
 # Reference probe polarizations (unit Stokes vectors).
@@ -104,18 +105,23 @@ def is_rotation(m: np.ndarray, tol: float = _ORTHO_TOL) -> bool:
     )
 
 
-def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Right-handed rotation by `angle` (rad) about `axis` (Rodrigues form)."""
+def unit_skew(axis: np.ndarray) -> np.ndarray:
+    """Cross-product matrix K of the unit vector along `axis` (K v = a x v)."""
     a = np.asarray(axis, dtype=float)
     n = np.linalg.norm(a)
     if n == 0.0:
         raise ValueError("rotation axis must be nonzero")
     a = a / n
-    k = np.array([
+    return np.array([
         [0.0, -a[2], a[1]],
         [a[2], 0.0, -a[0]],
         [-a[1], a[0], 0.0],
     ])
+
+
+def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Right-handed rotation by `angle` (rad) about `axis` (Rodrigues form)."""
+    k = unit_skew(axis)
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
@@ -263,10 +269,9 @@ def trace_from_probe_pair(s1_out: np.ndarray, s2_out: np.ndarray) -> float:
     s1 = np.asarray(s1_out, dtype=float)
     s2 = np.asarray(s2_out, dtype=float)
     for s in (s1, s2):
-        if abs(np.linalg.norm(s) - 1.0) > _PROBE_NORM_TOL:
-            raise NonUnitProbe(
-                f"probe output norm {np.linalg.norm(s):.6f} deviates from 1"
-            )
+        n = math.sqrt(s @ s)
+        if abs(n - 1.0) > _PROBE_NORM_TOL:
+            raise NonUnitProbe(f"probe output norm {n:.6f} deviates from 1")
     return float(s1[0] + s2[1] + s1[0] * s2[1] - s1[1] * s2[0])
 
 

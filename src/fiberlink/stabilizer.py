@@ -133,7 +133,7 @@ def _error_of_pair(s1: np.ndarray, s2: np.ndarray) -> float:
 
 
 def _fidelity_of_pair(s1: np.ndarray, s2: np.ndarray) -> float:
-    n1, n2 = np.linalg.norm(s1), np.linalg.norm(s2)
+    n1, n2 = math.sqrt(s1 @ s1), math.sqrt(s2 @ s2)
     if n1 < 1e-12 or n2 < 1e-12:
         return 0.0
     return polcore.process_fidelity_from_trace(
@@ -327,11 +327,11 @@ def duty_cycle_run(
         raise ValueError("windows must be > 0")
     switch = switch or ReferenceSwitch()
     records: list[WindowRecord] = []
-    t = 0.0
-    window = 0
+    # Counted once, not by summing window starts: 2.1 / 0.7 is 3 windows.
+    n_windows = math.ceil(total_s / transmit_window_s * (1.0 - 1e-9))
     n_steps = max(1, round(transmit_window_s / drift_dt_s))
     dt = transmit_window_s / n_steps
-    while t < total_s:
+    for window in range(n_windows):
         s1, s2 = measure_probe_pair(ch, piezo, polarimeter, switch)
         fp_before = _fidelity_of_pair(s1, s2)
         run = None
@@ -351,6 +351,4 @@ def duty_cycle_run(
             ch.advance(dt)
             if on_step is not None:
                 on_step(window, ch, piezo)
-        t += transmit_window_s
-        window += 1
     return DutyCycleLog(records=records, transmit_window_s=transmit_window_s)

@@ -156,6 +156,65 @@ def test_transmit_probe_norm_preserved_without_pdl(rng):
         assert abs(np.linalg.norm(chm.transmit_probe(ch, s)) - 1.0) < 1e-12
 
 
+def _assert_probes_fresh(ch):
+    """Memo served or not, each probe's output equals the direct map bit for bit."""
+    outs = []
+    for s in (pc.S_H, pc.S_D):
+        expected = pc.pdl_apply_bloch(ch.rotation @ s, ch.current_pdl())
+        for _ in range(2):
+            got = chm.transmit_probe(ch, s)
+            assert got.tobytes() == expected.tobytes()
+        outs.append(expected)
+    return outs
+
+
+def test_transmit_probe_memo_never_stale(rng):
+    ch = make_test_channel(
+        rotation=pc.random_rotation(rng), rng=np.random.default_rng(5),
+        day_rate=1e-3, night_rate=1e-3, pdl_axis=[0.2, 0.5, -0.3], pdl_transmission=0.9,
+    )
+    history = [_assert_probes_fresh(ch)]
+    ch.advance(1.0)
+    history.append(_assert_probes_fresh(ch))
+    ch.rotation = pc.random_rotation(rng)
+    history.append(_assert_probes_fresh(ch))
+    ch.rotation[...] = pc.random_rotation(rng)
+    history.append(_assert_probes_fresh(ch))
+    ch.rotation[1, 0] += 1e-12
+    history.append(_assert_probes_fresh(ch))
+    ch.pdl = pc.PdlElement.from_axis([0.0, -1.0, 0.4], 0.8)
+    history.append(_assert_probes_fresh(ch))
+    for before, after in zip(history, history[1:]):
+        assert not np.array_equal(before[0], after[0])
+
+
+def test_transmit_probe_memo_follows_spikes(rng):
+    ch = make_test_channel(
+        rotation=pc.random_rotation(rng), pdl_axis=[1, 0, 0], pdl_transmission=0.95,
+    )
+    quiet = _assert_probes_fresh(ch)
+    ch.spikes = chm.PdlSpikeProcess(rate_per_s=1e9, extra_db=1.0, duration_s=2.0)
+    ch.advance(1.0)  # a spike starts and lasts until clock 3.0
+    spiking = _assert_probes_fresh(ch)
+    assert not np.array_equal(quiet[0], spiking[0])
+    ch.spikes = chm.PdlSpikeProcess(rate_per_s=0.0, extra_db=1.0, duration_s=2.0)
+    ch.advance(2.0)  # clock 3.0: the spike's last instant
+    assert np.array_equal(_assert_probes_fresh(ch)[0], spiking[0])
+    ch.advance(1e-9)  # the spike has ended
+    assert np.array_equal(_assert_probes_fresh(ch)[0], quiet[0])
+
+
+def test_transmit_probe_output_is_read_only(rng):
+    ch = make_test_channel(rotation=pc.random_rotation(rng))
+    out = chm.transmit_probe(ch, pc.S_H)
+    kept = out.copy()
+    with pytest.raises(ValueError):
+        out[0] = 5.0
+    with pytest.raises(ValueError):
+        out += 1.0
+    assert np.array_equal(chm.transmit_probe(ch, pc.S_H), kept)
+
+
 def test_transmit_qubit_kraus_identity_channel():
     ch = make_test_channel()
     k = chm.transmit_qubit_kraus(ch)

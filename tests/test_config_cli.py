@@ -449,6 +449,23 @@ def test_distribute_entanglement_sampled_counts(tmp_path):
     assert 0.7 < raw < 0.9  # source admixture dominates the raw value
 
 
+def test_dutycycle_runs_no_window_past_total(tmp_path):
+    # 2.1 s of 0.7 s windows is three windows; summing window starts in
+    # floats ran a fourth, transmitting from 2.1 s to 2.8 s
+    text = (cli._resolve("ppe_dutycycle").read_text()
+            .replace("intervals_s = 5,20,60,160", "intervals_s = 0.7,0.1")
+            .replace("total_per_interval_s = 6400", "total_per_interval_s = 2.1"))
+    path = tmp_path / "short.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+    rows = [line.split(",") for line in (out / "dutycycle.csv").read_text().splitlines()[1:]]
+    windows = {}
+    for row in rows:
+        windows.setdefault(float(row[0]), []).append(int(row[1]))
+    assert windows == {0.7: [0, 1, 2], 0.1: list(range(21))}
+
+
 def test_ion_photon_sampled_counts_pinned(tmp_path):
     # no preset samples counts; pin the Poisson branch of the count table
     text = (cli._resolve("ion_photon").read_text()

@@ -125,6 +125,69 @@ def test_piezo_voltage_limits():
         ins.PiezoController(voltages=np.array([0, 0, 0, 12.0]))
 
 
+def _rotation_about_product(c):
+    m = np.eye(3)
+    for axis, gain, u in zip(c.axes, c.gains_rad_per_v, c.voltages):
+        m = pc.rotation_about(axis, gain * u) @ m
+    return m
+
+
+@pytest.mark.parametrize("reversed_axes", [False, True])
+@pytest.mark.parametrize("gains", [(0.5, 0.5, 0.5, 0.5), (0.3, -0.7, 1.1, 0.45)])
+def test_piezo_rotation_bit_exact_against_rotation_about(rng, reversed_axes, gains):
+    axes = ins.PIEZO_AXES_DEFAULT[::-1] if reversed_axes else ins.PIEZO_AXES_DEFAULT
+    c = ins.PiezoController(axes=tuple(axes), gains_rad_per_v=np.array(gains))
+    c.bias_neutral()
+    cases = [
+        np.zeros(4), np.full(4, -0.0), np.array([0.0, -0.0, -0.0, 0.0]),
+        np.full(4, c.limit_v), np.full(4, -c.limit_v),
+        np.array([c.limit_v, -c.limit_v, -c.limit_v, c.limit_v]),
+        c.voltages.copy(),
+        *rng.uniform(-c.limit_v, c.limit_v, size=(50, 4)),
+    ]
+    for u in cases:
+        c.set_voltages(u)
+        assert np.array_equal(c.rotation(), _rotation_about_product(c))
+
+
+def test_piezo_direct_out_of_range_voltages_raise():
+    c = ins.PiezoController()
+    c.voltages = np.array([0.0, 0.0, 0.0, c.limit_v + 0.5])
+    with pytest.raises(ins.VoltageOutOfRange):
+        c.rotation()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"gains_rad_per_v": np.full(3, 0.5)},
+    {"gains_rad_per_v": np.full(5, 0.5)},
+    {"voltages": np.zeros(5)},
+    {"voltages": np.zeros(3)},
+    {"axes": ins.PIEZO_AXES_DEFAULT[:3]},
+    {"axes": ins.PIEZO_AXES_DEFAULT + ins.PIEZO_AXES_DEFAULT[:1]},
+    {"axes": ins.PIEZO_AXES_DEFAULT[:3] + (np.zeros(3),)},
+    {"axes": ins.PIEZO_AXES_DEFAULT[:3] + (np.array([1.0, np.nan, 0.0]),)},
+    {"axes": ins.PIEZO_AXES_DEFAULT[:3] + (np.array([np.inf, 0.0, 0.0]),)},
+    {"axes": ins.PIEZO_AXES_DEFAULT[:3] + (np.array([1.0, 0.0]),)},
+])
+def test_piezo_requires_four_channels_and_valid_axes(kwargs):
+    with pytest.raises(ValueError):
+        ins.PiezoController(**kwargs)
+
+
+def test_piezo_set_voltages_requires_four_channels():
+    c = ins.PiezoController()
+    for u in (np.zeros(3), np.zeros(5)):
+        with pytest.raises(ValueError):
+            c.set_voltages(u)
+        with pytest.raises(ValueError):
+            c.apply_clamped(u)
+    assert np.array_equal(c.voltages, np.zeros(4))
+    # a single voltage assigned directly would broadcast to all four channels
+    c.voltages = np.array([3.0])
+    with pytest.raises(ValueError):
+        c.rotation()
+
+
 def test_piezo_clamp_recenters_by_full_period():
     c = ins.PiezoController()
     # gain 0.5 rad/V -> a full turn is 4 pi V; 10.5 V recenters in range

@@ -302,3 +302,18 @@ def test_duty_cycle_on_step_counts(rng):
     )
     assert len(seen) == 50
     assert seen == sorted(seen)
+
+
+@pytest.mark.parametrize("window_s, total_s, n_windows", [
+    (0.1, 1.0, 10), (0.7, 2.1, 3), (0.1, 2.1, 21), (3.0, 10.0, 4), (5.0, 5.0, 1),
+])
+def test_duty_cycle_window_count_is_exact(window_s, total_s, n_windows):
+    # summing window starts in floats ran an eleventh window for 1.0 / 0.1
+    seen = []
+    log = st.duty_cycle_run(
+        make_test_channel(), ins.PiezoController(), noise_free_polarimeter(),
+        st.StabilizerConfig(), transmit_window_s=window_s, total_s=total_s,
+        on_step=lambda w, c, p: seen.append(w),
+    )
+    assert [r.window for r in log.records] == list(range(n_windows))
+    assert sorted(set(seen)) == list(range(n_windows))
