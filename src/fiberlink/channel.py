@@ -73,10 +73,10 @@ class DaySchedule:
 
 def _random_axis(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
-    n = np.linalg.norm(v)
+    n = math.sqrt(v @ v)
     while n < 1e-12:
         v = rng.normal(size=3)
-        n = np.linalg.norm(v)
+        n = math.sqrt(v @ v)
     return v / n
 
 

@@ -40,10 +40,6 @@ PIEZO_AXES_DEFAULT = (
     np.array([0.0, 1.0, 0.0]),
 )
 
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
-
-
 class VoltageOutOfRange(ValueError):
     """Requested piezo voltage exceeds the controller limits."""
 
@@ -89,11 +85,14 @@ class PiezoController:
 
     Channel i rotates the Poincare sphere by gain_i * U_i about its fixed
     axis; the channels act on the light in order 1 -> 4. The axes are read
-    once, at construction, into the Rodrigues generators K and K @ K of
-    each channel; assigning `axes` afterwards has no effect. Voltages are
-    clamped at +/- limit_v; `set_voltages` raises on out-of-range requests
-    while `apply_clamped` clamps after attempting a full-period re-centering
-    (a 2*pi/gain shift leaves the rotation unchanged) and logs the event.
+    once, at construction, into unit vectors held as Python floats;
+    assigning `axes` afterwards has no effect. `rotation()` multiplies the
+    four channels' half-angle quaternions (q4 q3 q2 q1) in scalar
+    arithmetic and builds one matrix from the product. Voltages are clamped
+    at +/- limit_v; a non-finite voltage is out of range everywhere.
+    `set_voltages` raises on out-of-range requests while `apply_clamped`
+    clamps after attempting a full-period re-centering (a 2*pi/gain shift
+    leaves the rotation unchanged) and logs the event.
     """
 
     voltages: np.ndarray = field(default_factory=lambda: np.zeros(4))
@@ -102,7 +101,7 @@ class PiezoController:
     limit_v: float = 10.0
     settle_s: float = 0.0
     clamp_events: int = field(default=0, repr=False)
-    _generators: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
+    _unit_axes: tuple[tuple[float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -115,15 +114,17 @@ class PiezoController:
             raise ValueError("gains must be finite and nonzero")
         if len(self.axes) != 4:
             raise ValueError(f"need 4 axes, got {len(self.axes)}")
-        generators = []
+        unit_axes = []
         for axis in self.axes:
             a = np.asarray(axis, dtype=float)
             if a.shape != (3,) or not np.all(np.isfinite(a)):
                 raise ValueError(f"axis {axis!r} must be a finite 3-vector")
-            k = polcore.unit_skew(a)  # raises on a zero axis
-            generators.append((k, k @ k))
-        self._generators = tuple(generators)
-        if np.any(np.abs(self.voltages) > self.limit_v):
+            n = math.sqrt(a @ a)
+            if n == 0.0:
+                raise ValueError("rotation axis must be nonzero")
+            unit_axes.append(tuple((a / n).tolist()))
+        self._unit_axes = tuple(unit_axes)
+        if not _within(self.voltages.tolist(), self.limit_v):
             raise VoltageOutOfRange("initial voltages exceed limits")
 
     def bias_neutral(self) -> None:
@@ -144,13 +145,15 @@ class PiezoController:
 
     def set_voltages(self, u: np.ndarray) -> None:
         u = _four_voltages(u)
-        if np.any(np.abs(u) > self.limit_v + 1e-12):
+        if not _within(u.tolist(), self.limit_v + 1e-12):
             raise VoltageOutOfRange(f"requested voltages {u} exceed +/-{self.limit_v} V")
         self.voltages = u.copy()
 
     def apply_clamped(self, u: np.ndarray) -> np.ndarray:
         """Set voltages, re-centering by full rotation periods where possible."""
         u = _four_voltages(u).copy()
+        if not all(map(math.isfinite, u.tolist())):
+            raise VoltageOutOfRange(f"requested voltages {u} are not finite")
         for i in range(4):
             if abs(u[i]) > self.limit_v:
                 period = 2.0 * math.pi / abs(self.gains_rad_per_v[i])
@@ -162,14 +165,28 @@ class PiezoController:
 
     def rotation(self) -> np.ndarray:
         """Net Stokes rotation of the controller at its current voltages."""
-        u = _four_voltages(self.voltages)
-        if np.any(np.abs(u) > self.limit_v + 1e-12):
-            raise VoltageOutOfRange("voltages exceed limits")
-        m = None
-        for (k, k2), angle in zip(self._generators, self.gains_rad_per_v * u):
-            r = _EYE3 + math.sin(angle) * k + (1.0 - math.cos(angle)) * k2
-            m = r if m is None else r @ m
-        return m
+        limit = self.limit_v + 1e-12
+        # Channel i turns by gain_i * U_i about its unit axis a_i, i.e. the
+        # quaternion (cos h, sin h * a_i) with h the half angle. Channel 1
+        # acts first, so the net quaternion is q4 q3 q2 q1.
+        w, x, y, z = 1.0, 0.0, 0.0, 0.0
+        for (ax, ay, az), gain, volt in zip(
+            self._unit_axes,
+            self.gains_rad_per_v.tolist(),
+            _four_voltages(self.voltages).tolist(),
+        ):
+            if not abs(volt) <= limit:
+                raise VoltageOutOfRange("voltages exceed limits")
+            h = 0.5 * gain * volt
+            c, s = math.cos(h), math.sin(h)
+            bx, by, bz = s * ax, s * ay, s * az
+            w, x, y, z = (
+                c * w - bx * x - by * y - bz * z,
+                c * x + bx * w + by * z - bz * y,
+                c * y - bx * z + by * w + bz * x,
+                c * z + bx * y - by * x + bz * w,
+            )
+        return polcore._rotation_of_quaternion((w, x, y, z))
 
 
 def _four_voltages(u: np.ndarray) -> np.ndarray:
@@ -177,6 +194,11 @@ def _four_voltages(u: np.ndarray) -> np.ndarray:
     if u.shape != (4,):
         raise ValueError(f"need 4 voltages, got shape {u.shape}")
     return u
+
+
+def _within(volts: list[float], limit: float) -> bool:
+    """True if every voltage lies in [-limit, limit]; NaN lies nowhere."""
+    return all(abs(v) <= limit for v in volts)
 
 
 @dataclass(frozen=True)

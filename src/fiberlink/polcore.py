@@ -55,7 +55,6 @@ __all__ = [
     "rotation_to_axis_angle",
     "su2_of_rotation",
     "trace_from_probe_pair",
-    "unit_skew",
 ]
 
 # Reference probe polarizations (unit Stokes vectors).
@@ -105,30 +104,25 @@ def is_rotation(m: np.ndarray, tol: float = _ORTHO_TOL) -> bool:
     )
 
 
-def unit_skew(axis: np.ndarray) -> np.ndarray:
-    """Cross-product matrix K of the unit vector along `axis` (K v = a x v)."""
+def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Right-handed rotation by `angle` (rad) about `axis` (Rodrigues form)."""
     a = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(a)
+    n = math.sqrt(a @ a)
     if n == 0.0:
         raise ValueError("rotation axis must be nonzero")
     a = a / n
-    return np.array([
+    k = np.array([
         [0.0, -a[2], a[1]],
         [a[2], 0.0, -a[0]],
         [-a[1], a[0], 0.0],
     ])
-
-
-def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Right-handed rotation by `angle` (rad) about `axis` (Rodrigues form)."""
-    k = unit_skew(axis)
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Rotation drawn from the Haar (uniform) measure via a random quaternion."""
     q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
+    q /= math.sqrt(q @ q)
     return _rotation_of_quaternion(q)
 
 
@@ -141,33 +135,35 @@ def _rotation_of_quaternion(q: np.ndarray) -> np.ndarray:
     ])
 
 
-def _quaternion_of_rotation(m: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w >= 0) of a rotation matrix, stable in all branches."""
-    m = np.asarray(m, dtype=float)
-    t = np.trace(m)
+def _quaternion_of_rotation(m: np.ndarray) -> tuple[float, float, float, float]:
+    """Unit quaternion (w >= 0) of a rotation matrix, stable in all branches.
+
+    The branch is picked by the trace, then by the largest diagonal element
+    (the first one on ties), and the components are computed in scalar
+    arithmetic.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=float).tolist()
+    t = m00 + m11 + m22
     if t > 0:
         r = math.sqrt(1.0 + t)
-        w = 0.5 * r
         s = 0.5 / r
-        q = np.array([
-            w,
-            (m[2, 1] - m[1, 2]) * s,
-            (m[0, 2] - m[2, 0]) * s,
-            (m[1, 0] - m[0, 1]) * s,
-        ])
+        w, x, y, z = 0.5 * r, (m21 - m12) * s, (m02 - m20) * s, (m10 - m01) * s
+    elif m00 >= m11 and m00 >= m22:
+        r = math.sqrt(1.0 + m00 - m11 - m22)
+        s = 0.5 / r
+        w, x, y, z = (m21 - m12) * s, 0.5 * r, (m10 + m01) * s, (m20 + m02) * s
+    elif m11 >= m22:
+        r = math.sqrt(1.0 + m11 - m22 - m00)
+        s = 0.5 / r
+        w, x, y, z = (m02 - m20) * s, (m01 + m10) * s, 0.5 * r, (m21 + m12) * s
     else:
-        i = int(np.argmax(np.diag(m)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        r = math.sqrt(1.0 + m[i, i] - m[j, j] - m[k, k])
+        r = math.sqrt(1.0 + m22 - m00 - m11)
         s = 0.5 / r
-        q = np.empty(4)
-        q[0] = (m[k, j] - m[j, k]) * s
-        q[1 + i] = 0.5 * r
-        q[1 + j] = (m[j, i] + m[i, j]) * s
-        q[1 + k] = (m[k, i] + m[i, k]) * s
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+        w, x, y, z = (m10 - m01) * s, (m02 + m20) * s, (m12 + m21) * s, 0.5 * r
+    if w < 0:
+        w, x, y, z = -w, -x, -y, -z
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return w / n, x / n, y / n, z / n
 
 
 def rotation_to_axis_angle(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -175,7 +171,7 @@ def rotation_to_axis_angle(m: np.ndarray) -> tuple[np.ndarray, float]:
     q = _quaternion_of_rotation(m)
     w = min(1.0, max(-1.0, q[0]))
     angle = 2.0 * math.acos(w)
-    v = q[1:]
+    v = np.array(q[1:])
     n = np.linalg.norm(v)
     if n < 1e-15:
         return np.array([0.0, 0.0, 1.0]), 0.0
@@ -188,11 +184,12 @@ def su2_of_rotation(m: np.ndarray) -> np.ndarray:
     Returns U with U (v . sigma) U^dag = (m v) . sigma for every Bloch
     vector v. The global sign is unobservable in every implemented protocol.
     """
-    q = _quaternion_of_rotation(m)
-    u = q[0] * np.eye(2, dtype=complex)
-    for comp, s in zip(q[1:], PAULI):
-        u = u - 1.0j * comp * s
-    return u
+    w, x, y, z = _quaternion_of_rotation(m)
+    # U = w I - i (x sigma_hv + y sigma_da + z sigma_rl), written out
+    return np.array([
+        [complex(w, -x), complex(-z, -y)],
+        [complex(z, -y), complex(w, x)],
+    ])
 
 
 def rotation_of_unitary(u: np.ndarray) -> np.ndarray:

@@ -219,28 +219,19 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
         )
         accidental_mean = acc_a * acc_b * coinc_w * integration
 
-        # window -> [sum of its arm-B terms, sum of their traces, step count]
+        # window -> [compensator, sum of its link's arm-B superoperators,
+        # step count]. The piezo is idle for a whole window, so the
+        # compensator C is read once per window, and the window's state
+        # sum_t (C K_t) rho (C K_t)^dag is C (sum_t K_t rho K_t^dag) C^dag.
         windows: dict[int, list] = {}
-        # The piezo is idle during a transmit window, so its compensator
-        # SU(2) matrix is kept for the last voltage vector seen. A value is
-        # reused only for bit-identical voltages of this interval's
-        # controller, which have already passed its range check.
-        compensator: dict[bytes, np.ndarray] = {}
 
         def accumulate(window, ch, piezo):
-            key = piezo.voltages.tobytes()
-            if key not in compensator:
-                compensator.clear()
-                compensator[key] = polcore.su2_of_rotation(piezo.rotation())
-            # arm B: link (rotation + loss), then the compensator
-            term = quantum.on_arm_b(rho_src, compensator[key] @ chmod.transmit_qubit_kraus(ch))
-            norm = float(np.trace(term).real)
-            if window not in windows:
-                windows[window] = [term, norm, 1]
+            term = quantum.arm_b_superoperator(chmod.transmit_qubit_kraus(ch))
+            acc = windows.get(window)
+            if acc is None:
+                windows[window] = [polcore.su2_of_rotation(piezo.rotation()), term, 1]
             else:
-                acc = windows[window]
-                acc[0] += term
-                acc[1] += norm
+                acc[1] += term
                 acc[2] += 1
 
         log = stabilizer.duty_cycle_run(
@@ -254,13 +245,17 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
 
         fids_raw, fids_corr = [], []
         for rec in log.records:
-            acc_rho, trace_sum, n_steps = windows[rec.window]
+            comp, link_sum, n_steps = windows[rec.window]
+            # arm B: link (rotation + loss), then the compensator
+            acc_rho = quantum.on_arm_b(
+                quantum.on_arm_b_superoperator(rho_src, link_sum), comp
+            )
             tr = float(np.trace(acc_rho).real)
             if tr <= 0.0:
                 raise ProtocolFailed("window state fully extinguished")
             rho_bar = acc_rho / tr
             # Each step's trace is at most 1; rounding of the sum may not be.
-            success = min(1.0, trace_sum / n_steps)
+            success = min(1.0, tr / n_steps)
             counts = _window_counts(rho_bar, n_per_basis, accidental_mean, count_rng)
             fid_raw = quantum.bell_fidelity(quantum.tomography_2q(counts))
             if correct:

@@ -46,6 +46,7 @@ __all__ = [
     "SpdcSource",
     "TeleportOutcome",
     "apply_channel_arm_b",
+    "arm_b_superoperator",
     "bell_fidelity",
     "bsm_branches",
     "bsm_teleport",
@@ -55,6 +56,7 @@ __all__ = [
     "heralded_absorption",
     "mc_uncertainty",
     "on_arm_b",
+    "on_arm_b_superoperator",
     "process_fidelity_element",
     "process_matrix_from_io",
     "process_tomography",
@@ -175,6 +177,24 @@ def on_arm_b(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
     """(I (x) op) rho (I (x) op)^dag: a single-qubit operator acting on arm B."""
     k = np.kron(np.eye(2, dtype=complex), op)
     return k @ rho @ k.conj().T
+
+
+def arm_b_superoperator(op: np.ndarray) -> np.ndarray:
+    """op (x) conj(op) as a (2,2,2,2) array S[i, j, k, l] = op[i, k] conj(op[j, l]).
+
+    S is the map X -> op X op^dag on the arm-B indices of a two-qubit
+    matrix, and the sum of such arrays is the sum of their maps, so a run
+    of arm-B operators can be accumulated here and applied once with
+    `on_arm_b_superoperator`.
+    """
+    op = np.asarray(op, dtype=complex)
+    return op[:, None, :, None] * op.conj()[None, :, None, :]
+
+
+def on_arm_b_superoperator(rho: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Apply an arm-B superoperator (a sum of `arm_b_superoperator` terms)."""
+    rho4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    return np.einsum("ijkl,akbl->aibj", s, rho4).reshape(4, 4)
 
 
 def apply_channel_arm_b(rho: np.ndarray, ch: ChannelState) -> tuple[np.ndarray, float]:

@@ -321,7 +321,9 @@ def duty_cycle_run(
     it has dropped below the threshold (otherwise the boundary costs just
     the probe pair). `on_step(window, ch, piezo)` is called after every
     drift sub-step inside a window, so callers can integrate transmission
-    observables over the windows.
+    observables over the windows. The piezo is idle for a whole window:
+    every `on_step` call of one window sees the same voltages, so a caller
+    may read the compensator once per window.
     """
     if transmit_window_s <= 0.0 or total_s <= 0.0:
         raise ValueError("windows must be > 0")

@@ -436,7 +436,7 @@ def test_distribute_entanglement_sampled_counts(tmp_path):
     run_protocol(scn, tmp_path)
     # the Poisson branch of the count table, pinned
     assert sha256_file(tmp_path / "dutycycle.csv") == (
-        "f5b2aa5d88e0bc9d153153f4c9693c50603dc4dc87afd54c3d0a7c3e9a5da810"
+        "49040d7ca427fa5289cc060b48a7023136481cb67dd890b73c4daeac126f2a56"
     )
     lines = (tmp_path / "dutycycle_summary.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -447,6 +447,77 @@ def test_distribute_entanglement_sampled_counts(tmp_path):
     assert raw < corrected
     assert corrected > 0.95
     assert 0.7 < raw < 0.9  # source admixture dominates the raw value
+
+
+SPIKY_PPE = """
+[scenario]
+protocol = distribute-entanglement
+seed = 5150
+
+[channel]
+pdl_db = 0.3
+spike_rate_per_s = 0.05
+spike_extra_db = 2.0
+spike_duration_s = 4
+night_rate_rad2_per_s = 1e-4
+day_rate_rad2_per_s = 1e-4
+
+[instruments]
+polarimeter_sigma = 0.0
+
+[stabilizer]
+fp_threshold = 0.999
+
+[protocol]
+intervals_s = 20
+total_per_interval_s = 200
+"""
+
+
+def test_distribute_window_superoperator_matches_per_step_sum(tmp_path, monkeypatch):
+    # each window's state is built once from the summed link superoperator
+    # and the window's compensator C; it must equal the per-step sum
+    # sum_t (C K_t) rho (C K_t)^dag on a lossy link with loss spikes
+    from fiberlink import channel as chmod
+    from fiberlink import polcore, protocols, quantum, stabilizer
+    from fiberlink.output import read_csv_rows
+
+    scn = config.loads(SPIKY_PPE, name="spiky")
+    rho_src = quantum.spdc_state(scn.make_source())
+    per_step = {}  # window -> [sum of states, sum of traces, losses seen]
+    real_duty_cycle_run = stabilizer.duty_cycle_run
+    real_window_counts = protocols._window_counts
+    window_states = []
+
+    def duty_cycle_run(*args, on_step, **kwargs):
+        def step(window, ch, piezo):
+            on_step(window, ch, piezo)
+            op = polcore.su2_of_rotation(piezo.rotation()) @ chmod.transmit_qubit_kraus(ch)
+            term = quantum.on_arm_b(rho_src, op)
+            acc = per_step.setdefault(window, [np.zeros((4, 4), dtype=complex), 0.0, set()])
+            acc[0] += term
+            acc[1] += float(np.trace(term).real)
+            acc[2].add(ch.current_pdl().amplitude_transmission)
+        return real_duty_cycle_run(*args, on_step=step, **kwargs)
+
+    def window_counts(rho, *args):
+        window_states.append(rho)
+        return real_window_counts(rho, *args)
+
+    monkeypatch.setattr(stabilizer, "duty_cycle_run", duty_cycle_run)
+    monkeypatch.setattr(protocols, "_window_counts", window_counts)
+    run_protocol(scn, tmp_path)
+
+    header, rows = read_csv_rows(tmp_path / "dutycycle.csv")
+    assert len(rows) == len(window_states) == len(per_step) == 10
+    assert any(len(acc[2]) > 1 for acc in per_step.values())  # a spike inside a window
+    n_steps = 20
+    for row, rho_bar in zip(rows, window_states):
+        state_sum, trace_sum, _ = per_step[int(row[header.index("window")])]
+        success = float(row[header.index("success_prob")])
+        assert success < 1.0
+        assert abs(success * n_steps - trace_sum) <= 1e-12
+        assert np.max(np.abs(rho_bar * (success * n_steps) - state_sum)) <= 1e-12
 
 
 def test_dutycycle_runs_no_window_past_total(tmp_path):

@@ -134,7 +134,9 @@ def _rotation_about_product(c):
 
 @pytest.mark.parametrize("reversed_axes", [False, True])
 @pytest.mark.parametrize("gains", [(0.5, 0.5, 0.5, 0.5), (0.3, -0.7, 1.1, 0.45)])
-def test_piezo_rotation_bit_exact_against_rotation_about(rng, reversed_axes, gains):
+def test_piezo_rotation_matches_rotation_about(rng, reversed_axes, gains):
+    # the quaternion product agrees with the product of the four channels'
+    # Rodrigues matrices to rounding and is a proper rotation
     axes = ins.PIEZO_AXES_DEFAULT[::-1] if reversed_axes else ins.PIEZO_AXES_DEFAULT
     c = ins.PiezoController(axes=tuple(axes), gains_rad_per_v=np.array(gains))
     c.bias_neutral()
@@ -147,7 +149,44 @@ def test_piezo_rotation_bit_exact_against_rotation_about(rng, reversed_axes, gai
     ]
     for u in cases:
         c.set_voltages(u)
-        assert np.array_equal(c.rotation(), _rotation_about_product(c))
+        r = c.rotation()
+        assert np.max(np.abs(r - _rotation_about_product(c))) <= 1e-14
+        assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-14
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-14
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_piezo_constructor_rejects_non_finite_voltage(bad):
+    with pytest.raises(ins.VoltageOutOfRange):
+        ins.PiezoController(voltages=np.array([bad, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_piezo_set_voltages_rejects_non_finite_voltage(bad):
+    c = ins.PiezoController()
+    with pytest.raises(ins.VoltageOutOfRange):
+        c.set_voltages(np.array([bad, 0.0, 0.0, 0.0]))
+    assert np.array_equal(c.voltages, np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_piezo_apply_clamped_rejects_non_finite_voltage(bad):
+    c = ins.PiezoController()
+    with pytest.raises(ins.VoltageOutOfRange):
+        c.apply_clamped(np.array([0.0, bad, 0.0, 0.0]))
+    assert np.array_equal(c.voltages, np.zeros(4))
+    assert c.clamp_events == 0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_piezo_rotation_rejects_non_finite_voltage(bad):
+    c = ins.PiezoController()
+    c.voltages = np.array([0.0, 0.0, bad, 0.0])
+    with pytest.raises(ins.VoltageOutOfRange):
+        c.rotation()
 
 
 def test_piezo_direct_out_of_range_voltages_raise():

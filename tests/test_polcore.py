@@ -140,6 +140,33 @@ def test_su2_lift_adjoint_action(rng):
         assert np.allclose(pc.rotation_of_unitary(u), m, atol=1e-10)
 
 
+def test_su2_rotation_round_trips(rng):
+    # every branch of the quaternion extraction: trace > 0, and trace <= 0
+    # with each diagonal element the largest (half turns about the axes
+    # and turns by more than 2 pi / 3 near them and about random axes)
+    rotations = [pc.random_rotation(rng) for _ in range(300)]
+    for axis in np.eye(3):
+        rotations.append(pc.rotation_about(axis, math.pi))
+        for _ in range(30):
+            tilt = axis + 0.2 * rng.normal(size=3)
+            rotations.append(pc.rotation_about(tilt, rng.uniform(2.1, math.pi)))
+    for _ in range(100):
+        rotations.append(pc.rotation_about(rng.normal(size=3), rng.uniform(2.1, math.pi)))
+    branches = set()
+    for m in rotations:
+        t = np.trace(m)
+        branches.add("trace" if t > 0 else int(np.argmax(np.diag(m))))
+        u = pc.su2_of_rotation(m)
+        assert np.max(np.abs(pc.rotation_of_unitary(u) - m)) <= 1e-14
+        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-14
+        assert abs(np.linalg.det(u) - 1.0) <= 1e-14
+        assert np.trace(u).real >= 0.0
+        # and back, up to the sign a half turn leaves open
+        back = pc.su2_of_rotation(pc.rotation_of_unitary(u))
+        assert min(np.max(np.abs(back - u)), np.max(np.abs(back + u))) <= 1e-14
+    assert branches == {"trace", 0, 1, 2}
+
+
 def test_bloch_ket_round_trips(rng):
     for _ in range(100):
         n = random_bloch(rng, pure=True)

@@ -304,6 +304,31 @@ def test_duty_cycle_on_step_counts(rng):
     assert seen == sorted(seen)
 
 
+def test_duty_cycle_piezo_idle_within_each_window(rng):
+    # the arm-B accumulation reads the compensator once per window, which
+    # holds only if no on_step call of a window sees other voltages
+    ch = make_test_channel(
+        rotation=pc.random_rotation(rng),
+        rng=np.random.default_rng(17),
+        night_rate=5e-5, day_rate=5e-5,
+    )
+    piezo = ins.PiezoController()
+    piezo.bias_neutral()
+    seen: dict[int, list] = {}
+    log = st.duty_cycle_run(
+        ch, piezo, noise_free_polarimeter(), st.StabilizerConfig(fp_threshold=0.99),
+        transmit_window_s=100.0, total_s=2000.0, drift_dt_s=10.0,
+        on_step=lambda w, c, p: seen.setdefault(w, []).append(p.voltages.copy()),
+    )
+    assert sorted(seen) == [r.window for r in log.records]
+    for volts in seen.values():
+        assert len(volts) == 10
+        assert all(np.array_equal(v, volts[0]) for v in volts)
+    # the stabilizer did move the piezo between windows
+    assert log.stabilization_count() >= 2
+    assert len({v[0].tobytes() for v in seen.values()}) >= 2
+
+
 @pytest.mark.parametrize("window_s, total_s, n_windows", [
     (0.1, 1.0, 10), (0.7, 2.1, 3), (0.1, 2.1, 21), (3.0, 10.0, 4), (5.0, 5.0, 1),
 ])
