@@ -48,6 +48,11 @@ class VoltageOutOfRange(ValueError):
 class Polarimeter:
     """Stokes polarimeter with iid Gaussian read noise per component.
 
+    `read_pair` reads the H and D probe outputs together, in Python-float
+    arithmetic, from one draw of six normals: the same generator stream as
+    two successive `read` calls. `read` is the one-vector case of the same
+    code.
+
     The 45 ms default latency makes one measure-feedback cycle (H probe read
     + D probe read + voltage update) take the 90 ms the stabilization
     receiver needs per cycle.
@@ -70,13 +75,25 @@ class Polarimeter:
         O(sigma^2), which is what the downstream two-probe fidelity
         estimate consumes.
         """
-        s = np.asarray(s_true, dtype=float)
+        (s,) = self._reads(np.asarray(s_true, dtype=float).tolist())
+        return np.array(s)
+
+    def read_pair(self, s1, s2) -> list[tuple[float, float, float]]:
+        """Reads of two Stokes vectors (three floats each), first s1 then s2."""
+        return self._reads([*s1, *s2])
+
+    def _reads(self, values: list[float]) -> list[tuple[float, float, float]]:
         if self.sigma > 0.0:
-            s = s + self.rng.normal(0.0, self.sigma, size=3)
-        n = math.sqrt(s @ s)
-        if n > 1.0:
-            s = s / n
-        return s
+            noise = self.rng.normal(0.0, self.sigma, size=len(values)).tolist()
+            values = [v + e for v, e in zip(values, noise)]
+        reads = []
+        triples = iter(values)
+        for x, y, z in zip(triples, triples, triples, strict=True):
+            n = math.sqrt(x * x + y * y + z * z)
+            if n > 1.0:
+                x, y, z = x / n, y / n, z / n
+            reads.append((x, y, z))
+        return reads
 
 
 @dataclass
@@ -86,9 +103,10 @@ class PiezoController:
     Channel i rotates the Poincare sphere by gain_i * U_i about its fixed
     axis; the channels act on the light in order 1 -> 4. The axes are read
     once, at construction, into unit vectors held as Python floats;
-    assigning `axes` afterwards has no effect. `rotation()` multiplies the
-    four channels' half-angle quaternions (q4 q3 q2 q1) in scalar
-    arithmetic and builds one matrix from the product. Voltages are clamped
+    assigning `axes` afterwards has no effect. `quaternion()` multiplies
+    the four channels' half-angle quaternions (q4 q3 q2 q1) in scalar
+    arithmetic, and `rotation()` builds one matrix from the product; the
+    stabilizer's probes use the quaternion directly. Voltages are clamped
     at +/- limit_v; a non-finite voltage is out of range everywhere.
     `set_voltages` raises on out-of-range requests while `apply_clamped`
     clamps after attempting a full-period re-centering (a 2*pi/gain shift
@@ -165,6 +183,10 @@ class PiezoController:
 
     def rotation(self) -> np.ndarray:
         """Net Stokes rotation of the controller at its current voltages."""
+        return polcore._rotation_of_quaternion(self.quaternion())
+
+    def quaternion(self) -> tuple[float, float, float, float]:
+        """Net unit quaternion (w, x, y, z) of the controller's rotation."""
         limit = self.limit_v + 1e-12
         # Channel i turns by gain_i * U_i about its unit axis a_i, i.e. the
         # quaternion (cos h, sin h * a_i) with h the half angle. Channel 1
@@ -186,7 +208,7 @@ class PiezoController:
                 c * y - bx * z + by * w + bz * x,
                 c * z + bx * y - by * x + bz * w,
             )
-        return polcore._rotation_of_quaternion((w, x, y, z))
+        return w, x, y, z
 
 
 def _four_voltages(u: np.ndarray) -> np.ndarray:

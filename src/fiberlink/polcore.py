@@ -126,13 +126,18 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return _rotation_of_quaternion(q)
 
 
-def _rotation_of_quaternion(q: np.ndarray) -> np.ndarray:
+def _rotation_of_quaternion(q) -> np.ndarray:
+    return np.array(_rotation_entries(q)).reshape(3, 3)
+
+
+def _rotation_entries(q) -> tuple:
+    """Row-major entries of the rotation matrix of a unit quaternion (w, x, y, z)."""
     w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    return (
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )
 
 
 def _quaternion_of_rotation(m: np.ndarray) -> tuple[float, float, float, float]:
@@ -269,7 +274,12 @@ def trace_from_probe_pair(s1_out: np.ndarray, s2_out: np.ndarray) -> float:
         n = math.sqrt(s @ s)
         if abs(n - 1.0) > _PROBE_NORM_TOL:
             raise NonUnitProbe(f"probe output norm {n:.6f} deviates from 1")
-    return float(s1[0] + s2[1] + s1[0] * s2[1] - s1[1] * s2[0])
+    return float(_trace_of_unit_pair(s1, s2))
+
+
+def _trace_of_unit_pair(s1, s2) -> float:
+    """The trace formula of `trace_from_probe_pair`, without its norm check."""
+    return s1[0] + s2[1] + s1[0] * s2[1] - s1[1] * s2[0]
 
 
 def rotation_from_probe_pairs(

@@ -118,26 +118,41 @@ def measure_probe_pair(
     piezo: PiezoController,
     polarimeter: Polarimeter,
     switch: ReferenceSwitch,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inject H then D reference light and read both receiver polarizations."""
-    comp = piezo.rotation()
-    s1 = polarimeter.read(comp @ transmit_probe(ch, switch.select("H")))
-    s2 = polarimeter.read(comp @ transmit_probe(ch, switch.select("D")))
-    return s1, s2
+) -> list[tuple[float, float, float]]:
+    """Inject H then D reference light and read both receiver polarizations.
+
+    The two link outputs are turned by the nine matrix entries of the
+    controller's quaternion in scalar arithmetic and read with one paired
+    polarimeter draw. Returns the H and D reads as float triples.
+    """
+    r = polcore._rotation_entries(piezo.quaternion())
+    h = _rotate(r, transmit_probe(ch, switch.select("H")).tolist())
+    d = _rotate(r, transmit_probe(ch, switch.select("D")).tolist())
+    return polarimeter.read_pair(h, d)
 
 
-def _error_of_pair(s1: np.ndarray, s2: np.ndarray) -> float:
-    d1 = s1 - polcore.S_H
-    d2 = s2 - polcore.S_D
-    return float(d1 @ d1 + d2 @ d2)
+def _rotate(r: tuple, s: list[float]) -> tuple[float, float, float]:
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    a, b, c = s
+    return r00 * a + r01 * b + r02 * c, r10 * a + r11 * b + r12 * c, r20 * a + r21 * b + r22 * c
 
 
-def _fidelity_of_pair(s1: np.ndarray, s2: np.ndarray) -> float:
-    n1, n2 = math.sqrt(s1 @ s1), math.sqrt(s2 @ s2)
+def _error_of_pair(s1, s2) -> float:
+    # Squared distances of the H read from S_H = (1, 0, 0) and of the D read
+    # from S_D = (0, 1, 0).
+    (x1, y1, z1), (x2, y2, z2) = s1, s2
+    dx, dy = x1 - 1.0, y2 - 1.0
+    return (dx * dx + y1 * y1 + z1 * z1) + (x2 * x2 + dy * dy + z2 * z2)
+
+
+def _fidelity_of_pair(s1, s2) -> float:
+    (x1, y1, z1), (x2, y2, z2) = s1, s2
+    n1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+    n2 = math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
     if n1 < 1e-12 or n2 < 1e-12:
         return 0.0
     return polcore.process_fidelity_from_trace(
-        polcore.trace_from_probe_pair(s1 / n1, s2 / n2)
+        polcore._trace_of_unit_pair((x1 / n1, y1 / n1), (x2 / n2, y2 / n2))
     )
 
 
@@ -172,19 +187,19 @@ def gradient(
     switch = switch or ReferenceSwitch()
     clock = clock or _Clock(polarimeter, piezo, switch)
 
-    def probe(u: np.ndarray) -> float:
+    def probe(u: list[float]) -> float:
         piezo.set_voltages(u)
         clock.piezo_apply()
         clock.probe_pair()
         return error_function(ch, piezo, polarimeter, switch)
 
-    u0 = piezo.voltages.copy()
+    u0 = piezo.voltages.tolist()
     f0 = None
     out = np.zeros(4)
     for i in range(4):
         f_lo, f_hi = None, None
         for sign in (-1.0, +1.0):
-            u = u0.copy()
+            u = list(u0)
             u[i] += sign * delta_u_v
             if abs(u[i]) > piezo.limit_v:
                 continue

@@ -436,7 +436,7 @@ def test_distribute_entanglement_sampled_counts(tmp_path):
     run_protocol(scn, tmp_path)
     # the Poisson branch of the count table, pinned
     assert sha256_file(tmp_path / "dutycycle.csv") == (
-        "49040d7ca427fa5289cc060b48a7023136481cb67dd890b73c4daeac126f2a56"
+        "4f1df3aa4de31fa85a2f84ad65691c632491d934a27d2c664b5e5940b411b96a"
     )
     lines = (tmp_path / "dutycycle_summary.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -546,7 +546,7 @@ def test_ion_photon_sampled_counts_pinned(tmp_path):
             for name in ("tomo_counts.csv", "ion_photon_summary.json")} == {
         "tomo_counts.csv": "370956220f7f3e02393c91a426a8bfa9f0517c73adce8833c06925ff27b5f380",
         "ion_photon_summary.json":
-            "2fb52e70672463f9242b354937b27cf982ed4d4b4284020dcaf6b3939fd423ea",
+            "02a3894bc43488266b30c043db44cf1f0f77ee952c11807b7a07e65160043af8",
     }
 
 

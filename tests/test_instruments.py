@@ -68,6 +68,33 @@ def test_polarimeter_fidelity_estimate_unbiased(rng):
     assert abs(est.mean() - f_true) < 2e-4
 
 
+def test_polarimeter_paired_reads_follow_twin_generator(rng):
+    # read_pair draws six normals at once: bit for bit the inputs plus two
+    # successive size-3 draws of a twin generator, interleaved with single
+    # reads on the same stream; at sigma = 0.05 about half of the unit
+    # inputs read with a norm above 1 and are renormalized
+    sigma = 0.05
+    p = ins.Polarimeter(sigma=sigma, rng=np.random.default_rng(5))
+    twin = np.random.default_rng(5)
+
+    def expected(s):
+        x, y, z = (a + e for a, e in zip(s, twin.normal(0.0, sigma, 3).tolist()))
+        n = math.sqrt(x * x + y * y + z * z)
+        return ((x / n, y / n, z / n) if n > 1.0 else (x, y, z)), n > 1.0
+
+    renormalized = 0
+    for _ in range(200):
+        h, d = (tuple(random_bloch(rng, pure=True).tolist()) for _ in range(2))
+        (want_h, over_h), (want_d, over_d) = expected(h), expected(d)
+        assert p.read_pair(h, d) == [want_h, want_d]
+        renormalized += over_h + over_d
+        s = random_bloch(rng, pure=True)
+        want, over = expected(s.tolist())
+        assert p.read(s).tolist() == list(want)
+        renormalized += over
+    assert 100 < renormalized < 500
+
+
 def test_polarimeter_validation():
     with pytest.raises(ValueError):
         ins.Polarimeter(sigma=-0.1)
@@ -153,6 +180,7 @@ def test_piezo_rotation_matches_rotation_about(rng, reversed_axes, gains):
         assert np.max(np.abs(r - _rotation_about_product(c))) <= 1e-14
         assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-14
         assert abs(np.linalg.det(r) - 1.0) <= 1e-14
+        assert abs(math.fsum(v * v for v in c.quaternion()) - 1.0) <= 1e-15
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -187,6 +215,8 @@ def test_piezo_rotation_rejects_non_finite_voltage(bad):
     c.voltages = np.array([0.0, 0.0, bad, 0.0])
     with pytest.raises(ins.VoltageOutOfRange):
         c.rotation()
+    with pytest.raises(ins.VoltageOutOfRange):
+        c.quaternion()
 
 
 def test_piezo_direct_out_of_range_voltages_raise():
@@ -194,6 +224,8 @@ def test_piezo_direct_out_of_range_voltages_raise():
     c.voltages = np.array([0.0, 0.0, 0.0, c.limit_v + 0.5])
     with pytest.raises(ins.VoltageOutOfRange):
         c.rotation()
+    with pytest.raises(ins.VoltageOutOfRange):
+        c.quaternion()
 
 
 @pytest.mark.parametrize("kwargs", [

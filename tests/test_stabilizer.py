@@ -8,7 +8,7 @@ from fiberlink import instruments as ins
 from fiberlink import polcore as pc
 from fiberlink import stabilizer as st
 
-from conftest import make_test_channel
+from conftest import make_test_channel, random_bloch
 
 
 def noise_free_polarimeter():
@@ -47,6 +47,29 @@ def test_error_function_equivalent_to_fidelity(rng):
             assert fp == pytest.approx(1.0, abs=1e-9)
         if fp > 1.0 - 1e-12:
             assert f == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("pdl_transmission", [1.0, 0.8])
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_measure_probe_pair_matches_matrix_oracle(rng, sigma, pdl_transmission):
+    # the scalar probe path against the matrix path: rotation() applied to
+    # each link output, read one probe at a time from a twin polarimeter
+    limit = ins.PiezoController().limit_v
+    worst = 0.0
+    for k in range(300):
+        ch = make_test_channel(
+            rotation=pc.random_rotation(rng),
+            pdl_axis=None if pdl_transmission == 1.0 else random_bloch(rng, pure=True),
+            pdl_transmission=pdl_transmission,
+        )
+        piezo = ins.PiezoController(voltages=rng.uniform(-limit, limit, size=4))
+        pol = ins.Polarimeter(sigma=sigma, rng=np.random.default_rng(k))
+        twin = ins.Polarimeter(sigma=sigma, rng=np.random.default_rng(k))
+        got = st.measure_probe_pair(ch, piezo, pol, ins.ReferenceSwitch())
+        comp = piezo.rotation()
+        want = [twin.read(comp @ chm.transmit_probe(ch, s)) for s in (pc.S_H, pc.S_D)]
+        worst = max(worst, np.abs(np.asarray(got) - np.asarray(want)).max())
+    assert worst <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +134,33 @@ def test_gradient_raises_when_no_probe_fits():
     piezo = ins.PiezoController(voltages=np.array([10.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ins.VoltageOutOfRange):
         st.gradient(ch, piezo, noise_free_polarimeter(), delta_u_v=25.0)
+
+
+def test_gradient_looks_up_error_function_per_probe(monkeypatch):
+    # criterion 06 patches the module-level error_function, so every probe
+    # must go through it: two per channel, and at a channel on its limit the
+    # out-of-range probe is replaced by one probe at the centre
+    probes = []
+
+    def counting_error(ch, piezo, polarimeter, switch=None):
+        probes.append(piezo.voltages.tolist())
+        return 0.0
+
+    monkeypatch.setattr(st, "error_function", counting_error)
+    ch = make_test_channel()
+    interior = [0.5, -0.4, 0.2, 0.1]
+    st.gradient(ch, ins.PiezoController(voltages=np.array(interior)),
+                noise_free_polarimeter(), delta_u_v=0.1)
+    assert len(probes) == 8
+    assert interior not in probes
+
+    probes.clear()
+    at_limit = [10.0, -0.4, 0.2, 0.1]
+    st.gradient(ch, ins.PiezoController(voltages=np.array(at_limit)),
+                noise_free_polarimeter(), delta_u_v=0.1)
+    assert len(probes) == 8
+    assert probes.count(at_limit) == 1
+    assert max(u[0] for u in probes) == 10.0
 
 
 # ---------------------------------------------------------------------------
