@@ -239,6 +239,11 @@ class ChannelState:
         return self.pdl
 
 
+def _as_float(a) -> np.ndarray:
+    """`a` itself when it already is a float array, else np.asarray(a, dtype=float)."""
+    return a if type(a) is np.ndarray and a.dtype.char == "d" else np.asarray(a, dtype=float)
+
+
 def transmit_probe(ch: ChannelState, s_in: np.ndarray) -> np.ndarray:
     """Stokes vector after the link: rotation first, then the loss element.
 
@@ -248,8 +253,8 @@ def transmit_probe(ch: ChannelState, s_in: np.ndarray) -> np.ndarray:
     current loss element and the probe), so no change of the link can be
     served a stale result. The returned array is read-only.
     """
-    s = np.asarray(s_in, dtype=float)
-    rotation = np.asarray(ch.rotation, dtype=float)
+    s = _as_float(s_in)
+    rotation = _as_float(ch.rotation)
     pdl = ch.current_pdl()
     link = (rotation.tobytes(), pdl.gamma_vec.tobytes(), pdl.amplitude_transmission)
     probe = s.tobytes()

@@ -353,4 +353,4 @@ class ReferenceSwitch:
         if which not in ("H", "D"):
             raise ValueError(f"unknown reference polarization {which!r}")
         self.current = which
-        return S_H.copy() if which == "H" else S_D.copy()
+        return S_H if which == "H" else S_D

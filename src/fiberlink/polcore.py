@@ -57,10 +57,14 @@ __all__ = [
     "trace_from_probe_pair",
 ]
 
-# Reference probe polarizations (unit Stokes vectors).
+# Reference probe polarizations (unit Stokes vectors), read-only so that
+# callers can share them without copying.
 S_H = np.array([1.0, 0.0, 0.0])
 S_D = np.array([0.0, 1.0, 0.0])
 S_R = np.array([0.0, 0.0, 1.0])
+for _s in (S_H, S_D, S_R):
+    _s.flags.writeable = False
+del _s
 
 # Pauli triple matching the (s1, s2, s3) axes in the {|H>, |V>} basis.
 PAULI = (

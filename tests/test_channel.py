@@ -204,6 +204,17 @@ def test_transmit_probe_memo_follows_spikes(rng):
     assert np.array_equal(_assert_probes_fresh(ch)[0], quiet[0])
 
 
+def test_transmit_probe_converts_non_float_inputs(rng):
+    r = pc.random_rotation(rng)
+    ch = make_test_channel(rotation=r, pdl_axis=[0, 1, 0], pdl_transmission=0.9)
+    want = chm.transmit_probe(ch, np.array([0.0, 0.0, 1.0]))
+    assert chm.transmit_probe(ch, [0, 0, 1]).tobytes() == want.tobytes()
+    assert chm.transmit_probe(ch, np.array([0, 0, 1])).tobytes() == want.tobytes()
+    ch.rotation = np.eye(3, dtype=int)
+    expected = pc.pdl_apply_bloch(np.array([0.0, 0.0, 1.0]), ch.pdl)
+    assert chm.transmit_probe(ch, [0, 0, 1]).tobytes() == expected.tobytes()
+
+
 def test_transmit_probe_output_is_read_only(rng):
     ch = make_test_channel(rotation=pc.random_rotation(rng))
     out = chm.transmit_probe(ch, pc.S_H)

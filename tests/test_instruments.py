@@ -430,3 +430,13 @@ def test_reference_switch_outputs():
     assert sw.current == "D"
     with pytest.raises(ValueError):
         sw.select("X")
+
+
+def test_reference_switch_shares_read_only_probes():
+    sw = ins.ReferenceSwitch()
+    h, d = sw.select("H"), sw.select("D")
+    assert h is pc.S_H and d is pc.S_D
+    for probe in (h, d, pc.S_R):
+        with pytest.raises(ValueError):
+            probe[0] = 0.5
+    assert np.array_equal(pc.S_H, [1.0, 0.0, 0.0]) and np.array_equal(pc.S_D, [0.0, 1.0, 0.0])
