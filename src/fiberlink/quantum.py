@@ -117,7 +117,10 @@ class SingularDesign(ValueError):
 def check_state(rho: np.ndarray, context: str = "state") -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
-    if not np.allclose(rho, rho.conj().T, atol=1e-10):
+    # np.allclose(rho, h, atol=1e-10)'s own formula at a fraction of its cost;
+    # a nan or inf entry fails here or, at the latest, in eigvalsh below.
+    h = rho.conj().T
+    if not (np.abs(rho - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
         raise ValueError(f"{context}: not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError(f"{context}: trace {np.trace(rho).real} != 1")
@@ -369,13 +372,16 @@ def coincidence_probabilities(rho: np.ndarray) -> dict[tuple[str, str], float]:
 
 
 @functools.lru_cache(maxsize=16)
-def _design_matrix(settings: tuple[tuple[str, str], ...]) -> np.ndarray:
-    """Read-only linear-inversion design matrix of a setting list.
+def _inversion_map(settings: tuple[tuple[str, str], ...]) -> np.ndarray:
+    """Read-only linear map from a setting list's rates to the operator X.
 
-    Row nu holds tr(P_nu B_k) over the Hermitian basis B_k. The matrix is
-    built, and its rank checked, once per distinct setting tuple; a
-    rank-deficient or unknown setting list raises SingularDesign and is
-    never cached, so every call with it raises again.
+    Row nu of the design matrix holds tr(P_nu B_k) over the Hermitian basis
+    B_k; its pseudo-inverse gives the least-squares coefficients of X, and
+    the flattened basis turns them into X's 16 entries, so the map is the
+    complex (16, n) matrix H^T pinv(design). It is built, and the design's
+    rank checked, once per distinct setting tuple; a rank-deficient or
+    unknown setting list raises SingularDesign and is never cached, so every
+    call with it raises again.
     """
     design = np.empty((len(settings), 16))
     for i, (ba, bb) in enumerate(settings):
@@ -383,8 +389,9 @@ def _design_matrix(settings: tuple[tuple[str, str], ...]) -> np.ndarray:
         design[i] = [np.trace(proj @ b).real for b in _HERM_BASIS]
     if np.linalg.matrix_rank(design, tol=1e-10) < 16:
         raise SingularDesign("measurement settings are not informationally complete")
-    design.flags.writeable = False
-    return design
+    inversion = np.stack(_HERM_BASIS).reshape(16, 16).T @ np.linalg.pinv(design)
+    inversion.flags.writeable = False
+    return inversion
 
 
 def tomography_2q(counts) -> np.ndarray:
@@ -393,13 +400,16 @@ def tomography_2q(counts) -> np.ndarray:
     `counts` is a sequence of (basis_a, basis_b, counts) or (basis_a,
     basis_b, counts, integration_s) rows. Counts are converted to rates,
     the unnormalized Hermitian operator X with tr(P_nu X) = rate_nu is
-    solved for by linear inversion, and X is normalized and projected onto
-    the physical cone (eigenvalue clipping). Exact probabilities of any
-    physical state round-trip to that state.
+    solved for by linear inversion (least squares for more than 16
+    settings), and X is normalized and projected onto the physical cone
+    (eigenvalue clipping). Exact probabilities of any physical state
+    round-trip to that state.
 
-    The design matrix depends only on the settings, not on the counts: it
-    is built and rank-checked once per distinct setting tuple and kept in a
-    small bounded, read-only cache (James et al., PRA 64, 052312, 2001).
+    The inversion depends only on the settings, not on the counts: it is
+    one linear map from rates to X, built and rank-checked once per
+    distinct setting tuple and kept in a small bounded, read-only cache, so
+    a call is one matrix-vector product (James et al., PRA 64, 052312,
+    2001).
 
     Raises SingularDesign when the setting list does not span the two-qubit
     operator space.
@@ -407,10 +417,9 @@ def tomography_2q(counts) -> np.ndarray:
     rows = [_count_row(r) for r in counts]
     if len(rows) < 16:
         raise SingularDesign(f"need at least 16 settings, got {len(rows)}")
-    design = _design_matrix(tuple((ba, bb) for ba, bb, _, _ in rows))
+    inversion = _inversion_map(tuple((ba, bb) for ba, bb, _, _ in rows))
     rates = np.array([n / integration for _, _, n, integration in rows])
-    params, *_ = np.linalg.lstsq(design, rates, rcond=None)
-    x = sum(p * b for p, b in zip(params, _HERM_BASIS))
+    x = (inversion @ rates).reshape(4, 4)
     total = float(np.trace(x).real)
     if total <= 0.0:
         # Pathological data (e.g. all-zero counts): fall back to the
@@ -452,7 +461,7 @@ _HERM_BASIS = _hermitian_basis()
 def _project_physical(rho: np.ndarray) -> np.ndarray:
     rho = 0.5 * (rho + rho.conj().T)
     evals, evecs = np.linalg.eigh(rho)
-    evals = np.clip(evals, 0.0, None)
+    evals = np.maximum(evals, 0.0)
     s = evals.sum()
     if s <= 0.0:
         return np.eye(4, dtype=complex) / 4.0

@@ -436,7 +436,7 @@ def test_distribute_entanglement_sampled_counts(tmp_path):
     run_protocol(scn, tmp_path)
     # the Poisson branch of the count table, pinned
     assert sha256_file(tmp_path / "dutycycle.csv") == (
-        "4f1df3aa4de31fa85a2f84ad65691c632491d934a27d2c664b5e5940b411b96a"
+        "256a029a19b4e82cf0e57fd5227bfc89e43b4ab5848f8fc859f3d669c20b13ce"
     )
     lines = (tmp_path / "dutycycle_summary.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -546,7 +546,7 @@ def test_ion_photon_sampled_counts_pinned(tmp_path):
             for name in ("tomo_counts.csv", "ion_photon_summary.json")} == {
         "tomo_counts.csv": "370956220f7f3e02393c91a426a8bfa9f0517c73adce8833c06925ff27b5f380",
         "ion_photon_summary.json":
-            "02a3894bc43488266b30c043db44cf1f0f77ee952c11807b7a07e65160043af8",
+            "c5cad269b5aa63086eb1ada0e1279728158d58ad9a28c6976da570b8898a7cbe",
     }
 
 

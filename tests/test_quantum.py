@@ -242,16 +242,77 @@ def test_design_cache_never_holds_a_singular_design():
                 q.tomography_2q(rows)
 
 
-def test_design_matrix_is_cached_read_only():
+def test_inversion_map_is_cached_read_only():
     settings = q.TOMO_BASES_2Q
-    design = q._design_matrix(settings)
-    assert q._design_matrix(settings) is design
-    assert not design.flags.writeable
+    inversion = q._inversion_map(settings)
+    assert q._inversion_map(settings) is inversion
+    assert inversion.shape == (16, 16) and inversion.dtype == complex
+    assert not inversion.flags.writeable
     with pytest.raises(ValueError):
-        design[0, 0] = 1.0
+        inversion[0, 0] = 1.0
     proj = q._projector_2q("H", "D")
     assert not proj.flags.writeable
     assert np.array_equal(proj, np.kron(q._projector("H"), q._projector("D")))
+
+
+def _lstsq_operator(rows):
+    """Oracle: the per-call least-squares solve the cached inversion map replaced.
+
+    Returns the normalized operator before the physical projection, or None
+    where tomography_2q falls back to I/4.
+    """
+    rows = [q._count_row(r) for r in rows]
+    design = np.array([
+        [np.trace(q._projector_2q(ba, bb) @ b).real for b in q._HERM_BASIS]
+        for ba, bb, _, _ in rows
+    ])
+    rates = np.array([n / integration for _, _, n, integration in rows])
+    params, *_ = np.linalg.lstsq(design, rates, rcond=None)
+    x = sum(p * b for p, b in zip(params, q._HERM_BASIS))
+    total = float(np.trace(x).real)
+    return None if total <= 0.0 else x / total
+
+
+def _noisy_pair_state(rng):
+    """Bell pair with white noise p in [0, 0.3] through a Haar-random arm-B unitary."""
+    rho = q.spdc_state(q.SpdcSource(noise_p=rng.uniform(0.0, 0.3)))
+    u = np.kron(np.eye(2), pc.su2_of_rotation(pc.random_rotation(rng)))
+    return u @ rho @ u.conj().T
+
+
+def test_tomography_matches_lstsq_oracle(rng):
+    zero_tables = clipped_tables = 0
+    for k in range(90):
+        rho = _noisy_pair_state(rng)
+        mean = (20.0, 200.0, 2000.0)[k % 3]
+        probs = q.coincidence_probabilities(rho)
+        if k % 9 == 4:
+            # Unequal integration times: counts scale with each setting's time.
+            rows = [
+                (a, b, float(rng.poisson(4 * mean * p * (1 + i % 3))), 1.0 + i % 3)
+                for i, ((a, b), p) in enumerate(probs.items())
+            ]
+        elif k % 9 == 7:
+            # Over-complete: the 16 settings twice, each with its own draw.
+            rows = [
+                (a, b, float(rng.poisson(4 * mean * p)))
+                for _ in range(2) for (a, b), p in probs.items()
+            ]
+        else:
+            rows = [(a, b, float(rng.poisson(4 * mean * p))) for (a, b), p in probs.items()]
+        if k % 5 == 0:
+            # Settings that saw nothing (a blocked detector, a lost window).
+            for i in rng.choice(16, size=2, replace=False):
+                rows[i] = rows[i][:2] + (0.0,) + rows[i][3:]
+        zero_tables += any(r[2] == 0.0 for r in rows)
+        xn = _lstsq_operator(rows)
+        assert xn is not None
+        clipped_tables += np.linalg.eigvalsh(0.5 * (xn + xn.conj().T)).min() < 0.0
+        want = q._project_physical(xn)
+        got = q.tomography_2q(rows)
+        assert np.abs(got - want).max() <= 1e-12
+    assert zero_tables >= 15 and clipped_tables >= 40
+    assert q._inversion_map(tuple(q.TOMO_BASES_2Q) * 2).shape == (16, 32)
 
 
 def test_tomography_row_order_and_repeat_calls(rng):
@@ -267,7 +328,7 @@ def test_tomography_row_order_and_repeat_calls(rng):
 def test_tomography_all_zero_counts_falls_back_to_mixed():
     rows = [(a, b, 0.0) for a, b in q.TOMO_BASES_2Q]
     rec = q.tomography_2q(rows)
-    assert np.allclose(rec, np.eye(4) / 4.0, atol=1e-12)
+    assert np.array_equal(rec, np.eye(4, dtype=complex) / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +504,47 @@ def test_check_state_validation():
     bad[0, 1] = 0.3
     with pytest.raises(ValueError):
         q.check_state(bad)
+
+
+def test_check_state_hermiticity_matches_allclose():
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(2000):
+        # A state near I/4 whose off-diagonal sizes put rtol * |entry|
+        # (1e-12 to 1e-9) around atol, then a perturbation around the edge;
+        # the real diagonal is left alone so that the trace stays exactly 1.
+        off = np.triu(10.0 ** rng.uniform(-7.0, -4.0, size=(4, 4))
+                      * np.exp(2j * np.pi * rng.random((4, 4))), 1)
+        base = np.eye(4) / 4.0 + off + off.conj().T
+        scale = 10.0 ** rng.uniform(-11.0, -9.0)
+        pert = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        rho = base + pert - np.diag(np.diag(pert).real)
+        hermitian = np.allclose(rho, rho.conj().T, atol=1e-10)
+        verdicts.append(hermitian)
+        try:
+            q.check_state(rho)
+            passed = True
+        except ValueError as exc:
+            assert "not Hermitian" in str(exc)
+            passed = False
+        assert passed == hermitian
+    assert 200 <= sum(verdicts) <= 1800
+
+
+@pytest.mark.parametrize("entries", [
+    {(2, 3): np.nan},
+    {(1, 1): np.nan},
+    {(0, 0): np.inf},
+    {(0, 1): np.inf, (1, 0): np.inf},
+    {(0, 1): complex(np.inf, np.inf), (1, 0): complex(np.inf, -np.inf)},
+    {(0, 1): complex(np.inf, np.inf), (1, 0): complex(np.inf, 1.0)},
+])
+def test_check_state_rejects_non_finite_entries(entries):
+    rho = np.eye(4, dtype=complex) / 4.0
+    for ij, value in entries.items():
+        rho[ij] = value
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        q.check_state(rho)
 
 
 def test_purity_and_fidelity():
