@@ -57,8 +57,7 @@ __all__ = [
     "trace_from_probe_pair",
 ]
 
-# Reference probe polarizations (unit Stokes vectors), read-only so that
-# callers can share them without copying.
+# Reference probe polarizations (unit Stokes vectors), shared read-only.
 S_H = np.array([1.0, 0.0, 0.0])
 S_D = np.array([0.0, 1.0, 0.0])
 S_R = np.array([0.0, 0.0, 1.0])

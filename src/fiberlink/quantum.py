@@ -117,8 +117,7 @@ class SingularDesign(ValueError):
 def check_state(rho: np.ndarray, context: str = "state") -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
-    # np.allclose(rho, h, atol=1e-10)'s own formula at a fraction of its cost;
-    # a nan or inf entry fails here or, at the latest, in eigvalsh below.
+    # np.allclose(rho, h, atol=1e-10)'s formula; nan or inf fail here or in eigvalsh.
     h = rho.conj().T
     if not (np.abs(rho - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
         raise ValueError(f"{context}: not Hermitian")
@@ -373,15 +372,13 @@ def coincidence_probabilities(rho: np.ndarray) -> dict[tuple[str, str], float]:
 
 @functools.lru_cache(maxsize=16)
 def _inversion_map(settings: tuple[tuple[str, str], ...]) -> np.ndarray:
-    """Read-only linear map from a setting list's rates to the operator X.
+    """Read-only map from a setting list's rates to the 16 entries of X.
 
     Row nu of the design matrix holds tr(P_nu B_k) over the Hermitian basis
-    B_k; its pseudo-inverse gives the least-squares coefficients of X, and
-    the flattened basis turns them into X's 16 entries, so the map is the
-    complex (16, n) matrix H^T pinv(design). It is built, and the design's
-    rank checked, once per distinct setting tuple; a rank-deficient or
-    unknown setting list raises SingularDesign and is never cached, so every
-    call with it raises again.
+    B_k; the map is H^T pinv(design), H the flattened basis. It is built,
+    and the design's rank checked, once per distinct setting tuple; a
+    rank-deficient or unknown setting list raises SingularDesign and is
+    never cached, so every call with it raises again.
     """
     design = np.empty((len(settings), 16))
     for i, (ba, bb) in enumerate(settings):
@@ -400,16 +397,14 @@ def tomography_2q(counts) -> np.ndarray:
     `counts` is a sequence of (basis_a, basis_b, counts) or (basis_a,
     basis_b, counts, integration_s) rows. Counts are converted to rates,
     the unnormalized Hermitian operator X with tr(P_nu X) = rate_nu is
-    solved for by linear inversion (least squares for more than 16
-    settings), and X is normalized and projected onto the physical cone
-    (eigenvalue clipping). Exact probabilities of any physical state
-    round-trip to that state.
+    solved for by linear inversion, and X is normalized and projected onto
+    the physical cone (eigenvalue clipping). Exact probabilities of any
+    physical state round-trip to that state.
 
-    The inversion depends only on the settings, not on the counts: it is
-    one linear map from rates to X, built and rank-checked once per
-    distinct setting tuple and kept in a small bounded, read-only cache, so
-    a call is one matrix-vector product (James et al., PRA 64, 052312,
-    2001).
+    The inversion depends only on the settings, not on the counts: one
+    linear map from rates to X is built and rank-checked once per distinct
+    setting tuple and kept in a small bounded, read-only cache, so a call
+    is one matrix-vector product (James et al., PRA 64, 052312, 2001).
 
     Raises SingularDesign when the setting list does not span the two-qubit
     operator space.
