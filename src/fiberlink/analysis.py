@@ -75,9 +75,10 @@ def quantile_surface(
     The q-curve value at a given tau is the fidelity f such that a fraction
     q of the samples at that tau lies at or above f, i.e. the (1-q) quantile
     of the per-bin empirical distribution. Bins with fewer samples than
-    min_samples_per_bin are kept but flagged in `warnings`.
+    min_samples_per_bin are kept but flagged in `warnings`. `samples` is a
+    sequence of (tau, fidelity) pairs or an (m, 2) array.
     """
-    samples = np.asarray(list(samples), dtype=float)
+    samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("no samples")
     taus = np.unique(samples[:, 0])

@@ -31,13 +31,10 @@ __all__ = [
     "EmptySeries",
     "PdlSpikeProcess",
     "doppler_delay_step",
-    "doppler_shift_from_path_rate",
     "sample_background",
     "temperature_delay_prediction",
     "total_loss_db",
 ]
-
-SPEED_OF_LIGHT = 299792458.0  # m/s
 
 # Diffusion-rate defaults (rad^2/s), calibrated so the night-regime
 # 99 %-quantile process-fidelity curve stays above 0.99 for at least 60 s
@@ -148,11 +145,6 @@ def doppler_delay_step(m: DelayDriftModel, delta_nu_d_hz: float) -> float:
     return delta_nu_d_hz / (2.0 * m.nu0_hz) * m.gate_time_s
 
 
-def doppler_shift_from_path_rate(m: DelayDriftModel, dnl_dt_m_per_s: float) -> float:
-    """Doppler shift 2 (d nL/dt) nu0 / c of the retro-reflected carrier, Hz."""
-    return 2.0 * dnl_dt_m_per_s * m.nu0_hz / SPEED_OF_LIGHT
-
-
 def temperature_delay_prediction(
     m: DelayDriftModel,
     temp_series: list[tuple[float, float]],
@@ -224,6 +216,60 @@ class ChannelState:
         self.clock_s += dt
         if self.spikes.rate_per_s > 0.0:
             self._maybe_spike(dt)
+
+    def walk(self, dt: float, n: int) -> list[np.ndarray]:
+        """Advance by n steps of dt and return the rotation after each step.
+
+        Bit-identical to n `advance(dt)` calls: the same rotations, clock and
+        generator state afterwards. The steps' axes and angles come from one
+        (n, 4) normal draw, which is the stream the per-step axis and angle
+        draws take, and their Rodrigues matrices are built as one stack.
+        Whenever a step would not draw exactly four normals (spikes on, a
+        zero rate, an axis too short to normalize) the walk runs `advance`.
+        """
+        if dt <= 0.0:
+            raise ValueError("dt must be > 0")
+        sigmas = []
+        clock = self.clock_s
+        for _ in range(n):
+            rate = self.day_rate if self.schedule.is_day(clock) else self.night_rate
+            sigmas.append(math.sqrt(2.0 * rate * dt))
+            clock += dt
+        if self.spikes.rate_per_s > 0.0 or 0.0 in sigmas:
+            return self._advance_each(dt, n)
+        state = self.rng.bit_generator.state
+        z = self.rng.standard_normal((n, 4))
+        # the norms as `_random_axis` and `rotation_about` take them, which
+        # normalize the axis once each
+        norms = [math.sqrt(v @ v) for v in z[:, :3]]
+        if min(norms, default=1.0) < 1e-12:
+            self.rng.bit_generator.state = state
+            return self._advance_each(dt, n)
+        a = z[:, :3] / np.array(norms)[:, None]
+        a = a / np.array([math.sqrt(v @ v) for v in a])[:, None]
+        angles = [0.0 + s * x for s, x in zip(sigmas, z[:, 3].tolist())]
+        sin = np.array([math.sin(t) for t in angles])[:, None, None]
+        one_minus_cos = np.array([1.0 - math.cos(t) for t in angles])[:, None, None]
+        k = np.zeros((n, 3, 3))
+        k[:, 0, 1], k[:, 0, 2] = -a[:, 2], a[:, 1]
+        k[:, 1, 0], k[:, 1, 2] = a[:, 2], -a[:, 0]
+        k[:, 2, 0], k[:, 2, 1] = -a[:, 1], a[:, 0]
+        steps = np.eye(3) + sin * k + one_minus_cos * (k @ k)
+        m = self.rotation
+        rotations = []
+        for r in steps:
+            m = r @ m
+            rotations.append(m)
+        self.rotation = m
+        self.clock_s = clock
+        return rotations
+
+    def _advance_each(self, dt: float, n: int) -> list[np.ndarray]:
+        rotations = []
+        for _ in range(n):
+            self.advance(dt)
+            rotations.append(self.rotation)
+        return rotations
 
     def _maybe_spike(self, dt: float) -> None:
         if self.rng.random() < 1.0 - math.exp(-self.spikes.rate_per_s * dt):

@@ -29,7 +29,7 @@ from . import seeding
 from .channel import ChannelState, DaySchedule, PdlSpikeProcess
 from .instruments import PiezoController, Polarimeter, ReferenceSwitch
 from .polcore import PdlElement
-from .protocols import PROTOCOLS
+from .protocols import PROTOCOLS, drift_lag
 from .quantum import BASIS_KETS, IonMemory, SpdcSource
 from .stabilizer import StabilizerConfig
 
@@ -314,6 +314,38 @@ def _find_line(text: str, section: str, key: str) -> int | None:
     return None
 
 
+def _drift_lag_issues(text: str, values) -> list[Issue]:
+    """Each tau_grid_s entry must be > 0 and give its own lag, in trace
+    periods, that the run's int(total_s / trace_period_s) periods cover."""
+    total = values.get(("protocol", "total_s"))
+    period = values.get(("protocol", "trace_period_s"))
+    taus = values.get(("protocol", "tau_grid_s"))
+    if None in (total, period, taus):
+        return []
+    longest = int(total / period)
+    if longest < min(drift_lag(tau, period) for tau in taus):
+        return [Issue("protocol", "total_s",
+                      "too short for every tau_grid_s lag at this trace_period_s",
+                      _find_line(text, "protocol", "total_s"))]
+    line = _find_line(text, "protocol", "tau_grid_s")
+    issues = []
+    seen: dict[int, float] = {}
+    for tau in taus:
+        lag = drift_lag(tau, period)
+        if tau <= 0.0:
+            message = f"entry {tau:g} must be > 0"
+        elif lag > longest:
+            message = (f"entry {tau:g} is a lag of {lag} trace periods; total_s covers "
+                       f"{longest}")
+        elif lag in seen:
+            message = f"entries {seen[lag]:g} and {tau:g} both round to a lag of {lag} trace periods"
+        else:
+            seen[lag] = tau
+            continue
+        issues.append(Issue("protocol", "tau_grid_s", message, line))
+    return issues
+
+
 def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
     parser = ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (all lower case)
@@ -385,16 +417,7 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
                 )
 
     if protocol == "drift-characterize":
-        total = values.get(("protocol", "total_s"))
-        period = values.get(("protocol", "trace_period_s"))
-        taus = values.get(("protocol", "tau_grid_s"))
-        # the runner's sample count and shortest lag, in trace periods
-        if None not in (total, period, taus) and int(total / period) < max(1, round(min(taus) / period)):
-            issues.append(
-                Issue("protocol", "total_s",
-                      "too short for every tau_grid_s lag at this trace_period_s",
-                      _find_line(text, "protocol", "total_s"))
-            )
+        issues += _drift_lag_issues(text, values)
     if (protocol == "distribute-entanglement" and values.get(("protocol", "counts_per_basis")) == 0.0
             and values.get(("source", "pair_rate_per_s")) == 0.0):
         issues.append(

@@ -17,27 +17,23 @@ __all__ = [
     "write_csv",
     "write_json",
     "matrix_payload",
-    "matrix_from_payload",
     "read_csv_rows",
     "sha256_file",
 ]
 
 
-def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def write_csv(path, header, rows) -> Path:
+    """Write header and rows; a float cell is written as repr(float(x)).
+
+    The csv module writes a Python float with `repr` and any other cell
+    with `str`, which for a numpy float64 is repr(float(x)) and for an int
+    or numpy integer its decimal digits.
+    """
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(rows)
     return path
 
 
@@ -70,12 +66,6 @@ def matrix_payload(m: np.ndarray) -> dict:
         "shape": list(m.shape),
         "data": [[float(x.real), float(x.imag)] for x in m.reshape(-1)],
     }
-
-
-def matrix_from_payload(payload: dict) -> np.ndarray:
-    """Inverse of `matrix_payload`."""
-    flat = np.array([re + 1.0j * im for re, im in payload["data"]])
-    return flat.reshape(tuple(payload["shape"]))
 
 
 def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:

@@ -48,11 +48,11 @@ def run_pdl_characterize(scn: Scenario, out: Path) -> list[Path]:
     tot = 2.0 * link + det
 
     mean_db, sigma_db = analysis.pdl_statistics(tot, det_campaign)
-    bounds = [polcore.pdl_fidelity_bound(10.0 ** (-l / 20.0)) for l in link]
+    bounds = [polcore.pdl_fidelity_bound(10.0 ** (-l / 20.0)) for l in link.tolist()]
 
     rows = [
-        (i, i * period, tot[i], det_campaign[i], bounds[i])
-        for i in range(n)
+        (i, i * period, *cells)
+        for i, cells in enumerate(zip(tot.tolist(), det_campaign.tolist(), bounds))
     ]
     files = [
         write_csv(
@@ -78,6 +78,11 @@ def run_pdl_characterize(scn: Scenario, out: Path) -> list[Path]:
 # drift-characterize
 # ---------------------------------------------------------------------------
 
+def drift_lag(tau: float, period: float) -> int:
+    """The lag in trace periods at which drift-characterize samples tau."""
+    return max(1, round(tau / period))
+
+
 def run_drift_characterize(scn: Scenario, out: Path) -> list[Path]:
     total = scn.protocol_value("total_s")
     period = scn.protocol_value("trace_period_s")
@@ -85,24 +90,22 @@ def run_drift_characterize(scn: Scenario, out: Path) -> list[Path]:
     ch = scn.make_channel()
 
     n_points = int(total / period) + 1
-    rotations = [ch.rotation]
-    for _ in range(n_points - 1):
-        ch.advance(period)
-        rotations.append(ch.rotation)
+    rotations = np.array([ch.rotation, *ch.walk(period, n_points - 1)])
+    trace_rows = [
+        (i * period, *h, *d)
+        for i, (h, d) in enumerate(zip((rotations @ polcore.S_H).tolist(),
+                                       (rotations @ polcore.S_D).tolist()))
+    ]
 
-    trace_rows = []
-    for i, m in enumerate(rotations):
-        s1 = m @ polcore.S_H
-        s2 = m @ polcore.S_D
-        trace_rows.append((i * period, *s1, *s2))
-
+    # (tau, fidelity) per pair of rotations `lag` periods apart: the
+    # process fidelity (1 + tr(R_{i+lag} R_i^T)) / 4 of the relative rotation
     samples = []
     for tau in tau_grid:
-        lag = max(1, round(tau / period))
-        for i in range(len(rotations) - lag):
-            rel = rotations[i + lag] @ rotations[i].T
-            samples.append((lag * period, polcore.process_fidelity(rel)))
-    surface = analysis.quantile_surface(samples)
+        lag = drift_lag(tau, period)
+        rel = rotations[lag:] @ rotations[:-lag].transpose(0, 2, 1)
+        fids = (1.0 + np.trace(rel, axis1=1, axis2=2)) / 4.0
+        samples.append(np.column_stack((np.full(fids.size, lag * period), fids)))
+    surface = analysis.quantile_surface(np.concatenate(samples))
 
     files = [
         write_csv(
@@ -483,16 +486,16 @@ def run_delay_drift(scn: Scenario, out: Path) -> list[Path]:
     )
     temp_observed = temp_actual + rng.normal(0.0, temp_noise, size=n)
 
-    predicted = chmod.temperature_delay_prediction(model, list(zip(t, temp_observed)))
-    true_delay = chmod.temperature_delay_prediction(model, list(zip(t, temp_actual)))
-    measured = [
-        (ti, d + rng.normal(0.0, meas_noise)) for (ti, d) in true_delay
-    ]
+    times, observed = t.tolist(), temp_observed.tolist()
+    predicted = chmod.temperature_delay_prediction(model, list(zip(times, observed)))
+    true_delay = chmod.temperature_delay_prediction(model, list(zip(times, temp_actual.tolist())))
+    noise = rng.normal(0.0, meas_noise, size=n).tolist()
+    measured = [(ti, d + e) for (ti, d), e in zip(true_delay, noise)]
 
     r, rms = analysis.delay_correlation(measured, predicted)
     rows = [
-        (t[i], temp_observed[i], predicted[i][1], measured[i][1])
-        for i in range(n)
+        (ti, temp, p, m)
+        for ti, temp, (_, p), (_, m) in zip(times, observed, predicted, measured)
     ]
     return [
         write_csv(

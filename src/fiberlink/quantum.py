@@ -357,17 +357,23 @@ def _projector_2q(ba: str, bb: str) -> np.ndarray:
     return proj
 
 
+@functools.lru_cache(maxsize=1)
+def _tomo_projectors() -> np.ndarray:
+    """Read-only (16, 4, 4) stack of the projectors of TOMO_BASES_2Q."""
+    stack = np.stack([_projector_2q(ba, bb) for ba, bb in TOMO_BASES_2Q])
+    stack.flags.writeable = False
+    return stack
+
+
 def coincidence_probabilities(rho: np.ndarray) -> dict[tuple[str, str], float]:
     """Forward model: coincidence probability per setting of TOMO_BASES_2Q.
 
-    The 4x4 projector of each setting comes from a small read-only table
-    filled on first use, so repeated calls do no `np.kron` work.
+    The 16 projectors are one read-only stack built on first use, so a call
+    is one stacked product and one stacked trace.
     """
     rho = np.asarray(rho, dtype=complex)
-    out = {}
-    for ba, bb in TOMO_BASES_2Q:
-        out[(ba, bb)] = float(np.trace(_projector_2q(ba, bb) @ rho).real)
-    return out
+    probs = np.trace(_tomo_projectors() @ rho, axis1=1, axis2=2).real.tolist()
+    return dict(zip(TOMO_BASES_2Q, probs))
 
 
 @functools.lru_cache(maxsize=16)

@@ -35,6 +35,117 @@ def test_negative_rate_is_rejected(rng, rates):
         chm.ChannelState(rng=rng, day_rate=rates[0], night_rate=rates[1])
 
 
+class _ScriptedNormals:
+    """Generator stand-in: serves `head` as its first standard normals, then
+    those of a seeded generator. Its `bit_generator.state` covers both."""
+
+    def __init__(self, seed, head):
+        self._rng = np.random.default_rng(seed)
+        self._head = list(head)
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self._rng.bit_generator.state, list(self._head)
+
+    @state.setter
+    def state(self, value):
+        self._rng.bit_generator.state, self._head = value[0], list(value[1])
+
+    def standard_normal(self, size):
+        n = int(np.prod(size))
+        head, self._head = self._head[:n], self._head[n:]
+        rest = self._rng.standard_normal(n - len(head))
+        return np.concatenate([np.array(head, dtype=float), rest]).reshape(size)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        z = self.standard_normal(1 if size is None else size)
+        return loc + scale * (z[0] if size is None else z)
+
+    def random(self):
+        return self._rng.random()
+
+
+def _walk_and_advance(make_rng, n, dt=10.0, **kw):
+    """(rotations, clock, next draw) of n `advance(dt)` calls and of `walk`."""
+    results = []
+    for step in ("advance", "walk"):
+        ch = chm.ChannelState(rng=make_rng(), **kw)
+        if step == "walk":
+            rotations = ch.walk(dt, n)
+        else:
+            rotations = []
+            for _ in range(n):
+                ch.advance(dt)
+                rotations.append(ch.rotation)
+        results.append((np.array(rotations), ch.clock_s, ch.rng.standard_normal(4)))
+    return results
+
+
+def _assert_bit_equal(results):
+    (rot_a, clock_a, next_a), (rot_w, clock_w, next_w) = results
+    assert rot_a.shape == rot_w.shape
+    assert np.array_equal(rot_a, rot_w)
+    assert clock_a == clock_w
+    assert np.array_equal(next_a, next_w)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 52101, 20260810])
+def test_walk_matches_advance_bit_for_bit(seed, monkeypatch):
+    kw = dict(rotation=pc.random_rotation(np.random.default_rng(seed + 1)), day_rate=3e-6)
+    reference = _walk_and_advance(lambda: np.random.default_rng(seed), 400, **kw)
+    _assert_bit_equal(reference)
+
+    def no_advance(self, dt):
+        raise AssertionError("walk stepped through advance")
+
+    monkeypatch.setattr(chm.ChannelState, "advance", no_advance)
+    ch = chm.ChannelState(rng=np.random.default_rng(seed), **kw)
+    assert np.array_equal(np.array(ch.walk(10.0, 400)), reference[1][0])
+    assert ch.walk(10.0, 0) == [] and ch.clock_s == 4000.0
+
+
+def test_walk_crosses_day_and_night():
+    # 07:20 to 18:10 in 50 s steps: night, the 07:30 switch, day, the 18:00 switch
+    day = chm.DaySchedule()
+    results = _walk_and_advance(lambda: np.random.default_rng(3), 780, dt=50.0,
+                                clock_s=day.day_start_s - 600.0, day_rate=2e-5)
+    rates = {day.is_day(day.day_start_s - 600.0 + 50.0 * k) for k in range(780)}
+    assert rates == {True, False}
+    _assert_bit_equal(results)
+
+
+def test_walk_with_zero_night_rate():
+    day = chm.DaySchedule()
+    results = _walk_and_advance(lambda: np.random.default_rng(4), 40, dt=60.0,
+                                clock_s=day.day_start_s - 1200.0, night_rate=0.0)
+    rotations = results[0][0]
+    assert np.array_equal(rotations[0], np.eye(3))  # still night
+    assert not np.array_equal(rotations[-1], np.eye(3))
+    _assert_bit_equal(results)
+
+
+def test_walk_with_spikes_on():
+    results = _walk_and_advance(lambda: np.random.default_rng(5), 200, dt=1.0,
+                                spikes=chm.PdlSpikeProcess(rate_per_s=0.05))
+    _assert_bit_equal(results)
+
+
+@pytest.mark.parametrize("row", [0, 6])
+def test_walk_with_near_zero_axis(row):
+    # step `row`'s axis draw is (1e-13, 0, 0): too short, so it is redrawn
+    head = np.random.default_rng(9).standard_normal(4 * row).tolist() + [1e-13, 0.0, 0.0]
+    results = _walk_and_advance(lambda: _ScriptedNormals(6, head), 12)
+    _assert_bit_equal(results)
+
+
+def test_walk_requires_positive_dt(rng):
+    ch = chm.ChannelState(rng=rng)
+    for dt in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            ch.walk(dt, 3)
+
+
 def test_drift_is_deterministic_given_seed():
     def run(seed):
         ch = chm.ChannelState(rng=np.random.default_rng(seed), day_rate=1e-5, night_rate=1e-5)
@@ -342,6 +453,14 @@ def test_doppler_delay_step_example():
     assert chm.doppler_delay_step(m, 100.0) == pytest.approx(2.50e-15, abs=1e-17)
 
 
+SPEED_OF_LIGHT = 299792458.0  # m/s
+
+
+def _doppler_shift_from_path_rate(m, dnl_dt_m_per_s):
+    """Doppler shift 2 (d nL/dt) nu0 / c of the retro-reflected carrier, Hz."""
+    return 2.0 * dnl_dt_m_per_s * m.nu0_hz / SPEED_OF_LIGHT
+
+
 def test_doppler_integration_recovers_path_change(rng):
     # synthesize a path-length rate profile; integrating the per-gate delays
     # must recover the total delay Delta(nL)/c
@@ -351,9 +470,9 @@ def test_doppler_integration_recovers_path_change(rng):
     rates = 1e-4 * np.sin(np.linspace(0, 4 * math.pi, n)) + rng.normal(0, 1e-6, n)
     total = 0.0
     for dnl_dt in rates:
-        dnu = chm.doppler_shift_from_path_rate(m, dnl_dt)
+        dnu = _doppler_shift_from_path_rate(m, dnl_dt)
         total += chm.doppler_delay_step(m, dnu)
-    expected = np.sum(rates) * t_gate / chm.SPEED_OF_LIGHT
+    expected = np.sum(rates) * t_gate / SPEED_OF_LIGHT
     assert total == pytest.approx(expected, rel=1e-6)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fiberlink import cli, config, seeding
-from fiberlink.output import sha256_file
+from fiberlink.output import read_csv_rows, sha256_file
 from fiberlink.protocols import PROTOCOLS, run_protocol
 
 
@@ -133,6 +134,44 @@ def test_validate_rejects_what_run_would_crash_on(tmp_path, capsys, head, sectio
     err = capsys.readouterr().err
     assert "Traceback" not in err and key in err
     assert not (out / "manifest.json").exists()
+
+
+# tau_grid_s entries the drift-characterize runner would drop or count twice
+_DRIFT = "[scenario]\nprotocol = drift-characterize\n[protocol]\n"
+
+
+@pytest.mark.parametrize("lines, messages", [
+    # lag 40 > 100 s / 10 s: the 400 s row went missing without a word
+    ("total_s = 100\ntau_grid_s = 10,20,400", ["entry 400 is a lag of 40 trace periods"]),
+    ("tau_grid_s = -10,10", ["entry -10 must be > 0"]),
+    ("tau_grid_s = 0,20", ["entry 0 must be > 0"]),
+    # 10 s and 12 s are both lag 1: the lag-1 samples were counted twice
+    ("tau_grid_s = 10,12", ["entries 10 and 12 both round to a lag of 1"]),
+    ("total_s = 4000\ntau_grid_s = -10,10,12",
+     ["entry -10 must be > 0", "entries 10 and 12 both round to a lag of 1"]),
+], ids=["lag_beyond_total", "negative", "zero", "same_lag", "issue_reproducer"])
+def test_validate_rejects_tau_grid_the_run_would_drop_or_repeat(tmp_path, capsys, lines, messages):
+    path = tmp_path / "bad.ini"
+    text = _DRIFT + lines + "\n"
+    path.write_text(text)
+    issues = config.validate_file(path)
+    line = next(i for i, t in enumerate(text.splitlines(), 1) if t.startswith("tau_grid_s"))
+    assert [(i.section, i.key, i.line) for i in issues] == [("protocol", "tau_grid_s", line)] * len(messages)
+    for issue, message in zip(issues, messages):
+        assert issue.message.startswith(message)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_validate_accepts_every_tau_grid_lag_the_run_covers(tmp_path):
+    path = tmp_path / "ok.ini"
+    path.write_text(_DRIFT + "total_s = 100\ntau_grid_s = 4,20,100\n")
+    assert config.validate_file(path) == []
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    _, rows = read_csv_rows(tmp_path / "out" / "quantile_curves.csv")
+    assert [float(r[0]) for r in rows] == [10.0, 20.0, 100.0]
 
 
 # Candidate values per key: edges of the bounds in `config._FIELDS`, one
@@ -399,11 +438,44 @@ def test_analysis_consumes_runner_outputs(tmp_path):
     assert r_coeff == pytest.approx(summary["pearson_r"], abs=1e-12)
 
 
+def _matrix_from_payload(payload):
+    """Inverse of `matrix_payload`."""
+    flat = np.array([re + 1.0j * im for re, im in payload["data"]])
+    return flat.reshape(tuple(payload["shape"]))
+
+
 def test_matrix_payload_round_trip(rng):
-    from fiberlink.output import matrix_from_payload, matrix_payload
+    from fiberlink.output import matrix_payload
 
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.allclose(matrix_from_payload(matrix_payload(m)), m, atol=1e-15)
+    assert np.allclose(_matrix_from_payload(matrix_payload(m)), m, atol=1e-15)
+
+
+def _old_fmt(value):
+    """The per-cell formatter `write_csv` used before it handed rows to csv.writer."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def test_write_csv_cells_match_repr_contract(tmp_path, rng):
+    from fiberlink.output import write_csv
+
+    specials = [1e16, 1e-5, -0.0, 0.0, 5e-324, -5e-324, float("nan"), float("inf"),
+                float("-inf"), 0.1, 1e22, 1.7976931348623157e308, 2.2250738585072014e-308]
+    floats = specials + rng.normal(size=200).tolist() + (10.0 ** rng.uniform(-320, 308, 400)).tolist()
+    ints = [0, -1, 7, 2**63 - 1, -(2**63), 10**30]
+    rows = [(x, np.float64(x), -x, np.float64(-x)) for x in floats]
+    rows += [(i, np.int64(i) if abs(i) < 2**63 else i, "H", "label, with comma") for i in ints]
+    path = write_csv(tmp_path / "cells.csv", ("a", "b", "c", "d"), rows)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("a", "b", "c", "d"))
+    for row in rows:
+        writer.writerow([_old_fmt(x) for x in row])
+    assert path.read_text() == expected.getvalue()
 
 
 SAMPLED_PPE = """

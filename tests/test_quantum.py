@@ -255,6 +255,20 @@ def test_inversion_map_is_cached_read_only():
     assert np.array_equal(proj, np.kron(q._projector("H"), q._projector("D")))
 
 
+def test_coincidence_probabilities_match_per_setting_oracle(rng):
+    # the per-setting trace the stacked product replaced, bit for bit
+    states = [random_mixed_state_2q(rng) for _ in range(300)]
+    states += [q.spdc_state(q.SpdcSource()), np.eye(4) / 4.0]
+    for rho in states:
+        probs = q.coincidence_probabilities(rho)
+        assert list(probs) == list(q.TOMO_BASES_2Q)
+        for (ba, bb), p in probs.items():
+            assert type(p) is float
+            assert p == float(np.trace(q._projector_2q(ba, bb) @ rho).real)
+    stack = q._tomo_projectors()
+    assert q._tomo_projectors() is stack and not stack.flags.writeable
+
+
 def _lstsq_operator(rows):
     """Oracle: the per-call least-squares solve the cached inversion map replaced.
 
