@@ -22,7 +22,7 @@ from .output import matrix_payload, write_csv, write_json
 if TYPE_CHECKING:
     from .config import Scenario
 
-__all__ = ["PROTOCOLS", "Protocol", "ProtocolFailed", "run_protocol", "RUNNERS"]
+__all__ = ["PROTOCOLS", "Protocol", "ProtocolFailed", "drift_lag", "run_protocol", "RUNNERS"]
 
 
 class ProtocolFailed(RuntimeError):
