@@ -2,8 +2,8 @@
 
 Batch functions turning raw simulation or measurement series into
 figure-ready tables: free-drift fidelity quantile surfaces, loss-statistics
-estimation for the looped-fiber measurement, exponential wave-packet fits,
-and temperature/delay correlation.
+estimation for the looped-fiber measurement, and temperature/delay
+correlation.
 """
 
 from __future__ import annotations
@@ -18,22 +18,15 @@ from .output import write_csv
 
 __all__ = [
     "EmptyOverlap",
-    "FitDiverged",
     "QuantileSurface",
-    "WavePacketFit",
     "delay_correlation",
     "pdl_statistics",
     "quantile_surface",
-    "wavepacket_fit",
     "write_quantile_surface_csv",
 ]
 
 DEFAULT_QUANTILES = (0.90, 0.99, 0.999)
 FIDELITY_BINS = 60
-
-
-class FitDiverged(ValueError):
-    """Wave-packet fit failed (too few usable bins or non-decaying flank)."""
 
 
 class EmptyOverlap(ValueError):
@@ -149,69 +142,6 @@ def pdl_statistics(samples_db, detection_db) -> tuple[float, float]:
     s_det = det.std(ddof=1) if det.size > 1 else 0.0
     sigma = math.sqrt(s_tot**2 + s_det**2) / 2.0
     return float(mean), float(sigma)
-
-
-@dataclass(frozen=True)
-class WavePacketFit:
-    """Exponential decay fit of an arrival-time correlation histogram."""
-
-    decay_ns: float
-    amplitude: float
-    window_ns: tuple[float, float]
-    residual_norm: float
-    n_bins: int
-
-
-def wavepacket_fit(
-    bins_ns,
-    counts,
-    flank_floor_fraction: float = 0.05,
-) -> WavePacketFit:
-    """Fit the decaying flank of a wave packet with A * exp(-t / tau).
-
-    The flank runs from the histogram peak to the first bin below
-    flank_floor_fraction of the peak. The fit is linear in the log domain
-    with per-bin weights equal to the counts (Poisson weighting).
-    """
-    t = np.asarray(list(bins_ns), dtype=float)
-    n = np.asarray(list(counts), dtype=float)
-    if t.size != n.size or t.size == 0:
-        raise FitDiverged("histogram is empty or misaligned")
-    peak = int(np.argmax(n))
-    floor = flank_floor_fraction * n[peak]
-    end = t.size
-    for i in range(peak, t.size):
-        if n[i] < floor:
-            end = i
-            break
-    tt = t[peak:end]
-    nn = n[peak:end]
-    usable = nn > 0
-    if usable.sum() < 10:
-        raise FitDiverged(f"only {int(usable.sum())} usable bins above the noise floor")
-    tt, nn = tt[usable], nn[usable]
-    w = nn
-    x = tt - tt[0]
-    y = np.log(nn)
-    sw = w.sum()
-    xm = (w * x).sum() / sw
-    ym = (w * y).sum() / sw
-    sxx = (w * (x - xm) ** 2).sum()
-    sxy = (w * (x - xm) * (y - ym)).sum()
-    if sxx <= 0.0:
-        raise FitDiverged("degenerate time axis")
-    slope = sxy / sxx
-    if slope >= 0.0:
-        raise FitDiverged("flank does not decay")
-    intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
-    return WavePacketFit(
-        decay_ns=float(-1.0 / slope),
-        amplitude=float(np.exp(intercept)),
-        window_ns=(float(tt[0]), float(tt[-1])),
-        residual_norm=float(np.sqrt((w * resid**2).sum() / sw)),
-        n_bins=int(tt.size),
-    )
 
 
 def delay_correlation(measured, predicted) -> tuple[float, float]:

@@ -314,15 +314,26 @@ def _find_line(text: str, section: str, key: str) -> int | None:
     return None
 
 
+# The drift-characterize run holds one rotation per trace period in memory.
+_MAX_TRACE_STEPS = 10**6
+
+
 def _drift_lag_issues(text: str, values) -> list[Issue]:
-    """Each tau_grid_s entry must be > 0 and give its own lag, in trace
-    periods, that the run's int(total_s / trace_period_s) periods cover."""
+    """The trace may hold at most _MAX_TRACE_STEPS periods, and each
+    tau_grid_s entry must be > 0 and give its own lag, in trace periods,
+    that the run's int(total_s / trace_period_s) periods cover."""
     total = values.get(("protocol", "total_s"))
     period = values.get(("protocol", "trace_period_s"))
     taus = values.get(("protocol", "tau_grid_s"))
     if None in (total, period, taus):
         return []
-    longest = int(total / period)
+    steps = total / period  # a float, so inf where int() would overflow
+    if steps > _MAX_TRACE_STEPS:
+        return [Issue("protocol", "trace_period_s",
+                      f"total_s / trace_period_s = {steps:g} trace periods; "
+                      f"at most {_MAX_TRACE_STEPS} per run",
+                      _find_line(text, "protocol", "trace_period_s"))]
+    longest = int(steps)
     if longest < min(drift_lag(tau, period) for tau in taus):
         return [Issue("protocol", "total_s",
                       "too short for every tau_grid_s lag at this trace_period_s",

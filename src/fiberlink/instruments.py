@@ -1,8 +1,7 @@
 """Measurement and actuation hardware models.
 
 Covers the polarimeter at the receiver, the four-channel piezo polarization
-controller, waveplate projection setups with two-port detection, the
-switchable H/D reference lasers at the sender, and single-photon detectors.
+controller and the switchable H/D reference lasers at the sender.
 Instrument instances are stateful (latency bookkeeping, private generators)
 and must be serialized per instance.
 """
@@ -18,15 +17,10 @@ from . import polcore
 from .polcore import S_D, S_H
 
 __all__ = [
-    "Detector",
     "Polarimeter",
     "PiezoController",
-    "ProjectionSetup",
     "ReferenceSwitch",
     "VoltageOutOfRange",
-    "project_and_count",
-    "waveplate_angles_for_axis",
-    "projector_for_waveplates",
 ]
 
 # Default squeezer geometry: physical squeeze axes alternating 0 deg / 45 deg,
@@ -221,125 +215,6 @@ def _four_voltages(u: np.ndarray) -> np.ndarray:
 def _within(volts: list[float], limit: float) -> bool:
     """True if every voltage lies in [-limit, limit]; NaN lies nowhere."""
     return all(abs(v) <= limit for v in volts)
-
-
-@dataclass(frozen=True)
-class Detector:
-    """Threshold single-photon detector."""
-
-    efficiency: float = 0.8
-    dark_rate_per_s: float = 0.5
-    jitter_s: float = 50e-12
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in [0, 1]")
-        if self.dark_rate_per_s < 0.0 or self.jitter_s < 0.0:
-            raise ValueError("dark rate and jitter must be >= 0")
-
-
-@dataclass
-class ProjectionSetup:
-    """Motorized quarter/half waveplate pair and a two-port polarizing prism.
-
-    The analysis basis is set directly as a Bloch axis; the corresponding
-    waveplate angles follow from `waveplate_angles_for_axis`. Port 1 collects
-    the projection onto +axis, port 2 onto -axis.
-    """
-
-    qwp_rad: float = 0.0
-    hwp_rad: float = 0.0
-    port1: Detector = field(default_factory=Detector)
-    port2: Detector = field(default_factory=Detector)
-    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-
-    def set_basis_axis(self, axis: np.ndarray) -> None:
-        self.qwp_rad, self.hwp_rad = waveplate_angles_for_axis(axis)
-
-    def analysis_axis(self) -> np.ndarray:
-        ket = _waveplate_pass_ket(self.qwp_rad, self.hwp_rad)
-        return polcore.bloch_of_ket(ket)
-
-
-def waveplate_angles_for_axis(axis: np.ndarray) -> tuple[float, float]:
-    """Waveplate angles (qwp, hwp) in [0, pi) projecting onto a Bloch axis.
-
-    For the pass state with linear-polarization angle psi and ellipticity
-    chi (axis = (cos2psi cos2chi, sin2psi cos2chi, sin2chi)) the quarter-wave
-    plate at psi turns it linear at psi - chi and the half-wave plate at
-    (psi - chi)/2 maps that onto horizontal.
-    """
-    n = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
-        raise ValueError("analysis axis must be nonzero")
-    n = n / norm
-    psi = 0.5 * math.atan2(n[1], n[0])
-    chi = 0.5 * math.asin(max(-1.0, min(1.0, n[2])))
-    qwp = psi % math.pi
-    hwp = ((psi - chi) / 2.0) % math.pi
-    return qwp, hwp
-
-
-def _jones_rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _jones_qwp(theta: float) -> np.ndarray:
-    r = _jones_rotation(theta)
-    return r @ np.diag([1.0, 1.0j]) @ r.conj().T
-
-
-def _jones_hwp(theta: float) -> np.ndarray:
-    r = _jones_rotation(theta)
-    return r @ np.diag([1.0, -1.0]) @ r.conj().T
-
-
-def _waveplate_pass_ket(qwp_rad: float, hwp_rad: float) -> np.ndarray:
-    """Ket projected onto port 1 for the given waveplate angles."""
-    w = _jones_hwp(hwp_rad) @ _jones_qwp(qwp_rad)
-    ket = w.conj().T @ np.array([1.0, 0.0], dtype=complex)
-    return ket / np.linalg.norm(ket)
-
-
-def projector_for_waveplates(qwp_rad: float, hwp_rad: float) -> np.ndarray:
-    """Rank-1 projector measured at port 1 of the Wollaston prism."""
-    ket = _waveplate_pass_ket(qwp_rad, hwp_rad)
-    return np.outer(ket, ket.conj())
-
-
-def project_and_count(
-    ps: ProjectionSetup,
-    rho: np.ndarray,
-    integration_s: float,
-    rate_per_s: float = 1000.0,
-    arm: int = 1,
-) -> tuple[int, int]:
-    """Poisson counts at the two output ports for one analysis setting.
-
-    `rho` may be a single-qubit (2x2) or a two-qubit (4x4) density matrix;
-    for the latter `arm` selects which qubit the setup analyzes (0 or 1) and
-    probabilities are marginals of that qubit. Mean counts are
-    rate * probability * efficiency * integration + dark * integration.
-    """
-    if integration_s <= 0.0:
-        raise ValueError("integration must be > 0")
-    proj = projector_for_waveplates(ps.qwp_rad, ps.hwp_rad)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape == (2, 2):
-        p1 = float(np.trace(proj @ rho).real)
-    elif rho.shape == (4, 4):
-        full = np.kron(proj, np.eye(2)) if arm == 0 else np.kron(np.eye(2), proj)
-        p1 = float(np.trace(full @ rho).real)
-    else:
-        raise ValueError("rho must be 2x2 or 4x4")
-    p1 = min(1.0, max(0.0, p1))
-    mean1 = rate_per_s * p1 * ps.port1.efficiency * integration_s
-    mean2 = rate_per_s * (1.0 - p1) * ps.port2.efficiency * integration_s
-    mean1 += ps.port1.dark_rate_per_s * integration_s
-    mean2 += ps.port2.dark_rate_per_s * integration_s
-    return int(ps.rng.poisson(mean1)), int(ps.rng.poisson(mean2))
 
 
 @dataclass

@@ -30,19 +30,14 @@ __all__ = [
     "S_D",
     "S_R",
     "PAULI",
-    "DegenerateProbes",
     "FullyExtinguished",
     "InvalidTransmission",
     "NonUnitProbe",
     "PdlElement",
-    "PdlComposition",
-    "bloch_of_ket",
     "bloch_of_density",
     "density_of_bloch",
     "ket_of_bloch",
-    "is_rotation",
     "pdl_apply_bloch",
-    "pdl_compose",
     "pdl_db",
     "pdl_fidelity_bound",
     "pdl_gamma",
@@ -50,9 +45,6 @@ __all__ = [
     "process_fidelity_from_trace",
     "random_rotation",
     "rotation_about",
-    "rotation_from_probe_pairs",
-    "rotation_of_unitary",
-    "rotation_to_axis_angle",
     "su2_of_rotation",
     "trace_from_probe_pair",
 ]
@@ -72,16 +64,11 @@ PAULI = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
 )
 
-_ORTHO_TOL = 1e-10
 _PROBE_NORM_TOL = 1e-3
 
 
 class NonUnitProbe(ValueError):
     """Measured probe Stokes vector is too far from unit norm."""
-
-
-class DegenerateProbes(ValueError):
-    """Input probe pair is (nearly) collinear and cannot fix a rotation."""
 
 
 class InvalidTransmission(ValueError):
@@ -95,17 +82,6 @@ class FullyExtinguished(ValueError):
 # ---------------------------------------------------------------------------
 # Rotations
 # ---------------------------------------------------------------------------
-
-def is_rotation(m: np.ndarray, tol: float = _ORTHO_TOL) -> bool:
-    """True if m is a proper rotation (orthogonal, det = +1) within tol."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        return False
-    return (
-        np.allclose(m.T @ m, np.eye(3), atol=tol)
-        and abs(np.linalg.det(m) - 1.0) < tol
-    )
-
 
 def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
     """Right-handed rotation by `angle` (rad) about `axis` (Rodrigues form)."""
@@ -174,18 +150,6 @@ def _quaternion_of_rotation(m: np.ndarray) -> tuple[float, float, float, float]:
     return w / n, x / n, y / n, z / n
 
 
-def rotation_to_axis_angle(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Axis (unit vector) and angle in [0, pi] of a rotation matrix."""
-    q = _quaternion_of_rotation(m)
-    w = min(1.0, max(-1.0, q[0]))
-    angle = 2.0 * math.acos(w)
-    v = np.array(q[1:])
-    n = np.linalg.norm(v)
-    if n < 1e-15:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    return v / n, angle
-
-
 def su2_of_rotation(m: np.ndarray) -> np.ndarray:
     """SU(2) lift of a Bloch rotation, sign fixed by trace >= 0.
 
@@ -198,16 +162,6 @@ def su2_of_rotation(m: np.ndarray) -> np.ndarray:
         [complex(w, -x), complex(-z, -y)],
         [complex(z, -y), complex(w, x)],
     ])
-
-
-def rotation_of_unitary(u: np.ndarray) -> np.ndarray:
-    """Bloch rotation effected by conjugation with a 2x2 unitary."""
-    m = np.empty((3, 3))
-    for j, sj in enumerate(PAULI):
-        t = u @ sj @ u.conj().T
-        for i, si in enumerate(PAULI):
-            m[i, j] = 0.5 * np.trace(si @ t).real
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +188,6 @@ def ket_of_bloch(n: np.ndarray) -> np.ndarray:
         return np.array([0.0, 1.0], dtype=complex)
     ket = np.array([1.0 + n[0], n[1] + 1.0j * n[2]])
     return ket / np.linalg.norm(ket)
-
-
-def bloch_of_ket(ket: np.ndarray) -> np.ndarray:
-    ket = np.asarray(ket, dtype=complex)
-    return np.array([(ket.conj() @ (s @ ket)).real for s in PAULI])
 
 
 # ---------------------------------------------------------------------------
@@ -283,36 +232,6 @@ def trace_from_probe_pair(s1_out: np.ndarray, s2_out: np.ndarray) -> float:
 def _trace_of_unit_pair(s1, s2) -> float:
     """The trace formula of `trace_from_probe_pair`, without its norm check."""
     return s1[0] + s2[1] + s1[0] * s2[1] - s1[1] * s2[0]
-
-
-def rotation_from_probe_pairs(
-    in1: np.ndarray,
-    out1: np.ndarray,
-    in2: np.ndarray,
-    out2: np.ndarray,
-) -> np.ndarray:
-    """Rotation mapping the probe pair (in1, in2) onto (out1, out2).
-
-    Both the input and the measured output pair are re-orthonormalized
-    (Gram-Schmidt, second vector against the first) before the frames are
-    matched, so small measurement noise is projected out.
-    """
-    e = _orthonormal_frame(in1, in2)
-    f = _orthonormal_frame(out1, out2)
-    return f @ e.T
-
-
-def _orthonormal_frame(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    cross = np.cross(v1, v2)
-    if np.linalg.norm(cross) < 1e-3:
-        raise DegenerateProbes("probe vectors are (nearly) collinear")
-    e1 = v1 / np.linalg.norm(v1)
-    u2 = v2 - (v2 @ e1) * e1
-    e2 = u2 / np.linalg.norm(u2)
-    e3 = np.cross(e1, e2)
-    return np.column_stack([e1, e2, e3])
 
 
 # ---------------------------------------------------------------------------
@@ -442,49 +361,3 @@ def pdl_apply_bloch(lambda_in: np.ndarray, pdl: PdlElement) -> np.ndarray:
     root = math.sqrt(max(0.0, 1.0 - g2))
     coeff = 1.0 / (1.0 + root)  # equals (1 - sqrt(1-g^2)) / g^2
     return (root * lam + (coeff * dot + 1.0) * g_vec) / denom
-
-
-@dataclass(frozen=True)
-class PdlComposition:
-    """Polar factorization of two concatenated lossy elements.
-
-    Applying `element` first and `rotation` second reproduces the exact
-    post-selected Bloch action of the concatenation; `scale` is the largest
-    singular value of the combined operator (the amplitude transmission of
-    the best-transmitted state).
-    """
-
-    rotation: np.ndarray
-    element: PdlElement
-    scale: float
-
-    def apply_bloch(self, lambda_in: np.ndarray) -> np.ndarray:
-        return self.rotation @ pdl_apply_bloch(lambda_in, self.element)
-
-
-def pdl_compose(a: PdlElement, b: PdlElement) -> PdlComposition:
-    """Concatenate two lossy elements (b applied after a).
-
-    Coaxial elements combine into a single element on the same axis with
-    T = T_a * T_b and an identity rotation. The general case is handled at
-    the 2x2 operator level: K = B_b B_a is polar-decomposed (via SVD) into a
-    unitary times a positive factor, and the positive factor rescaled to
-    unit maximum transmission becomes the returned element.
-    """
-    k = b.operator() @ a.operator()
-    u, sing, vh = np.linalg.svd(k)
-    w = u @ vh
-    h = vh.conj().T @ np.diag(sing) @ vh
-    scale = float(sing[0])
-    if scale <= 0.0:
-        raise FullyExtinguished("composition blocks every state")
-    t = float(sing[1] / sing[0])
-    if 1.0 - t < 1e-12:
-        element = PdlElement.from_axis(np.zeros(3), 1.0)
-    else:
-        # Pass axis of the positive factor = Bloch vector of its top eigenvector.
-        hv = h / scale
-        evals, evecs = np.linalg.eigh(hv)
-        pass_ket = evecs[:, int(np.argmax(evals))]
-        element = PdlElement.from_axis(bloch_of_ket(pass_ket), t)
-    return PdlComposition(rotation=rotation_of_unitary(w), element=element, scale=scale)

@@ -30,9 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelState, transmit_qubit_kraus
-from .output import read_csv_rows, write_csv
-from .polcore import PAULI, FullyExtinguished
+# No code here calls it; the benchmark's tracer patches it by this module's name.
+from .channel import transmit_qubit_kraus  # noqa: F401
+from .output import write_csv
+from .polcore import PAULI
 
 __all__ = [
     "BASIS_KETS",
@@ -44,12 +45,9 @@ __all__ = [
     "McResult",
     "SingularDesign",
     "SpdcSource",
-    "TeleportOutcome",
-    "apply_channel_arm_b",
     "arm_b_superoperator",
     "bell_fidelity",
     "bsm_branches",
-    "bsm_teleport",
     "check_state",
     "coincidence_probabilities",
     "fidelity",
@@ -61,7 +59,6 @@ __all__ = [
     "process_matrix_from_io",
     "process_tomography",
     "purity",
-    "read_counts_csv",
     "write_counts_csv",
     "spdc_state",
     "tomography_2q",
@@ -199,15 +196,6 @@ def on_arm_b_superoperator(rho: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,akbl->aibj", s, rho4).reshape(4, 4)
 
 
-def apply_channel_arm_b(rho: np.ndarray, ch: ChannelState) -> tuple[np.ndarray, float]:
-    """Send the arm-B photon through the link; post-selected state + success."""
-    out = on_arm_b(np.asarray(rho, dtype=complex), transmit_qubit_kraus(ch))
-    prob = float(np.trace(out).real)
-    if prob <= 1e-12:
-        raise FullyExtinguished("arm-B photon is fully blocked")
-    return check_state(out / prob, "apply_channel_arm_b"), prob
-
-
 # ---------------------------------------------------------------------------
 # Ion memory: heralded absorption and teleportation
 # ---------------------------------------------------------------------------
@@ -250,13 +238,6 @@ def heralded_absorption(rho_pair: np.ndarray, ion: IonMemory) -> np.ndarray:
     return check_state(out, "heralded_absorption")
 
 
-@dataclass(frozen=True)
-class TeleportOutcome:
-    success: bool
-    herald: str | None
-    photon_state: np.ndarray | None
-
-
 def _encode_prepared(prepared: np.ndarray) -> np.ndarray:
     """Memory density matrix for a prepared qubit state (ket or 2x2)."""
     prepared = np.asarray(prepared, dtype=complex)
@@ -297,35 +278,6 @@ def bsm_branches(
         rho_b = _partial_trace_to_last(sub)
         branches[name] = (prob, rho_b)
     return branches
-
-
-def bsm_teleport(
-    prepared: np.ndarray,
-    rho_pair: np.ndarray,
-    ion: IonMemory,
-    rng: np.random.Generator,
-) -> TeleportOutcome:
-    """One shot of the teleportation protocol.
-
-    Draws one of the two distinguished heralds (or a failure for the
-    undistinguished outcomes) with Born probabilities and returns the
-    conditional photon-B state. Ideal resources reproduce the prepared state
-    for the phi_minus herald and its memory-basis phase flip for phi_plus.
-    """
-    branches = bsm_branches(prepared, rho_pair, ion)
-    names = list(branches)
-    probs = np.array([branches[n][0] for n in names])
-    p_fail = max(0.0, 1.0 - probs.sum())
-    pick = rng.choice(len(names) + 1, p=np.append(probs, p_fail) / (probs.sum() + p_fail))
-    if pick == len(names):
-        return TeleportOutcome(success=False, herald=None, photon_state=None)
-    name = names[pick]
-    prob, rho_b = branches[name]
-    return TeleportOutcome(
-        success=True,
-        herald=name,
-        photon_state=check_state(rho_b / prob, "bsm_teleport"),
-    )
 
 
 def _partial_trace_to_last(rho8: np.ndarray) -> np.ndarray:
@@ -541,14 +493,6 @@ COUNTS_CSV_HEADER = ("basis_a", "basis_b", "counts", "integration_s")
 def write_counts_csv(path, counts) -> Path:
     """Write a coincidence count table with the fixed four-column schema."""
     return write_csv(path, COUNTS_CSV_HEADER, (_count_row(r) for r in counts))
-
-
-def read_counts_csv(path) -> list[tuple[str, str, float, float]]:
-    """Read a coincidence count table written by `write_counts_csv`."""
-    header, rows = read_csv_rows(path)
-    if tuple(header) != COUNTS_CSV_HEADER:
-        raise ValueError(f"unexpected count-table header {tuple(header)}")
-    return [(ba, bb, float(n), float(integration)) for ba, bb, n, integration in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -150,84 +150,6 @@ def test_pdl_statistics_empty():
 
 
 # ---------------------------------------------------------------------------
-# wave-packet fit
-# ---------------------------------------------------------------------------
-
-def exponential_histogram(tau_ns=12.9, amplitude=5e4, t_max=120.0, jitter_ns=0.0):
-    fine = np.arange(-20.0, t_max, 0.01)
-    vals = np.where(fine >= 0.0, np.exp(-fine / tau_ns), 0.0)
-    if jitter_ns > 0.0:
-        kern_t = np.arange(-5 * jitter_ns, 5 * jitter_ns + 0.01, 0.01)
-        kern = np.exp(-0.5 * (kern_t / jitter_ns) ** 2)
-        kern /= kern.sum()
-        vals = np.convolve(vals, kern, mode="same")
-    bins = np.arange(-20.0, t_max - 1.0, 1.0)
-    counts = amplitude * np.array(
-        [vals[(fine >= b) & (fine < b + 1.0)].mean() for b in bins]
-    )
-    return bins, counts
-
-
-def test_wavepacket_fit_exact_exponential():
-    bins, counts = exponential_histogram(tau_ns=12.9)
-    fit = an.wavepacket_fit(bins, counts)
-    # binning skews the pure decay constant by well under the fit tolerance
-    assert fit.decay_ns == pytest.approx(12.9, rel=1e-3)
-    assert fit.n_bins >= 10
-
-
-def test_wavepacket_fit_self_consistency_exact():
-    t = np.arange(0.0, 60.0, 1.0)
-    counts = 1e4 * np.exp(-t / 8.5)
-    fit = an.wavepacket_fit(t, counts)
-    assert fit.decay_ns == pytest.approx(8.5, rel=1e-6)
-
-
-def test_wavepacket_fit_poisson_noise(rng):
-    t = np.arange(0.0, 80.0, 1.0)
-    counts = rng.poisson(3e3 * np.exp(-t / 12.9))
-    fit = an.wavepacket_fit(t, counts)
-    assert fit.decay_ns == pytest.approx(12.9, rel=0.05)
-
-
-def test_wavepacket_fit_detects_600ps_jitter():
-    bins, clean = exponential_histogram(jitter_ns=0.0)
-    _, broadened = exponential_histogram(jitter_ns=0.6)
-    fit_clean = an.wavepacket_fit(bins, clean)
-    fit_broad = an.wavepacket_fit(bins, broadened)
-    bins2, clean2 = exponential_histogram(jitter_ns=0.0)
-    fit_clean2 = an.wavepacket_fit(bins2, clean2)
-    # zero injected jitter: identical constants; 600 ps: resolvable shift
-    assert fit_clean.decay_ns == pytest.approx(fit_clean2.decay_ns, rel=1e-12)
-    assert abs(fit_broad.decay_ns - fit_clean.decay_ns) > 20 * fit_clean.residual_norm
-
-
-def test_wavepacket_fit_amplitude_scale_equivariant():
-    t = np.arange(0.0, 50.0, 1.0)
-    counts = 2e3 * np.exp(-t / 10.0)
-    f1 = an.wavepacket_fit(t, counts)
-    f2 = an.wavepacket_fit(t, 7.5 * counts)
-    assert f2.decay_ns == pytest.approx(f1.decay_ns, rel=1e-12)
-    assert f2.amplitude == pytest.approx(7.5 * f1.amplitude, rel=1e-9)
-
-
-def test_wavepacket_fit_time_origin_invariant():
-    t = np.arange(0.0, 50.0, 1.0)
-    counts = 2e3 * np.exp(-t / 10.0)
-    f1 = an.wavepacket_fit(t, counts)
-    f2 = an.wavepacket_fit(t + 145_705.0, counts)
-    assert f2.decay_ns == pytest.approx(f1.decay_ns, rel=1e-12)
-
-
-def test_wavepacket_fit_failure_modes():
-    with pytest.raises(an.FitDiverged):
-        an.wavepacket_fit(np.arange(5.0), np.ones(5))  # too few bins
-    t = np.arange(0.0, 40.0, 1.0)
-    with pytest.raises(an.FitDiverged):
-        an.wavepacket_fit(t, np.exp(t / 20.0))  # growing flank
-
-
-# ---------------------------------------------------------------------------
 # delay correlation
 # ---------------------------------------------------------------------------
 

@@ -7,7 +7,7 @@ from scipy import stats
 from fiberlink import channel as chm
 from fiberlink import polcore as pc
 
-from conftest import make_test_channel, random_bloch
+from conftest import make_test_channel, random_bloch, rotation_to_axis_angle
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_drift_axis_distribution_uniform_chi2():
     for i in range(n):
         ch.advance(1.0)
         inc = ch.rotation @ prev.T
-        axis, _ = pc.rotation_to_axis_angle(inc)
+        axis, _ = rotation_to_axis_angle(inc)
         axes[i] = axis
         prev = ch.rotation
     # equal-area bins: 10 bands in z, 10 sectors in azimuth

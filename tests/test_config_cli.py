@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -105,6 +106,64 @@ def test_every_protocol_table_key_is_a_field():
         assert protocol.trials_key is None or protocol.trials_key in protocol.keys, name
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+# Where a reference counts: the package, the benchmark and the release
+# criteria. A helper that only unit tests use belongs in tests/.
+_REACHING = (
+    sorted((_ROOT / "src" / "fiberlink").glob("*.py"))
+    + sorted((_ROOT / "bench").glob("*.py"))
+    + [_ROOT / "tests" / "test_acceptance.py"]
+)
+
+
+def _defined_names(stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _referenced_names(node) -> set[str]:
+    """Names, attributes and dot-separated parts of string constants under node.
+
+    The string parts count because the benchmark patches by dotted name
+    (`"PiezoController.rotation"`).
+    """
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.update(sub.value.split("."))
+    return names
+
+
+def test_every_definition_is_reached():
+    # A top-level definition of the package passes when some statement
+    # other than its own definition and `__all__` refers to it by name.
+    definitions = []
+    references: dict[str, list[ast.stmt]] = {}
+    for path in _REACHING:
+        for stmt in ast.parse(path.read_text()).body:
+            defined = _defined_names(stmt)
+            if defined == ["__all__"]:
+                continue
+            if path.parent.name == "fiberlink":
+                definitions += [(path.stem, name, stmt) for name in defined]
+            for name in _referenced_names(stmt):
+                references.setdefault(name, []).append(stmt)
+    unreached = [
+        f"{module}.{name}" for module, name, stmt in definitions
+        if all(where is stmt for where in references.get(name, []))
+    ]
+    assert unreached == []
+
+
 # Inputs that `run` cannot use fail validation (exit 2) instead of crashing `run`.
 @pytest.mark.parametrize("head, section, key, value", [
     ("[scenario]\nprotocol = teleport\n", "protocol", "input_states", "H,V,X,R"),
@@ -163,6 +222,30 @@ def test_validate_rejects_tau_grid_the_run_would_drop_or_repeat(tmp_path, capsys
     assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+# `run` walks total_s / trace_period_s drift steps; `validate` bounds that
+# count. None of these scenarios is run: at the bound it is 10**6 steps.
+@pytest.mark.parametrize("total_s, trace_period_s, rejected", [
+    # the step count overflowed int() inside `validate` itself
+    ("1e10", "1e-300", True),
+    # passed `validate`, then asked `run` for 4e12 rotations
+    ("4000", "1e-9", True),
+    ("1e7", "10", False),
+], ids=["overflow", "4e12_steps", "at_bound"])
+def test_validate_bounds_the_drift_trace_length(tmp_path, capsys, total_s, trace_period_s, rejected):
+    path = tmp_path / "trace.ini"
+    text = _DRIFT + f"total_s = {total_s}\ntrace_period_s = {trace_period_s}\n"
+    path.write_text(text)
+    if not rejected:
+        assert float(total_s) / float(trace_period_s) == config._MAX_TRACE_STEPS
+    line = text.splitlines().index(f"trace_period_s = {trace_period_s}") + 1
+    issues = config.validate_file(path)
+    assert [(i.section, i.key, i.line) for i in issues] == (
+        [("protocol", "trace_period_s", line)] if rejected else []
+    )
+    assert cli.main(["validate", str(path)]) == (2 if rejected else 0)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_validate_accepts_every_tau_grid_lag_the_run_covers(tmp_path):

@@ -322,104 +322,6 @@ def test_piezo_controllability_grid_oracle(rng):
 
 
 # ---------------------------------------------------------------------------
-# waveplate projection
-# ---------------------------------------------------------------------------
-
-CARDINAL_AXES = {
-    "H": (1, 0, 0), "V": (-1, 0, 0), "D": (0, 1, 0),
-    "A": (0, -1, 0), "R": (0, 0, 1), "L": (0, 0, -1),
-}
-
-
-def test_waveplate_angles_project_onto_requested_axis(rng):
-    axes = list(CARDINAL_AXES.values()) + [random_bloch(rng, pure=True) for _ in range(30)]
-    for axis in axes:
-        n = np.asarray(axis, dtype=float)
-        q, h = ins.waveplate_angles_for_axis(n)
-        assert 0.0 <= q < math.pi and 0.0 <= h < math.pi
-        proj = ins.projector_for_waveplates(q, h)
-        expected = 0.5 * (np.eye(2) + sum(c * s for c, s in zip(n, pc.PAULI)))
-        assert np.allclose(proj, expected, atol=1e-10)
-
-
-def test_project_and_count_h_into_hv(rng):
-    ps = ins.ProjectionSetup(rng=rng,
-                             port1=ins.Detector(efficiency=1.0, dark_rate_per_s=0.0),
-                             port2=ins.Detector(efficiency=1.0, dark_rate_per_s=0.0))
-    ps.set_basis_axis([1, 0, 0])
-    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    n1, n2 = ins.project_and_count(ps, rho, integration_s=1.0, rate_per_s=10_000.0)
-    assert n2 == 0
-    assert n1 > 9000
-
-
-def test_project_and_count_d_into_hv_splits_evenly(rng):
-    ps = ins.ProjectionSetup(rng=rng,
-                             port1=ins.Detector(efficiency=1.0, dark_rate_per_s=0.0),
-                             port2=ins.Detector(efficiency=1.0, dark_rate_per_s=0.0))
-    ps.set_basis_axis([1, 0, 0])
-    rho = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    n1, n2 = ins.project_and_count(ps, rho, integration_s=10.0, rate_per_s=10_000.0)
-    total = n1 + n2
-    assert abs(n1 / total - 0.5) < 0.02
-
-
-def test_project_and_count_r_into_rl(rng):
-    ps = ins.ProjectionSetup(rng=rng,
-                             port1=ins.Detector(efficiency=1.0, dark_rate_per_s=0.0),
-                             port2=ins.Detector(efficiency=1.0, dark_rate_per_s=0.0))
-    ps.set_basis_axis([0, 0, 1])
-    rho = 0.5 * np.array([[1.0, -1.0j], [1.0j, 1.0]], dtype=complex)
-    n1, n2 = ins.project_and_count(ps, rho, integration_s=1.0, rate_per_s=10_000.0)
-    assert n2 == 0 and n1 > 9000
-
-
-def test_project_and_count_port_probabilities_sum_to_one(rng):
-    ps = ins.ProjectionSetup(rng=rng)
-    ps.set_basis_axis(random_bloch(rng, pure=True))
-    proj = ins.projector_for_waveplates(ps.qwp_rad, ps.hwp_rad)
-    assert np.trace(proj).real == pytest.approx(1.0, abs=1e-12)
-    # complementary port projector is I - proj; probabilities sum to 1
-    rho = pc.density_of_bloch(random_bloch(rng))
-    p1 = np.trace(proj @ rho).real
-    p2 = np.trace((np.eye(2) - proj) @ rho).real
-    assert p1 + p2 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_project_and_count_two_qubit_marginal(rng):
-    ps = ins.ProjectionSetup(rng=rng,
-                             port1=ins.Detector(efficiency=1.0, dark_rate_per_s=0.0),
-                             port2=ins.Detector(efficiency=1.0, dark_rate_per_s=0.0))
-    ps.set_basis_axis([1, 0, 0])
-    # |HV><HV|: arm 0 is pure H, arm 1 is pure V
-    ket = np.zeros(4, dtype=complex)
-    ket[1] = 1.0
-    rho = np.outer(ket, ket.conj())
-    n1, _ = ins.project_and_count(ps, rho, 1.0, rate_per_s=10_000.0, arm=0)
-    _, n2 = ins.project_and_count(ps, rho, 1.0, rate_per_s=10_000.0, arm=1)
-    assert n1 > 9000 and n2 > 9000
-
-
-def test_detector_dark_and_zero_input(rng):
-    ps = ins.ProjectionSetup(
-        rng=rng,
-        port1=ins.Detector(efficiency=0.8, dark_rate_per_s=0.0),
-        port2=ins.Detector(efficiency=0.8, dark_rate_per_s=0.0),
-    )
-    ps.set_basis_axis([1, 0, 0])
-    rho = np.array([[1.0, 0], [0, 0]], dtype=complex)
-    counts = [ins.project_and_count(ps, rho, 1.0, rate_per_s=0.0) for _ in range(50)]
-    assert all(c == (0, 0) for c in counts)
-
-
-def test_detector_validation():
-    with pytest.raises(ValueError):
-        ins.Detector(efficiency=1.2)
-    with pytest.raises(ValueError):
-        ins.Detector(dark_rate_per_s=-1.0)
-
-
-# ---------------------------------------------------------------------------
 # reference switch
 # ---------------------------------------------------------------------------
 

@@ -6,7 +6,7 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 
 from fiberlink import polcore as pc
 
-from conftest import random_bloch
+from conftest import bloch_of_ket, random_bloch, rotation_of_unitary, rotation_to_axis_angle
 
 
 # ---------------------------------------------------------------------------
@@ -63,54 +63,6 @@ def test_trace_from_probe_pair_rejects_non_unit():
 
 
 # ---------------------------------------------------------------------------
-# rotation reconstruction from probe pairs
-# ---------------------------------------------------------------------------
-
-def test_rotation_from_probe_pairs_identity():
-    m = pc.rotation_from_probe_pairs(pc.S_H, pc.S_H, pc.S_D, pc.S_D)
-    assert np.allclose(m, np.eye(3), atol=1e-12)
-
-
-def test_rotation_from_probe_pairs_round_trip(rng):
-    for _ in range(1000):
-        r = pc.random_rotation(rng)
-        m = pc.rotation_from_probe_pairs(pc.S_H, r @ pc.S_H, pc.S_D, r @ pc.S_D)
-        assert np.allclose(m, r, atol=1e-9)
-
-
-def test_rotation_from_probe_pairs_noisy_outputs(rng):
-    sigma = 1e-3
-    fids = []
-    for _ in range(1000):
-        r = pc.random_rotation(rng)
-        outs = []
-        for probe in (pc.S_H, pc.S_D):
-            noisy = r @ probe + rng.normal(0.0, sigma, size=3)
-            outs.append(noisy / np.linalg.norm(noisy))
-        m = pc.rotation_from_probe_pairs(pc.S_H, outs[0], pc.S_D, outs[1])
-        fids.append(pc.process_fidelity(m @ r.T))
-    assert np.mean(fids) >= 0.99999
-    assert np.min(fids) >= 0.9999
-
-
-def test_rotation_from_probe_pairs_degenerate():
-    with pytest.raises(pc.DegenerateProbes):
-        pc.rotation_from_probe_pairs(pc.S_H, pc.S_H, pc.S_H, pc.S_H)
-
-
-def test_rotation_maps_probes_after_reorthonormalization(rng):
-    # measured outputs slightly non-orthogonal: returned matrix is still a
-    # rotation and reproduces the cleaned outputs
-    r = pc.random_rotation(rng)
-    out1 = r @ pc.S_H + 1e-4 * np.array([0.3, -0.2, 0.1])
-    out2 = r @ pc.S_D + 1e-4 * np.array([-0.1, 0.4, 0.2])
-    m = pc.rotation_from_probe_pairs(pc.S_H, out1 / np.linalg.norm(out1),
-                                     pc.S_D, out2 / np.linalg.norm(out2))
-    assert pc.is_rotation(m)
-    assert np.allclose(m @ pc.S_H, out1 / np.linalg.norm(out1), atol=1e-3)
-
-
-# ---------------------------------------------------------------------------
 # axis-angle / SU(2) machinery against an independent implementation
 # ---------------------------------------------------------------------------
 
@@ -126,7 +78,7 @@ def test_rotation_about_matches_scipy(rng):
 def test_axis_angle_round_trip(rng):
     for _ in range(200):
         m = pc.random_rotation(rng)
-        axis, angle = pc.rotation_to_axis_angle(m)
+        axis, angle = rotation_to_axis_angle(m)
         assert 0.0 <= angle <= math.pi + 1e-12
         assert np.allclose(pc.rotation_about(axis, angle), m, atol=1e-10)
 
@@ -137,7 +89,7 @@ def test_su2_lift_adjoint_action(rng):
         u = pc.su2_of_rotation(m)
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
         assert np.trace(u).real >= -1e-12  # sign convention
-        assert np.allclose(pc.rotation_of_unitary(u), m, atol=1e-10)
+        assert np.allclose(rotation_of_unitary(u), m, atol=1e-10)
 
 
 def test_su2_rotation_round_trips(rng):
@@ -157,12 +109,12 @@ def test_su2_rotation_round_trips(rng):
         t = np.trace(m)
         branches.add("trace" if t > 0 else int(np.argmax(np.diag(m))))
         u = pc.su2_of_rotation(m)
-        assert np.max(np.abs(pc.rotation_of_unitary(u) - m)) <= 1e-14
+        assert np.max(np.abs(rotation_of_unitary(u) - m)) <= 1e-14
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-14
         assert abs(np.linalg.det(u) - 1.0) <= 1e-14
         assert np.trace(u).real >= 0.0
         # and back, up to the sign a half turn leaves open
-        back = pc.su2_of_rotation(pc.rotation_of_unitary(u))
+        back = pc.su2_of_rotation(rotation_of_unitary(u))
         assert min(np.max(np.abs(back - u)), np.max(np.abs(back + u))) <= 1e-14
     assert branches == {"trace", 0, 1, 2}
 
@@ -171,7 +123,7 @@ def test_bloch_ket_round_trips(rng):
     for _ in range(100):
         n = random_bloch(rng, pure=True)
         ket = pc.ket_of_bloch(n)
-        assert np.allclose(pc.bloch_of_ket(ket), n, atol=1e-12)
+        assert np.allclose(bloch_of_ket(ket), n, atol=1e-12)
         rho = pc.density_of_bloch(n)
         assert np.allclose(pc.bloch_of_density(rho), n, atol=1e-12)
 
@@ -293,53 +245,3 @@ def test_pdl_element_invariants():
         pc.PdlElement(gamma_vec=np.array([0.5, 0, 0]), amplitude_transmission=0.99)
     with pytest.raises(pc.InvalidTransmission):
         pc.PdlElement.from_axis([1, 0, 0], 1.5)
-
-
-# ---------------------------------------------------------------------------
-# composition of loss elements
-# ---------------------------------------------------------------------------
-
-def test_pdl_compose_with_identity(rng):
-    ident = pc.PdlElement.from_axis(np.zeros(3), 1.0)
-    el = pc.PdlElement.from_axis([0, 1, 0], 0.8)
-    comp = pc.pdl_compose(ident, el)
-    assert np.allclose(comp.rotation, np.eye(3), atol=1e-10)
-    assert comp.element.amplitude_transmission == pytest.approx(0.8, abs=1e-12)
-    assert np.allclose(comp.element.pass_axis(), [0, 1, 0], atol=1e-9)
-
-
-def test_pdl_compose_coaxial():
-    e1 = pc.PdlElement.from_axis([1, 0, 0], 0.8)
-    e2 = pc.PdlElement.from_axis([1, 0, 0], 0.9)
-    comp = pc.pdl_compose(e1, e2)
-    assert np.allclose(comp.rotation, np.eye(3), atol=1e-10)
-    assert comp.element.amplitude_transmission == pytest.approx(0.72, abs=1e-12)
-    assert np.allclose(comp.element.pass_axis(), [1, 0, 0], atol=1e-9)
-
-
-def test_pdl_compose_orthogonal_axes_against_oracle(rng):
-    e1 = pc.PdlElement.from_axis([1, 0, 0], 0.85)
-    e2 = pc.PdlElement.from_axis([0, 1, 0], 0.6)
-    comp = pc.pdl_compose(e1, e2)
-    k = e2.operator() @ e1.operator()
-    for _ in range(100):
-        lam = random_bloch(rng, pure=True)
-        rho = pc.density_of_bloch(lam)
-        out = k @ rho @ k.conj().T
-        oracle = pc.bloch_of_density(out / np.trace(out))
-        assert np.allclose(comp.apply_bloch(lam), oracle, atol=1e-9)
-
-
-def test_pdl_compose_general_random(rng):
-    for _ in range(100):
-        e1 = pc.PdlElement.from_axis(random_bloch(rng, pure=True), rng.uniform(0.1, 1.0))
-        e2 = pc.PdlElement.from_axis(random_bloch(rng, pure=True), rng.uniform(0.1, 1.0))
-        comp = pc.pdl_compose(e1, e2)
-        assert pc.is_rotation(comp.rotation)
-        assert 0.0 < comp.scale <= 1.0 + 1e-12
-        k = e2.operator() @ e1.operator()
-        lam = random_bloch(rng)
-        rho = pc.density_of_bloch(lam)
-        out = k @ rho @ k.conj().T
-        oracle = pc.bloch_of_density(out / np.trace(out))
-        assert np.allclose(comp.apply_bloch(lam), oracle, atol=1e-9)

@@ -5,8 +5,9 @@ import pytest
 
 from fiberlink import polcore as pc
 from fiberlink import quantum as q
+from fiberlink.channel import transmit_qubit_kraus
 
-from conftest import make_test_channel, random_mixed_state_2q
+from conftest import make_test_channel, random_mixed_state_2q, read_counts_csv
 
 
 IDEAL_SOURCE = q.SpdcSource(phase_rad=0.0, noise_p=0.0)
@@ -55,9 +56,17 @@ def test_spdc_phase_rotates_coherence():
 # channel action on arm B
 # ---------------------------------------------------------------------------
 
+def through_link_arm_b(rho, ch):
+    """Post-selected state and success probability of sending arm B through
+    the link, by the superoperator path of the distribute-entanglement run."""
+    out = q.on_arm_b_superoperator(rho, q.arm_b_superoperator(transmit_qubit_kraus(ch)))
+    prob = float(np.trace(out).real)
+    return out / prob, prob
+
+
 def test_apply_channel_identity():
     rho = q.spdc_state(IDEAL_SOURCE)
-    out, prob = q.apply_channel_arm_b(rho, make_test_channel())
+    out, prob = through_link_arm_b(rho, make_test_channel())
     assert np.allclose(out, rho, atol=1e-12)
     assert prob == pytest.approx(1.0, abs=1e-12)
 
@@ -67,7 +76,7 @@ def test_apply_channel_pure_rotation_overlap_oracle(rng):
     for _ in range(30):
         r = pc.random_rotation(rng)
         ch = make_test_channel(rotation=r)
-        out, prob = q.apply_channel_arm_b(rho, ch)
+        out, prob = through_link_arm_b(rho, ch)
         u = pc.su2_of_rotation(r)
         amp = q.BELL_PSI_PLUS.conj() @ (np.kron(np.eye(2), u) @ q.BELL_PSI_PLUS)
         assert q.bell_fidelity(out) == pytest.approx(abs(amp) ** 2, abs=1e-10)
@@ -77,7 +86,7 @@ def test_apply_channel_pure_rotation_overlap_oracle(rng):
 def test_apply_channel_weak_pdl_fidelity_drop():
     rho = q.spdc_state(IDEAL_SOURCE)
     ch = make_test_channel(pdl_axis=[0, 1, 0], pdl_transmission=10 ** (-0.08 / 20))
-    out, prob = q.apply_channel_arm_b(rho, ch)
+    out, prob = through_link_arm_b(rho, ch)
     assert 1.0 - q.bell_fidelity(out) < 0.01
     assert prob <= 1.0 + 1e-12
 
@@ -86,7 +95,7 @@ def test_apply_channel_invariants_hold(rng):
     rho = random_mixed_state_2q(rng)
     ch = make_test_channel(rotation=pc.random_rotation(rng),
                            pdl_axis=[1, 0, 0], pdl_transmission=0.7)
-    out, prob = q.apply_channel_arm_b(rho, ch)
+    out, prob = through_link_arm_b(rho, ch)
     q.check_state(out)
     assert 0.7**2 - 1e-9 <= prob <= 1.0 + 1e-9
 
@@ -145,32 +154,6 @@ def test_teleport_herald_probabilities_sum_to_half():
     branches = q.bsm_branches(q.BASIS_KETS["H"], q.spdc_state(IDEAL_SOURCE), IDEAL_ION)
     total = branches["phi_minus"][0] + branches["phi_plus"][0]
     assert total == pytest.approx(0.5, abs=1e-12)
-
-
-def test_teleport_single_shot_outcomes(rng):
-    rho_pair = q.spdc_state(IDEAL_SOURCE)
-    out = q.bsm_teleport(q.BASIS_KETS["D"], rho_pair, IDEAL_ION, rng)
-    if out.success:
-        assert out.herald in ("phi_minus", "phi_plus")
-        q.check_state(out.photon_state)
-    else:
-        assert out.photon_state is None
-
-
-def test_teleport_herald_statistics_born_rule():
-    rho_pair = q.spdc_state(IDEAL_SOURCE)
-    branches = q.bsm_branches(q.BASIS_KETS["H"], rho_pair, IDEAL_ION)
-    p_minus = branches["phi_minus"][0]
-    rng = np.random.default_rng(77)
-    n = 100_000
-    counts = {"phi_minus": 0, "phi_plus": 0, None: 0}
-    for _ in range(n):
-        out = q.bsm_teleport(q.BASIS_KETS["H"], rho_pair, IDEAL_ION, rng)
-        counts[out.herald] += 1
-    for herald, p in (("phi_minus", p_minus), ("phi_plus", branches["phi_plus"][0]),
-                      (None, 0.5)):
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(counts[herald] / n - p) < 3 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +556,11 @@ def test_count_table_csv_round_trip(tmp_path, rng):
               for (a, b), p in q.coincidence_probabilities(rho).items()]
     path = tmp_path / "counts.csv"
     q.write_counts_csv(path, counts)
-    back = q.read_counts_csv(path)
+    back = read_counts_csv(path)
     assert back == counts
     assert np.allclose(q.tomography_2q(back), q.tomography_2q(counts), atol=1e-12)
     assert path.read_text().splitlines()[0] == "basis_a,basis_b,counts,integration_s"
     with pytest.raises(ValueError):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n")
-        q.read_counts_csv(bad)
+        read_counts_csv(bad)
