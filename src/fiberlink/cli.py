@@ -85,7 +85,7 @@ def _cmd_run(args) -> int:
         if raw is None or key is None:
             continue
         try:
-            scn.values[(section, key)] = config.parse_value(section, key, str(raw))
+            scn.override(section, key, str(raw))
         except ValueError as exc:
             print(f"error: {flag} {raw}: [{section}] {key}: {exc}", file=sys.stderr)
             return 2

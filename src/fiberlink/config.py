@@ -29,8 +29,8 @@ from . import seeding
 from .channel import ChannelState, DaySchedule, PdlSpikeProcess
 from .instruments import PiezoController, Polarimeter, ReferenceSwitch
 from .polcore import PdlElement
-from .protocols import PROTOCOLS, drift_lag
-from .quantum import BASIS_KETS, IonMemory, SpdcSource
+from .protocols import PROTOCOLS, drift_lag, non_negative, positive
+from .quantum import IonMemory, SpdcSource
 from .stabilizer import StabilizerConfig
 
 __all__ = ["ConfigInvalid", "Issue", "Scenario", "load", "loads", "validate_file"]
@@ -56,14 +56,6 @@ class Issue:
         return f"{loc}[{self.section}] {self.key}: {self.message}"
 
 
-def _positive(x: float) -> bool:
-    return x > 0.0
-
-
-def _non_negative(x: float) -> bool:
-    return x >= 0.0
-
-
 def _fraction(x: float) -> bool:
     return 0.0 <= x <= 1.0
 
@@ -76,84 +68,55 @@ def _time_of_day(seconds: float) -> bool:
     return 0.0 <= seconds <= 86400.0
 
 
-# (section, key) -> (parser, default, predicate, constraint description)
+# (section, key) -> (parser, default, predicate, constraint description) for
+# the sections every scenario shares; each protocol declares its own
+# `[protocol]` keys in `PROTOCOLS`
 _FIELDS: dict[tuple[str, str], tuple] = {
     ("scenario", "name"): (str, "", None, ""),
     ("scenario", "seed"): (int, 12345, lambda v: 0 <= v < 2**64, "in [0, 2^64)"),
     ("scenario", "protocol"): (str, None, lambda v: v in PROTOCOLS, f"one of {tuple(PROTOCOLS)}"),
     ("scenario", "out_dir"): (str, "", None, ""),
 
-    ("channel", "day_rate_rad2_per_s"): (float, 1.5e-6, _non_negative, ">= 0"),
-    ("channel", "night_rate_rad2_per_s"): (float, 2.0e-7, _non_negative, ">= 0"),
+    ("channel", "day_rate_rad2_per_s"): (float, 1.5e-6, non_negative, ">= 0"),
+    ("channel", "night_rate_rad2_per_s"): (float, 2.0e-7, non_negative, ">= 0"),
     ("channel", "day_start_hms"): ("hms", "07:30", _time_of_day, "in [00:00, 24:00]"),
     ("channel", "day_end_hms"): ("hms", "18:00", _time_of_day, "in [00:00, 24:00]"),
-    ("channel", "start_clock_s"): (float, 0.0, _non_negative, ">= 0"),
-    ("channel", "drift_dt_s"): (float, 1.0, _positive, "> 0"),
-    ("channel", "pdl_db"): (float, 0.08, _non_negative, ">= 0"),
+    ("channel", "start_clock_s"): (float, 0.0, non_negative, ">= 0"),
+    ("channel", "drift_dt_s"): (float, 1.0, positive, "> 0"),
+    ("channel", "pdl_db"): (float, 0.08, non_negative, ">= 0"),
     ("channel", "pdl_axis"): ("vec3", "1,0,0", lambda v: np.any(v != 0.0), "nonzero"),
-    ("channel", "spike_rate_per_s"): (float, 0.0, _non_negative, ">= 0"),
-    ("channel", "spike_extra_db"): (float, 0.5, _non_negative, ">= 0"),
-    ("channel", "spike_duration_s"): (float, 30.0, _positive, "> 0"),
-    ("channel", "overhead_km"): (float, 1.278, _positive, "> 0"),
-    ("channel", "temp_sensitivity_ps_per_km_k"): (float, 37.4, _positive, "> 0"),
+    ("channel", "spike_rate_per_s"): (float, 0.0, non_negative, ">= 0"),
+    ("channel", "spike_extra_db"): (float, 0.5, non_negative, ">= 0"),
+    ("channel", "spike_duration_s"): (float, 30.0, positive, "> 0"),
+    ("channel", "overhead_km"): (float, 1.278, positive, "> 0"),
+    ("channel", "temp_sensitivity_ps_per_km_k"): (float, 37.4, positive, "> 0"),
 
-    ("instruments", "polarimeter_sigma"): (float, 1e-3, _non_negative, ">= 0"),
-    ("instruments", "polarimeter_latency_s"): (float, 0.045, _non_negative, ">= 0"),
-    ("instruments", "switch_latency_s"): (float, 0.0, _non_negative, ">= 0"),
+    ("instruments", "polarimeter_sigma"): (float, 1e-3, non_negative, ">= 0"),
+    ("instruments", "polarimeter_latency_s"): (float, 0.045, non_negative, ">= 0"),
+    ("instruments", "switch_latency_s"): (float, 0.0, non_negative, ">= 0"),
     ("instruments", "piezo_gain_rad_per_v"): (float, 0.5, lambda v: v != 0 and math.isfinite(v), "finite nonzero"),
-    ("instruments", "piezo_limit_v"): (float, 10.0, _positive, "> 0"),
-    ("instruments", "piezo_settle_s"): (float, 0.0, _non_negative, ">= 0"),
+    ("instruments", "piezo_limit_v"): (float, 10.0, positive, "> 0"),
+    ("instruments", "piezo_settle_s"): (float, 0.0, non_negative, ">= 0"),
 
     ("stabilizer", "fp_threshold"): (float, 0.99, _unit_open, "in (0, 1]"),
     ("stabilizer", "fp_crossover"): (float, 0.95, lambda v: 0 < v < 1, "in (0, 1)"),
-    ("stabilizer", "d0"): (float, 2.0, _positive, "> 0"),
-    ("stabilizer", "d1"): (float, 0.1, _positive, "> 0"),
-    ("stabilizer", "du0_v"): (float, 0.2, _positive, "> 0"),
-    ("stabilizer", "du1_v"): (float, 0.02, _positive, "> 0"),
+    ("stabilizer", "d0"): (float, 2.0, positive, "> 0"),
+    ("stabilizer", "d1"): (float, 0.1, positive, "> 0"),
+    ("stabilizer", "du0_v"): (float, 0.2, positive, "> 0"),
+    ("stabilizer", "du1_v"): (float, 0.02, positive, "> 0"),
     ("stabilizer", "max_iterations"): (int, 200, lambda v: v >= 1, ">= 1"),
 
     ("source", "phase_rad"): (float, 0.0, None, ""),
     ("source", "noise_p"): (float, 0.2187, _fraction, "in [0, 1]"),
-    ("source", "pair_rate_per_s"): (float, 144.4, _non_negative, ">= 0"),
+    ("source", "pair_rate_per_s"): (float, 144.4, non_negative, ">= 0"),
 
-    ("ion", "exposure_window_us"): (float, 400.0, _positive, "> 0"),
-    ("ion", "decay_per_s"): (float, 313.4, _non_negative, ">= 0"),
-
-    # pdl-characterize
-    ("protocol", "n_samples"): (int, 500, lambda v: v >= 2, ">= 2"),
-    ("protocol", "sample_period_s"): (float, 91.0, _positive, "> 0"),
-    ("protocol", "link_pdl_mean_db"): (float, 0.08, _non_negative, ">= 0"),
-    ("protocol", "link_pdl_sigma_db"): (float, 0.045, _non_negative, ">= 0"),
-    ("protocol", "det_pdl_mean_db"): (float, 0.23, _non_negative, ">= 0"),
-    ("protocol", "det_pdl_sigma_db"): (float, 0.02, _non_negative, ">= 0"),
-    # drift-characterize
-    ("protocol", "total_s"): (float, 4000.0, _positive, "> 0"),
-    ("protocol", "trace_period_s"): (float, 10.0, _positive, "> 0"),
-    ("protocol", "tau_grid_s"): ("floats", "10,20,40,80,160", None, ""),
-    # stabilize
-    ("protocol", "n_trials"): (int, 50, lambda v: v >= 1, ">= 1"),
-    # distribute-entanglement
-    ("protocol", "intervals_s"): ("floats", "5,20,60,160", None, ""),
-    ("protocol", "total_per_interval_s"): (float, 3200.0, _positive, "> 0"),
-    ("protocol", "counts_per_basis"): (float, 0.0, _non_negative, ">= 0 (0 = exact)"),
-    ("protocol", "correct_background"): (bool, True, None, ""),
-    ("protocol", "accidental_rate_a_per_s"): (float, 0.0, _non_negative, ">= 0"),
-    ("protocol", "accidental_rate_b_per_s"): (float, 0.0, _non_negative, ">= 0"),
-    ("protocol", "coincidence_window_s"): (float, 1e-9, _positive, "> 0"),
-    # ion-photon / teleport
-    ("protocol", "apply_link_to_arm_b"): (bool, True, None, ""),
-    ("protocol", "stabilize_first"): (bool, True, None, ""),
-    ("protocol", "input_states"): (
-        "labels", "H,V,D,R", lambda v: set(v) <= set(BASIS_KETS), f"labels from {','.join(BASIS_KETS)}"
-    ),
-    # delay-drift
-    ("protocol", "days"): (float, 2.0, _positive, "> 0"),
-    ("protocol", "temp_amplitude_k"): (float, 4.0, _non_negative, ">= 0"),
-    ("protocol", "temp_period_s"): (float, 86400.0, _positive, "> 0"),
-    ("protocol", "temp_trend_k_per_day"): (float, 0.5, None, ""),
-    ("protocol", "temp_noise_k"): (float, 0.02, _non_negative, ">= 0"),
-    ("protocol", "measurement_noise_ps"): (float, 1.0, _non_negative, ">= 0"),
-    ("protocol", "series_period_s"): (float, 120.0, _positive, "> 0"),
+    ("ion", "exposure_window_us"): (float, 400.0, positive, "> 0"),
+    ("ion", "decay_per_s"): (float, 313.4, non_negative, ">= 0"),
+}
+# protocol -> the fields of a scenario that runs it
+_PROTOCOL_FIELDS = {
+    name: {**_FIELDS, **{("protocol", key): spec for key, spec in protocol.fields.items()}}
+    for name, protocol in PROTOCOLS.items()
 }
 
 
@@ -196,10 +159,10 @@ def _parse_value(kind, raw: str):
     raise AssertionError(kind)
 
 
-def parse_value(section: str, key: str, raw: str):
-    """`raw` parsed as the value of `[section] key`; a ValueError names the
-    bound it violates."""
-    kind, _, predicate, bound = _FIELDS[(section, key)]
+def _parse_field(spec, raw: str):
+    """`raw` parsed by the field spec; a ValueError names the bound it
+    violates."""
+    kind, _, predicate, bound = spec
     value = _parse_value(kind, raw)
     if predicate is not None and not predicate(value):
         raise ValueError(f"value {raw.strip()!r} violates bound {bound}")
@@ -222,6 +185,11 @@ class Scenario:
 
     def protocol_value(self, key: str):
         return self.values[("protocol", key)]
+
+    def override(self, section: str, key: str, raw: str) -> None:
+        """Set `[section] key` from `raw`, held to the bound of its field; a
+        ValueError names the bound."""
+        self.values[(section, key)] = _parse_field(_PROTOCOL_FIELDS[self.protocol][(section, key)], raw)
 
     # -- assembly ----------------------------------------------------------
 
@@ -366,27 +334,35 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
     except Exception as exc:  # configparser raises several subclasses
         return {}, [Issue("scenario", "(file)", f"parse error: {exc}")]
 
+    # A file whose protocol is missing or unknown leaves [protocol] unread.
+    protocol = parser.get("scenario", "protocol", fallback="").strip()
+    fields = _PROTOCOL_FIELDS.get(protocol, _FIELDS)
     values: dict[tuple[str, str], object] = {}
-    for (section, key), (kind, default, _, _) in _FIELDS.items():
+    for (section, key), spec in fields.items():
         if parser.has_option(section, key):
             try:
-                values[(section, key)] = parse_value(section, key, parser.get(section, key))
+                values[(section, key)] = _parse_field(spec, parser.get(section, key))
             except ValueError as exc:
                 issues.append(Issue(section, key, str(exc), _find_line(text, section, key)))
         else:
+            kind, default = spec[:2]
             values[(section, key)] = (
                 _parse_value(kind, default) if isinstance(default, str) and kind not in (str,)
                 else default
             )
 
-    known = {s for s, _ in _FIELDS}
+    known = {s for s, _ in fields}
     for section in parser.sections():
+        if section == "protocol" and protocol not in PROTOCOLS:
+            continue
         if section not in known:
             issues.append(Issue(section, "(section)", "unknown section"))
             continue
         for key in parser.options(section):
-            if (section, key) not in _FIELDS:
-                issues.append(Issue(section, key, "unknown key", _find_line(text, section, key)))
+            if (section, key) not in fields:
+                message = (f"not a parameter of protocol {protocol!r}" if section == "protocol"
+                           else "unknown key")
+                issues.append(Issue(section, key, message, _find_line(text, section, key)))
 
     if values.get(("scenario", "protocol")) is None:
         issues.append(Issue("scenario", "protocol", "required key is missing"))
@@ -416,16 +392,6 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
             Issue("stabilizer", "du0_v", f"du0_v + du1_v must be <= piezo_limit_v ({limit:g} V)",
                   _find_line(text, "stabilizer", "du0_v"))
         )
-
-    protocol = values.get(("scenario", "protocol"))
-    if protocol in PROTOCOLS and parser.has_section("protocol"):
-        allowed = PROTOCOLS[protocol].keys
-        for key in parser.options("protocol"):
-            if (("protocol", key) in _FIELDS) and key not in allowed:
-                issues.append(
-                    Issue("protocol", key, f"not a parameter of protocol {protocol!r}",
-                          _find_line(text, "protocol", key))
-                )
 
     if protocol == "drift-characterize":
         issues += _drift_lag_issues(text, values)

@@ -5,7 +5,8 @@ Each runner takes a parsed Scenario and an output directory, writes its
 protocol-specific CSV/JSON files, and returns the list of files written.
 All randomness comes from labeled streams of the scenario seed, so outputs
 are byte-identical across runs of the same configuration. `PROTOCOLS` is
-the one table of protocols: the configuration schema and the CLI read it.
+the one table of protocols, each with its runner and the `[protocol]` keys
+it declares: the configuration schema and the CLI read it.
 """
 
 from __future__ import annotations
@@ -516,39 +517,66 @@ def run_delay_drift(scn: Scenario, out: Path) -> list[Path]:
 
 class Protocol(NamedTuple):
     runner: Callable[[Scenario, Path], list[Path]]
-    keys: tuple[str, ...]  # the [protocol] keys the runner reads
+    # [protocol] key -> (parser, default, predicate, bound text), for each key
+    # the runner reads; `config` rejects any other [protocol] key
+    fields: dict[str, tuple]
     trials_key: str | None = None  # the [protocol] key that `--trials` sets
 
 
+def positive(x: float) -> bool:
+    return x > 0.0
+
+
+def non_negative(x: float) -> bool:
+    return x >= 0.0
+
+
+_EXACT_COUNTS = (float, 0.0, non_negative, ">= 0 (0 = exact)")
+_ARM_B = {
+    "apply_link_to_arm_b": (bool, True, None, ""),
+    "stabilize_first": (bool, True, None, ""),
+}
+
 PROTOCOLS = {
-    "pdl-characterize": Protocol(
-        run_pdl_characterize,
-        ("n_samples", "sample_period_s", "link_pdl_mean_db", "link_pdl_sigma_db",
-         "det_pdl_mean_db", "det_pdl_sigma_db"),
-        "n_samples",
-    ),
-    "drift-characterize": Protocol(
-        run_drift_characterize, ("total_s", "trace_period_s", "tau_grid_s"),
-    ),
-    "stabilize": Protocol(run_stabilize, ("n_trials",), "n_trials"),
-    "distribute-entanglement": Protocol(
-        run_distribute_entanglement,
-        ("intervals_s", "total_per_interval_s", "counts_per_basis", "correct_background",
-         "accidental_rate_a_per_s", "accidental_rate_b_per_s", "coincidence_window_s"),
-        "total_per_interval_s",
-    ),
-    "ion-photon": Protocol(
-        run_ion_photon, ("counts_per_basis", "apply_link_to_arm_b", "stabilize_first"),
-    ),
-    "teleport": Protocol(
-        run_teleport,
-        ("counts_per_basis", "apply_link_to_arm_b", "stabilize_first", "input_states"),
-    ),
-    "delay-drift": Protocol(
-        run_delay_drift,
-        ("days", "temp_amplitude_k", "temp_period_s", "temp_trend_k_per_day",
-         "temp_noise_k", "measurement_noise_ps", "series_period_s"),
-    ),
+    "pdl-characterize": Protocol(run_pdl_characterize, {
+        "n_samples": (int, 500, lambda v: v >= 2, ">= 2"),
+        "sample_period_s": (float, 91.0, positive, "> 0"),
+        "link_pdl_mean_db": (float, 0.08, non_negative, ">= 0"),
+        "link_pdl_sigma_db": (float, 0.045, non_negative, ">= 0"),
+        "det_pdl_mean_db": (float, 0.23, non_negative, ">= 0"),
+        "det_pdl_sigma_db": (float, 0.02, non_negative, ">= 0"),
+    }, "n_samples"),
+    "drift-characterize": Protocol(run_drift_characterize, {
+        "total_s": (float, 4000.0, positive, "> 0"),
+        "trace_period_s": (float, 10.0, positive, "> 0"),
+        "tau_grid_s": ("floats", "10,20,40,80,160", None, ""),
+    }),
+    "stabilize": Protocol(run_stabilize, {"n_trials": (int, 50, lambda v: v >= 1, ">= 1")}, "n_trials"),
+    "distribute-entanglement": Protocol(run_distribute_entanglement, {
+        "intervals_s": ("floats", "5,20,60,160", None, ""),
+        "total_per_interval_s": (float, 3200.0, positive, "> 0"),
+        "counts_per_basis": _EXACT_COUNTS,
+        "correct_background": (bool, True, None, ""),
+        "accidental_rate_a_per_s": (float, 0.0, non_negative, ">= 0"),
+        "accidental_rate_b_per_s": (float, 0.0, non_negative, ">= 0"),
+        "coincidence_window_s": (float, 1e-9, positive, "> 0"),
+    }, "total_per_interval_s"),
+    "ion-photon": Protocol(run_ion_photon, {"counts_per_basis": _EXACT_COUNTS, **_ARM_B}),
+    "teleport": Protocol(run_teleport, {
+        "counts_per_basis": _EXACT_COUNTS,
+        **_ARM_B,
+        "input_states": ("labels", "H,V,D,R", lambda v: set(v) <= set(quantum.BASIS_KETS),
+                         f"labels from {','.join(quantum.BASIS_KETS)}"),
+    }),
+    "delay-drift": Protocol(run_delay_drift, {
+        "days": (float, 2.0, positive, "> 0"),
+        "temp_amplitude_k": (float, 4.0, non_negative, ">= 0"),
+        "temp_period_s": (float, 86400.0, positive, "> 0"),
+        "temp_trend_k_per_day": (float, 0.5, None, ""),
+        "temp_noise_k": (float, 0.02, non_negative, ">= 0"),
+        "measurement_noise_ps": (float, 1.0, non_negative, ">= 0"),
+        "series_period_s": (float, 120.0, positive, "> 0"),
+    }),
 }
 
 RUNNERS = {name: protocol.runner for name, protocol in PROTOCOLS.items()}

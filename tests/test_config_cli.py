@@ -92,18 +92,8 @@ def test_deleted_key_is_unknown(tmp_path, section, key, value):
     assert [(i.section, i.key, i.message) for i in issues] == [(section, key, "unknown key")]
 
 
-def test_every_protocol_field_is_read_by_a_protocol():
-    read = {key for protocol in PROTOCOLS.values() for key in protocol.keys}
-    for section, key in config._FIELDS:
-        if section == "protocol":
-            assert key in read, key
-
-
-def test_every_protocol_table_key_is_a_field():
-    for name, protocol in PROTOCOLS.items():
-        for key in protocol.keys:
-            assert ("protocol", key) in config._FIELDS, (name, key)
-        assert protocol.trials_key is None or protocol.trials_key in protocol.keys, name
+def test_trials_key_is_a_declared_field():
+    assert all(p.trials_key is None or p.trials_key in p.fields for p in PROTOCOLS.values())
 
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -273,9 +263,11 @@ _DRIFT_SIZES = {
 }
 _CANDIDATES = {
     (section, key): _DRIFT_SIZES.get(key, _GENERIC.get(kind, ())) + (str(default),)
-    for (section, key), (kind, default, _, _) in config._FIELDS.items()
-    if section in ("channel", "instruments", "stabilizer")
-    or key in PROTOCOLS["drift-characterize"].keys
+    for (section, key), (kind, default, _, _) in [
+        *config._FIELDS.items(),
+        *((("protocol", key), spec) for key, spec in PROTOCOLS["drift-characterize"].fields.items()),
+    ]
+    if section in ("channel", "instruments", "stabilizer", "protocol")
 }
 # protocol -> the cheapest settings of its size keys
 _CHEAP = {
