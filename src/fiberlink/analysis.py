@@ -25,8 +25,9 @@ __all__ = [
     "write_quantile_surface_csv",
 ]
 
-DEFAULT_QUANTILES = (0.90, 0.99, 0.999)
+QUANTILES = (0.90, 0.99, 0.999)
 FIDELITY_BINS = 60
+MIN_SAMPLES_PER_BIN = 100
 
 
 class EmptyOverlap(ValueError):
@@ -40,7 +41,7 @@ class QuantileSurface:
     incidence[i, j] is the per-column-normalized share of fidelity bin j at
     drift time tau_grid[i]; curves[q][i] is the fidelity maintained with
     probability q after tau_grid[i]. Raw empirical curves are reported (no
-    monotone smoothing); `isotonic()` returns regularized copies.
+    monotone smoothing).
     """
 
     tau_grid: np.ndarray
@@ -50,25 +51,14 @@ class QuantileSurface:
     counts: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
-    def isotonic(self) -> dict[float, np.ndarray]:
-        """Non-increasing envelope of each quantile curve (optional post-pass)."""
-        out = {}
-        for q, curve in self.curves.items():
-            out[q] = np.minimum.accumulate(curve)
-        return out
 
-
-def quantile_surface(
-    samples,
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-    min_samples_per_bin: int = 100,
-) -> QuantileSurface:
-    """Bin (tau, fidelity) samples by tau and extract maintenance quantiles.
+def quantile_surface(samples) -> QuantileSurface:
+    """Bin (tau, fidelity) samples by tau and extract the QUANTILES curves.
 
     The q-curve value at a given tau is the fidelity f such that a fraction
     q of the samples at that tau lies at or above f, i.e. the (1-q) quantile
     of the per-bin empirical distribution. Bins with fewer samples than
-    min_samples_per_bin are kept but flagged in `warnings`. `samples` is a
+    MIN_SAMPLES_PER_BIN are kept but flagged in `warnings`. `samples` is a
     sequence of (tau, fidelity) pairs or an (m, 2) array.
     """
     samples = np.asarray(samples, dtype=float)
@@ -79,19 +69,19 @@ def quantile_surface(
     edges = np.linspace(f_lo, 1.0, FIDELITY_BINS + 1)
     incidence = np.zeros((taus.size, FIDELITY_BINS))
     counts = np.zeros(taus.size, dtype=int)
-    curves = {q: np.empty(taus.size) for q in quantiles}
+    curves = {q: np.empty(taus.size) for q in QUANTILES}
     warnings = []
     for i, tau in enumerate(taus):
         vals = samples[samples[:, 0] == tau, 1]
         counts[i] = vals.size
-        if vals.size < min_samples_per_bin:
+        if vals.size < MIN_SAMPLES_PER_BIN:
             warnings.append(
                 f"tau={tau:g}: only {vals.size} samples for quoted quantiles"
             )
         hist, _ = np.histogram(vals, bins=edges)
         if hist.sum() > 0:
             incidence[i] = hist / hist.sum()
-        for q in quantiles:
+        for q in QUANTILES:
             curves[q][i] = np.quantile(vals, 1.0 - q)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return QuantileSurface(

@@ -105,7 +105,6 @@ class BackgroundSource:
     """Poisson background at the receiver, counts per second."""
 
     rate_per_s: float
-    filter_tag: str = "250MHz"
 
     def __post_init__(self) -> None:
         if self.rate_per_s < 0.0:

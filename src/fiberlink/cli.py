@@ -118,9 +118,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    if args.action != "list":
-        print("usage: fiberlink presets list", file=sys.stderr)
-        return 2
     for name in list_presets():
         print(name)
     return 0

@@ -29,7 +29,7 @@ from . import seeding
 from .channel import ChannelState, DaySchedule, PdlSpikeProcess
 from .instruments import PiezoController, Polarimeter, ReferenceSwitch
 from .polcore import PdlElement
-from .protocols import PROTOCOLS, drift_lag, non_negative, positive
+from .protocols import _MAX_TRACE_STEPS, PROTOCOLS, drift_lag, non_negative, positive
 from .quantum import IonMemory, SpdcSource
 from .stabilizer import StabilizerConfig
 
@@ -113,6 +113,7 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     ("ion", "exposure_window_us"): (float, 400.0, positive, "> 0"),
     ("ion", "decay_per_s"): (float, 313.4, non_negative, ">= 0"),
 }
+
 # protocol -> the fields of a scenario that runs it
 _PROTOCOL_FIELDS = {
     name: {**_FIELDS, **{("protocol", key): spec for key, spec in protocol.fields.items()}}
@@ -187,9 +188,14 @@ class Scenario:
         return self.values[("protocol", key)]
 
     def override(self, section: str, key: str, raw: str) -> None:
-        """Set `[section] key` from `raw`, held to the bound of its field; a
-        ValueError names the bound."""
-        self.values[(section, key)] = _parse_field(_PROTOCOL_FIELDS[self.protocol][(section, key)], raw)
+        """Set `[section] key` from `raw`, held to the bound of its field and
+        to the bounds that span fields; a ValueError names what it breaks."""
+        spec = _PROTOCOL_FIELDS[self.protocol][(section, key)]
+        values = {**self.values, (section, key): _parse_field(spec, raw)}
+        issues = _checks(self.text, self.protocol, values)
+        if issues:
+            raise ValueError("; ".join(issue.message for issue in issues))
+        self.values = values
 
     # -- assembly ----------------------------------------------------------
 
@@ -282,8 +288,13 @@ def _find_line(text: str, section: str, key: str) -> int | None:
     return None
 
 
-# The drift-characterize run holds one rotation per trace period in memory.
-_MAX_TRACE_STEPS = 10**6
+def _too_long(text: str, key: str, steps: float, formula: str, unit: str) -> list[Issue]:
+    """One Issue on `[protocol] key` if a run of `steps` `unit` exceeds
+    _MAX_TRACE_STEPS. `steps` is a float, so inf where int() would overflow."""
+    if steps <= _MAX_TRACE_STEPS:
+        return []
+    return [Issue("protocol", key, f"{formula} = {steps:g} {unit}; at most {_MAX_TRACE_STEPS} per run",
+                  _find_line(text, "protocol", key))]
 
 
 def _drift_lag_issues(text: str, values) -> list[Issue]:
@@ -295,12 +306,10 @@ def _drift_lag_issues(text: str, values) -> list[Issue]:
     taus = values.get(("protocol", "tau_grid_s"))
     if None in (total, period, taus):
         return []
-    steps = total / period  # a float, so inf where int() would overflow
-    if steps > _MAX_TRACE_STEPS:
-        return [Issue("protocol", "trace_period_s",
-                      f"total_s / trace_period_s = {steps:g} trace periods; "
-                      f"at most {_MAX_TRACE_STEPS} per run",
-                      _find_line(text, "protocol", "trace_period_s"))]
+    steps = total / period
+    too_long = _too_long(text, "trace_period_s", steps, "total_s / trace_period_s", "trace periods")
+    if too_long:
+        return too_long
     longest = int(steps)
     if longest < min(drift_lag(tau, period) for tau in taus):
         return [Issue("protocol", "total_s",
@@ -326,7 +335,7 @@ def _drift_lag_issues(text: str, values) -> list[Issue]:
 
 
 def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
-    parser = ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (all lower case)
     issues: list[Issue] = []
     try:
@@ -364,9 +373,16 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
                            else "unknown key")
                 issues.append(Issue(section, key, message, _find_line(text, section, key)))
 
-    if values.get(("scenario", "protocol")) is None:
+    if not protocol:
         issues.append(Issue("scenario", "protocol", "required key is missing"))
 
+    issues += _checks(text, protocol, values)
+    return values, issues
+
+
+def _checks(text: str, protocol: str, values) -> list[Issue]:
+    """The bounds that span several fields, and the run length."""
+    issues = []
     fp_th = values.get(("stabilizer", "fp_threshold"))
     fp_x = values.get(("stabilizer", "fp_crossover"))
     if fp_th is not None and fp_x is not None and not fp_x < fp_th:
@@ -402,7 +418,22 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
                   "must be > 0 for exact counts (counts_per_basis = 0): every count table is empty",
                   _find_line(text, "source", "pair_rate_per_s"))
         )
-    return values, issues
+    if protocol == "delay-drift":
+        days, period = values.get(("protocol", "days")), values.get(("protocol", "series_period_s"))
+        if None not in (days, period):
+            issues += _too_long(text, "series_period_s", days * 86400.0 / period,
+                                "days * 86400 / series_period_s", "series samples")
+    if protocol == "distribute-entanglement":
+        total = values.get(("protocol", "total_per_interval_s"))
+        intervals = values.get(("protocol", "intervals_s"))
+        dt = values.get(("channel", "drift_dt_s"))
+        if None not in (total, intervals, dt):
+            # each window walks max(1, round(interval / drift_dt_s)) steps
+            issues += _too_long(text, "total_per_interval_s",
+                                sum(total / min(interval, dt) for interval in intervals),
+                                "sum of total_per_interval_s / min(interval, drift_dt_s) "
+                                "over intervals_s", "drift steps")
+    return issues
 
 
 def loads(text: str, name: str = "scenario") -> Scenario:

@@ -523,6 +523,11 @@ class Protocol(NamedTuple):
     trials_key: str | None = None  # the [protocol] key that `--trials` sets
 
 
+# The longest run `validate` lets through: trace periods, series samples,
+# drift steps, loss samples or stabilization trials, each held or walked in turn.
+_MAX_TRACE_STEPS = 10**6
+
+
 def positive(x: float) -> bool:
     return x > 0.0
 
@@ -539,7 +544,7 @@ _ARM_B = {
 
 PROTOCOLS = {
     "pdl-characterize": Protocol(run_pdl_characterize, {
-        "n_samples": (int, 500, lambda v: v >= 2, ">= 2"),
+        "n_samples": (int, 500, lambda v: 2 <= v <= _MAX_TRACE_STEPS, f"in [2, {_MAX_TRACE_STEPS}]"),
         "sample_period_s": (float, 91.0, positive, "> 0"),
         "link_pdl_mean_db": (float, 0.08, non_negative, ">= 0"),
         "link_pdl_sigma_db": (float, 0.045, non_negative, ">= 0"),
@@ -551,9 +556,11 @@ PROTOCOLS = {
         "trace_period_s": (float, 10.0, positive, "> 0"),
         "tau_grid_s": ("floats", "10,20,40,80,160", None, ""),
     }),
-    "stabilize": Protocol(run_stabilize, {"n_trials": (int, 50, lambda v: v >= 1, ">= 1")}, "n_trials"),
+    "stabilize": Protocol(run_stabilize, {
+        "n_trials": (int, 50, lambda v: 1 <= v <= _MAX_TRACE_STEPS, f"in [1, {_MAX_TRACE_STEPS}]"),
+    }, "n_trials"),
     "distribute-entanglement": Protocol(run_distribute_entanglement, {
-        "intervals_s": ("floats", "5,20,60,160", None, ""),
+        "intervals_s": ("floats", "5,20,60,160", lambda v: min(v) > 0.0, "each > 0"),
         "total_per_interval_s": (float, 3200.0, positive, "> 0"),
         "counts_per_basis": _EXACT_COUNTS,
         "correct_background": (bool, True, None, ""),
@@ -563,7 +570,9 @@ PROTOCOLS = {
     }, "total_per_interval_s"),
     "ion-photon": Protocol(run_ion_photon, {"counts_per_basis": _EXACT_COUNTS, **_ARM_B}),
     "teleport": Protocol(run_teleport, {
-        "counts_per_basis": _EXACT_COUNTS,
+        # int(counts_per_basis) shots per axis, drawn by numpy as a C long
+        "counts_per_basis": (float, 0.0, lambda v: v == 0.0 or 1.0 <= v < 2.0**63,
+                             "0 (exact) or in [1, 2^63)"),
         **_ARM_B,
         "input_states": ("labels", "H,V,D,R", lambda v: set(v) <= set(quantum.BASIS_KETS),
                          f"labels from {','.join(quantum.BASIS_KETS)}"),

@@ -37,7 +37,7 @@ def test_quantile_surface_matches_analytic_diffusion(rng):
         angles = np.linalg.norm(phi, axis=1)
         fps = (1.0 + np.cos(angles)) / 2.0
         samples.extend((tau, f) for f in fps)
-    surf = an.quantile_surface(samples, quantiles=(0.90,))
+    surf = an.quantile_surface(samples)
     for i, tau in enumerate(surf.tau_grid):
         phi_q = math.sqrt(2.0 * rate * tau / 3.0 * stats.chi2.ppf(0.90, df=3))
         analytic = (1.0 + math.cos(phi_q)) / 2.0
@@ -61,13 +61,6 @@ def test_quantile_surface_incidence_normalized_per_column(rng):
 def test_quantile_surface_warns_on_small_bins():
     surf = an.quantile_surface([(1.0, 0.99)] * 30)
     assert surf.warnings
-
-
-def test_quantile_surface_isotonic_pass():
-    samples = [(1.0, 0.99)] * 200 + [(2.0, 0.999)] * 200 + [(3.0, 0.95)] * 200
-    surf = an.quantile_surface(samples, quantiles=(0.90,))
-    iso = surf.isotonic()[0.90]
-    assert np.all(np.diff(iso) <= 0)
 
 
 def test_quantile_surface_after_stabilization(rng):
@@ -94,7 +87,7 @@ def test_quantile_surface_after_stabilization(rng):
             ch.advance(20.0)
             samples.append((tau, pc.process_fidelity(comp @ ch.rotation)))
     assert converged >= 114  # >= 95 % of the campaign
-    surf = an.quantile_surface(samples, quantiles=(0.90,), min_samples_per_bin=100)
+    surf = an.quantile_surface(samples)
     assert np.all(surf.curves[0.90] >= 0.98)
 
 

@@ -238,6 +238,93 @@ def test_validate_bounds_the_drift_trace_length(tmp_path, capsys, total_s, trace
     assert "Traceback" not in capsys.readouterr().err
 
 
+_DELAY = "[scenario]\nprotocol = delay-drift\n[protocol]\n"
+_DISTRIBUTE = "[scenario]\nprotocol = distribute-entanglement\n"
+
+
+# Each run holds or walks its series samples, drift steps, loss samples or
+# trials one by one; `validate` bounds their count. None of these is run.
+@pytest.mark.parametrize("text, key, rejected", [
+    # OverflowError from int(days * 86400 / series_period_s) in `run`
+    (_DELAY + "days = 1e10\nseries_period_s = 1e-300\n", "series_period_s", True),
+    # MemoryError: 1.7e14 samples at the default days
+    (_DELAY + "series_period_s = 1e-9\n", "series_period_s", True),
+    (_DELAY + "days = 10\nseries_period_s = 0.864\n", "series_period_s", False),
+    # 5e9 windows
+    (_DISTRIBUTE + "[protocol]\nintervals_s = 1e-9\ntotal_per_interval_s = 5\n",
+     "total_per_interval_s", True),
+    # 5e9 drift steps
+    (_DISTRIBUTE + "[channel]\ndrift_dt_s = 1e-9\n[protocol]\nintervals_s = 5\n"
+     "total_per_interval_s = 5\n", "total_per_interval_s", True),
+    # 500,000 drift steps of 1 s per interval
+    (_DISTRIBUTE + "[protocol]\nintervals_s = 5,20\ntotal_per_interval_s = 500000\n",
+     "total_per_interval_s", False),
+    ("[scenario]\nprotocol = pdl-characterize\n[protocol]\nn_samples = 1000001\n", "n_samples", True),
+    ("[scenario]\nprotocol = stabilize\n[protocol]\nn_trials = 1000001\n", "n_trials", True),
+], ids=["delay_overflow", "delay_memory", "delay_at_bound", "distribute_windows",
+        "distribute_drift_steps", "distribute_at_bound", "pdl_samples", "stabilize_trials"])
+def test_validate_bounds_the_run_length(tmp_path, capsys, text, key, rejected):
+    path = tmp_path / "long.ini"
+    path.write_text(text)
+    line = next(i for i, t in enumerate(text.splitlines(), 1) if t.startswith(key))
+    issues = config.validate_file(path)
+    assert [(i.section, i.key, i.line) for i in issues] == (
+        [("protocol", key, line)] if rejected else []
+    )
+    assert cli.main(["validate", str(path)]) == (2 if rejected else 0)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# `--trials` is held to the same bounds as the key it sets, run length included.
+@pytest.mark.parametrize("argv", [
+    ["ppe_dutycycle", "--trials", "1000000000000"],
+    ["stabilize_demo", "--trials", "1000001"],
+    ["pdl_characterize", "--trials", "1000001"],
+], ids=["drift_steps", "n_trials", "n_samples"])
+def test_cli_trials_override_is_held_to_the_run_length(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main(["run", *argv, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err and f"{argv[1]} {argv[2]}" in err
+    assert not (out / "manifest.json").exists()
+
+
+# teleport sends int(counts_per_basis) shots along each axis: 0.5 sent none and
+# divided by zero, 1e19 overflowed numpy's C long. The other two protocols draw
+# Poisson counts of any mean.
+@pytest.mark.parametrize("protocol, value, rejected", [
+    ("teleport", "0.5", True),
+    ("teleport", "1e19", True),
+    ("teleport", "1", False),
+    ("ion-photon", "0.5", False),
+])
+def test_teleport_counts_per_basis_are_whole_shots(tmp_path, capsys, protocol, value, rejected):
+    path = tmp_path / "counts.ini"
+    text = (f"[scenario]\nprotocol = {protocol}\nseed = 7\n[protocol]\n"
+            f"apply_link_to_arm_b = false\ncounts_per_basis = {value}\n")
+    path.write_text(text)
+    issues = config.validate_file(path)
+    assert [(i.key, i.line) for i in issues] == ([("counts_per_basis", 6)] if rejected else [])
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == (2 if rejected else 0)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_percent_sign_in_a_value_is_literal(tmp_path):
+    path = tmp_path / "pct.ini"
+    path.write_text("[scenario]\nprotocol = stabilize\nname = 100%\n")
+    assert config.validate_file(path) == []
+    assert config.load(path).name == "100%"
+
+
+def test_unknown_protocol_leaves_protocol_section_unread():
+    # the [protocol] keys depend on the protocol, so only the protocol is reported
+    issues = config._collect("[scenario]\nprotocol = quantum-leap\n[protocol]\ndays = -1\nfoo = 2\n")[1]
+    assert [(i.section, i.key, i.line) for i in issues] == [("scenario", "protocol", 2)]
+    assert "violates bound one of" in issues[0].message
+
+
 def test_validate_accepts_every_tau_grid_lag_the_run_covers(tmp_path):
     path = tmp_path / "ok.ini"
     path.write_text(_DRIFT + "total_s = 100\ntau_grid_s = 4,20,100\n")
@@ -247,37 +334,66 @@ def test_validate_accepts_every_tau_grid_lag_the_run_covers(tmp_path):
     assert [float(r[0]) for r in rows] == [10.0, 20.0, 100.0]
 
 
-# Candidate values per key: edges of the bounds in `config._FIELDS`, one
-# value past an edge, and the default. The drift-characterize sizes are kept
-# small so that every run is cheap.
+# Candidate values per key: edges of the declared bounds, one value past an
+# edge, and the default. Each protocol's size keys take values that keep every
+# run cheap, or that `validate` must reject.
 _GENERIC = {
+    str: ("run", "100%"),
     int: ("0", "1", "3"),
     float: ("0", "-1e-9", "1e-9", "1", "1e3"),
+    bool: ("true", "false"),
     "vec3": ("0,0,0", "0,0,1", "1,1,1"),
     "hms": ("00:00", "06:00", "22:00", "24:00"),
+    "labels": ("H,H,H,H", "X,V"),
 }
-_DRIFT_SIZES = {
-    "total_s": ("0", "5", "10", "40"),
-    "trace_period_s": ("-1", "1", "10", "40"),
-    "tau_grid_s": ("10", "1,20", "100", "10,inf"),
+_SIZES = {
+    "pdl-characterize": {"n_samples": ("1", "2", "3", "500", "1000001")},
+    "drift-characterize": {
+        "total_s": ("0", "5", "10", "40", "4000"),
+        "trace_period_s": ("-1", "1", "10", "40"),
+        "tau_grid_s": ("10", "1,20", "100", "10,inf", "10,20,40,80,160"),
+    },
+    "stabilize": {"n_trials": ("0", "1", "3", "1000001")},
+    "distribute-entanglement": {
+        "intervals_s": ("5", "1,5", "0", "1e-9", "5,20,60,160"),
+        "total_per_interval_s": ("0", "1", "5", "1e10"),
+        "counts_per_basis": ("0", "0.5", "1e3", "1e19"),
+    },
+    "ion-photon": {"counts_per_basis": ("0", "0.5", "1e3", "1e19")},
+    "teleport": {"counts_per_basis": ("0", "0.5", "1", "1e19")},
+    "delay-drift": {
+        "days": ("0", "0.01", "2", "1e10"),
+        "series_period_s": ("-1", "600", "1e-9", "1e-300"),
+    },
 }
+
+
+def _candidates(spec, sizes=None):
+    kind, default = spec[:2]
+    return sizes or _GENERIC.get(kind, ()) + (str(default),)
+
+
+# protocol -> (section, key) -> candidate values: the shared sections and the
+# protocol's own [protocol] keys
 _CANDIDATES = {
-    (section, key): _DRIFT_SIZES.get(key, _GENERIC.get(kind, ())) + (str(default),)
-    for (section, key), (kind, default, _, _) in [
-        *config._FIELDS.items(),
-        *((("protocol", key), spec) for key, spec in PROTOCOLS["drift-characterize"].fields.items()),
-    ]
-    if section in ("channel", "instruments", "stabilizer", "protocol")
+    name: {
+        **{k: _candidates(spec) for k, spec in config._FIELDS.items() if k != ("scenario", "protocol")},
+        **{("protocol", key): _candidates(spec, _SIZES[name].get(key))
+           for key, spec in protocol.fields.items()},
+    }
+    for name, protocol in PROTOCOLS.items()
 }
 # protocol -> the cheapest settings of its size keys
 _CHEAP = {
+    "pdl-characterize": {},
+    "drift-characterize": {("protocol", "total_s"): "10", ("protocol", "tau_grid_s"): "10"},
     "stabilize": {("protocol", "n_trials"): "1", ("stabilizer", "max_iterations"): "3"},
-    "drift-characterize": {("protocol", "total_s"): "10"},
-}
-# protocol -> the sections whose keys it draws
-_DRAWN = {
-    "stabilize": ("channel", "instruments", "stabilizer"),
-    "drift-characterize": ("channel", "instruments", "protocol"),
+    "distribute-entanglement": {("protocol", "intervals_s"): "5",
+                                ("protocol", "total_per_interval_s"): "5",
+                                ("stabilizer", "max_iterations"): "3"},
+    "ion-photon": {("stabilizer", "max_iterations"): "3"},
+    "teleport": {("stabilizer", "max_iterations"): "3"},
+    "delay-drift": {("protocol", "days"): "0.01"},
 }
 
 
@@ -292,24 +408,46 @@ def _scenario_text(protocol, values) -> str:
 
 
 @st.composite
-def _scenarios(draw):
-    protocol = draw(st.sampled_from(sorted(_CHEAP)))
-    keys = [k for k in _CANDIDATES if k[0] in _DRAWN[protocol]]
-    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=4))
-    return _scenario_text(protocol, {k: draw(st.sampled_from(_CANDIDATES[k])) for k in chosen})
+def _values(draw, protocol):
+    candidates = _CANDIDATES[protocol]
+    chosen = draw(st.lists(st.sampled_from(list(candidates)), unique=True, max_size=4))
+    return {k: draw(st.sampled_from(candidates[k])) for k in chosen}
 
 
+# Each example runs one scenario per protocol. Each @example after the first
+# four is a scenario that `validate` passed and whose run then raised, or that
+# made `validate` itself raise; the protocols it does not apply to reject it.
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(text=_scenarios(), trials=st.sampled_from((None, -1, 0, 1, 2)))
-@example(text=_scenario_text("stabilize", {("channel", "pdl_axis"): "0,0,0"}), trials=None)
-@example(text=_scenario_text("stabilize", {("instruments", "piezo_limit_v"): "1"}), trials=None)
-@example(text=_scenario_text("drift-characterize", {("protocol", "total_s"): "5"}), trials=None)
-@example(text=_scenario_text("stabilize", {}), trials=0)
-def test_valid_scenario_runs_or_fails_cleanly(text, trials):
+@given(values=st.data(), trials=st.sampled_from((None, -1, 0, 1, 2, 10**12)))
+@example(values={("channel", "pdl_axis"): "0,0,0"}, trials=None)
+@example(values={("instruments", "piezo_limit_v"): "1"}, trials=None)
+@example(values={("protocol", "total_s"): "5"}, trials=None)
+@example(values={}, trials=0)
+@example(values={("protocol", "counts_per_basis"): "0.5"}, trials=None)
+@example(values={("protocol", "counts_per_basis"): "1e19"}, trials=None)
+@example(values={("protocol", "days"): "1e10", ("protocol", "series_period_s"): "1e-300"},
+         trials=None)
+@example(values={("protocol", "series_period_s"): "1e-9"}, trials=None)
+@example(values={("protocol", "intervals_s"): "1e-9"}, trials=None)
+@example(values={("channel", "drift_dt_s"): "1e-9"}, trials=None)
+@example(values={}, trials=10**12)
+@example(values={("scenario", "name"): "100%"}, trials=None)
+def test_valid_scenario_runs_or_fails_cleanly(values, trials):
+    for protocol in sorted(PROTOCOLS):
+        # a dict in an @example, else the st.data() to draw one from
+        drawn = values if isinstance(values, dict) else values.draw(_values(protocol), label=protocol)
+        _runs_or_fails_cleanly(_scenario_text(protocol, drawn), trials)
+
+
+def _runs_or_fails_cleanly(text, trials):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.ini"
         path.write_text(text)
-        if config.validate_file(path):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["validate", str(path), "--quiet"])  # raises nothing
+        if code != 0:
+            assert code == 2 and err.getvalue(), text
             return
         argv = ["run", str(path), "--out", str(Path(tmp) / "out"), "--quiet"]
         if trials is not None:
@@ -317,7 +455,8 @@ def test_valid_scenario_runs_or_fails_cleanly(text, trials):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        assert code == 0 or (code in (2, 3) and len(err.getvalue().splitlines()) == 1), err.getvalue()
+        assert code == 0 or (code in (2, 3) and len(err.getvalue().splitlines()) == 1), (
+            text + err.getvalue())
 
 
 def test_day_window_is_parsed_at_validate_time():
