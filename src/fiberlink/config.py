@@ -29,7 +29,7 @@ from . import seeding
 from .channel import ChannelState, DaySchedule, PdlSpikeProcess
 from .instruments import PiezoController, Polarimeter, ReferenceSwitch
 from .polcore import PdlElement
-from .protocols import _MAX_TRACE_STEPS, PROTOCOLS, drift_lag, non_negative, positive
+from .protocols import PROTOCOLS, non_negative, positive
 from .quantum import IonMemory, SpdcSource
 from .stabilizer import StabilizerConfig
 
@@ -288,52 +288,6 @@ def _find_line(text: str, section: str, key: str) -> int | None:
     return None
 
 
-def _too_long(text: str, key: str, steps: float, formula: str, unit: str) -> list[Issue]:
-    """One Issue on `[protocol] key` if a run of `steps` `unit` exceeds
-    _MAX_TRACE_STEPS. `steps` is a float, so inf where int() would overflow."""
-    if steps <= _MAX_TRACE_STEPS:
-        return []
-    return [Issue("protocol", key, f"{formula} = {steps:g} {unit}; at most {_MAX_TRACE_STEPS} per run",
-                  _find_line(text, "protocol", key))]
-
-
-def _drift_lag_issues(text: str, values) -> list[Issue]:
-    """The trace may hold at most _MAX_TRACE_STEPS periods, and each
-    tau_grid_s entry must be > 0 and give its own lag, in trace periods,
-    that the run's int(total_s / trace_period_s) periods cover."""
-    total = values.get(("protocol", "total_s"))
-    period = values.get(("protocol", "trace_period_s"))
-    taus = values.get(("protocol", "tau_grid_s"))
-    if None in (total, period, taus):
-        return []
-    steps = total / period
-    too_long = _too_long(text, "trace_period_s", steps, "total_s / trace_period_s", "trace periods")
-    if too_long:
-        return too_long
-    longest = int(steps)
-    if longest < min(drift_lag(tau, period) for tau in taus):
-        return [Issue("protocol", "total_s",
-                      "too short for every tau_grid_s lag at this trace_period_s",
-                      _find_line(text, "protocol", "total_s"))]
-    line = _find_line(text, "protocol", "tau_grid_s")
-    issues = []
-    seen: dict[int, float] = {}
-    for tau in taus:
-        lag = drift_lag(tau, period)
-        if tau <= 0.0:
-            message = f"entry {tau:g} must be > 0"
-        elif lag > longest:
-            message = (f"entry {tau:g} is a lag of {lag} trace periods; total_s covers "
-                       f"{longest}")
-        elif lag in seen:
-            message = f"entries {seen[lag]:g} and {tau:g} both round to a lag of {lag} trace periods"
-        else:
-            seen[lag] = tau
-            continue
-        issues.append(Issue("protocol", "tau_grid_s", message, line))
-    return issues
-
-
 def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
     parser = ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (all lower case)
@@ -376,64 +330,34 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
     if not protocol:
         issues.append(Issue("scenario", "protocol", "required key is missing"))
 
-    issues += _checks(text, protocol, values)
+    if len(values) == len(fields):  # the bounds across fields need every value
+        issues += _checks(text, protocol, values)
     return values, issues
 
 
 def _checks(text: str, protocol: str, values) -> list[Issue]:
-    """The bounds that span several fields, and the run length."""
-    issues = []
-    fp_th = values.get(("stabilizer", "fp_threshold"))
-    fp_x = values.get(("stabilizer", "fp_crossover"))
-    if fp_th is not None and fp_x is not None and not fp_x < fp_th:
-        issues.append(Issue("stabilizer", "fp_crossover", f"must be < fp_threshold ({fp_th})"))
+    """The bounds across fields: the shared sections', then the protocol's."""
+    found = []
+    fp_th = values[("stabilizer", "fp_threshold")]
+    if not values[("stabilizer", "fp_crossover")] < fp_th:
+        found.append(("stabilizer", "fp_crossover", f"must be < fp_threshold ({fp_th})"))
 
     # The controller idles at a quarter turn on two channels (`bias_neutral`).
-    gain = values.get(("instruments", "piezo_gain_rad_per_v"))
-    limit = values.get(("instruments", "piezo_limit_v"))
-    if gain is not None and limit is not None and 0.5 * math.pi / abs(gain) > limit:
-        issues.append(
-            Issue("instruments", "piezo_limit_v",
-                  f"below the neutral bias pi/(2*|piezo_gain_rad_per_v|) = "
-                  f"{0.5 * math.pi / abs(gain):g} V",
-                  _find_line(text, "instruments", "piezo_limit_v"))
-        )
+    neutral = 0.5 * math.pi / abs(values[("instruments", "piezo_gain_rad_per_v")])
+    limit = values[("instruments", "piezo_limit_v")]
+    if neutral > limit:
+        found.append(("instruments", "piezo_limit_v",
+                      f"below the neutral bias pi/(2*|piezo_gain_rad_per_v|) = {neutral:g} V"))
 
     # `adapt_parameters` never searches further than du0_v + du1_v, so from
     # any in-range voltage `gradient` has at least one in-range probe.
-    du0 = values.get(("stabilizer", "du0_v"))
-    du1 = values.get(("stabilizer", "du1_v"))
-    if None not in (du0, du1, limit) and du0 + du1 > limit:
-        issues.append(
-            Issue("stabilizer", "du0_v", f"du0_v + du1_v must be <= piezo_limit_v ({limit:g} V)",
-                  _find_line(text, "stabilizer", "du0_v"))
-        )
+    if values[("stabilizer", "du0_v")] + values[("stabilizer", "du1_v")] > limit:
+        found.append(("stabilizer", "du0_v", f"du0_v + du1_v must be <= piezo_limit_v ({limit:g} V)"))
 
-    if protocol == "drift-characterize":
-        issues += _drift_lag_issues(text, values)
-    if (protocol == "distribute-entanglement" and values.get(("protocol", "counts_per_basis")) == 0.0
-            and values.get(("source", "pair_rate_per_s")) == 0.0):
-        issues.append(
-            Issue("source", "pair_rate_per_s",
-                  "must be > 0 for exact counts (counts_per_basis = 0): every count table is empty",
-                  _find_line(text, "source", "pair_rate_per_s"))
-        )
-    if protocol == "delay-drift":
-        days, period = values.get(("protocol", "days")), values.get(("protocol", "series_period_s"))
-        if None not in (days, period):
-            issues += _too_long(text, "series_period_s", days * 86400.0 / period,
-                                "days * 86400 / series_period_s", "series samples")
-    if protocol == "distribute-entanglement":
-        total = values.get(("protocol", "total_per_interval_s"))
-        intervals = values.get(("protocol", "intervals_s"))
-        dt = values.get(("channel", "drift_dt_s"))
-        if None not in (total, intervals, dt):
-            # each window walks max(1, round(interval / drift_dt_s)) steps
-            issues += _too_long(text, "total_per_interval_s",
-                                sum(total / min(interval, dt) for interval in intervals),
-                                "sum of total_per_interval_s / min(interval, drift_dt_s) "
-                                "over intervals_s", "drift steps")
-    return issues
+    if protocol in PROTOCOLS:
+        found += PROTOCOLS[protocol].checks(values)
+    return [Issue(section, key, message, _find_line(text, section, key))
+            for section, key, message in found]
 
 
 def loads(text: str, name: str = "scenario") -> Scenario:

@@ -6,7 +6,8 @@ protocol-specific CSV/JSON files, and returns the list of files written.
 All randomness comes from labeled streams of the scenario seed, so outputs
 are byte-identical across runs of the same configuration. `PROTOCOLS` is
 the one table of protocols, each with its runner and the `[protocol]` keys
-it declares: the configuration schema and the CLI read it.
+it declares and its checks across fields: the configuration schema and
+the CLI read it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,19 @@ __all__ = ["PROTOCOLS", "Protocol", "ProtocolFailed", "drift_lag", "run_protocol
 
 class ProtocolFailed(RuntimeError):
     """A protocol could not produce its outputs."""
+
+
+# The longest run `validate` lets through: trace periods, series samples,
+# drift steps, loss samples or stabilization trials, each held or walked in turn.
+_MAX_TRACE_STEPS = 10**6
+
+
+def _too_long(key: str, steps: float, formula: str, unit: str) -> list[tuple[str, str, str]]:
+    """One issue on `[protocol] key` if a run of `steps` `unit` exceeds
+    _MAX_TRACE_STEPS. `steps` is a float, so inf where int() would overflow."""
+    if steps <= _MAX_TRACE_STEPS:
+        return []
+    return [("protocol", key, f"{formula} = {steps:g} {unit}; at most {_MAX_TRACE_STEPS} per run")]
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +96,35 @@ def run_pdl_characterize(scn: Scenario, out: Path) -> list[Path]:
 def drift_lag(tau: float, period: float) -> int:
     """The lag in trace periods at which drift-characterize samples tau."""
     return max(1, round(tau / period))
+
+
+def _drift_checks(values) -> list[tuple[str, str, str]]:
+    """The trace may hold at most _MAX_TRACE_STEPS periods, and each
+    tau_grid_s entry must be > 0 and give its own lag, in trace periods,
+    that the run's int(total_s / trace_period_s) periods cover."""
+    period, taus = values[("protocol", "trace_period_s")], values[("protocol", "tau_grid_s")]
+    steps = values[("protocol", "total_s")] / period
+    too_long = _too_long("trace_period_s", steps, "total_s / trace_period_s", "trace periods")
+    if too_long:
+        return too_long
+    longest = int(steps)
+    if longest < min(drift_lag(tau, period) for tau in taus):
+        return [("protocol", "total_s", "too short for every tau_grid_s lag at this trace_period_s")]
+    issues = []
+    seen: dict[int, float] = {}
+    for tau in taus:
+        lag = drift_lag(tau, period)
+        if tau <= 0.0:
+            message = f"entry {tau:g} must be > 0"
+        elif lag > longest:
+            message = f"entry {tau:g} is a lag of {lag} trace periods; total_s covers {longest}"
+        elif lag in seen:
+            message = f"entries {seen[lag]:g} and {tau:g} both round to a lag of {lag} trace periods"
+        else:
+            seen[lag] = tau
+            continue
+        issues.append(("protocol", "tau_grid_s", message))
+    return issues
 
 
 def run_drift_characterize(scn: Scenario, out: Path) -> list[Path]:
@@ -190,6 +233,30 @@ def _corrected_counts(counts, noise_p, accidental_mean):
     group = {(a, b) for a in "HV" for b in "HV"}
     n_hat = sum(row[2] for row in counts if (row[0], row[1]) in group)
     return quantum.subtract_expected_accidentals(counts, n_hat * noise_p / 4.0)
+
+
+def _duty_cycle_steps(values) -> float:
+    """The drift steps `duty_cycle_run` walks over all intervals_s: exact
+    within the bound, and past it an estimate that stays past it."""
+    total, dt = values[("protocol", "total_per_interval_s")], values[("channel", "drift_dt_s")]
+    steps = 0
+    for interval in values[("protocol", "intervals_s")]:
+        windows, per_window = total / interval, interval / dt
+        # Floats first, so ceil() and round() never see inf: a ratio past
+        # twice the bound puts its own count past the bound.
+        if max(windows, per_window) <= 2 * _MAX_TRACE_STEPS:
+            windows, per_window = stabilizer.window_plan(interval, total, dt)
+        steps += max(1.0, windows) * max(1.0, per_window)
+    return steps
+
+
+def _distribute_checks(values) -> list[tuple[str, str, str]]:
+    issues = []
+    if values[("protocol", "counts_per_basis")] == values[("source", "pair_rate_per_s")] == 0.0:
+        issues.append(("source", "pair_rate_per_s",
+                       "must be > 0 for exact counts (counts_per_basis = 0): every count table is empty"))
+    return issues + _too_long("total_per_interval_s", _duty_cycle_steps(values),
+                              "sum over intervals_s of windows * drift steps per window", "drift steps")
 
 
 def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
@@ -464,6 +531,11 @@ def run_teleport(scn: Scenario, out: Path) -> list[Path]:
 # delay-drift
 # ---------------------------------------------------------------------------
 
+def _delay_checks(values) -> list[tuple[str, str, str]]:
+    samples = values[("protocol", "days")] * 86400.0 / values[("protocol", "series_period_s")]
+    return _too_long("series_period_s", samples, "days * 86400 / series_period_s", "series samples")
+
+
 def run_delay_drift(scn: Scenario, out: Path) -> list[Path]:
     rng = scn.rng("protocol.delay")
     days = scn.protocol_value("days")
@@ -521,11 +593,8 @@ class Protocol(NamedTuple):
     # the runner reads; `config` rejects any other [protocol] key
     fields: dict[str, tuple]
     trials_key: str | None = None  # the [protocol] key that `--trials` sets
-
-
-# The longest run `validate` lets through: trace periods, series samples,
-# drift steps, loss samples or stabilization trials, each held or walked in turn.
-_MAX_TRACE_STEPS = 10**6
+    # every parsed value -> (section, key, message) per bound that spans fields
+    checks: Callable[[dict], list[tuple[str, str, str]]] = lambda values: []
 
 
 def positive(x: float) -> bool:
@@ -555,7 +624,7 @@ PROTOCOLS = {
         "total_s": (float, 4000.0, positive, "> 0"),
         "trace_period_s": (float, 10.0, positive, "> 0"),
         "tau_grid_s": ("floats", "10,20,40,80,160", None, ""),
-    }),
+    }, checks=_drift_checks),
     "stabilize": Protocol(run_stabilize, {
         "n_trials": (int, 50, lambda v: 1 <= v <= _MAX_TRACE_STEPS, f"in [1, {_MAX_TRACE_STEPS}]"),
     }, "n_trials"),
@@ -567,7 +636,7 @@ PROTOCOLS = {
         "accidental_rate_a_per_s": (float, 0.0, non_negative, ">= 0"),
         "accidental_rate_b_per_s": (float, 0.0, non_negative, ">= 0"),
         "coincidence_window_s": (float, 1e-9, positive, "> 0"),
-    }, "total_per_interval_s"),
+    }, "total_per_interval_s", _distribute_checks),
     "ion-photon": Protocol(run_ion_photon, {"counts_per_basis": _EXACT_COUNTS, **_ARM_B}),
     "teleport": Protocol(run_teleport, {
         # int(counts_per_basis) shots per axis, drawn by numpy as a C long
@@ -585,7 +654,7 @@ PROTOCOLS = {
         "temp_noise_k": (float, 0.02, non_negative, ">= 0"),
         "measurement_noise_ps": (float, 1.0, non_negative, ">= 0"),
         "series_period_s": (float, 120.0, positive, "> 0"),
-    }),
+    }, checks=_delay_checks),
 }
 
 RUNNERS = {name: protocol.runner for name, protocol in PROTOCOLS.items()}

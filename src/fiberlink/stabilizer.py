@@ -44,6 +44,7 @@ __all__ = [
     "gradient",
     "measure_probe_pair",
     "stabilize",
+    "window_plan",
 ]
 
 TRACE_HEADER = ("iteration", "u1_v", "u2_v", "u3_v", "u4_v", "error_f", "process_fidelity", "time_s")
@@ -319,6 +320,14 @@ class DutyCycleLog:
         return sum(1 for r in self.records if r.stabilized)
 
 
+def window_plan(transmit_window_s: float, total_s: float, drift_dt_s: float) -> tuple[int, int]:
+    """(windows, drift steps per window) of a duty cycle of `total_s` in
+    windows of `transmit_window_s`, each walked in steps of about `drift_dt_s`."""
+    # Counted once, not by summing window starts: 2.1 / 0.7 is 3 windows.
+    n_windows = math.ceil(total_s / transmit_window_s * (1.0 - 1e-9))
+    return n_windows, max(1, round(transmit_window_s / drift_dt_s))
+
+
 def duty_cycle_run(
     ch: ChannelState,
     piezo: PiezoController,
@@ -344,9 +353,7 @@ def duty_cycle_run(
         raise ValueError("windows must be > 0")
     switch = switch or ReferenceSwitch()
     records: list[WindowRecord] = []
-    # Counted once, not by summing window starts: 2.1 / 0.7 is 3 windows.
-    n_windows = math.ceil(total_s / transmit_window_s * (1.0 - 1e-9))
-    n_steps = max(1, round(transmit_window_s / drift_dt_s))
+    n_windows, n_steps = window_plan(transmit_window_s, total_s, drift_dt_s)
     dt = transmit_window_s / n_steps
     for window in range(n_windows):
         s1, s2 = measure_probe_pair(ch, piezo, polarimeter, switch)

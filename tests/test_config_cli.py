@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fiberlink import cli, config, seeding
+from fiberlink import cli, config, protocols, seeding
 from fiberlink.output import read_csv_rows, sha256_file
 from fiberlink.protocols import PROTOCOLS, run_protocol
 
@@ -228,7 +228,7 @@ def test_validate_bounds_the_drift_trace_length(tmp_path, capsys, total_s, trace
     text = _DRIFT + f"total_s = {total_s}\ntrace_period_s = {trace_period_s}\n"
     path.write_text(text)
     if not rejected:
-        assert float(total_s) / float(trace_period_s) == config._MAX_TRACE_STEPS
+        assert float(total_s) / float(trace_period_s) == protocols._MAX_TRACE_STEPS
     line = text.splitlines().index(f"trace_period_s = {trace_period_s}") + 1
     issues = config.validate_file(path)
     assert [(i.section, i.key, i.line) for i in issues] == (
