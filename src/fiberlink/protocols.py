@@ -107,17 +107,18 @@ def _drift_checks(values) -> list[tuple[str, str, str]]:
     too_long = _too_long("trace_period_s", steps, "total_s / trace_period_s", "trace periods")
     if too_long:
         return too_long
-    longest = int(steps)
-    if longest < min(drift_lag(tau, period) for tau in taus):
+    if steps < 1.0:  # every lag is at least one trace period
         return [("protocol", "total_s", "too short for every tau_grid_s lag at this trace_period_s")]
+    longest = int(steps)
     issues = []
     seen: dict[int, float] = {}
     for tau in taus:
-        lag = drift_lag(tau, period)
+        # round() raises on an inf ratio; past longest + 1 the lag is past longest
+        lag = drift_lag(tau, period) if tau / period <= longest + 1 else tau / period
         if tau <= 0.0:
             message = f"entry {tau:g} must be > 0"
         elif lag > longest:
-            message = f"entry {tau:g} is a lag of {lag} trace periods; total_s covers {longest}"
+            message = f"entry {tau:g} is a lag of {lag:g} trace periods; total_s covers {longest}"
         elif lag in seen:
             message = f"entries {seen[lag]:g} and {tau:g} both round to a lag of {lag} trace periods"
         else:

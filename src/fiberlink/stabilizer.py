@@ -323,8 +323,9 @@ class DutyCycleLog:
 def window_plan(transmit_window_s: float, total_s: float, drift_dt_s: float) -> tuple[int, int]:
     """(windows, drift steps per window) of a duty cycle of `total_s` in
     windows of `transmit_window_s`, each walked in steps of about `drift_dt_s`."""
-    # Counted once, not by summing window starts: 2.1 / 0.7 is 3 windows.
-    n_windows = math.ceil(total_s / transmit_window_s * (1.0 - 1e-9))
+    # Counted once, not by summing window starts: 2.1 / 0.7 is 3 windows. A
+    # ratio that underflows to 0 still runs one window.
+    n_windows = max(1, math.ceil(total_s / transmit_window_s * (1.0 - 1e-9)))
     return n_windows, max(1, round(transmit_window_s / drift_dt_s))
 
 

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fiberlink import cli, config, protocols, seeding
+from fiberlink import cli, config, protocols, seeding, stabilizer
 from fiberlink.output import read_csv_rows, sha256_file
 from fiberlink.protocols import PROTOCOLS, run_protocol
 
@@ -154,6 +155,15 @@ def test_every_definition_is_reached():
     assert unreached == []
 
 
+def test_config_names_no_protocol():
+    # config checks the shared sections; each protocol's own checks live in
+    # its PROTOCOLS entry, so no protocol name appears in config
+    tree = ast.parse((_ROOT / "src" / "fiberlink" / "config.py").read_text())
+    named = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in PROTOCOLS]
+    assert named == []
+
+
 # Inputs that `run` cannot use fail validation (exit 2) instead of crashing `run`.
 @pytest.mark.parametrize("head, section, key, value", [
     ("[scenario]\nprotocol = teleport\n", "protocol", "input_states", "H,V,X,R"),
@@ -198,7 +208,13 @@ _DRIFT = "[scenario]\nprotocol = drift-characterize\n[protocol]\n"
     ("tau_grid_s = 10,12", ["entries 10 and 12 both round to a lag of 1"]),
     ("total_s = 4000\ntau_grid_s = -10,10,12",
      ["entry -10 must be > 0", "entries 10 and 12 both round to a lag of 1"]),
-], ids=["lag_beyond_total", "negative", "zero", "same_lag", "issue_reproducer"])
+    # round(inf) raised OverflowError inside `validate`
+    ("total_s = 1e-299\ntrace_period_s = 1e-300\ntau_grid_s = 1e300",
+     ["entry 1e+300 is a lag of inf trace periods; total_s covers 10"]),
+    # the lag was printed as a 308-digit integer
+    ("tau_grid_s = 10,1e308", ["entry 1e+308 is a lag of 1e+307 trace periods; total_s covers 400"]),
+], ids=["lag_beyond_total", "negative", "zero", "same_lag", "issue_reproducer", "lag_overflow",
+        "huge_lag"])
 def test_validate_rejects_tau_grid_the_run_would_drop_or_repeat(tmp_path, capsys, lines, messages):
     path = tmp_path / "bad.ini"
     text = _DRIFT + lines + "\n"
@@ -261,8 +277,13 @@ _DISTRIBUTE = "[scenario]\nprotocol = distribute-entanglement\n"
      "total_per_interval_s", False),
     ("[scenario]\nprotocol = pdl-characterize\n[protocol]\nn_samples = 1000001\n", "n_samples", True),
     ("[scenario]\nprotocol = stabilize\n[protocol]\nn_trials = 1000001\n", "n_trials", True),
+    # one window of 1e9 drift steps of 1 s, which a count of
+    # total_per_interval_s / min(interval, drift_dt_s) = 5 steps let through
+    (_DISTRIBUTE + "[protocol]\nintervals_s = 1e9\ntotal_per_interval_s = 5\n",
+     "total_per_interval_s", True),
 ], ids=["delay_overflow", "delay_memory", "delay_at_bound", "distribute_windows",
-        "distribute_drift_steps", "distribute_at_bound", "pdl_samples", "stabilize_trials"])
+        "distribute_drift_steps", "distribute_at_bound", "pdl_samples", "stabilize_trials",
+        "distribute_one_long_window"])
 def test_validate_bounds_the_run_length(tmp_path, capsys, text, key, rejected):
     path = tmp_path / "long.ini"
     path.write_text(text)
@@ -273,6 +294,25 @@ def test_validate_bounds_the_run_length(tmp_path, capsys, text, key, rejected):
     )
     assert cli.main(["validate", str(path)]) == (2 if rejected else 0)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# `validate` counts a distribute-entanglement run's drift steps with the window
+# plan that `duty_cycle_run` walks. Small grids keep every run cheap.
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(intervals=st.lists(st.sampled_from(("0.7", "1", "2.5", "5")), min_size=1, max_size=3, unique=True),
+       total=st.sampled_from(("1e-300", "0.5", "1", "2.1", "7.5")),
+       drift_dt=st.sampled_from(("0.3", "1", "2", "10")))
+def test_validate_counts_the_drift_steps_duty_cycle_run_walks(intervals, total, drift_dt):
+    scn = config.loads(_DISTRIBUTE + f"[channel]\ndrift_dt_s = {drift_dt}\n[stabilizer]\nmax_iterations = 1\n"
+                       f"[protocol]\nintervals_s = {','.join(intervals)}\ntotal_per_interval_s = {total}\n")
+    steps = []
+    for interval in scn.protocol_value("intervals_s"):
+        stabilizer.duty_cycle_run(
+            scn.make_channel(), scn.make_piezo(), scn.make_polarimeter(), scn.make_stabilizer_config(),
+            transmit_window_s=interval, total_s=scn.protocol_value("total_per_interval_s"),
+            drift_dt_s=scn[("channel", "drift_dt_s")], on_step=lambda *args: steps.append(args),
+        )
+    assert protocols._duty_cycle_steps(scn.values) == len(steps)
 
 
 # `--trials` is held to the same bounds as the key it sets, run length included.
@@ -432,6 +472,8 @@ def _values(draw, protocol):
 @example(values={("channel", "drift_dt_s"): "1e-9"}, trials=None)
 @example(values={}, trials=10**12)
 @example(values={("scenario", "name"): "100%"}, trials=None)
+@example(values={("protocol", "total_s"): "1e-299", ("protocol", "trace_period_s"): "1e-300",
+                 ("protocol", "tau_grid_s"): "1e300"}, trials=None)
 def test_valid_scenario_runs_or_fails_cleanly(values, trials):
     for protocol in sorted(PROTOCOLS):
         # a dict in an @example, else the st.data() to draw one from
@@ -491,6 +533,9 @@ def test_crossover_must_be_below_threshold():
     text = MINIMAL + "\n[stabilizer]\nfp_threshold = 0.9\nfp_crossover = 0.95\n"
     issues = config._collect(text)[1]
     assert any(i.key == "fp_crossover" for i in issues)
+    assert [i.line for i in issues if i.key == "fp_crossover"] == [
+        text.splitlines().index("fp_crossover = 0.95") + 1
+    ]
 
 
 def test_missing_file_reported():
@@ -821,6 +866,22 @@ def test_dutycycle_runs_no_window_past_total(tmp_path):
     for row in rows:
         windows.setdefault(float(row[0]), []).append(int(row[1]))
     assert windows == {0.7: [0, 1, 2], 0.1: list(range(21))}
+
+
+def test_dutycycle_runs_one_window_when_total_over_interval_underflows(tmp_path):
+    # 1e-300 / 1e30 is 0.0 in floats: the run exited 0 with no window and
+    # nan means in dutycycle_summary.csv
+    path = tmp_path / "tiny.ini"
+    path.write_text(_DISTRIBUTE + "[channel]\ndrift_dt_s = 1e30\n"
+                    "[protocol]\nintervals_s = 1e30\ntotal_per_interval_s = 1e-300\n")
+    assert config.validate_file(path) == []
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+    header, rows = read_csv_rows(out / "dutycycle_summary.csv")
+    summary = dict(zip(header, rows[0]))
+    assert len(rows) == 1 and summary["n_windows"] == "1"
+    for key in ("mean_fp_after", "mean_fidelity_raw", "mean_fidelity_corrected"):
+        assert math.isfinite(float(summary[key]))
 
 
 def test_ion_photon_sampled_counts_pinned(tmp_path):
