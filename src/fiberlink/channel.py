@@ -42,9 +42,6 @@ __all__ = [
 DAY_RATE_DEFAULT = 1.5e-6
 NIGHT_RATE_DEFAULT = 2.0e-7
 
-# transmit_probe keeps outputs for this many distinct probes (H and D).
-_PROBE_MEMO_SIZE = 2
-
 
 class EmptySeries(ValueError):
     """A time series argument contained no samples."""
@@ -193,8 +190,9 @@ class ChannelState:
     clock_s: float = 0.0
     spikes: PdlSpikeProcess = field(default_factory=PdlSpikeProcess)
     _spike_until_s: float = field(default=-1.0, repr=False)
-    # transmit_probe's last output per probe, keyed by value (see there).
-    _probe_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the stabilizer's last pair of probe outputs, keyed by value (see
+    # stabilizer.measure_probe_pair)
+    _probe_pair_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.day_rate < 0.0 or self.night_rate < 0.0:
@@ -292,25 +290,10 @@ def _as_float(a) -> np.ndarray:
 def transmit_probe(ch: ChannelState, s_in: np.ndarray) -> np.ndarray:
     """Stokes vector after the link: rotation first, then the loss element.
 
-    The stabilizer sends the same two reference probes through a link it
-    holds still, so the last output per probe is kept on the link. The key
-    is the value of everything the output depends on (the rotation, the
-    current loss element and the probe), so no change of the link can be
-    served a stale result. The returned array is read-only.
+    The returned array is read-only.
     """
-    s = _as_float(s_in)
-    rotation = _as_float(ch.rotation)
-    pdl = ch.current_pdl()
-    link = (rotation.tobytes(), pdl.gamma_vec.tobytes(), pdl.amplitude_transmission)
-    probe = s.tobytes()
-    hit = ch._probe_memo.get(probe)
-    if hit is not None and hit[0] == link:
-        return hit[1]
-    out = polcore.pdl_apply_bloch(rotation @ s, pdl)
+    out = polcore.pdl_apply_bloch(_as_float(ch.rotation) @ _as_float(s_in), ch.current_pdl())
     out.flags.writeable = False
-    if hit is None and len(ch._probe_memo) >= _PROBE_MEMO_SIZE:
-        ch._probe_memo.clear()
-    ch._probe_memo[probe] = (link, out)
     return out
 
 

@@ -42,10 +42,9 @@ class VoltageOutOfRange(ValueError):
 class Polarimeter:
     """Stokes polarimeter with iid Gaussian read noise per component.
 
-    `read_pair` reads the H and D probe outputs together, in Python-float
-    arithmetic, from one draw of six normals: the same generator stream as
-    two successive `read` calls. `read` is the one-vector case of the same
-    code.
+    `read_pair` reads the H and D probe outputs together, in straight-line
+    Python-float arithmetic, from one draw of six normals: the same
+    generator stream as two successive `read` calls.
 
     The 45 ms default latency makes one measure-feedback cycle (H probe read
     + D probe read + voltage update) take the 90 ms the stabilization
@@ -69,25 +68,28 @@ class Polarimeter:
         O(sigma^2), which is what the downstream two-probe fidelity
         estimate consumes.
         """
-        (s,) = self._reads(np.asarray(s_true, dtype=float).tolist())
-        return np.array(s)
+        x, y, z = np.asarray(s_true, dtype=float).tolist()
+        if self.sigma > 0.0:
+            ex, ey, ez = self.rng.normal(0.0, self.sigma, size=3).tolist()
+            x, y, z = x + ex, y + ey, z + ez
+        return np.array(_in_ball(x, y, z))
 
     def read_pair(self, s1, s2) -> list[tuple[float, float, float]]:
         """Reads of two Stokes vectors (three floats each), first s1 then s2."""
-        return self._reads([*s1, *s2])
-
-    def _reads(self, values: list[float]) -> list[tuple[float, float, float]]:
+        x1, y1, z1 = s1
+        x2, y2, z2 = s2
         if self.sigma > 0.0:
-            noise = self.rng.normal(0.0, self.sigma, size=len(values)).tolist()
-            values = [v + e for v, e in zip(values, noise)]
-        reads = []
-        triples = iter(values)
-        for x, y, z in zip(triples, triples, triples, strict=True):
-            n = math.sqrt(x * x + y * y + z * z)
-            if n > 1.0:
-                x, y, z = x / n, y / n, z / n
-            reads.append((x, y, z))
-        return reads
+            e1, e2, e3, e4, e5, e6 = self.rng.normal(0.0, self.sigma, size=6).tolist()
+            x1, y1, z1, x2, y2, z2 = x1 + e1, y1 + e2, z1 + e3, x2 + e4, y2 + e5, z2 + e6
+        return [_in_ball(x1, y1, z1), _in_ball(x2, y2, z2)]
+
+
+def _in_ball(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(x, y, z), divided by its norm if that exceeds 1."""
+    n = math.sqrt(x * x + y * y + z * z)
+    if n > 1.0:
+        return x / n, y / n, z / n
+    return x, y, z
 
 
 @dataclass
@@ -105,6 +107,18 @@ class PiezoController:
     `set_voltages` raises on out-of-range requests while `apply_clamped`
     clamps after attempting a full-period re-centering (a 2*pi/gain shift
     leaves the rotation unchanged) and logs the event.
+
+    Voltages are checked when they are stored: by the constructor,
+    `set_voltages`, `apply_clamped` and `bias_neutral`. Each stores a
+    fresh, read-only `voltages` array, so an in-place write such as
+    `voltages[0] = 1.0` raises ValueError, and keeps its checked floats
+    next to it. `quaternion()` reads those floats while `voltages` is still
+    that array and `limit_v` is unchanged; after a direct assignment to
+    `voltages` or a change of `limit_v` it checks the voltages again and
+    raises `VoltageOutOfRange` if one is out of range. Each channel's
+    half-angle factor is kept with the exact half angle it was built from,
+    so a call computes cos/sin only for the channels whose half angle
+    changed since the last call.
     """
 
     voltages: np.ndarray = field(default_factory=lambda: np.zeros(4))
@@ -116,9 +130,13 @@ class PiezoController:
     _unit_axes: tuple[tuple[float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
+    # (voltages array, limit_v, its floats) as stored in range, else None
+    _checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # per channel (half angle h, cos h, sin h * unit axis)
+    _factors: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.voltages = _four_voltages(self.voltages).copy()
+        u = _four_voltages(self.voltages)
         self.gains_rad_per_v = np.asarray(self.gains_rad_per_v, dtype=float)
         if self.gains_rad_per_v.shape != (4,):
             raise ValueError(f"need 4 gains, got shape {self.gains_rad_per_v.shape}")
@@ -136,8 +154,11 @@ class PiezoController:
                 raise ValueError("rotation axis must be nonzero")
             unit_axes.append(tuple((a / n).tolist()))
         self._unit_axes = tuple(unit_axes)
-        if not _within(self.voltages.tolist(), self.limit_v):
+        self._factors = [(math.nan,)] * 4
+        volts = u.tolist()
+        if not _within(volts, self.limit_v):
             raise VoltageOutOfRange("initial voltages exceed limits")
+        self._store(u, volts)
 
     def bias_neutral(self) -> None:
         """Move to the neutral operating point (net identity, full-rank control).
@@ -153,17 +174,21 @@ class PiezoController:
         bias = np.array([0.0, -quarter, 0.0, quarter]) / self.gains_rad_per_v
         if np.any(np.abs(bias) > self.limit_v):
             raise VoltageOutOfRange("neutral bias exceeds voltage limits")
-        self.voltages = bias
+        self._store(bias, bias.tolist())
 
     def set_voltages(self, u: np.ndarray) -> None:
         u = _four_voltages(u)
-        if not _within(u.tolist(), self.limit_v + 1e-12):
+        volts = u.tolist()
+        if not _within(volts, self.limit_v + 1e-12):
             raise VoltageOutOfRange(f"requested voltages {u} exceed +/-{self.limit_v} V")
-        self.voltages = u.copy()
+        self._store(u, volts)
 
     def apply_clamped(self, u: np.ndarray) -> np.ndarray:
-        """Set voltages, re-centering by full rotation periods where possible."""
-        u = _four_voltages(u).copy()
+        """Set voltages, re-centering by full rotation periods where possible.
+
+        Returns the stored (read-only) voltages.
+        """
+        u = _four_voltages(u)
         if not all(map(math.isfinite, u.tolist())):
             raise VoltageOutOfRange(f"requested voltages {u} are not finite")
         for i in range(4):
@@ -172,8 +197,16 @@ class PiezoController:
                 shifted = u[i] - math.copysign(period, u[i])
                 u[i] = shifted if abs(shifted) <= self.limit_v else math.copysign(self.limit_v, u[i])
                 self.clamp_events += 1
-        self.voltages = u
+        self._store(u, u.tolist())
         return u
+
+    def _store(self, u: np.ndarray, volts: list[float]) -> None:
+        """Keep the fresh array `u` read-only as the voltages, and its floats
+        `volts` for `quaternion()` if they lie within the limits."""
+        u.setflags(write=False)
+        self.voltages = u
+        limit = self.limit_v
+        self._checked = (u, limit, volts) if _within(volts, limit + 1e-12) else None
 
     def rotation(self) -> np.ndarray:
         """Net Stokes rotation of the controller at its current voltages."""
@@ -181,40 +214,50 @@ class PiezoController:
 
     def quaternion(self) -> tuple[float, float, float, float]:
         """Net unit quaternion (w, x, y, z) of the controller's rotation."""
-        limit = self.limit_v + 1e-12
+        checked = self._checked
+        if checked is not None and checked[0] is self.voltages and checked[1] == self.limit_v:
+            volts = checked[2]
+        else:
+            volts = _four_voltages(self.voltages).tolist()
+            if not _within(volts, self.limit_v + 1e-12):
+                raise VoltageOutOfRange("voltages exceed limits")
         # Channel i turns by gain_i * U_i about its unit axis a_i, i.e. the
         # quaternion (cos h, sin h * a_i) with h the half angle. Channel 1
-        # acts first, so the net quaternion is q4 q3 q2 q1.
+        # acts first, so the net quaternion is q4 q3 q2 q1. A factor is
+        # reused only for the same nonzero h: a zero h is rebuilt, so -0.0
+        # and 0.0 never share one.
+        factors = self._factors
         w, x, y, z = 1.0, 0.0, 0.0, 0.0
-        for (ax, ay, az), gain, volt in zip(
-            self._unit_axes,
-            self.gains_rad_per_v.tolist(),
-            _four_voltages(self.voltages).tolist(),
-        ):
-            if not abs(volt) <= limit:
-                raise VoltageOutOfRange("voltages exceed limits")
+        i = 0
+        for gain, volt, factor in zip(self.gains_rad_per_v.tolist(), volts, factors):
             h = 0.5 * gain * volt
-            c, s = math.cos(h), math.sin(h)
-            bx, by, bz = s * ax, s * ay, s * az
+            if h != factor[0] or not h:
+                s = math.sin(h)
+                ax, ay, az = self._unit_axes[i]
+                factor = factors[i] = (h, math.cos(h), s * ax, s * ay, s * az)
+            _, c, bx, by, bz = factor
             w, x, y, z = (
                 c * w - bx * x - by * y - bz * z,
                 c * x + bx * w + by * z - bz * y,
                 c * y - bx * z + by * w + bz * x,
                 c * z + bx * y - by * x + bz * w,
             )
+            i += 1
         return w, x, y, z
 
 
 def _four_voltages(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
+    """A fresh float array of the four voltages `u`."""
+    u = np.array(u, dtype=float)
     if u.shape != (4,):
         raise ValueError(f"need 4 voltages, got shape {u.shape}")
     return u
 
 
 def _within(volts: list[float], limit: float) -> bool:
-    """True if every voltage lies in [-limit, limit]; NaN lies nowhere."""
-    return all(abs(v) <= limit for v in volts)
+    """True if all four voltages lie in [-limit, limit]; NaN lies nowhere."""
+    u1, u2, u3, u4 = volts
+    return abs(u1) <= limit and abs(u2) <= limit and abs(u3) <= limit and abs(u4) <= limit
 
 
 @dataclass

@@ -48,6 +48,15 @@ def _too_long(key: str, steps: float, formula: str, unit: str) -> list[tuple[str
 # pdl-characterize
 # ---------------------------------------------------------------------------
 
+def _pdl_checks(values) -> list[tuple[str, str, str]]:
+    """The last sample time, (n_samples - 1) * sample_period_s, must be finite."""
+    last = (values[("protocol", "n_samples")] - 1) * values[("protocol", "sample_period_s")]
+    if math.isfinite(last):
+        return []
+    return [("protocol", "sample_period_s",
+             f"(n_samples - 1) * sample_period_s = {last:g} s; must be finite")]
+
+
 def run_pdl_characterize(scn: Scenario, out: Path) -> list[Path]:
     rng = scn.rng("protocol.pdl")
     n = scn.protocol_value("n_samples")
@@ -620,7 +629,7 @@ PROTOCOLS = {
         "link_pdl_sigma_db": (float, 0.045, non_negative, ">= 0"),
         "det_pdl_mean_db": (float, 0.23, non_negative, ">= 0"),
         "det_pdl_sigma_db": (float, 0.02, non_negative, ">= 0"),
-    }, "n_samples"),
+    }, "n_samples", _pdl_checks),
     "drift-characterize": Protocol(run_drift_characterize, {
         "total_s": (float, 4000.0, positive, "> 0"),
         "trace_period_s": (float, 10.0, positive, "> 0"),

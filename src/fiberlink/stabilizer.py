@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import polcore
-from .channel import ChannelState, transmit_probe
+from .channel import ChannelState, _as_float, transmit_probe
 from .instruments import PiezoController, Polarimeter, ReferenceSwitch, VoltageOutOfRange
 from .output import write_csv
 
@@ -125,11 +125,25 @@ def measure_probe_pair(
     The two link outputs are turned by the nine matrix entries of the
     controller's quaternion in scalar arithmetic and read with one paired
     polarimeter draw. Returns the H and D reads as float triples.
+
+    The loop probes a link it holds still, so the last pair of link outputs
+    is kept on the link. Its key is the value of everything the outputs
+    depend on (the rotation, the current loss element and both probes), so
+    no change of the link can be served a stale pair.
     """
     r = polcore._rotation_entries(piezo.quaternion())
-    h = _rotate(r, transmit_probe(ch, switch.select("H")).tolist())
-    d = _rotate(r, transmit_probe(ch, switch.select("D")).tolist())
-    return polarimeter.read_pair(h, d)
+    s_h, s_d = _as_float(switch.select("H")), _as_float(switch.select("D"))
+    pdl = ch.current_pdl()
+    key = (
+        _as_float(ch.rotation).tobytes(), pdl.gamma_vec.tobytes(), pdl.amplitude_transmission,
+        s_h.tobytes(), s_d.tobytes(),
+    )
+    memo = ch._probe_pair_memo
+    if memo is None or memo[0] != key:
+        memo = ch._probe_pair_memo = (
+            key, transmit_probe(ch, s_h).tolist(), transmit_probe(ch, s_d).tolist()
+        )
+    return polarimeter.read_pair(_rotate(r, memo[1]), _rotate(r, memo[2]))
 
 
 def _rotate(r: tuple, s: list[float]) -> tuple[float, float, float]:

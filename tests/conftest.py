@@ -37,6 +37,36 @@ def make_test_channel(
     )
 
 
+def piezo_quaternion_oracle(axes, gains, voltages) -> tuple[float, float, float, float]:
+    """Net quaternion (w, x, y, z) of four piezo channels, from scratch.
+
+    Channel i is the quaternion (cos h, sin h * a_i) with half angle
+    h = gain_i * U_i / 2 about its axis a_i, which must be of unit length.
+    Channel 1 acts first, so the product is q4 q3 q2 q1, each factor
+    multiplied from the left. The terms of each component are summed in
+    a fixed order, so equal inputs give equal floats.
+    """
+    w, x, y, z = 1.0, 0.0, 0.0, 0.0
+    for (ax, ay, az), gain, volt in zip(axes, gains, voltages):
+        h = 0.5 * float(gain) * float(volt)
+        c, s = math.cos(h), math.sin(h)
+        bx, by, bz = s * float(ax), s * float(ay), s * float(az)
+        w, x, y, z = (
+            c * w - bx * x - by * y - bz * z,
+            c * x + bx * w + by * z - bz * y,
+            c * y - bx * z + by * w + bz * x,
+            c * z + bx * y - by * x + bz * w,
+        )
+    return w, x, y, z
+
+
+def assert_same_floats(got, want) -> None:
+    """Equal floats, with equal signs of zero, entry by entry."""
+    got, want = list(got), list(want)
+    assert got == want
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+
+
 def random_mixed_state_2q(rng):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T

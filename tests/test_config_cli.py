@@ -296,6 +296,37 @@ def test_validate_bounds_the_run_length(tmp_path, capsys, text, key, rejected):
     assert "Traceback" not in capsys.readouterr().err
 
 
+_PDL = "[scenario]\nprotocol = pdl-characterize\n[protocol]\n"
+
+
+# Row i of pdl_series.csv has t_s = i * sample_period_s; `validate` requires
+# the last, (n_samples - 1) * sample_period_s, to be finite.
+@pytest.mark.parametrize("n_samples, period, rejected", [
+    # exited 0 with t_s = inf in the third row
+    ("3", "1e308", True),
+    ("1000000", "1e303", True),
+    ("3", "8e307", False),
+], ids=["inf_third_row", "inf_last_row", "finite"])
+def test_validate_requires_finite_pdl_sample_times(tmp_path, capsys, n_samples, period, rejected):
+    path = tmp_path / "pdl.ini"
+    text = _PDL + f"n_samples = {n_samples}\nsample_period_s = {period}\n"
+    path.write_text(text)
+    line = text.splitlines().index(f"sample_period_s = {period}") + 1
+    issues = config.validate_file(path)
+    assert [(i.section, i.key, i.line) for i in issues] == (
+        [("protocol", "sample_period_s", line)] if rejected else []
+    )
+    out = tmp_path / "out"
+    code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+    assert "Traceback" not in capsys.readouterr().err
+    if rejected:
+        assert code == 2 and not (out / "manifest.json").exists()
+    else:
+        assert code == 0
+        _, rows = read_csv_rows(out / "pdl_series.csv")
+        assert [float(row[1]) for row in rows] == [0.0, 8e307, 1.6e308]
+
+
 # `validate` counts a distribute-entanglement run's drift steps with the window
 # plan that `duty_cycle_run` walks. Small grids keep every run cheap.
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

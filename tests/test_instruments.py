@@ -8,7 +8,7 @@ from scipy import optimize
 from fiberlink import instruments as ins
 from fiberlink import polcore as pc
 
-from conftest import random_bloch
+from conftest import piezo_quaternion_oracle, random_bloch
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +228,71 @@ def test_piezo_direct_out_of_range_voltages_raise():
         c.quaternion()
 
 
+_WRITERS = ("constructor", "set_voltages", "apply_clamped", "bias_neutral")
+
+
+def _stored_by(writer):
+    """A controller whose voltages `writer` stored."""
+    u = np.array([0.5, -1.0, 2.0, 9.5])
+    if writer == "constructor":
+        return ins.PiezoController(voltages=u)
+    c = ins.PiezoController()
+    if writer == "set_voltages":
+        c.set_voltages(u)
+    elif writer == "apply_clamped":
+        c.apply_clamped(u + np.array([0.0, 0.0, 0.0, 1.0]))  # 10.5 V is re-centered
+    else:
+        c.bias_neutral()
+    return c
+
+
+@pytest.mark.parametrize("writer", _WRITERS)
+def test_piezo_stored_voltages_are_read_only(writer):
+    c = _stored_by(writer)
+    before = c.voltages.tolist()
+    q = c.quaternion()
+    with pytest.raises(ValueError):
+        c.voltages[0] = 1.0
+    with pytest.raises(ValueError):
+        c.voltages += 1.0
+    assert c.voltages.tolist() == before and c.quaternion() == q
+
+
+def test_piezo_copies_requested_voltages():
+    c = ins.PiezoController()
+    u = np.array([0.5, -1.0, 2.0, 9.5])
+    c.set_voltages(u)
+    u[0] = 20.0
+    assert c.voltages.tolist() == [0.5, -1.0, 2.0, 9.5]
+    returned = c.apply_clamped(u)
+    assert u[0] == 20.0 and returned is c.voltages
+    with pytest.raises(ValueError):
+        returned[1] = 0.0
+
+
+@pytest.mark.parametrize("writer", _WRITERS)
+def test_piezo_lowered_limit_is_checked_on_read(writer):
+    # the floats checked at store time are trusted only under the limit
+    # they were checked against
+    c = _stored_by(writer)
+    c.quaternion()
+    c.limit_v = 0.5 * max(abs(v) for v in c.voltages.tolist())
+    with pytest.raises(ins.VoltageOutOfRange):
+        c.quaternion()
+    with pytest.raises(ins.VoltageOutOfRange):
+        c.rotation()
+    c.limit_v = 10.0
+    assert np.allclose(c.rotation() @ c.rotation().T, np.eye(3), atol=1e-14)
+
+
+def test_piezo_raised_limit_keeps_the_same_rotation():
+    c = ins.PiezoController()
+    c.set_voltages(np.array([0.5, -1.0, 2.0, 9.5]))
+    q = c.quaternion()
+    c.limit_v = 20.0
+    assert c.quaternion() == q
+
+
 @pytest.mark.parametrize("kwargs", [
     {"gains_rad_per_v": np.full(3, 0.5)},
     {"gains_rad_per_v": np.full(5, 0.5)},
@@ -301,11 +366,18 @@ def test_piezo_controllability_grid_oracle(rng):
     grid_rots = np.array(grid_rots)
     grid_angles = np.array(list(itertools.product(grid_1d, repeat=4)))
 
-    def net_trace(u, target):
-        m = target
-        for axis, g, ui in zip(ins.PIEZO_AXES_DEFAULT, [gain] * 4, u):
-            m = pc.rotation_about(axis, g * ui) @ m
-        return np.trace(m)
+    axes = [a.tolist() for a in ins.PIEZO_AXES_DEFAULT]
+
+    def net_trace(u, target_t):
+        # trace(R T) = sum over ij of R_ij T_ji, with R the rotation of the
+        # channels' quaternion product and target_t the entries of T^T
+        w, x, y, z = piezo_quaternion_oracle(axes, [gain] * 4, u.tolist())
+        r = (
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        )
+        return sum(a * b for a, b in zip(r, target_t))
 
     worst = 1.0
     for _ in range(1000):
@@ -313,8 +385,9 @@ def test_piezo_controllability_grid_oracle(rng):
         traces = np.einsum("gij,jk->gik", grid_rots, target).trace(axis1=1, axis2=2)
         best = int(np.argmax(traces))
         u0 = grid_angles[best] / gain
+        target_t = target.T.ravel().tolist()
         res = optimize.minimize(
-            lambda u: -net_trace(u, target), u0, method="Nelder-Mead",
+            lambda u: -net_trace(u, target_t), u0, method="Nelder-Mead",
             options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 400},
         )
         worst = min(worst, (1.0 - res.fun) / 4.0)

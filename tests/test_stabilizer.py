@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from fiberlink import channel as chm
 from fiberlink import instruments as ins
 from fiberlink import polcore as pc
 from fiberlink import stabilizer as st
 
-from conftest import make_test_channel, random_bloch
+from conftest import (
+    assert_same_floats, make_test_channel, piezo_quaternion_oracle, random_bloch,
+)
 
 
 def noise_free_polarimeter():
@@ -70,6 +73,146 @@ def test_measure_probe_pair_matches_matrix_oracle(rng, sigma, pdl_transmission):
         want = [twin.read(comp @ chm.transmit_probe(ch, s)) for s in (pc.S_H, pc.S_D)]
         worst = max(worst, np.abs(np.asarray(got) - np.asarray(want)).max())
     assert worst <= 1e-15
+
+
+def _direct_probe_pair(ch, q, twin):
+    """H and D reads of the link outputs turned by the rotation of quaternion
+    q, each output mapped afresh and read one at a time from `twin`."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = pc._rotation_entries(q)
+    reads = []
+    for s in (pc.S_H, pc.S_D):
+        a, b, c = pc.pdl_apply_bloch(ch.rotation @ s, ch.current_pdl()).tolist()
+        turned = [r00 * a + r01 * b + r02 * c, r10 * a + r11 * b + r12 * c,
+                  r20 * a + r21 * b + r22 * c]
+        reads += twin.read(np.array(turned)).tolist()
+    return reads
+
+
+# (axes, gains) of the controllers the probe-path oracle drives
+_LAYOUTS = (
+    (ins.PIEZO_AXES_DEFAULT, (0.5, 0.5, 0.5, 0.5)),
+    (ins.PIEZO_AXES_DEFAULT[::-1], (0.3, -0.7, 1.1, 0.45)),
+)
+_VOLTS = hst.one_of(
+    hst.sampled_from((0.0, -0.0, 0.1, -3.0, 10.0, -10.0, 10.0 + 1e-12, 10.5, -10.5, 25.0, -40.0)),
+    hst.floats(-40.0, 40.0),
+)
+_STEPS = hst.lists(
+    hst.tuples(hst.sampled_from(("set", "clamped", "neutral", "assign")),
+               hst.lists(_VOLTS, min_size=4, max_size=4)),
+    min_size=1, max_size=12,
+)
+
+
+# Every way of storing voltages, in any order: the controller's quaternion
+# equals the scalar oracle, and the probe pair equals the direct map, bit for
+# bit. The oracle uses none of the controller's code.
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(steps=_STEPS, layout=hst.sampled_from(range(len(_LAYOUTS))), seed=hst.integers(0, 2**16))
+@example(steps=[("set", [0.0, 0.5, 0.0, -0.5]), ("set", [-0.0, 0.5, -0.0, -0.5]),
+                ("assign", [0.0, 0.5, -0.0, -0.5]), ("set", [0.0, 0.5, 0.0, -0.5])],
+         layout=1, seed=0)
+def test_probe_path_matches_scalar_oracle(steps, layout, seed):
+    axes, gains = _LAYOUTS[layout]
+    rng = np.random.default_rng(seed)
+    ch = make_test_channel(rotation=pc.random_rotation(rng),
+                           pdl_axis=random_bloch(rng, pure=True), pdl_transmission=0.9)
+    piezo = ins.PiezoController(axes=axes, gains_rad_per_v=np.array(gains))
+    pol = ins.Polarimeter(sigma=1e-3, rng=np.random.default_rng(seed))
+    twin = ins.Polarimeter(sigma=1e-3, rng=np.random.default_rng(seed))
+    switch = ins.ReferenceSwitch()
+    stored_by = "constructor"
+    for kind, u in steps:
+        try:
+            if kind == "set":
+                piezo.set_voltages(u)
+            elif kind == "clamped":
+                piezo.apply_clamped(u)
+            elif kind == "neutral":
+                piezo.bias_neutral()
+            else:
+                piezo.voltages = np.array(u)
+        except ins.VoltageOutOfRange:
+            assert kind == "set"  # and the voltages stay as they were
+        else:
+            stored_by = kind
+        volts = piezo.voltages.tolist()
+        if not all(abs(v) <= piezo.limit_v + 1e-12 for v in volts):
+            assert stored_by == "assign"
+            with pytest.raises(ins.VoltageOutOfRange):
+                piezo.quaternion()
+            continue
+        q = piezo_quaternion_oracle(axes, gains, volts)
+        assert_same_floats(piezo.quaternion(), q)
+        got = st.measure_probe_pair(ch, piezo, pol, switch)
+        assert_same_floats([v for read in got for v in read], _direct_probe_pair(ch, q, twin))
+
+
+def _assert_pairs_fresh(ch, calls):
+    """Memo served or not, measure_probe_pair equals the direct map bit for
+    bit, and it maps the link afresh only on the first of two reads.
+    Returns the link outputs of H and D."""
+    piezo = ins.PiezoController()
+    piezo.bias_neutral()
+    pol = noise_free_polarimeter()
+    before = len(calls)
+    for _ in range(2):
+        got = st.measure_probe_pair(ch, piezo, pol, ins.ReferenceSwitch())
+        want = _direct_probe_pair(ch, piezo.quaternion(), noise_free_polarimeter())
+        assert_same_floats([v for read in got for v in read], want)
+    assert len(calls) - before in (0, 2)
+    return [pc.pdl_apply_bloch(ch.rotation @ s, ch.current_pdl()) for s in (pc.S_H, pc.S_D)]
+
+
+@pytest.fixture
+def transmit_calls(monkeypatch):
+    """The probes `stabilizer` sends through `transmit_probe`, in order."""
+    calls = []
+
+    def counting(ch, s_in):
+        calls.append(s_in)
+        return chm.transmit_probe(ch, s_in)
+
+    monkeypatch.setattr(st, "transmit_probe", counting)
+    return calls
+
+
+def test_probe_pair_memo_never_stale(rng, transmit_calls):
+    ch = make_test_channel(
+        rotation=pc.random_rotation(rng), rng=np.random.default_rng(5),
+        day_rate=1e-3, night_rate=1e-3, pdl_axis=[0.2, 0.5, -0.3], pdl_transmission=0.9,
+    )
+    history = [_assert_pairs_fresh(ch, transmit_calls)]
+    ch.advance(1.0)
+    history.append(_assert_pairs_fresh(ch, transmit_calls))
+    ch.rotation = pc.random_rotation(rng)
+    history.append(_assert_pairs_fresh(ch, transmit_calls))
+    ch.rotation[...] = pc.random_rotation(rng)
+    history.append(_assert_pairs_fresh(ch, transmit_calls))
+    ch.rotation[1, 0] += 1e-12
+    history.append(_assert_pairs_fresh(ch, transmit_calls))
+    ch.pdl = pc.PdlElement.from_axis([0.0, -1.0, 0.4], 0.8)
+    history.append(_assert_pairs_fresh(ch, transmit_calls))
+    for before, after in zip(history, history[1:]):
+        assert not np.array_equal(before[0], after[0])
+    # each of the six links was mapped once, H then D
+    assert [s.tolist() for s in transmit_calls] == [pc.S_H.tolist(), pc.S_D.tolist()] * 6
+
+
+def test_probe_pair_memo_follows_spikes(rng, transmit_calls):
+    ch = make_test_channel(
+        rotation=pc.random_rotation(rng), pdl_axis=[1, 0, 0], pdl_transmission=0.95,
+    )
+    quiet = _assert_pairs_fresh(ch, transmit_calls)
+    ch.spikes = chm.PdlSpikeProcess(rate_per_s=1e9, extra_db=1.0, duration_s=2.0)
+    ch.advance(1.0)  # a spike starts and lasts until clock 3.0
+    spiking = _assert_pairs_fresh(ch, transmit_calls)
+    assert not np.array_equal(quiet[0], spiking[0])
+    ch.spikes = chm.PdlSpikeProcess(rate_per_s=0.0, extra_db=1.0, duration_s=2.0)
+    ch.advance(2.0)  # clock 3.0: the spike's last instant
+    assert np.array_equal(_assert_pairs_fresh(ch, transmit_calls)[0], spiking[0])
+    ch.advance(1e-9)  # the spike has ended
+    assert np.array_equal(_assert_pairs_fresh(ch, transmit_calls)[0], quiet[0])
 
 
 # ---------------------------------------------------------------------------
