@@ -7,9 +7,10 @@ default, optional transient spikes). The propagation-delay drift of the
 overhead section (`DelayDriftModel`), the static attenuation budget in dB
 and the Poisson background source at the receiver are modelled on their own.
 
-One ChannelState instance is a single logical timeline: `advance` and the
-transmit calls must be serialized per instance. Independent instances with
-independent generators may run in parallel.
+One ChannelState instance is a single logical timeline: `walk` (or
+`advance`, one step of it) and the transmit calls must be serialized per
+instance. Independent instances with independent generators may run in
+parallel.
 """
 
 from __future__ import annotations
@@ -63,15 +64,6 @@ class DaySchedule:
         if self.day_start_s > self.day_end_s:
             return t >= self.day_start_s or t < self.day_end_s
         return self.day_start_s <= t < self.day_end_s
-
-
-def _random_axis(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=3)
-    n = math.sqrt(v @ v)
-    while n < 1e-12:
-        v = rng.normal(size=3)
-        n = math.sqrt(v @ v)
-    return v / n
 
 
 @dataclass(frozen=True)
@@ -173,12 +165,13 @@ class PdlSpikeProcess:
 class ChannelState:
     """The link: a drifting rotation followed by a weak loss element.
 
-    The rotation follows an isotropic angular random walk: each `advance`
-    multiplies it from the left by a small rotation about a uniformly random
-    axis, with angle drawn from Normal(0, sqrt(2 * rate * dt)), where the
-    rate is the day or night rate of the schedule at the current clock. The
-    generator advances with each step, so a linear chain of steps is
-    deterministic given the initial seed.
+    The rotation follows an isotropic angular random walk: each drift step
+    of `walk` multiplies it from the left by a small rotation about a
+    uniformly random axis, with angle drawn from Normal(0, sqrt(2 * rate *
+    dt)), where the rate is the day or night rate of the schedule at the
+    current clock. The generator advances with each step, so a linear chain
+    of steps is deterministic given the initial seed, however it is split
+    into walks.
     """
 
     rng: np.random.Generator
@@ -203,48 +196,56 @@ class ChannelState:
 
     def advance(self, dt: float) -> None:
         """Advance the link timeline by dt seconds of free drift."""
-        if dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        rate = self.current_rate()
-        if rate > 0.0:
-            axis = _random_axis(self.rng)
-            angle = self.rng.normal(0.0, math.sqrt(2.0 * rate * dt))
-            self.rotation = polcore.rotation_about(axis, angle) @ self.rotation
-        self.clock_s += dt
-        if self.spikes.rate_per_s > 0.0:
-            self._maybe_spike(dt)
+        self.walk(dt, 1)
 
-    def walk(self, dt: float, n: int) -> list[np.ndarray]:
-        """Advance by n steps of dt and return the rotation after each step.
+    def walk(self, dt: float, n: int) -> tuple[list[np.ndarray], list[PdlElement]]:
+        """Advance by n drift steps of dt; return the rotation and the loss
+        element (`current_pdl()`) after each step.
 
-        Bit-identical to n `advance(dt)` calls: the same rotations, clock and
-        generator state afterwards. The steps' axes and angles come from one
-        (n, 4) normal draw, which is the stream the per-step axis and angle
-        draws take, and their Rodrigues matrices are built as one stack.
-        Whenever a step would not draw exactly four normals (spikes on, a
-        zero rate, an axis too short to normalize) the walk runs `advance`.
+        A step with a nonzero rate draws three axis normals, redrawn while
+        the axis is too short to normalize, then the angle's normal; a step
+        with spikes on then draws one uniform. When every step draws exactly
+        four normals, the walk takes them as one (n, 4) block, which is the
+        same stream. Either way the steps' Rodrigues matrices are one stack.
         """
         if dt <= 0.0:
             raise ValueError("dt must be > 0")
-        sigmas = []
+        rates = []
         clock = self.clock_s
         for _ in range(n):
-            rate = self.day_rate if self.schedule.is_day(clock) else self.night_rate
-            sigmas.append(math.sqrt(2.0 * rate * dt))
+            rates.append(self.day_rate if self.schedule.is_day(clock) else self.night_rate)
             clock += dt
-        if self.spikes.rate_per_s > 0.0 or 0.0 in sigmas:
-            return self._advance_each(dt, n)
-        state = self.rng.bit_generator.state
-        z = self.rng.standard_normal((n, 4))
-        # the norms as `_random_axis` and `rotation_about` take them, which
-        # normalize the axis once each
-        norms = [math.sqrt(v @ v) for v in z[:, :3]]
-        if min(norms, default=1.0) < 1e-12:
-            self.rng.bit_generator.state = state
-            return self._advance_each(dt, n)
+        spiky = self.spikes.rate_per_s > 0.0
+        z = None
+        if not spiky and 0.0 not in rates:
+            state = self.rng.bit_generator.state
+            z = self.rng.standard_normal((n, 4))
+            # row by row: a vectorized norm moves rotations in the last bit
+            norms = [math.sqrt(v @ v) for v in z[:, :3]]
+            if min(norms, default=1.0) < 1e-12:
+                self.rng.bit_generator.state, z = state, None
+        by_step = z is None
+        if by_step:
+            # a zero rate leaves its row at a unit axis and a zero angle
+            z, norms = np.zeros((n, 4)), [1.0] * n
+            z[:, 0] = 1.0
+        losses = []
+        for i, rate in enumerate(rates):
+            if by_step and rate > 0.0:
+                v = self.rng.standard_normal(3)
+                while (norm := math.sqrt(v @ v)) < 1e-12:
+                    v = self.rng.standard_normal(3)
+                z[i, :3], z[i, 3], norms[i] = v, self.rng.standard_normal(), norm
+            self.clock_s += dt
+            if spiky and self.rng.random() < 1.0 - math.exp(-self.spikes.rate_per_s * dt):
+                self._spike_until_s = self.clock_s + self.spikes.duration_s
+            losses.append(self.current_pdl())
+        # Rodrigues form. The axis is normalized twice, once as drawn and once
+        # as the Rodrigues axis, and the angle is 0 + sigma * z, which are
+        # the bits every drift step has had.
         a = z[:, :3] / np.array(norms)[:, None]
         a = a / np.array([math.sqrt(v @ v) for v in a])[:, None]
-        angles = [0.0 + s * x for s, x in zip(sigmas, z[:, 3].tolist())]
+        angles = [0.0 + math.sqrt(2.0 * rate * dt) * x for rate, x in zip(rates, z[:, 3].tolist())]
         sin = np.array([math.sin(t) for t in angles])[:, None, None]
         one_minus_cos = np.array([1.0 - math.cos(t) for t in angles])[:, None, None]
         k = np.zeros((n, 3, 3))
@@ -254,23 +255,12 @@ class ChannelState:
         steps = np.eye(3) + sin * k + one_minus_cos * (k @ k)
         m = self.rotation
         rotations = []
-        for r in steps:
-            m = r @ m
+        for r, rate in zip(steps, rates):
+            if rate > 0.0:
+                m = r @ m
             rotations.append(m)
         self.rotation = m
-        self.clock_s = clock
-        return rotations
-
-    def _advance_each(self, dt: float, n: int) -> list[np.ndarray]:
-        rotations = []
-        for _ in range(n):
-            self.advance(dt)
-            rotations.append(self.rotation)
-        return rotations
-
-    def _maybe_spike(self, dt: float) -> None:
-        if self.rng.random() < 1.0 - math.exp(-self.spikes.rate_per_s * dt):
-            self._spike_until_s = self.clock_s + self.spikes.duration_s
+        return rotations, losses
 
     def current_pdl(self) -> PdlElement:
         if self._spike_until_s >= self.clock_s and self.pdl.gamma > 0.0:
@@ -297,12 +287,12 @@ def transmit_probe(ch: ChannelState, s_in: np.ndarray) -> np.ndarray:
     return out
 
 
-def transmit_qubit_kraus(ch: ChannelState) -> np.ndarray:
-    """Single-qubit operator K = B U of the current link configuration.
+def transmit_qubit_kraus(rotation: np.ndarray, loss: PdlElement) -> np.ndarray:
+    """Single-qubit operator K = B U of one link configuration.
 
-    U is the SU(2) lift of the current rotation and B the loss operator; the
-    post-selected state map is rho -> K rho K^dag / tr(K rho K^dag) with
-    success probability tr(K rho K^dag) in [T^2, 1].
+    U is the SU(2) lift of the link's rotation and B the operator of its
+    loss element; the post-selected state map is
+    rho -> K rho K^dag / tr(K rho K^dag) with success probability
+    tr(K rho K^dag) in [T^2, 1].
     """
-    u = polcore.su2_of_rotation(ch.rotation)
-    return ch.current_pdl().operator() @ u
+    return loss.operator() @ polcore.su2_of_rotation(rotation)

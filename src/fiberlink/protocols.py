@@ -144,7 +144,7 @@ def run_drift_characterize(scn: Scenario, out: Path) -> list[Path]:
     ch = scn.make_channel()
 
     n_points = int(total / period) + 1
-    rotations = np.array([ch.rotation, *ch.walk(period, n_points - 1)])
+    rotations = np.array([ch.rotation, *ch.walk(period, n_points - 1)[0]])
     trace_rows = [
         (i * period, *h, *d)
         for i, (h, d) in enumerate(zip((rotations @ polcore.S_H).tolist(),
@@ -300,43 +300,33 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
         )
         accidental_mean = acc_a * acc_b * coinc_w * integration
 
-        # window -> [compensator, sum of its link's arm-B superoperators,
-        # step count]. The piezo is idle for a whole window, so the
-        # compensator C is read once per window, and the window's state
-        # sum_t (C K_t) rho (C K_t)^dag is C (sum_t K_t rho K_t^dag) C^dag.
-        windows: dict[int, list] = {}
-
-        def accumulate(window, ch, piezo):
-            term = quantum.arm_b_superoperator(chmod.transmit_qubit_kraus(ch))
-            acc = windows.get(window)
-            if acc is None:
-                windows[window] = [polcore.su2_of_rotation(piezo.rotation()), term, 1]
-            else:
-                acc[1] += term
-                acc[2] += 1
-
         log = stabilizer.duty_cycle_run(
             ch, piezo, pol, cfg,
             transmit_window_s=float(interval),
             total_s=total,
             switch=scn.make_switch(),
             drift_dt_s=scn[("channel", "drift_dt_s")],
-            on_step=accumulate,
         )
 
         fids_raw, fids_corr = [], []
         for rec in log.records:
-            comp, link_sum, n_steps = windows[rec.window]
-            # arm B: link (rotation + loss), then the compensator
+            # arm B: the link at each step (K_t = B_t U_t), then the window's
+            # compensator C, which the idle piezo holds through the window:
+            # sum_t (C K_t) rho (C K_t)^dag is C (sum_t K_t rho K_t^dag) C^dag,
+            # the sum taken in step order
+            link_sum = np.add.reduce(quantum.arm_b_superoperator(
+                [chmod.transmit_qubit_kraus(r, loss) for r, loss in zip(rec.rotations, rec.losses)]
+            ), axis=0)
             acc_rho = quantum.on_arm_b(
-                quantum.on_arm_b_superoperator(rho_src, link_sum), comp
+                quantum.on_arm_b_superoperator(rho_src, link_sum),
+                polcore.su2_of_rotation(rec.compensator),
             )
             tr = float(np.trace(acc_rho).real)
             if tr <= 0.0:
                 raise ProtocolFailed("window state fully extinguished")
             rho_bar = acc_rho / tr
             # Each step's trace is at most 1; rounding of the sum may not be.
-            success = min(1.0, tr / n_steps)
+            success = min(1.0, tr / len(rec.rotations))
             counts = _window_counts(rho_bar, n_per_basis, accidental_mean, count_rng)
             fid_raw = quantum.bell_fidelity(quantum.tomography_2q(counts))
             if correct:
@@ -397,7 +387,7 @@ def _prepare_arm_b(scn: Scenario, rho_pair: np.ndarray):
             scn.make_switch(),
         )
     comp = polcore.su2_of_rotation(piezo.rotation())
-    rho = quantum.on_arm_b(rho_pair, comp @ chmod.transmit_qubit_kraus(ch))
+    rho = quantum.on_arm_b(rho_pair, comp @ chmod.transmit_qubit_kraus(ch.rotation, ch.current_pdl()))
     prob = float(np.trace(rho).real)
     if prob <= 1e-12:
         raise ProtocolFailed("arm-B photon fully blocked")

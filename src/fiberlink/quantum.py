@@ -183,11 +183,12 @@ def arm_b_superoperator(op: np.ndarray) -> np.ndarray:
 
     S is the map X -> op X op^dag on the arm-B indices of a two-qubit
     matrix, and the sum of such arrays is the sum of their maps, so a run
-    of arm-B operators can be accumulated here and applied once with
-    `on_arm_b_superoperator`.
+    of arm-B operators can be summed here and applied once with
+    `on_arm_b_superoperator`. A stack of operators, shape (..., 2, 2),
+    gives the stack of their arrays, shape (..., 2, 2, 2, 2).
     """
     op = np.asarray(op, dtype=complex)
-    return op[:, None, :, None] * op.conj()[None, :, None, :]
+    return op[..., :, None, :, None] * op.conj()[..., None, :, None, :]
 
 
 def on_arm_b_superoperator(rho: np.ndarray, s: np.ndarray) -> np.ndarray:

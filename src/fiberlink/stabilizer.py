@@ -308,12 +308,19 @@ def stabilize(
 
 @dataclass
 class WindowRecord:
+    """One window: its boundary stabilization, the compensator rotation the
+    piezo holds through the window, and the link's rotation and loss element
+    after each of the window's drift steps."""
+
     window: int
     fp_before: float
     stabilized: bool
     stab_iterations: int
     stab_duration_s: float
     fp_after: float
+    compensator: np.ndarray
+    rotations: list[np.ndarray]
+    losses: list[polcore.PdlElement]
 
 
 @dataclass
@@ -352,17 +359,15 @@ def duty_cycle_run(
     total_s: float,
     switch: ReferenceSwitch | None = None,
     drift_dt_s: float = 1.0,
-    on_step=None,
 ) -> DutyCycleLog:
     """Alternate free-drift transmission windows with stabilization runs.
 
     Fidelity is probed at each window boundary, and the loop runs only when
     it has dropped below the threshold (otherwise the boundary costs just
-    the probe pair). `on_step(window, ch, piezo)` is called after every
-    drift sub-step inside a window, so callers can integrate transmission
-    observables over the windows. The piezo is idle for a whole window:
-    every `on_step` call of one window sees the same voltages, so a caller
-    may read the compensator once per window.
+    the probe pair). Each window is then one `ch.walk` of its drift steps.
+    The piezo is idle for a whole window, so its rotation is read once, as
+    the record's compensator; with the walk's rotations and loss elements
+    a caller can integrate transmission observables over the window.
     """
     if transmit_window_s <= 0.0 or total_s <= 0.0:
         raise ValueError("windows must be > 0")
@@ -376,6 +381,7 @@ def duty_cycle_run(
         run = None
         if fp_before < cfg.fp_threshold:
             run = stabilize(ch, piezo, polarimeter, cfg, switch)
+        rotations, losses = ch.walk(dt, n_steps)
         records.append(
             WindowRecord(
                 window=window,
@@ -384,10 +390,9 @@ def duty_cycle_run(
                 stab_iterations=run.iterations if run is not None else 0,
                 stab_duration_s=run.duration_s if run is not None else 0.0,
                 fp_after=run.final_fp if run is not None else fp_before,
+                compensator=piezo.rotation(),
+                rotations=rotations,
+                losses=losses,
             )
         )
-        for _ in range(n_steps):
-            ch.advance(dt)
-            if on_step is not None:
-                on_step(window, ch, piezo)
     return DutyCycleLog(records=records, transmit_window_s=transmit_window_s)

@@ -37,6 +37,28 @@ def make_test_channel(
     )
 
 
+def drift_step_oracle(ch, dt) -> tuple[np.ndarray, polcore.PdlElement]:
+    """One drift step of `ch`, scalar: the reference for `ChannelState.walk`.
+
+    A nonzero rate draws three axis normals (redrawn while the axis is too
+    short to normalize) and one angle normal, and the step's rotation is
+    `polcore.rotation_about`; spikes on then draw one uniform. Returns the
+    rotation and the loss element after the step.
+    """
+    rate = ch.current_rate()
+    if rate > 0.0:
+        v = ch.rng.normal(size=3)
+        while math.sqrt(v @ v) < 1e-12:
+            v = ch.rng.normal(size=3)
+        angle = ch.rng.normal(0.0, math.sqrt(2.0 * rate * dt))
+        ch.rotation = polcore.rotation_about(v / math.sqrt(v @ v), angle) @ ch.rotation
+    ch.clock_s += dt
+    rate = ch.spikes.rate_per_s
+    if rate > 0.0 and ch.rng.random() < 1.0 - math.exp(-rate * dt):
+        ch._spike_until_s = ch.clock_s + ch.spikes.duration_s
+    return ch.rotation, ch.current_pdl()
+
+
 def piezo_quaternion_oracle(axes, gains, voltages) -> tuple[float, float, float, float]:
     """Net quaternion (w, x, y, z) of four piezo channels, from scratch.
 

@@ -7,7 +7,10 @@ from scipy import stats
 from fiberlink import channel as chm
 from fiberlink import polcore as pc
 
-from conftest import make_test_channel, random_bloch, rotation_to_axis_angle
+from conftest import (
+    assert_same_floats, drift_step_oracle, make_test_channel, random_bloch,
+    rotation_to_axis_angle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -52,64 +55,79 @@ class _ScriptedNormals:
     def state(self, value):
         self._rng.bit_generator.state, self._head = value[0], list(value[1])
 
-    def standard_normal(self, size):
-        n = int(np.prod(size))
+    def standard_normal(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
         head, self._head = self._head[:n], self._head[n:]
         rest = self._rng.standard_normal(n - len(head))
-        return np.concatenate([np.array(head, dtype=float), rest]).reshape(size)
+        z = np.concatenate([np.array(head, dtype=float), rest])
+        return z[0] if size is None else z.reshape(size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        z = self.standard_normal(1 if size is None else size)
-        return loc + scale * (z[0] if size is None else z)
+        return loc + scale * self.standard_normal(size)
 
     def random(self):
         return self._rng.random()
 
 
-def _walk_and_advance(make_rng, n, dt=10.0, **kw):
-    """(rotations, clock, next draw) of n `advance(dt)` calls and of `walk`."""
-    results = []
-    for step in ("advance", "walk"):
-        ch = chm.ChannelState(rng=make_rng(), **kw)
-        if step == "walk":
-            rotations = ch.walk(dt, n)
-        else:
-            rotations = []
-            for _ in range(n):
-                ch.advance(dt)
-                rotations.append(ch.rotation)
-        results.append((np.array(rotations), ch.clock_s, ch.rng.standard_normal(4)))
-    return results
+def _outcome(ch, rotations, losses):
+    """(rotations, per-step losses, clock, next draw) of a finished walk."""
+    losses = [(p.amplitude_transmission, *p.gamma_vec.tolist()) for p in losses]
+    return np.array(rotations), losses, ch.clock_s, ch.rng.standard_normal(4)
+
+
+def _walk_and_oracle(make_rng, n, dt=10.0, **kw):
+    """Outcomes of n scalar oracle steps and of one `walk(dt, n)`."""
+    oracle = chm.ChannelState(rng=make_rng(), **kw)
+    steps = [drift_step_oracle(oracle, dt) for _ in range(n)]
+    ch = chm.ChannelState(rng=make_rng(), **kw)
+    return [_outcome(oracle, *zip(*steps)), _outcome(ch, *ch.walk(dt, n))]
 
 
 def _assert_bit_equal(results):
-    (rot_a, clock_a, next_a), (rot_w, clock_w, next_w) = results
-    assert rot_a.shape == rot_w.shape
-    assert np.array_equal(rot_a, rot_w)
-    assert clock_a == clock_w
-    assert np.array_equal(next_a, next_w)
+    (rot_o, loss_o, clock_o, next_o), (rot_w, loss_w, clock_w, next_w) = results
+    assert rot_o.shape == rot_w.shape
+    assert np.array_equal(rot_o, rot_w)
+    assert_same_floats([x for step in loss_w for x in step], [x for step in loss_o for x in step])
+    assert clock_o == clock_w
+    assert np.array_equal(next_o, next_w)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 52101, 20260810])
-def test_walk_matches_advance_bit_for_bit(seed, monkeypatch):
+def test_walk_matches_advance_bit_for_bit(seed):
     kw = dict(rotation=pc.random_rotation(np.random.default_rng(seed + 1)), day_rate=3e-6)
-    reference = _walk_and_advance(lambda: np.random.default_rng(seed), 400, **kw)
+    reference = _walk_and_oracle(lambda: np.random.default_rng(seed), 400, **kw)
     _assert_bit_equal(reference)
-
-    def no_advance(self, dt):
-        raise AssertionError("walk stepped through advance")
-
-    monkeypatch.setattr(chm.ChannelState, "advance", no_advance)
+    # `advance` is a walk of one step
     ch = chm.ChannelState(rng=np.random.default_rng(seed), **kw)
-    assert np.array_equal(np.array(ch.walk(10.0, 400)), reference[1][0])
-    assert ch.walk(10.0, 0) == [] and ch.clock_s == 4000.0
+    steps = []
+    for _ in range(400):
+        ch.advance(10.0)
+        steps.append((ch.rotation, ch.current_pdl()))
+    _assert_bit_equal([reference[0], _outcome(ch, *zip(*steps))])
+    ch = chm.ChannelState(rng=np.random.default_rng(seed), **kw)
+    assert ch.walk(10.0, 0) == ([], []) and ch.clock_s == 0.0
+
+
+@pytest.mark.parametrize("spikes", [0.0, 0.05], ids=["block", "by_step"])
+def test_walk_splits_into_consecutive_walks(spikes):
+    # the duty cycle walks window by window: 07:25 to 07:35 in three walks
+    kw = dict(clock_s=chm.DaySchedule().day_start_s - 300.0, day_rate=2e-5,
+              spikes=chm.PdlSpikeProcess(rate_per_s=spikes))
+    whole = chm.ChannelState(rng=np.random.default_rng(8), **kw)
+    parts = chm.ChannelState(rng=np.random.default_rng(8), **kw)
+    rotations, losses = [], []
+    for n in (250, 1, 349):
+        r, loss = parts.walk(1.0, n)
+        rotations += r
+        losses += loss
+    _assert_bit_equal([_outcome(whole, *whole.walk(1.0, 600)), _outcome(parts, rotations, losses)])
 
 
 def test_walk_crosses_day_and_night():
     # 07:20 to 18:10 in 50 s steps: night, the 07:30 switch, day, the 18:00 switch
     day = chm.DaySchedule()
-    results = _walk_and_advance(lambda: np.random.default_rng(3), 780, dt=50.0,
-                                clock_s=day.day_start_s - 600.0, day_rate=2e-5)
+    results = _walk_and_oracle(lambda: np.random.default_rng(3), 780, dt=50.0,
+                               clock_s=day.day_start_s - 600.0, day_rate=2e-5)
     rates = {day.is_day(day.day_start_s - 600.0 + 50.0 * k) for k in range(780)}
     assert rates == {True, False}
     _assert_bit_equal(results)
@@ -117,17 +135,18 @@ def test_walk_crosses_day_and_night():
 
 def test_walk_with_zero_night_rate():
     day = chm.DaySchedule()
-    results = _walk_and_advance(lambda: np.random.default_rng(4), 40, dt=60.0,
-                                clock_s=day.day_start_s - 1200.0, night_rate=0.0)
-    rotations = results[0][0]
+    results = _walk_and_oracle(lambda: np.random.default_rng(4), 40, dt=60.0,
+                               clock_s=day.day_start_s - 1200.0, night_rate=0.0)
+    rotations = results[1][0]
     assert np.array_equal(rotations[0], np.eye(3))  # still night
     assert not np.array_equal(rotations[-1], np.eye(3))
     _assert_bit_equal(results)
 
 
 def test_walk_with_spikes_on():
-    results = _walk_and_advance(lambda: np.random.default_rng(5), 200, dt=1.0,
-                                spikes=chm.PdlSpikeProcess(rate_per_s=0.05))
+    results = _walk_and_oracle(lambda: np.random.default_rng(5), 200, dt=1.0,
+                               spikes=chm.PdlSpikeProcess(rate_per_s=0.05))
+    assert len({loss[0] for loss in results[1][1]}) > 1  # a spike came and went
     _assert_bit_equal(results)
 
 
@@ -135,7 +154,7 @@ def test_walk_with_spikes_on():
 def test_walk_with_near_zero_axis(row):
     # step `row`'s axis draw is (1e-13, 0, 0): too short, so it is redrawn
     head = np.random.default_rng(9).standard_normal(4 * row).tolist() + [1e-13, 0.0, 0.0]
-    results = _walk_and_advance(lambda: _ScriptedNormals(6, head), 12)
+    results = _walk_and_oracle(lambda: _ScriptedNormals(6, head), 12)
     _assert_bit_equal(results)
 
 
@@ -166,8 +185,7 @@ def test_drift_mean_fidelity_decays_monotonically():
             ch = chm.ChannelState(
                 rng=np.random.default_rng(1000 + k), day_rate=1e-5, night_rate=1e-5
             )
-            for _ in range(int(tau / 10)):
-                ch.advance(10.0)
+            ch.walk(10.0, int(tau / 10))
             fps.append(pc.process_fidelity(ch.rotation))
         means.append(np.mean(fps))
     assert means[0] > means[1] > means[2]
@@ -179,11 +197,9 @@ def test_drift_calibration_night_quantiles():
     fps_60, fps_160 = [], []
     for k in range(1500):
         ch = chm.ChannelState(rng=np.random.default_rng(3000 + k))  # night at clock 0
-        for step in range(160):
-            ch.advance(1.0)
-            if step == 59:
-                fps_60.append(pc.process_fidelity(ch.rotation))
-        fps_160.append(pc.process_fidelity(ch.rotation))
+        rotations, _ = ch.walk(1.0, 160)
+        fps_60.append(pc.process_fidelity(rotations[59]))
+        fps_160.append(pc.process_fidelity(rotations[159]))
     assert np.quantile(fps_60, 0.01) >= 0.99
     assert np.quantile(fps_160, 0.10) >= 0.98
 
@@ -193,12 +209,9 @@ def test_drift_axis_distribution_uniform_chi2():
     n = 100_000
     axes = np.empty((n, 3))
     prev = ch.rotation
-    for i in range(n):
-        ch.advance(1.0)
-        inc = ch.rotation @ prev.T
-        axis, _ = rotation_to_axis_angle(inc)
-        axes[i] = axis
-        prev = ch.rotation
+    for i, rotation in enumerate(ch.walk(1.0, n)[0]):
+        axes[i], _ = rotation_to_axis_angle(rotation @ prev.T)
+        prev = rotation
     # equal-area bins: 10 bands in z, 10 sectors in azimuth
     z_bin = np.clip(((axes[:, 2] + 1.0) / 0.2).astype(int), 0, 9)
     az = np.arctan2(axes[:, 1], axes[:, 0])
@@ -339,7 +352,7 @@ def test_transmit_probe_output_is_read_only(rng):
 
 def test_transmit_qubit_kraus_identity_channel():
     ch = make_test_channel()
-    k = chm.transmit_qubit_kraus(ch)
+    k = chm.transmit_qubit_kraus(ch.rotation, ch.current_pdl())
     assert np.allclose(k / k[0, 0], np.eye(2), atol=1e-12)
 
 
@@ -348,7 +361,7 @@ def test_transmit_qubit_kraus_matches_probe_map(rng):
         r = pc.random_rotation(rng)
         ch = make_test_channel(rotation=r, pdl_axis=random_bloch(rng, pure=True),
                                pdl_transmission=rng.uniform(0.5, 1.0))
-        k = chm.transmit_qubit_kraus(ch)
+        k = chm.transmit_qubit_kraus(ch.rotation, ch.current_pdl())
         for _ in range(10):
             s = random_bloch(rng, pure=True)
             rho = pc.density_of_bloch(s)
@@ -365,7 +378,7 @@ def test_transmit_qubit_kraus_success_probability_bounds(rng):
             pdl_axis=random_bloch(rng, pure=True),
             pdl_transmission=t,
         )
-        k = chm.transmit_qubit_kraus(ch)
+        k = chm.transmit_qubit_kraus(ch.rotation, ch.current_pdl())
         for _ in range(20):
             rho = pc.density_of_bloch(random_bloch(rng))
             p = np.trace(k @ rho @ k.conj().T).real

@@ -336,14 +336,15 @@ def test_validate_requires_finite_pdl_sample_times(tmp_path, capsys, n_samples, 
 def test_validate_counts_the_drift_steps_duty_cycle_run_walks(intervals, total, drift_dt):
     scn = config.loads(_DISTRIBUTE + f"[channel]\ndrift_dt_s = {drift_dt}\n[stabilizer]\nmax_iterations = 1\n"
                        f"[protocol]\nintervals_s = {','.join(intervals)}\ntotal_per_interval_s = {total}\n")
-    steps = []
+    steps = 0
     for interval in scn.protocol_value("intervals_s"):
-        stabilizer.duty_cycle_run(
+        log = stabilizer.duty_cycle_run(
             scn.make_channel(), scn.make_piezo(), scn.make_polarimeter(), scn.make_stabilizer_config(),
             transmit_window_s=interval, total_s=scn.protocol_value("total_per_interval_s"),
-            drift_dt_s=scn[("channel", "drift_dt_s")], on_step=lambda *args: steps.append(args),
+            drift_dt_s=scn[("channel", "drift_dt_s")],
         )
-    assert protocols._duty_cycle_steps(scn.values) == len(steps)
+        steps += sum(len(r.rotations) for r in log.records)
+    assert protocols._duty_cycle_steps(scn.values) == steps
 
 
 # `--trials` is held to the same bounds as the key it sets, run length included.
@@ -841,26 +842,17 @@ def test_distribute_window_superoperator_matches_per_step_sum(tmp_path, monkeypa
     # and the window's compensator C; it must equal the per-step sum
     # sum_t (C K_t) rho (C K_t)^dag on a lossy link with loss spikes
     from fiberlink import channel as chmod
-    from fiberlink import polcore, protocols, quantum, stabilizer
-    from fiberlink.output import read_csv_rows
+    from fiberlink import polcore, quantum
 
     scn = config.loads(SPIKY_PPE, name="spiky")
     rho_src = quantum.spdc_state(scn.make_source())
-    per_step = {}  # window -> [sum of states, sum of traces, losses seen]
     real_duty_cycle_run = stabilizer.duty_cycle_run
     real_window_counts = protocols._window_counts
-    window_states = []
+    logs, window_states = [], []
 
-    def duty_cycle_run(*args, on_step, **kwargs):
-        def step(window, ch, piezo):
-            on_step(window, ch, piezo)
-            op = polcore.su2_of_rotation(piezo.rotation()) @ chmod.transmit_qubit_kraus(ch)
-            term = quantum.on_arm_b(rho_src, op)
-            acc = per_step.setdefault(window, [np.zeros((4, 4), dtype=complex), 0.0, set()])
-            acc[0] += term
-            acc[1] += float(np.trace(term).real)
-            acc[2].add(ch.current_pdl().amplitude_transmission)
-        return real_duty_cycle_run(*args, on_step=step, **kwargs)
+    def duty_cycle_run(*args, **kwargs):
+        logs.append(real_duty_cycle_run(*args, **kwargs))
+        return logs[-1]
 
     def window_counts(rho, *args):
         window_states.append(rho)
@@ -871,15 +863,57 @@ def test_distribute_window_superoperator_matches_per_step_sum(tmp_path, monkeypa
     run_protocol(scn, tmp_path)
 
     header, rows = read_csv_rows(tmp_path / "dutycycle.csv")
-    assert len(rows) == len(window_states) == len(per_step) == 10
-    assert any(len(acc[2]) > 1 for acc in per_step.values())  # a spike inside a window
+    (log,) = logs
+    assert len(rows) == len(window_states) == len(log.records) == 10
+    # a spike inside a window: two loss elements in one window
+    assert any(len({p.amplitude_transmission for p in rec.losses}) > 1 for rec in log.records)
     n_steps = 20
-    for row, rho_bar in zip(rows, window_states):
-        state_sum, trace_sum, _ = per_step[int(row[header.index("window")])]
+    for row, rho_bar, rec in zip(rows, window_states, log.records):
+        assert int(row[header.index("window")]) == rec.window
+        comp = polcore.su2_of_rotation(rec.compensator)
+        state_sum, trace_sum = np.zeros((4, 4), dtype=complex), 0.0
+        for rotation, loss in zip(rec.rotations, rec.losses):
+            term = quantum.on_arm_b(rho_src, comp @ chmod.transmit_qubit_kraus(rotation, loss))
+            state_sum += term
+            trace_sum += float(np.trace(term).real)
         success = float(row[header.index("success_prob")])
         assert success < 1.0
         assert abs(success * n_steps - trace_sum) <= 1e-12
         assert np.max(np.abs(rho_bar * (success * n_steps) - state_sum)) <= 1e-12
+
+
+# No shipped preset has loss spikes or a zero drift rate, so the golden
+# hashes never see `walk` draw step by step; these outputs pin that path.
+_ZERO_NIGHT_PPE = """
+[scenario]
+protocol = distribute-entanglement
+seed = 99
+
+[channel]
+start_clock_s = 26400
+night_rate_rad2_per_s = 0
+day_rate_rad2_per_s = 1e-4
+pdl_db = 0.2
+
+[stabilizer]
+fp_threshold = 0.999
+
+[protocol]
+intervals_s = 60,300
+total_per_interval_s = 1800
+"""
+
+
+@pytest.mark.parametrize("text, dutycycle, summary", [
+    (SPIKY_PPE, "d04cde00a8d1adfad58b138d9ae4eca40518141313b6352b25746433786d7473",
+     "06e266805e1c55bb8e47d939fc7935254154c1631873e549fe1bf31c2b4c86db"),
+    (_ZERO_NIGHT_PPE, "1396ebb1a58328120aaddf605abf9cdb7d25ac6ddc64d27f21e547ed0f124027",
+     "7657e07176e80c75ede5cc64f96867326642baf8e875f26ec3129e2b130b036e"),
+], ids=["spikes", "zero_night_rate"])
+def test_step_by_step_drift_outputs_are_pinned(tmp_path, text, dutycycle, summary):
+    run_protocol(config.loads(text, name="pinned"), tmp_path)
+    assert sha256_file(tmp_path / "dutycycle.csv") == dutycycle
+    assert sha256_file(tmp_path / "dutycycle_summary.csv") == summary
 
 
 def test_dutycycle_runs_no_window_past_total(tmp_path):

@@ -59,7 +59,8 @@ def test_spdc_phase_rotates_coherence():
 def through_link_arm_b(rho, ch):
     """Post-selected state and success probability of sending arm B through
     the link, by the superoperator path of the distribute-entanglement run."""
-    out = q.on_arm_b_superoperator(rho, q.arm_b_superoperator(transmit_qubit_kraus(ch)))
+    op = transmit_qubit_kraus(ch.rotation, ch.current_pdl())
+    out = q.on_arm_b_superoperator(rho, q.arm_b_superoperator(op))
     prob = float(np.trace(out).real)
     return out / prob, prob
 
