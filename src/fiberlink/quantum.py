@@ -111,15 +111,20 @@ class SingularDesign(ValueError):
     """Measurement set is not informationally complete."""
 
 
-def check_state(rho: np.ndarray, context: str = "state") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    # np.allclose(rho, h, atol=1e-10)'s formula; nan or inf fail here or in eigvalsh.
+def _check_hermitian_unit_trace(rho: np.ndarray, context: str) -> None:
+    # np.allclose(rho, h, atol=1e-10)'s formula; nan or inf fail here or in
+    # check_state's eigvalsh.
     h = rho.conj().T
     if not (np.abs(rho - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
         raise ValueError(f"{context}: not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError(f"{context}: trace {np.trace(rho).real} != 1")
+    if abs(rho.trace().real - 1.0) > 1e-10:
+        raise ValueError(f"{context}: trace {rho.trace().real} != 1")
+
+
+def check_state(rho: np.ndarray, context: str = "state") -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity of a density matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    _check_hermitian_unit_trace(rho, context)
     if np.linalg.eigvalsh(rho).min() < -1e-9:
         raise ValueError(f"{context}: negative eigenvalue")
     return rho
@@ -374,7 +379,7 @@ def tomography_2q(counts) -> np.ndarray:
     inversion = _inversion_map(tuple((ba, bb) for ba, bb, _, _ in rows))
     rates = np.array([n / integration for _, _, n, integration in rows])
     x = (inversion @ rates).reshape(4, 4)
-    total = float(np.trace(x).real)
+    total = float(x.trace().real)
     if total <= 0.0:
         # Pathological data (e.g. all-zero counts): fall back to the
         # maximally mixed state rather than dividing by a non-positive trace.
@@ -383,11 +388,24 @@ def tomography_2q(counts) -> np.ndarray:
 
 
 def _count_row(row) -> tuple[str, str, float, float]:
+    """(basis_a, basis_b, counts, integration_s) of a 3- or 4-field row.
+
+    Raises ValueError naming the row when the count is negative or not
+    finite, or the integration time is not finite and > 0.
+    """
     if len(row) == 3:
         ba, bb, n = row
-        return str(ba), str(bb), float(n), 1.0
-    ba, bb, n, integration = row
-    return str(ba), str(bb), float(n), float(integration)
+        integration = 1.0
+    else:
+        ba, bb, n, integration = row
+    n, integration = float(n), float(integration)
+    # Written so that nan fails both comparisons.
+    if not (0.0 <= n < math.inf and 0.0 < integration < math.inf):
+        raise ValueError(
+            f"count row {row!r}: counts must be finite and >= 0 and the "
+            "integration time finite and > 0"
+        )
+    return str(ba), str(bb), n, integration
 
 
 def _hermitian_basis() -> tuple[np.ndarray, ...]:
@@ -413,14 +431,22 @@ _HERM_BASIS = _hermitian_basis()
 
 
 def _project_physical(rho: np.ndarray) -> np.ndarray:
+    """Clip the spectrum at zero and rescale it to unit trace.
+
+    One eigendecomposition per call: the rebuilt state is positive because
+    its eigenvalues are the clipped ones, so only Hermiticity and the trace
+    are checked on it.
+    """
     rho = 0.5 * (rho + rho.conj().T)
     evals, evecs = np.linalg.eigh(rho)
     evals = np.maximum(evals, 0.0)
     s = evals.sum()
     if s <= 0.0:
         return np.eye(4, dtype=complex) / 4.0
-    rho = (evecs * (evals / s)) @ evecs.conj().T
-    return check_state(rho, "tomography_2q")
+    evals = evals / s
+    rho = (evecs * evals) @ evecs.conj().T
+    _check_hermitian_unit_trace(rho, "tomography_2q")
+    return rho
 
 
 @dataclass
@@ -441,9 +467,11 @@ def mc_uncertainty(
 ) -> McResult:
     """Poisson-resample the count table and propagate through tomography.
 
-    Each count is resampled as Poisson(count); the tomography and the Bell
-    fidelity (to the maximally entangled pair state BELL_PSI_PLUS) are
-    re-run per resample. Deterministic given the generator state.
+    Each count is resampled as Poisson(count), all resamples drawn as one
+    (n_resamples, n_rows) block; the tomography and the Bell fidelity (to
+    the maximally entangled pair state BELL_PSI_PLUS) are re-run per
+    resample, one `tomography_2q` call each. Deterministic given the
+    generator state.
     """
     if n_resamples < 100:
         raise ValueError("need n_resamples >= 100 for a meaningful spread")
@@ -456,14 +484,14 @@ def mc_uncertainty(
         )
     point = bell_fidelity(tomography_2q(rows))
     means = np.array([n for _, _, n, _ in rows])
+    # One (n_resamples, n_rows) block consumes the stream exactly as
+    # resample-by-resample, row-by-row scalar rng.poisson(n) calls would.
+    draws = rng.poisson(means, size=(n_resamples, len(rows))).astype(float).tolist()
     values = np.empty(n_resamples)
-    for k in range(n_resamples):
-        # One vector draw consumes the stream exactly as a per-row loop of
-        # scalar rng.poisson(n) calls would.
-        draws = rng.poisson(means)
+    for k, counts_k in enumerate(draws):
         resampled = [
-            (ba, bb, float(d), integration)
-            for (ba, bb, _, integration), d in zip(rows, draws)
+            (ba, bb, d, integration)
+            for (ba, bb, _, integration), d in zip(rows, counts_k)
         ]
         values[k] = bell_fidelity(tomography_2q(resampled))
     return McResult(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -309,6 +310,8 @@ def test_tomography_matches_lstsq_oracle(rng):
         want = q._project_physical(xn)
         got = q.tomography_2q(rows)
         assert np.abs(got - want).max() <= 1e-12
+        # tomography_2q does not re-check positivity; the clipping must give it.
+        assert np.linalg.eigvalsh(got).min() >= -1e-12
     assert zero_tables >= 15 and clipped_tables >= 40
     assert q._inversion_map(tuple(q.TOMO_BASES_2Q) * 2).shape == (16, 32)
 
@@ -329,6 +332,45 @@ def test_tomography_all_zero_counts_falls_back_to_mixed():
     assert np.array_equal(rec, np.eye(4, dtype=complex) / 4.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("counts", -50.0),
+    ("counts", np.nan),
+    ("counts", np.inf),
+    ("integration", 0.0),
+    ("integration", -1.0),
+    ("integration", np.nan),
+    ("integration", np.inf),
+])
+def test_count_row_rejects_bad_counts_and_integration_times(field, value):
+    rows = [(a, b, 100.0, 1.0) for a, b in q.TOMO_BASES_2Q]
+    bad = ("D", "R", value, 1.0) if field == "counts" else ("D", "R", 100.0, value)
+    rows[11] = bad
+    for call in (
+        q.tomography_2q,
+        lambda r: q.mc_uncertainty(r, 100, np.random.default_rng(0)),
+        lambda r: q.subtract_expected_accidentals(r, 1.0),
+    ):
+        with pytest.raises(ValueError, match=f"count row {re.escape(repr(bad))}"):
+            call(rows)
+
+
+def test_tomography_decomposes_once_per_call(monkeypatch, rng):
+    tables = []
+    for k in range(30):
+        probs = q.coincidence_probabilities(_noisy_pair_state(rng))
+        mean = (20.0, 200.0, 2000.0)[k % 3]
+        tables.append([(a, b, float(rng.poisson(4 * mean * p))) for (a, b), p in probs.items()])
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for rows in tables:
+        q.tomography_2q(rows)
+    assert calls == {"eigh": len(tables), "eigvalsh": 0}
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo uncertainty
 # ---------------------------------------------------------------------------
@@ -344,17 +386,47 @@ def test_mc_uncertainty_matches_per_row_resampling_bit_for_bit():
     counts = [(a, b, float(np.random.default_rng(i).poisson(50.0 * p)) if i % 5 else 0.0)
               for i, ((a, b), p) in enumerate(q.coincidence_probabilities(target).items())]
     counts[3] = (*counts[3][:2], 2500.0)
+    tables = [[(a, b, n, 1.0) for a, b, n in counts]]
+    # Over-complete (32 rows), non-unit integration times, zero means and
+    # means on both sides of 10, where numpy's Poisson sampler switches
+    # algorithm.
+    probs = q.coincidence_probabilities(_noisy_pair_state(np.random.default_rng(5)))
+    for scale in (2.0, 40.0, 3000.0):
+        tables.append([
+            (a, b, 0.0 if (i + rep) % 7 == 0 else scale * p * (0.5 + i % 4), 0.5 + i % 4)
+            for rep in range(2) for i, ((a, b), p) in enumerate(probs.items())
+        ])
+    means = np.concatenate([[n for _, _, n, _ in t] for t in tables])
+    assert (means == 0.0).any() and (means[means > 0] < 10).any() and (means > 10).any()
+    assert len(tables[-1]) == 32
 
-    rng = np.random.default_rng(4242)
-    res = q.mc_uncertainty(counts, n_resamples=120, rng=rng)
+    for seed, table in enumerate(tables, start=4242):
+        rng = np.random.default_rng(seed)
+        res = q.mc_uncertainty(table, n_resamples=120, rng=rng)
 
-    ref_rng = np.random.default_rng(4242)
-    reference = np.empty(120)
-    for k in range(120):
-        resampled = [(a, b, float(ref_rng.poisson(n)), 1.0) for a, b, n in counts]
-        reference[k] = q.bell_fidelity(q.tomography_2q(resampled))
-    assert res.values.tobytes() == reference.tobytes()
-    assert rng.random() == ref_rng.random()
+        ref_rng = np.random.default_rng(seed)
+        reference = np.empty(120)
+        for k in range(120):
+            resampled = [(a, b, float(ref_rng.poisson(n)), t) for a, b, n, t in table]
+            reference[k] = q.bell_fidelity(q.tomography_2q(resampled))
+        assert res.values.tobytes() == reference.tobytes()
+        assert rng.random() == ref_rng.random()
+
+
+def test_mc_uncertainty_calls_tomography_once_per_resample(monkeypatch):
+    calls = []
+    tomography = q.tomography_2q
+
+    def counted(rows):
+        calls.append(len(rows))
+        return tomography(rows)
+
+    monkeypatch.setattr(q, "tomography_2q", counted)
+    rows = [(a, b, 100.0 + i) for i, (a, b) in enumerate(q.TOMO_BASES_2Q)]
+    for n in (100, 137):
+        calls.clear()
+        q.mc_uncertainty(rows, n, np.random.default_rng(n))
+        assert calls == [16] * (n + 1)
 
 
 def test_mc_uncertainty_sigma_scales_inverse_sqrt_n(rng):
