@@ -172,6 +172,12 @@ class ChannelState:
     current clock. The generator advances with each step, so a linear chain
     of steps is deterministic given the initial seed, however it is split
     into walks.
+
+    The link keeps its rotation read-only: the constructor stores a checked
+    float copy of `rotation`, and `walk` stores the rotation it ends on, so
+    an in-place write to either raises ValueError. A rotation assigned
+    from outside is kept as it is. During a spike `current_pdl()` returns
+    one loss element per spike.
     """
 
     rng: np.random.Generator
@@ -183,13 +189,20 @@ class ChannelState:
     clock_s: float = 0.0
     spikes: PdlSpikeProcess = field(default_factory=PdlSpikeProcess)
     _spike_until_s: float = field(default=-1.0, repr=False)
-    # the stabilizer's last pair of probe outputs, keyed by value (see
-    # stabilizer.measure_probe_pair)
+    # the stabilizer's last pair of probe outputs, with the link state and
+    # probes they were mapped from (see stabilizer.measure_probe_pair)
     _probe_pair_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (pdl, spikes.extra_db, spike end time, the loss element during it)
+    _spike_pdl: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.day_rate < 0.0 or self.night_rate < 0.0:
             raise ValueError("diffusion rates must be >= 0")
+        rotation = np.array(self.rotation, dtype=float)
+        if rotation.shape != (3, 3) or not np.all(np.isfinite(rotation)):
+            raise ValueError(f"rotation must be a finite 3x3 matrix, got {self.rotation!r}")
+        rotation.flags.writeable = False
+        self.rotation = rotation
 
     def current_rate(self) -> float:
         return self.day_rate if self.schedule.is_day(self.clock_s) else self.night_rate
@@ -207,6 +220,7 @@ class ChannelState:
         with spikes on then draws one uniform. When every step draws exactly
         four normals, the walk takes them as one (n, 4) block, which is the
         same stream. Either way the steps' Rodrigues matrices are one stack.
+        A rotation the walk made is stored read-only.
         """
         if dt <= 0.0:
             raise ValueError("dt must be > 0")
@@ -253,23 +267,33 @@ class ChannelState:
         k[:, 1, 0], k[:, 1, 2] = a[:, 2], -a[:, 0]
         k[:, 2, 0], k[:, 2, 1] = -a[:, 1], a[:, 0]
         steps = np.eye(3) + sin * k + one_minus_cos * (k @ k)
-        m = self.rotation
+        m = start = self.rotation
         rotations = []
         for r, rate in zip(steps, rates):
             if rate > 0.0:
                 m = r @ m
             rotations.append(m)
-        self.rotation = m
+        if m is not start:
+            m.flags.writeable = False
+            self.rotation = m
         return rotations, losses
 
     def current_pdl(self) -> PdlElement:
-        if self._spike_until_s >= self.clock_s and self.pdl.gamma > 0.0:
-            return PdlElement.from_db(
-                self.pdl.pass_axis(), self.pdl.loss_db + self.spikes.extra_db
-            )
-        if self._spike_until_s >= self.clock_s:
-            return PdlElement.from_db(polcore.S_H, self.spikes.extra_db)
-        return self.pdl
+        """The loss element now: `pdl`, or during a spike an element
+        `spikes.extra_db` lossier, built once per spike."""
+        until = self._spike_until_s
+        if until < self.clock_s:
+            return self.pdl
+        pdl, extra_db = self.pdl, self.spikes.extra_db
+        cached = self._spike_pdl
+        if cached is not None and cached[0] is pdl and cached[1] == extra_db and cached[2] == until:
+            return cached[3]
+        if pdl.gamma > 0.0:
+            spiking = PdlElement.from_db(pdl.pass_axis(), pdl.loss_db + extra_db)
+        else:
+            spiking = PdlElement.from_db(polcore.S_H, extra_db)
+        self._spike_pdl = (pdl, extra_db, until, spiking)
+        return spiking
 
 
 def _as_float(a) -> np.ndarray:

@@ -48,7 +48,8 @@ class Polarimeter:
 
     The 45 ms default latency makes one measure-feedback cycle (H probe read
     + D probe read + voltage update) take the 90 ms the stabilization
-    receiver needs per cycle.
+    receiver needs per cycle. `sigma` and `latency_s` must be finite and
+    >= 0.
     """
 
     sigma: float = 0.0
@@ -56,8 +57,7 @@ class Polarimeter:
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0 or self.latency_s < 0.0:
-            raise ValueError("sigma and latency must be >= 0")
+        _require_non_negative(sigma=self.sigma, latency_s=self.latency_s)
 
     def read(self, s_true: np.ndarray) -> np.ndarray:
         """Noisy Stokes read; renormalized only if the noisy norm exceeds 1.
@@ -84,6 +84,13 @@ class Polarimeter:
         return [_in_ball(x1, y1, z1), _in_ball(x2, y2, z2)]
 
 
+def _require_non_negative(**values: float) -> None:
+    """Raise ValueError naming the first value that is not finite and >= 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _in_ball(x: float, y: float, z: float) -> tuple[float, float, float]:
     """(x, y, z), divided by its norm if that exceeds 1."""
     n = math.sqrt(x * x + y * y + z * z)
@@ -108,7 +115,7 @@ class PiezoController:
     clamps after attempting a full-period re-centering (a 2*pi/gain shift
     leaves the rotation unchanged) and logs the event.
 
-    Voltages are checked when they are stored: by the constructor,
+    Voltages are checked once, when they are stored: by the constructor,
     `set_voltages`, `apply_clamped` and `bias_neutral`. Each stores a
     fresh, read-only `voltages` array, so an in-place write such as
     `voltages[0] = 1.0` raises ValueError, and keeps its checked floats
@@ -118,7 +125,10 @@ class PiezoController:
     raises `VoltageOutOfRange` if one is out of range. Each channel's
     half-angle factor is kept with the exact half angle it was built from,
     so a call computes cos/sin only for the channels whose half angle
-    changed since the last call.
+    changed since the last call, and with the running product after it, so
+    a call starts after the longest run of leading channels whose half
+    angles are all unchanged. The settling time `settle_s` must be finite
+    and >= 0.
     """
 
     voltages: np.ndarray = field(default_factory=lambda: np.zeros(4))
@@ -132,10 +142,11 @@ class PiezoController:
     )
     # (voltages array, limit_v, its floats) as stored in range, else None
     _checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # per channel (half angle h, cos h, sin h * unit axis)
+    # per channel (half angle h, cos h, sin h * unit axis, product through it)
     _factors: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _require_non_negative(settle_s=self.settle_s)
         u = _four_voltages(self.voltages)
         self.gains_rad_per_v = np.asarray(self.gains_rad_per_v, dtype=float)
         if self.gains_rad_per_v.shape != (4,):
@@ -158,7 +169,7 @@ class PiezoController:
         volts = u.tolist()
         if not _within(volts, self.limit_v):
             raise VoltageOutOfRange("initial voltages exceed limits")
-        self._store(u, volts)
+        self._store(u, volts, checked=True)
 
     def bias_neutral(self) -> None:
         """Move to the neutral operating point (net identity, full-rank control).
@@ -181,7 +192,7 @@ class PiezoController:
         volts = u.tolist()
         if not _within(volts, self.limit_v + 1e-12):
             raise VoltageOutOfRange(f"requested voltages {u} exceed +/-{self.limit_v} V")
-        self._store(u, volts)
+        self._store(u, volts, checked=True)
 
     def apply_clamped(self, u: np.ndarray) -> np.ndarray:
         """Set voltages, re-centering by full rotation periods where possible.
@@ -200,13 +211,15 @@ class PiezoController:
         self._store(u, u.tolist())
         return u
 
-    def _store(self, u: np.ndarray, volts: list[float]) -> None:
+    def _store(self, u: np.ndarray, volts: list[float], checked: bool = False) -> None:
         """Keep the fresh array `u` read-only as the voltages, and its floats
-        `volts` for `quaternion()` if they lie within the limits."""
+        `volts` for `quaternion()` if they lie within the limits; `checked`
+        says the caller has just found them within."""
         u.setflags(write=False)
         self.voltages = u
         limit = self.limit_v
-        self._checked = (u, limit, volts) if _within(volts, limit + 1e-12) else None
+        within = checked or _within(volts, limit + 1e-12)
+        self._checked = (u, limit, volts) if within else None
 
     def rotation(self) -> np.ndarray:
         """Net Stokes rotation of the controller at its current voltages."""
@@ -223,25 +236,35 @@ class PiezoController:
                 raise VoltageOutOfRange("voltages exceed limits")
         # Channel i turns by gain_i * U_i about its unit axis a_i, i.e. the
         # quaternion (cos h, sin h * a_i) with h the half angle. Channel 1
-        # acts first, so the net quaternion is q4 q3 q2 q1. A factor is
+        # acts first, so the net quaternion is q4 q3 q2 q1. Each channel
+        # keeps its factor and the running product after it. A factor is
         # reused only for the same nonzero h: a zero h is rebuilt, so -0.0
-        # and 0.0 never share one.
+        # and 0.0 never share one. While every h so far is reused, so is the
+        # running product: the same products in the same order.
         factors = self._factors
         w, x, y, z = 1.0, 0.0, 0.0, 0.0
+        prefix = True
         i = 0
         for gain, volt, factor in zip(self.gains_rad_per_v.tolist(), volts, factors):
             h = 0.5 * gain * volt
-            if h != factor[0] or not h:
+            if h == factor[0] and h:
+                if prefix:
+                    _, _, _, _, _, w, x, y, z = factor
+                    i += 1
+                    continue
+                _, c, bx, by, bz, _, _, _, _ = factor
+            else:
+                prefix = False
                 s = math.sin(h)
                 ax, ay, az = self._unit_axes[i]
-                factor = factors[i] = (h, math.cos(h), s * ax, s * ay, s * az)
-            _, c, bx, by, bz = factor
+                c, bx, by, bz = math.cos(h), s * ax, s * ay, s * az
             w, x, y, z = (
                 c * w - bx * x - by * y - bz * z,
                 c * x + bx * w + by * z - bz * y,
                 c * y - bx * z + by * w + bz * x,
                 c * z + bx * y - by * x + bz * w,
             )
+            factors[i] = (h, c, bx, by, bz, w, x, y, z)
             i += 1
         return w, x, y, z
 
@@ -262,10 +285,16 @@ def _within(volts: list[float], limit: float) -> bool:
 
 @dataclass
 class ReferenceSwitch:
-    """Switchable reference lasers with fixed H and D output polarizations."""
+    """Switchable reference lasers with fixed H and D output polarizations.
+
+    The switching latency `latency_s` must be finite and >= 0.
+    """
 
     latency_s: float = 0.0
     current: str = "H"
+
+    def __post_init__(self) -> None:
+        _require_non_negative(latency_s=self.latency_s)
 
     def select(self, which: str) -> np.ndarray:
         if which not in ("H", "D"):

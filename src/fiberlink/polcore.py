@@ -267,6 +267,9 @@ class PdlElement:
     amplitude transmission of the orthogonal (extinguished) state. Use
     `PdlElement.from_axis` or `PdlElement.from_db` instead of filling the
     fields by hand.
+
+    The element keeps a read-only float copy of `gamma_vec`, checked to be a
+    finite 3-vector, so an element never changes once built.
     """
 
     gamma_vec: np.ndarray
@@ -278,7 +281,12 @@ class PdlElement:
         t = self.amplitude_transmission
         if not 0.0 <= t <= 1.0:
             raise InvalidTransmission(f"amplitude transmission {t} outside [0, 1]")
-        g = np.linalg.norm(self.gamma_vec)
+        vec = np.array(self.gamma_vec, dtype=float)
+        if vec.shape != (3,) or not np.all(np.isfinite(vec)):
+            raise ValueError(f"gamma_vec {self.gamma_vec!r} must be a finite 3-vector")
+        vec.flags.writeable = False
+        object.__setattr__(self, "gamma_vec", vec)
+        g = np.linalg.norm(vec)
         if abs(g - pdl_gamma(t)) > 1e-10:
             raise ValueError(
                 f"|gamma_vec| = {g} inconsistent with transmission {t}"

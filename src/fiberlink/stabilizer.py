@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import polcore
-from .channel import ChannelState, _as_float, transmit_probe
+from .channel import ChannelState, transmit_probe
 from .instruments import PiezoController, Polarimeter, ReferenceSwitch, VoltageOutOfRange
 from .output import write_csv
 
@@ -127,23 +127,34 @@ def measure_probe_pair(
     polarimeter draw. Returns the H and D reads as float triples.
 
     The loop probes a link it holds still, so the last pair of link outputs
-    is kept on the link. Its key is the value of everything the outputs
-    depend on (the rotation, the current loss element and both probes), so
-    no change of the link can be served a stale pair.
+    is kept on the link with the rotation, loss element and probes they were
+    mapped from, when none of those can change in place: each is a read-only
+    array that owns its data, as the link stores them. The memo is served
+    only to the same objects, and only while the rotation and the loss
+    vector are still read-only, so an assigned rotation, a new loss element
+    or a new spike maps the link afresh, and so does every read of a
+    writable rotation.
     """
     r = polcore._rotation_entries(piezo.quaternion())
-    s_h, s_d = _as_float(switch.select("H")), _as_float(switch.select("D"))
-    pdl = ch.current_pdl()
-    key = (
-        _as_float(ch.rotation).tobytes(), pdl.gamma_vec.tobytes(), pdl.amplitude_transmission,
-        s_h.tobytes(), s_d.tobytes(),
-    )
+    s_h, s_d = switch.select("H"), switch.select("D")
+    rotation, pdl = ch.rotation, ch.current_pdl()
     memo = ch._probe_pair_memo
-    if memo is None or memo[0] != key:
-        memo = ch._probe_pair_memo = (
-            key, transmit_probe(ch, s_h).tolist(), transmit_probe(ch, s_d).tolist()
-        )
-    return polarimeter.read_pair(_rotate(r, memo[1]), _rotate(r, memo[2]))
+    if (
+        memo is not None and memo[0] is rotation and memo[1] is pdl
+        and memo[2] is s_h and memo[3] is s_d
+        and not rotation.flags.writeable and not pdl.gamma_vec.flags.writeable
+    ):
+        out_h, out_d = memo[4], memo[5]
+    else:
+        out_h, out_d = transmit_probe(ch, s_h).tolist(), transmit_probe(ch, s_d).tolist()
+        frozen = all(map(_frozen, (rotation, pdl.gamma_vec, s_h, s_d)))
+        ch._probe_pair_memo = (rotation, pdl, s_h, s_d, out_h, out_d) if frozen else None
+    return polarimeter.read_pair(_rotate(r, out_h), _rotate(r, out_d))
+
+
+def _frozen(a) -> bool:
+    """True for a read-only array that owns its data: nothing writes it in place."""
+    return type(a) is np.ndarray and a.base is None and not a.flags.writeable
 
 
 def _rotate(r: tuple, s: list[float]) -> tuple[float, float, float]:

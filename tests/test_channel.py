@@ -38,6 +38,52 @@ def test_negative_rate_is_rejected(rng, rates):
         chm.ChannelState(rng=rng, day_rate=rates[0], night_rate=rates[1])
 
 
+@pytest.mark.parametrize("rotation", [
+    [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]],
+    np.eye(2), np.eye(3)[:2], np.ones(9),
+], ids=["nan", "inf", "2x2", "2x3", "flat"])
+def test_bad_rotation_is_rejected(rng, rotation):
+    # a NaN entry used to surface only as VoltageOutOfRange from the first
+    # stabilizer step
+    with pytest.raises(ValueError, match="finite 3x3"):
+        chm.ChannelState(rng=rng, rotation=np.array(rotation))
+
+
+def test_link_stores_read_only_rotations(rng):
+    given = pc.random_rotation(rng)
+    ch = chm.ChannelState(rng=np.random.default_rng(3), rotation=given, day_rate=1e-3, night_rate=1e-3)
+    assert ch.rotation is not given and np.array_equal(ch.rotation, given)
+    given[0, 0] = 5.0  # the link keeps its own copy
+    assert ch.rotation[0, 0] != 5.0
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ch.rotation[0, 0] = 0.5
+        ch.advance(1.0)
+    # an assigned rotation is kept as it is; a still walk leaves it alone
+    ch.rotation = np.eye(3)
+    ch.day_rate = ch.night_rate = 0.0
+    ch.advance(1.0)
+    assert ch.rotation.flags.writeable
+
+
+def test_walk_through_a_spike_shares_one_loss_element():
+    ch = make_test_channel(pdl_axis=[0, 1, 0], pdl_transmission=0.95)
+    ch.spikes = chm.PdlSpikeProcess(rate_per_s=1e9, extra_db=1.0, duration_s=30.0)
+    first = ch.walk(1.0, 1)[1][0]
+    ch.spikes = chm.PdlSpikeProcess(rate_per_s=0.0, extra_db=1.0, duration_s=30.0)
+    losses = ch.walk(1.0, 10)[1]
+    assert all(loss is first for loss in losses) and ch.current_pdl() is first
+    assert first.operator() is losses[-1].operator()
+    assert first.gamma_vec.tobytes() == pc.PdlElement.from_db([0, 1, 0], 1.0 + ch.pdl.loss_db).gamma_vec.tobytes()
+    ch.spikes = chm.PdlSpikeProcess(rate_per_s=1e9, extra_db=1.0, duration_s=30.0)
+    renewed = ch.walk(1.0, 1)[1][0]  # a new spike gets a new element, of the same bits
+    assert renewed is not first and renewed.gamma_vec.tobytes() == first.gamma_vec.tobytes()
+    ch.spikes = chm.PdlSpikeProcess(rate_per_s=0.0, extra_db=2.0, duration_s=30.0)
+    assert ch.current_pdl() is not renewed
+    assert ch.current_pdl().loss_db == pytest.approx(ch.pdl.loss_db + 2.0, abs=1e-9)
+
+
 class _ScriptedNormals:
     """Generator stand-in: serves `head` as its first standard normals, then
     those of a seeded generator. Its `bit_generator.state` covers both."""

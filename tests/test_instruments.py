@@ -100,6 +100,24 @@ def test_polarimeter_validation():
         ins.Polarimeter(sigma=-0.1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ins.Polarimeter(sigma=math.nan),
+    lambda: ins.Polarimeter(sigma=math.inf),
+    lambda: ins.Polarimeter(latency_s=math.nan),
+    lambda: ins.Polarimeter(latency_s=-0.1),
+    lambda: ins.PiezoController(settle_s=-1.0),
+    lambda: ins.PiezoController(settle_s=math.nan),
+    lambda: ins.PiezoController(settle_s=math.inf),
+    lambda: ins.ReferenceSwitch(latency_s=-5.0),
+    lambda: ins.ReferenceSwitch(latency_s=math.nan),
+], ids=["pol_sigma_nan", "pol_sigma_inf", "pol_latency_nan", "pol_latency_negative",
+        "piezo_settle_negative", "piezo_settle_nan", "piezo_settle_inf",
+        "switch_latency_negative", "switch_latency_nan"])
+def test_instrument_timing_and_noise_must_be_finite_and_non_negative(make):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # piezo controller
 # ---------------------------------------------------------------------------

@@ -237,6 +237,27 @@ def test_pdl_apply_fully_extinguished():
         pc.pdl_apply_bloch(np.array([-1.0, 0.0, 0.0]), el)
 
 
+@pytest.mark.parametrize("gamma_vec", [
+    [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]],
+], ids=["nan", "inf", "2-vector", "4-vector", "1x3"])
+def test_pdl_element_rejects_bad_gamma(gamma_vec):
+    # |(nan, 0, 0)| - 0 compares False against any tolerance, so a NaN
+    # vector used to pass as lossless
+    with pytest.raises(ValueError, match="finite 3-vector"):
+        pc.PdlElement(gamma_vec=np.array(gamma_vec), amplitude_transmission=1.0)
+
+
+def test_pdl_element_keeps_a_read_only_float_copy():
+    given = [0.0, 0.0, pc.pdl_gamma(0.9)]
+    el = pc.PdlElement(gamma_vec=given, amplitude_transmission=0.9)
+    assert type(el.gamma_vec) is np.ndarray and el.gamma_vec.dtype == float
+    assert el.gamma_vec.tolist() == given
+    with pytest.raises(ValueError):
+        el.gamma_vec[0] = 0.5
+    array = np.array(given)
+    assert pc.PdlElement(gamma_vec=array, amplitude_transmission=0.9).gamma_vec is not array
+
+
 def test_pdl_element_invariants():
     el = pc.PdlElement.from_db([0, 1, 0], 0.08)
     assert el.gamma == pytest.approx(pc.pdl_gamma(el.amplitude_transmission), abs=1e-12)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 from fiberlink import channel as chm
+from fiberlink import cli, config
 from fiberlink import instruments as ins
 from fiberlink import polcore as pc
 from fiberlink import stabilizer as st
@@ -148,9 +149,9 @@ def test_probe_path_matches_scalar_oracle(steps, layout, seed):
         assert_same_floats([v for read in got for v in read], _direct_probe_pair(ch, q, twin))
 
 
-def _assert_pairs_fresh(ch, calls):
+def _assert_pairs_fresh(ch, calls, maps):
     """Memo served or not, measure_probe_pair equals the direct map bit for
-    bit, and it maps the link afresh only on the first of two reads.
+    bit, and two reads map the link `maps` times, H then D each time.
     Returns the link outputs of H and D."""
     piezo = ins.PiezoController()
     piezo.bias_neutral()
@@ -160,7 +161,7 @@ def _assert_pairs_fresh(ch, calls):
         got = st.measure_probe_pair(ch, piezo, pol, ins.ReferenceSwitch())
         want = _direct_probe_pair(ch, piezo.quaternion(), noise_free_polarimeter())
         assert_same_floats([v for read in got for v in read], want)
-    assert len(calls) - before in (0, 2)
+    assert [s.tolist() for s in calls[before:]] == [pc.S_H.tolist(), pc.S_D.tolist()] * maps
     return [pc.pdl_apply_bloch(ch.rotation @ s, ch.current_pdl()) for s in (pc.S_H, pc.S_D)]
 
 
@@ -182,37 +183,142 @@ def test_probe_pair_memo_never_stale(rng, transmit_calls):
         rotation=pc.random_rotation(rng), rng=np.random.default_rng(5),
         day_rate=1e-3, night_rate=1e-3, pdl_axis=[0.2, 0.5, -0.3], pdl_transmission=0.9,
     )
-    history = [_assert_pairs_fresh(ch, transmit_calls)]
+    # the rotations the link stores are read-only: mapped once per two reads
+    history = [_assert_pairs_fresh(ch, transmit_calls, 1)]
     ch.advance(1.0)
-    history.append(_assert_pairs_fresh(ch, transmit_calls))
+    history.append(_assert_pairs_fresh(ch, transmit_calls, 1))
+    with pytest.raises(ValueError):
+        ch.rotation[...] = pc.random_rotation(rng)
+    with pytest.raises(ValueError):
+        ch.rotation[1, 0] += 1e-12
+    # a writable rotation assigned from outside is mapped on every read
     ch.rotation = pc.random_rotation(rng)
-    history.append(_assert_pairs_fresh(ch, transmit_calls))
+    history.append(_assert_pairs_fresh(ch, transmit_calls, 2))
     ch.rotation[...] = pc.random_rotation(rng)
-    history.append(_assert_pairs_fresh(ch, transmit_calls))
+    history.append(_assert_pairs_fresh(ch, transmit_calls, 2))
     ch.rotation[1, 0] += 1e-12
-    history.append(_assert_pairs_fresh(ch, transmit_calls))
+    history.append(_assert_pairs_fresh(ch, transmit_calls, 2))
+    # and so is a read-only view of an array that can still be written
+    base = pc.random_rotation(rng).copy()
+    ch.rotation = base[...]
+    ch.rotation.flags.writeable = False
+    history.append(_assert_pairs_fresh(ch, transmit_calls, 2))
+    base[...] = pc.random_rotation(rng)
+    history.append(_assert_pairs_fresh(ch, transmit_calls, 2))
+    # a walk stores its rotation read-only again; a new loss element misses
+    ch.advance(1.0)
+    history.append(_assert_pairs_fresh(ch, transmit_calls, 1))
+    ch.rotation.flags.writeable = True  # made writable again behind the link's back
+    ch.rotation[1, 0] -= 1e-12
+    history.append(_assert_pairs_fresh(ch, transmit_calls, 2))
+    ch.advance(1.0)
+    history.append(_assert_pairs_fresh(ch, transmit_calls, 1))
     ch.pdl = pc.PdlElement.from_axis([0.0, -1.0, 0.4], 0.8)
-    history.append(_assert_pairs_fresh(ch, transmit_calls))
+    history.append(_assert_pairs_fresh(ch, transmit_calls, 1))
     for before, after in zip(history, history[1:]):
         assert not np.array_equal(before[0], after[0])
-    # each of the six links was mapped once, H then D
-    assert [s.tolist() for s in transmit_calls] == [pc.S_H.tolist(), pc.S_D.tolist()] * 6
 
 
 def test_probe_pair_memo_follows_spikes(rng, transmit_calls):
     ch = make_test_channel(
         rotation=pc.random_rotation(rng), pdl_axis=[1, 0, 0], pdl_transmission=0.95,
     )
-    quiet = _assert_pairs_fresh(ch, transmit_calls)
+    quiet = _assert_pairs_fresh(ch, transmit_calls, 1)
     ch.spikes = chm.PdlSpikeProcess(rate_per_s=1e9, extra_db=1.0, duration_s=2.0)
     ch.advance(1.0)  # a spike starts and lasts until clock 3.0
-    spiking = _assert_pairs_fresh(ch, transmit_calls)
+    spiking = _assert_pairs_fresh(ch, transmit_calls, 1)
     assert not np.array_equal(quiet[0], spiking[0])
     ch.spikes = chm.PdlSpikeProcess(rate_per_s=0.0, extra_db=1.0, duration_s=2.0)
-    ch.advance(2.0)  # clock 3.0: the spike's last instant
-    assert np.array_equal(_assert_pairs_fresh(ch, transmit_calls)[0], spiking[0])
+    ch.advance(2.0)  # clock 3.0: the spike's last instant, one spike mapped once
+    assert np.array_equal(_assert_pairs_fresh(ch, transmit_calls, 0)[0], spiking[0])
     ch.advance(1e-9)  # the spike has ended
-    assert np.array_equal(_assert_pairs_fresh(ch, transmit_calls)[0], quiet[0])
+    assert np.array_equal(_assert_pairs_fresh(ch, transmit_calls, 1)[0], quiet[0])
+    ch.spikes = chm.PdlSpikeProcess(rate_per_s=1e9, extra_db=1.0, duration_s=2.0)
+    ch.advance(1.0)  # a new spike of the same loss is mapped afresh, to the same bits
+    assert np.array_equal(_assert_pairs_fresh(ch, transmit_calls, 1)[0], spiking[0])
+    ch.spikes = chm.PdlSpikeProcess(rate_per_s=0.0, extra_db=2.0, duration_s=2.0)
+    assert not np.array_equal(_assert_pairs_fresh(ch, transmit_calls, 1)[0], spiking[0])
+
+
+def test_probe_pair_memo_takes_a_list_loss_vector(rng, transmit_calls):
+    g = pc.pdl_gamma(0.9)
+    pdl = pc.PdlElement(gamma_vec=[0.0, g, 0.0], amplitude_transmission=0.9)
+    ch = chm.ChannelState(rng=rng, pdl=pdl, rotation=pc.random_rotation(rng))
+    _assert_pairs_fresh(ch, transmit_calls, 1)
+
+
+def _preset_channel(rotation_seed):
+    """The ppe_dutycycle preset's link, piezo, polarimeter, switch and loop
+    settings, from a Haar-random rotation."""
+    scn = config.load(cli._preset_dir() / "ppe_dutycycle.ini")
+    ch = scn.make_channel(rotation=pc.random_rotation(np.random.default_rng(rotation_seed)))
+    return ch, scn.make_piezo(), scn.make_polarimeter(), scn.make_switch(), scn.make_stabilizer_config()
+
+
+@pytest.fixture
+def probe_pair_calls(monkeypatch):
+    """A list that grows by one per `measure_probe_pair` call."""
+    calls = []
+    measure = st.measure_probe_pair
+
+    def counting(*args):
+        calls.append(None)
+        return measure(*args)
+
+    monkeypatch.setattr(st, "measure_probe_pair", counting)
+    return calls
+
+
+def test_stabilize_maps_a_held_still_link_once(transmit_calls, probe_pair_calls):
+    # the gain of the link memo, counted instead of timed: one H and one D
+    # map for a whole convergence of hundreds of probe pairs
+    ch, piezo, pol, switch, cfg = _preset_channel(11)
+    run = st.stabilize(ch, piezo, pol, cfg, switch)
+    assert run.iterations > 10 and len(probe_pair_calls) > 100
+    assert [s.tolist() for s in transmit_calls] == [pc.S_H.tolist(), pc.S_D.tolist()]
+
+
+@pytest.mark.parametrize("spike_rate", [0.0, 1e3], ids=["quiet", "spiking"])
+def test_duty_cycle_maps_each_window_boundary_once(transmit_calls, probe_pair_calls, spike_rate):
+    # each window's boundary probe and its stabilization see one link; the
+    # walk between windows moves it, and a spike each step renews the loss
+    ch, piezo, pol, switch, cfg = _preset_channel(12)
+    ch.spikes = chm.PdlSpikeProcess(rate_per_s=spike_rate, extra_db=0.5, duration_s=30.0)
+    log = st.duty_cycle_run(ch, piezo, pol, cfg, transmit_window_s=5.0, total_s=10.0, switch=switch)
+    assert [r.stabilized for r in log.records] == [True, True]
+    assert len(probe_pair_calls) > 100
+    assert [s.tolist() for s in transmit_calls] == [pc.S_H.tolist(), pc.S_D.tolist()] * 2
+
+
+@pytest.mark.parametrize("u0", [
+    [10.0, 0.0, -0.3, 0.7],  # channel 1 on its limit, channel 2 at a zero half angle
+    [0.4, -10.0, -0.0, 10.0],  # two channels on a limit and a negative zero
+    [0.25, -0.5, 1.5, 0.0],
+])
+def test_quaternion_prefix_follows_gradient_probe_order(monkeypatch, u0):
+    # quaternion() reuses the running product of unchanged leading channels;
+    # over the gradient's probe order (one channel moved at a time, centre
+    # probes at a limit, then a new point) it stays equal to a product built
+    # from scratch, bit for bit
+    piezo = ins.PiezoController(voltages=np.array(u0))
+    gains = piezo.gains_rad_per_v.tolist()
+    probed = []
+
+    def checking_error(ch, piezo, polarimeter, switch=None):
+        volts = piezo.voltages.tolist()
+        probed.append(volts)
+        assert_same_floats(piezo.quaternion(), piezo_quaternion_oracle(ins.PIEZO_AXES_DEFAULT, gains, volts))
+        return sum(v * v for v in volts)
+
+    monkeypatch.setattr(st, "error_function", checking_error)
+    ch = make_test_channel()
+    for k, du in enumerate((0.1, 0.05, 0.1)):
+        direction = st.gradient(ch, piezo, noise_free_polarimeter(), delta_u_v=du)
+        if k == 0:  # a channel on its limit probes the centre once
+            assert probed.count(u0) == any(abs(v) == piezo.limit_v for v in u0)
+        volts = piezo.voltages.tolist()
+        assert_same_floats(piezo.quaternion(), piezo_quaternion_oracle(ins.PIEZO_AXES_DEFAULT, gains, volts))
+        piezo.apply_clamped(piezo.voltages + 0.1 * direction)
 
 
 # ---------------------------------------------------------------------------
