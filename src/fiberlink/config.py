@@ -3,15 +3,17 @@
 Scenarios are INI files with explicit units in the key names, e.g.
 
     [scenario]
-    protocol = stabilize
+    protocol = distribute-entanglement
     seed = 20260401
 
     [channel]
     night_rate_rad2_per_s = 2e-7
     pdl_db = 0.08
 
-Every key has a documented default; unknown keys are rejected so typos
-surface at validate time instead of silently falling back. `validate`
+Every key has a documented default. A scenario may set only the
+`[scenario]` keys, its protocol's `[protocol]` keys and the shared keys its
+protocol reads (`Protocol.reads`); any other key is rejected, so a typo or a
+key the run would ignore surfaces at validate time. `validate`
 returns a list of Issue records with best-effort line numbers; `load`
 raises ConfigInvalid on the first set of problems.
 """
@@ -114,9 +116,11 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     ("ion", "decay_per_s"): (float, 313.4, non_negative, ">= 0"),
 }
 
-# protocol -> the fields of a scenario that runs it
+# protocol -> the fields a scenario that runs it may set: [scenario], the
+# shared keys its runner reads and its [protocol] keys
 _PROTOCOL_FIELDS = {
-    name: {**_FIELDS, **{("protocol", key): spec for key, spec in protocol.fields.items()}}
+    name: {**{k: spec for k, spec in _FIELDS.items() if k[0] == "scenario" or k in protocol.reads},
+           **{("protocol", key): spec for key, spec in protocol.fields.items()}}
     for name, protocol in PROTOCOLS.items()
 }
 
@@ -300,9 +304,10 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
     # A file whose protocol is missing or unknown leaves [protocol] unread.
     protocol = parser.get("scenario", "protocol", fallback="").strip()
     fields = _PROTOCOL_FIELDS.get(protocol, _FIELDS)
+    schema = {**_FIELDS, **fields}  # the keys it does not set keep their defaults
     values: dict[tuple[str, str], object] = {}
-    for (section, key), spec in fields.items():
-        if parser.has_option(section, key):
+    for (section, key), spec in schema.items():
+        if (section, key) in fields and parser.has_option(section, key):
             try:
                 values[(section, key)] = _parse_field(spec, parser.get(section, key))
             except ValueError as exc:
@@ -314,7 +319,7 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
                 else default
             )
 
-    known = {s for s, _ in fields}
+    known = {s for s, _ in schema}
     for section in parser.sections():
         if section == "protocol" and protocol not in PROTOCOLS:
             continue
@@ -324,13 +329,14 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
         for key in parser.options(section):
             if (section, key) not in fields:
                 message = (f"not a parameter of protocol {protocol!r}" if section == "protocol"
+                           else f"not read by protocol {protocol!r}" if (section, key) in _FIELDS
                            else "unknown key")
                 issues.append(Issue(section, key, message, _find_line(text, section, key)))
 
     if not protocol:
         issues.append(Issue("scenario", "protocol", "required key is missing"))
 
-    if len(values) == len(fields):  # the bounds across fields need every value
+    if len(values) == len(schema):  # the bounds across fields need every value
         issues += _checks(text, protocol, values)
     return values, issues
 

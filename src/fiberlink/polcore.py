@@ -258,7 +258,7 @@ def pdl_fidelity_bound(amplitude_transmission: float) -> float:
     return (1.0 + amplitude_transmission) ** 2 / 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PdlElement:
     """Polarization-dependent loss element.
 
@@ -269,13 +269,14 @@ class PdlElement:
     fields by hand.
 
     The element keeps a read-only float copy of `gamma_vec`, checked to be a
-    finite 3-vector, so an element never changes once built.
+    finite 3-vector, so an element never changes once built. Elements
+    compare and hash by identity, as the link's caches look them up.
     """
 
     gamma_vec: np.ndarray
     amplitude_transmission: float
     # operator(), built on first use.
-    _operator: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _operator: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = self.amplitude_transmission

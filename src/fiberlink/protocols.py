@@ -5,9 +5,9 @@ Each runner takes a parsed Scenario and an output directory, writes its
 protocol-specific CSV/JSON files, and returns the list of files written.
 All randomness comes from labeled streams of the scenario seed, so outputs
 are byte-identical across runs of the same configuration. `PROTOCOLS` is
-the one table of protocols, each with its runner and the `[protocol]` keys
-it declares and its checks across fields: the configuration schema and
-the CLI read it.
+the one table of protocols, each with its runner, the `[protocol]` keys it
+declares, the shared keys it reads and its checks across fields: the
+configuration schema and the CLI read it.
 """
 
 from __future__ import annotations
@@ -595,6 +595,9 @@ class Protocol(NamedTuple):
     trials_key: str | None = None  # the [protocol] key that `--trials` sets
     # every parsed value -> (section, key, message) per bound that spans fields
     checks: Callable[[dict], list[tuple[str, str, str]]] = lambda values: []
+    # the (section, key) pairs of the shared sections that the runner reads;
+    # `config` rejects any other shared key and leaves it at its default
+    reads: tuple[tuple[str, str], ...] = ()
 
 
 def positive(x: float) -> bool:
@@ -611,6 +614,22 @@ _ARM_B = {
     "stabilize_first": (bool, True, None, ""),
 }
 
+
+def _keys(section: str, names: str) -> tuple[tuple[str, str], ...]:
+    return tuple((section, name) for name in names.split())
+
+
+# Shared keys by the part of the testbed that reads them: the drift walk draws
+# spike times, and a stabilization's duration reads the timing keys.
+_DRIFT = _keys("channel", "day_rate_rad2_per_s night_rate_rad2_per_s day_start_hms day_end_hms "
+               "start_clock_s spike_rate_per_s")
+_LOSS = _keys("channel", "pdl_db pdl_axis")
+_CONTROL = (*_keys("instruments", "polarimeter_sigma piezo_gain_rad_per_v piezo_limit_v"),
+            *_keys("stabilizer", "fp_threshold fp_crossover d0 d1 du0_v du1_v max_iterations"))
+_TIMING = _keys("instruments", "polarimeter_latency_s switch_latency_s piezo_settle_s")
+_PAIR = _keys("source", "phase_rad noise_p")
+_ARM_B_READS = (*_LOSS, *_CONTROL, *_PAIR, *_keys("ion", "exposure_window_us decay_per_s"))
+
 PROTOCOLS = {
     "pdl-characterize": Protocol(run_pdl_characterize, {
         "n_samples": (int, 500, lambda v: 2 <= v <= _MAX_TRACE_STEPS, f"in [2, {_MAX_TRACE_STEPS}]"),
@@ -624,10 +643,10 @@ PROTOCOLS = {
         "total_s": (float, 4000.0, positive, "> 0"),
         "trace_period_s": (float, 10.0, positive, "> 0"),
         "tau_grid_s": ("floats", "10,20,40,80,160", None, ""),
-    }, checks=_drift_checks),
+    }, checks=_drift_checks, reads=_DRIFT),
     "stabilize": Protocol(run_stabilize, {
         "n_trials": (int, 50, lambda v: 1 <= v <= _MAX_TRACE_STEPS, f"in [1, {_MAX_TRACE_STEPS}]"),
-    }, "n_trials"),
+    }, "n_trials", reads=(*_LOSS, *_CONTROL, *_TIMING)),
     "distribute-entanglement": Protocol(run_distribute_entanglement, {
         "intervals_s": ("floats", "5,20,60,160", lambda v: min(v) > 0.0, "each > 0"),
         "total_per_interval_s": (float, 3200.0, positive, "> 0"),
@@ -636,8 +655,11 @@ PROTOCOLS = {
         "accidental_rate_a_per_s": (float, 0.0, non_negative, ">= 0"),
         "accidental_rate_b_per_s": (float, 0.0, non_negative, ">= 0"),
         "coincidence_window_s": (float, 1e-9, positive, "> 0"),
-    }, "total_per_interval_s", _distribute_checks),
-    "ion-photon": Protocol(run_ion_photon, {"counts_per_basis": _EXACT_COUNTS, **_ARM_B}),
+    }, "total_per_interval_s", _distribute_checks, reads=(
+        *_DRIFT, *_keys("channel", "drift_dt_s spike_extra_db spike_duration_s"), *_LOSS,
+        *_CONTROL, *_TIMING, *_PAIR, ("source", "pair_rate_per_s"))),
+    "ion-photon": Protocol(run_ion_photon, {"counts_per_basis": _EXACT_COUNTS, **_ARM_B},
+                           reads=_ARM_B_READS),
     "teleport": Protocol(run_teleport, {
         # int(counts_per_basis) shots per axis, drawn by numpy as a C long
         "counts_per_basis": (float, 0.0, lambda v: v == 0.0 or 1.0 <= v < 2.0**63,
@@ -645,7 +667,7 @@ PROTOCOLS = {
         **_ARM_B,
         "input_states": ("labels", "H,V,D,R", lambda v: set(v) <= set(quantum.BASIS_KETS),
                          f"labels from {','.join(quantum.BASIS_KETS)}"),
-    }),
+    }, reads=_ARM_B_READS),
     "delay-drift": Protocol(run_delay_drift, {
         "days": (float, 2.0, positive, "> 0"),
         "temp_amplitude_k": (float, 4.0, non_negative, ">= 0"),
@@ -654,7 +676,7 @@ PROTOCOLS = {
         "temp_noise_k": (float, 0.02, non_negative, ">= 0"),
         "measurement_noise_ps": (float, 1.0, non_negative, ">= 0"),
         "series_period_s": (float, 120.0, positive, "> 0"),
-    }, checks=_delay_checks),
+    }, checks=_delay_checks, reads=_keys("channel", "overhead_km temp_sensitivity_ps_per_km_k")),
 }
 
 RUNNERS = {name: protocol.runner for name, protocol in PROTOCOLS.items()}

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -66,7 +67,7 @@ def test_missing_protocol_is_invalid():
 
 def test_threshold_out_of_bounds_names_field(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text(MINIMAL + "\n[stabilizer]\nfp_threshold = 1.2\n")
+    path.write_text("[scenario]\nprotocol = stabilize\n\n[stabilizer]\nfp_threshold = 1.2\n")
     issues = config.validate_file(path)
     assert len(issues) == 1
     issue = issues[0]
@@ -164,11 +165,39 @@ def test_config_names_no_protocol():
     assert named == []
 
 
+def _readme_reads() -> dict[str, set[tuple[str, str]]]:
+    """The README's table of the shared keys each protocol's run reads; a
+    section's `all` is each of its keys, `all but a, b` each but a and b."""
+    table = {}
+    for line in (_ROOT / "README.md").read_text().splitlines():
+        row = re.fullmatch(r"\| `([a-z-]+)` \| (.+) \|", line)
+        if row is None:
+            continue
+        keys = table.setdefault(row[1], set())
+        for part in row[2].split("; ") if row[2] != "none" else ():
+            section, names = re.fullmatch(r"`\[(\w+)\]` (.+)", part).groups()
+            every = [key for s, key in config._FIELDS if s == section]
+            if names == "all":
+                names = every
+            elif names.startswith("all but "):
+                left_out = names.removeprefix("all but ").split(", ")
+                assert set(left_out) <= set(every), part
+                names = [key for key in every if key not in left_out]
+            else:
+                names = names.split(", ")
+            keys.update((section, key) for key in names)
+    return table
+
+
+def test_readme_lists_the_keys_each_protocol_reads():
+    assert _readme_reads() == {name: set(p.reads) for name, p in PROTOCOLS.items()}
+
+
 # Inputs that `run` cannot use fail validation (exit 2) instead of crashing `run`.
 @pytest.mark.parametrize("head, section, key, value", [
     ("[scenario]\nprotocol = teleport\n", "protocol", "input_states", "H,V,X,R"),
-    (MINIMAL, "channel", "day_start_hms", "banana"),
-    (MINIMAL, "channel", "pdl_axis", "0,0,0"),
+    ("[scenario]\nprotocol = drift-characterize\n", "channel", "day_start_hms", "banana"),
+    ("[scenario]\nprotocol = stabilize\n", "channel", "pdl_axis", "0,0,0"),
     ("[scenario]\nprotocol = stabilize\n", "instruments", "piezo_limit_v", "1.0"),
     # the default trace_period_s = 10 and shortest tau_grid_s lag of 10 s
     ("[scenario]\nprotocol = drift-characterize\n", "protocol", "total_s", "5"),
@@ -445,11 +474,12 @@ def _candidates(spec, sizes=None):
     return sizes or _GENERIC.get(kind, ()) + (str(default),)
 
 
-# protocol -> (section, key) -> candidate values: the shared sections and the
-# protocol's own [protocol] keys
+# protocol -> (section, key) -> candidate values: the [scenario] keys, the
+# shared keys the protocol reads and its own [protocol] keys
 _CANDIDATES = {
     name: {
-        **{k: _candidates(spec) for k, spec in config._FIELDS.items() if k != ("scenario", "protocol")},
+        **{k: _candidates(spec) for k, spec in config._FIELDS.items()
+           if k in protocol.reads or k[0] == "scenario" and k[1] != "protocol"},
         **{("protocol", key): _candidates(spec, _SIZES[name].get(key))
            for key, spec in protocol.fields.items()},
     }
@@ -469,9 +499,9 @@ _CHEAP = {
 }
 
 
-def _scenario_text(protocol, values) -> str:
+def _scenario_text(protocol, values, base=_CHEAP) -> str:
     sections = {"scenario": {"protocol": protocol, "seed": "1"}}
-    for (section, key), value in {**_CHEAP[protocol], **values}.items():
+    for (section, key), value in {**base[protocol], **values}.items():
         sections.setdefault(section, {})[key] = value
     return "".join(
         f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
@@ -487,10 +517,11 @@ def _values(draw, protocol):
 
 
 # Each example runs one scenario per protocol. Each @example after the first
-# four is a scenario that `validate` passed and whose run then raised, or that
+# five is a scenario that `validate` passed and whose run then raised, or that
 # made `validate` itself raise; the protocols it does not apply to reject it.
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(values=st.data(), trials=st.sampled_from((None, -1, 0, 1, 2, 10**12)))
+@example(values={("ion", "decay_per_s"): "0"}, trials=None)  # read by ion-photon and teleport only
 @example(values={("channel", "pdl_axis"): "0,0,0"}, trials=None)
 @example(values={("instruments", "piezo_limit_v"): "1"}, trials=None)
 @example(values={("protocol", "total_s"): "5"}, trials=None)
@@ -510,16 +541,23 @@ def test_valid_scenario_runs_or_fails_cleanly(values, trials):
     for protocol in sorted(PROTOCOLS):
         # a dict in an @example, else the st.data() to draw one from
         drawn = values if isinstance(values, dict) else values.draw(_values(protocol), label=protocol)
-        _runs_or_fails_cleanly(_scenario_text(protocol, drawn), trials)
+        unread = [k for k in drawn
+                  if k[0] not in ("scenario", "protocol") and k not in PROTOCOLS[protocol].reads]
+        _runs_or_fails_cleanly(_scenario_text(protocol, drawn), trials, unread)
 
 
-def _runs_or_fails_cleanly(text, trials):
+def _runs_or_fails_cleanly(text, trials, unread=()):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.ini"
         path.write_text(text)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main(["validate", str(path), "--quiet"])  # raises nothing
+        if unread:  # an @example's shared keys that the protocol does not read: one line each
+            lines = err.getvalue().splitlines()
+            assert code == 2 and len(lines) == len(unread), text + err.getvalue()
+            assert all("not read by protocol" in line for line in lines), err.getvalue()
+            return
         if code != 0:
             assert code == 2 and err.getvalue(), text
             return
@@ -533,8 +571,96 @@ def _runs_or_fails_cleanly(text, trials):
             text + err.getvalue())
 
 
+# A value per shared key that moves some output of every protocol that reads
+# the key, from the small scenario of that protocol below.
+_PERTURBED = {
+    ("channel", "day_rate_rad2_per_s"): "1e-4",
+    ("channel", "night_rate_rad2_per_s"): "1e-4",
+    ("channel", "day_start_hms"): "07:29",
+    ("channel", "day_end_hms"): "07:31",
+    ("channel", "start_clock_s"): "0",
+    ("channel", "drift_dt_s"): "0.5",
+    ("channel", "pdl_db"): "0.5",
+    ("channel", "pdl_axis"): "0,1,0",
+    ("channel", "spike_rate_per_s"): "0",
+    ("channel", "spike_extra_db"): "3",
+    ("channel", "spike_duration_s"): "5",
+    ("channel", "overhead_km"): "2",
+    ("channel", "temp_sensitivity_ps_per_km_k"): "40",
+    ("instruments", "polarimeter_sigma"): "0.01",
+    ("instruments", "polarimeter_latency_s"): "0.1",
+    ("instruments", "switch_latency_s"): "0.01",
+    ("instruments", "piezo_gain_rad_per_v"): "0.6",
+    ("instruments", "piezo_limit_v"): "3.2",
+    ("instruments", "piezo_settle_s"): "0.01",
+    ("stabilizer", "fp_threshold"): "0.99999",
+    ("stabilizer", "fp_crossover"): "0.5",
+    ("stabilizer", "d0"): "1",
+    ("stabilizer", "d1"): "0.2",
+    ("stabilizer", "du0_v"): "0.3",
+    ("stabilizer", "du1_v"): "0.05",
+    ("stabilizer", "max_iterations"): "2",
+    ("source", "phase_rad"): "0.3",
+    ("source", "noise_p"): "0.1",
+    ("source", "pair_rate_per_s"): "100",
+    ("ion", "exposure_window_us"): "200",
+    ("ion", "decay_per_s"): "1000",
+}
+# protocol -> a small scenario whose drift crosses the 07:30 edge of the day
+# window with loss spikes on, and whose exact counts see the pair rate
+# through the accidentals
+_CROSSING = {("channel", "start_clock_s"): "26990", ("channel", "spike_rate_per_s"): "0.05"}
+_SMALL = {
+    "pdl-characterize": {},
+    "drift-characterize": {**_CROSSING, ("protocol", "total_s"): "200", ("protocol", "tau_grid_s"): "10"},
+    "stabilize": {("protocol", "n_trials"): "1"},
+    "distribute-entanglement": {**_CROSSING, ("protocol", "intervals_s"): "20",
+                                ("protocol", "total_per_interval_s"): "100",
+                                ("protocol", "accidental_rate_a_per_s"): "1000",
+                                ("protocol", "accidental_rate_b_per_s"): "1000"},
+    "ion-photon": {},
+    "teleport": {},
+    "delay-drift": {("protocol", "days"): "0.01"},
+}
+
+
+def _output_hashes(protocol, values) -> dict[str, str]:
+    scn = config.loads(_scenario_text(protocol, values, _SMALL))
+    with tempfile.TemporaryDirectory() as tmp:
+        return {f.name: sha256_file(f) for f in run_protocol(scn, tmp)}
+
+
+@pytest.mark.parametrize("protocol, key", [
+    pytest.param(name, key, id=f"{name}-{key[1]}") for name, p in PROTOCOLS.items() for key in p.reads
+])
+def test_every_read_key_moves_an_output(protocol, key):
+    assert _output_hashes(protocol, {key: _PERTURBED[key]}) != _output_hashes(protocol, {})
+
+
+# Each shared key a protocol does not read is rejected with its line, whether
+# its value is one that moves a protocol that reads it or one that would not
+# parse: the key is reported once and its value is never parsed.
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_unread_key_is_rejected(tmp_path, capsys, protocol):
+    unread = [k for k in config._FIELDS if k[0] != "scenario" and k not in PROTOCOLS[protocol].reads]
+    for (section, key), value in [(k, v) for k in unread for v in (_PERTURBED[k], "banana")]:
+        path = tmp_path / "unread.ini"
+        text = _scenario_text(protocol, {(section, key): value})
+        path.write_text(text)
+        line = text.splitlines().index(f"{key} = {value}") + 1
+        assert [(i.section, i.key, i.message, i.line) for i in config.validate_file(path)] == [
+            (section, key, f"not read by protocol {protocol!r}", line)
+        ]
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err and key in err
+        assert not out.exists()
+
+
 def test_day_window_is_parsed_at_validate_time():
-    scn = config.loads(MINIMAL + "\n[channel]\nday_start_hms = 6:15\nday_end_hms = 20\n")
+    scn = config.loads("[scenario]\nprotocol = drift-characterize\n\n"
+                       "[channel]\nday_start_hms = 6:15\nday_end_hms = 20\n")
     schedule = scn.make_channel().schedule
     assert (schedule.day_start_s, schedule.day_end_s) == (6.25 * 3600.0, 20 * 3600.0)
 
@@ -562,7 +688,7 @@ def test_protocol_key_scoping(tmp_path):
 
 
 def test_crossover_must_be_below_threshold():
-    text = MINIMAL + "\n[stabilizer]\nfp_threshold = 0.9\nfp_crossover = 0.95\n"
+    text = "[scenario]\nprotocol = stabilize\n\n[stabilizer]\nfp_threshold = 0.9\nfp_crossover = 0.95\n"
     issues = config._collect(text)[1]
     assert any(i.key == "fp_crossover" for i in issues)
     assert [i.line for i in issues if i.key == "fp_crossover"] == [

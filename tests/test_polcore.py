@@ -258,6 +258,14 @@ def test_pdl_element_keeps_a_read_only_float_copy():
     assert pc.PdlElement(gamma_vec=array, amplitude_transmission=0.9).gamma_vec is not array
 
 
+def test_pdl_element_compares_and_hashes_by_identity():
+    # with field-wise equality, == compared gamma_vec arrays inside a tuple
+    # and raised ValueError, and hash() raised TypeError
+    a, b = pc.PdlElement.from_db([1, 0, 0], 0.5), pc.PdlElement.from_db([1, 0, 0], 0.5)
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1 and hash(a) != hash(b)
+
+
 def test_pdl_element_invariants():
     el = pc.PdlElement.from_db([0, 1, 0], 0.08)
     assert el.gamma == pytest.approx(pc.pdl_gamma(el.amplitude_transmission), abs=1e-12)
