@@ -176,8 +176,7 @@ class ChannelState:
     The link keeps its rotation read-only: the constructor stores a checked
     float copy of `rotation`, and `walk` stores the rotation it ends on, so
     an in-place write to either raises ValueError. A rotation assigned
-    from outside is kept as it is. During a spike `current_pdl()` returns
-    one loss element per spike.
+    from outside is kept as it is.
     """
 
     rng: np.random.Generator
@@ -189,11 +188,6 @@ class ChannelState:
     clock_s: float = 0.0
     spikes: PdlSpikeProcess = field(default_factory=PdlSpikeProcess)
     _spike_until_s: float = field(default=-1.0, repr=False)
-    # the stabilizer's last pair of probe outputs, with the link state and
-    # probes they were mapped from (see stabilizer.measure_probe_pair)
-    _probe_pair_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (pdl, spikes.extra_db, spike end time, the loss element during it)
-    _spike_pdl: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.day_rate < 0.0 or self.night_rate < 0.0:
@@ -280,35 +274,19 @@ class ChannelState:
 
     def current_pdl(self) -> PdlElement:
         """The loss element now: `pdl`, or during a spike an element
-        `spikes.extra_db` lossier, built once per spike."""
-        until = self._spike_until_s
-        if until < self.clock_s:
+        `spikes.extra_db` lossier."""
+        if self._spike_until_s < self.clock_s:
             return self.pdl
         pdl, extra_db = self.pdl, self.spikes.extra_db
-        cached = self._spike_pdl
-        if cached is not None and cached[0] is pdl and cached[1] == extra_db and cached[2] == until:
-            return cached[3]
         if pdl.gamma > 0.0:
-            spiking = PdlElement.from_db(pdl.pass_axis(), pdl.loss_db + extra_db)
-        else:
-            spiking = PdlElement.from_db(polcore.S_H, extra_db)
-        self._spike_pdl = (pdl, extra_db, until, spiking)
-        return spiking
-
-
-def _as_float(a) -> np.ndarray:
-    """`a` itself when it already is a float array, else np.asarray(a, dtype=float)."""
-    return a if type(a) is np.ndarray and a.dtype.char == "d" else np.asarray(a, dtype=float)
+            return PdlElement.from_db(pdl.pass_axis(), pdl.loss_db + extra_db)
+        return PdlElement.from_db(polcore.S_H, extra_db)
 
 
 def transmit_probe(ch: ChannelState, s_in: np.ndarray) -> np.ndarray:
-    """Stokes vector after the link: rotation first, then the loss element.
-
-    The returned array is read-only.
-    """
-    out = polcore.pdl_apply_bloch(_as_float(ch.rotation) @ _as_float(s_in), ch.current_pdl())
-    out.flags.writeable = False
-    return out
+    """Stokes vector after the link: rotation first, then the loss element."""
+    rotation, s_in = np.asarray(ch.rotation, dtype=float), np.asarray(s_in, dtype=float)
+    return polcore.pdl_apply_bloch(rotation @ s_in, ch.current_pdl())
 
 
 def transmit_qubit_kraus(rotation: np.ndarray, loss: PdlElement) -> np.ndarray:

@@ -89,7 +89,6 @@ def _cmd_run(args) -> int:
         except ValueError as exc:
             print(f"error: {flag} {raw}: [{section}] {key}: {exc}", file=sys.stderr)
             return 2
-    scn.seed = scn[("scenario", "seed")]
     out_dir = Path(args.out) if args.out else Path(scn.out_dir)
 
     try:

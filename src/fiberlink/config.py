@@ -179,11 +179,14 @@ class Scenario:
     """Fully parsed scenario: typed values plus the raw file text."""
 
     name: str
-    seed: int
     protocol: str
     out_dir: str
     values: dict[tuple[str, str], object]
     text: str
+
+    @property
+    def seed(self) -> int:
+        return self.values[("scenario", "seed")]
 
     def __getitem__(self, section_key: tuple[str, str]):
         return self.values[section_key]
@@ -374,7 +377,6 @@ def loads(text: str, name: str = "scenario") -> Scenario:
     out_dir = values[("scenario", "out_dir")] or f"runs/{scen_name}"
     return Scenario(
         name=scen_name,
-        seed=values[("scenario", "seed")],
         protocol=values[("scenario", "protocol")],
         out_dir=out_dir,
         values=values,

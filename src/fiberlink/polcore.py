@@ -270,7 +270,7 @@ class PdlElement:
 
     The element keeps a read-only float copy of `gamma_vec`, checked to be a
     finite 3-vector, so an element never changes once built. Elements
-    compare and hash by identity, as the link's caches look them up.
+    compare and hash by identity.
     """
 
     gamma_vec: np.ndarray

@@ -661,9 +661,9 @@ PROTOCOLS = {
     "ion-photon": Protocol(run_ion_photon, {"counts_per_basis": _EXACT_COUNTS, **_ARM_B},
                            reads=_ARM_B_READS),
     "teleport": Protocol(run_teleport, {
-        # int(counts_per_basis) shots per axis, drawn by numpy as a C long
-        "counts_per_basis": (float, 0.0, lambda v: v == 0.0 or 1.0 <= v < 2.0**63,
-                             "0 (exact) or in [1, 2^63)"),
+        # counts_per_basis shots per axis, drawn by numpy as a C long
+        "counts_per_basis": (float, 0.0, lambda v: v.is_integer() and 0.0 <= v < 2.0**63,
+                             "0 (exact) or a whole number in [1, 2^63)"),
         **_ARM_B,
         "input_states": ("labels", "H,V,D,R", lambda v: set(v) <= set(quantum.BASIS_KETS),
                          f"labels from {','.join(quantum.BASIS_KETS)}"),

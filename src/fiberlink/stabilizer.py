@@ -43,6 +43,7 @@ __all__ = [
     "error_function",
     "gradient",
     "measure_probe_pair",
+    "probe_link",
     "stabilize",
     "window_plan",
 ]
@@ -114,47 +115,28 @@ class _Clock:
         self.t += self._settle
 
 
+def probe_link(ch: ChannelState, switch: ReferenceSwitch) -> tuple[list[float], list[float]]:
+    """The link's outputs for injected H and D reference light, as float
+    triples. A link held still gives the same pair to every probe."""
+    s_h, s_d = switch.select("H"), switch.select("D")
+    return transmit_probe(ch, s_h).tolist(), transmit_probe(ch, s_d).tolist()
+
+
 def measure_probe_pair(
-    ch: ChannelState,
+    link: tuple[list[float], list[float]],
     piezo: PiezoController,
     polarimeter: Polarimeter,
-    switch: ReferenceSwitch,
 ) -> list[tuple[float, float, float]]:
-    """Inject H then D reference light and read both receiver polarizations.
+    """Read both receiver polarizations of the link outputs `link`
+    (`probe_link`) after the compensator.
 
     The two link outputs are turned by the nine matrix entries of the
     controller's quaternion in scalar arithmetic and read with one paired
     polarimeter draw. Returns the H and D reads as float triples.
-
-    The loop probes a link it holds still, so the last pair of link outputs
-    is kept on the link with the rotation, loss element and probes they were
-    mapped from, when none of those can change in place: each is a read-only
-    array that owns its data, as the link stores them. The memo is served
-    only to the same objects, and only while the rotation and the loss
-    vector are still read-only, so an assigned rotation, a new loss element
-    or a new spike maps the link afresh, and so does every read of a
-    writable rotation.
     """
     r = polcore._rotation_entries(piezo.quaternion())
-    s_h, s_d = switch.select("H"), switch.select("D")
-    rotation, pdl = ch.rotation, ch.current_pdl()
-    memo = ch._probe_pair_memo
-    if (
-        memo is not None and memo[0] is rotation and memo[1] is pdl
-        and memo[2] is s_h and memo[3] is s_d
-        and not rotation.flags.writeable and not pdl.gamma_vec.flags.writeable
-    ):
-        out_h, out_d = memo[4], memo[5]
-    else:
-        out_h, out_d = transmit_probe(ch, s_h).tolist(), transmit_probe(ch, s_d).tolist()
-        frozen = all(map(_frozen, (rotation, pdl.gamma_vec, s_h, s_d)))
-        ch._probe_pair_memo = (rotation, pdl, s_h, s_d, out_h, out_d) if frozen else None
+    out_h, out_d = link
     return polarimeter.read_pair(_rotate(r, out_h), _rotate(r, out_d))
-
-
-def _frozen(a) -> bool:
-    """True for a read-only array that owns its data: nothing writes it in place."""
-    return type(a) is np.ndarray and a.base is None and not a.flags.writeable
 
 
 def _rotate(r: tuple, s: list[float]) -> tuple[float, float, float]:
@@ -183,23 +165,21 @@ def _fidelity_of_pair(s1, s2) -> float:
 
 
 def error_function(
-    ch: ChannelState,
+    link: tuple[list[float], list[float]],
     piezo: PiezoController,
     polarimeter: Polarimeter,
-    switch: ReferenceSwitch | None = None,
 ) -> float:
-    """Probe error f(U) at the controller's current voltages."""
-    switch = switch or ReferenceSwitch()
-    s1, s2 = measure_probe_pair(ch, piezo, polarimeter, switch)
+    """Probe error f(U) of the link outputs `link` at the controller's
+    current voltages."""
+    s1, s2 = measure_probe_pair(link, piezo, polarimeter)
     return _error_of_pair(s1, s2)
 
 
 def gradient(
-    ch: ChannelState,
+    link: tuple[list[float], list[float]],
     piezo: PiezoController,
     polarimeter: Polarimeter,
     delta_u_v: float,
-    switch: ReferenceSwitch | None = None,
     clock: _Clock | None = None,
 ) -> np.ndarray:
     """Finite-difference descent direction over the four voltages.
@@ -210,14 +190,13 @@ def gradient(
     """
     if delta_u_v <= 0.0:
         raise ValueError("delta_u must be > 0")
-    switch = switch or ReferenceSwitch()
-    clock = clock or _Clock(polarimeter, piezo, switch)
+    clock = clock or _Clock(polarimeter, piezo, ReferenceSwitch())
 
     def probe(u: list[float]) -> float:
         piezo.set_voltages(u)
         clock.piezo_apply()
         clock.probe_pair()
-        return error_function(ch, piezo, polarimeter, switch)
+        return error_function(link, piezo, polarimeter)
 
     u0 = piezo.voltages.tolist()
     f0 = None
@@ -273,15 +252,17 @@ def stabilize(
     """Run the feedback loop until fidelity reaches the threshold.
 
     Records one trace row per iteration (voltages, error, fidelity,
-    simulated time). The channel is held still during the run.
+    simulated time). The channel is held still during the run, so its H and
+    D outputs are mapped once and every probe reads that pair.
     """
     cfg = cfg or StabilizerConfig()
     switch = switch or ReferenceSwitch()
     clock = _Clock(polarimeter, piezo, switch)
     clamp_before = piezo.clamp_events
 
+    link = probe_link(ch, switch)
     clock.probe_pair()
-    s1, s2 = measure_probe_pair(ch, piezo, polarimeter, switch)
+    s1, s2 = measure_probe_pair(link, piezo, polarimeter)
     fp = _fidelity_of_pair(s1, s2)
     f_val = _error_of_pair(s1, s2)
     trace: list[tuple] = [(0, *piezo.voltages, f_val, fp, clock.t)]
@@ -293,12 +274,12 @@ def stabilize(
     iterations = 0
     for iteration in range(1, cfg.max_iterations + 1):
         iterations = iteration
-        direction = gradient(ch, piezo, polarimeter, du, switch, clock)
+        direction = gradient(link, piezo, polarimeter, du, clock)
         piezo.apply_clamped(piezo.voltages + d_step * direction)
         clock.piezo_apply()
 
         clock.probe_pair()
-        s1, s2 = measure_probe_pair(ch, piezo, polarimeter, switch)
+        s1, s2 = measure_probe_pair(link, piezo, polarimeter)
         f_val = _error_of_pair(s1, s2)
         fp = _fidelity_of_pair(s1, s2)
         trace.append((iteration, *piezo.voltages, f_val, fp, clock.t))
@@ -387,7 +368,7 @@ def duty_cycle_run(
     n_windows, n_steps = window_plan(transmit_window_s, total_s, drift_dt_s)
     dt = transmit_window_s / n_steps
     for window in range(n_windows):
-        s1, s2 = measure_probe_pair(ch, piezo, polarimeter, switch)
+        s1, s2 = measure_probe_pair(probe_link(ch, switch), piezo, polarimeter)
         fp_before = _fidelity_of_pair(s1, s2)
         run = None
         if fp_before < cfg.fp_threshold:

@@ -73,14 +73,12 @@ def test_walk_through_a_spike_shares_one_loss_element():
     first = ch.walk(1.0, 1)[1][0]
     ch.spikes = chm.PdlSpikeProcess(rate_per_s=0.0, extra_db=1.0, duration_s=30.0)
     losses = ch.walk(1.0, 10)[1]
-    assert all(loss is first for loss in losses) and ch.current_pdl() is first
-    assert first.operator() is losses[-1].operator()
+    assert all(loss.gamma_vec.tobytes() == first.gamma_vec.tobytes() for loss in losses)
     assert first.gamma_vec.tobytes() == pc.PdlElement.from_db([0, 1, 0], 1.0 + ch.pdl.loss_db).gamma_vec.tobytes()
     ch.spikes = chm.PdlSpikeProcess(rate_per_s=1e9, extra_db=1.0, duration_s=30.0)
-    renewed = ch.walk(1.0, 1)[1][0]  # a new spike gets a new element, of the same bits
-    assert renewed is not first and renewed.gamma_vec.tobytes() == first.gamma_vec.tobytes()
+    renewed = ch.walk(1.0, 1)[1][0]  # a new spike's element has the same bits
+    assert renewed.gamma_vec.tobytes() == first.gamma_vec.tobytes()
     ch.spikes = chm.PdlSpikeProcess(rate_per_s=0.0, extra_db=2.0, duration_s=30.0)
-    assert ch.current_pdl() is not renewed
     assert ch.current_pdl().loss_db == pytest.approx(ch.pdl.loss_db + 2.0, abs=1e-9)
 
 
@@ -327,7 +325,7 @@ def test_transmit_probe_norm_preserved_without_pdl(rng):
 
 
 def _assert_probes_fresh(ch):
-    """Memo served or not, each probe's output equals the direct map bit for bit."""
+    """Each probe's output, mapped twice, equals the direct map bit for bit."""
     outs = []
     for s in (pc.S_H, pc.S_D):
         expected = pc.pdl_apply_bloch(ch.rotation @ s, ch.current_pdl())
@@ -383,17 +381,6 @@ def test_transmit_probe_converts_non_float_inputs(rng):
     ch.rotation = np.eye(3, dtype=int)
     expected = pc.pdl_apply_bloch(np.array([0.0, 0.0, 1.0]), ch.pdl)
     assert chm.transmit_probe(ch, [0, 0, 1]).tobytes() == expected.tobytes()
-
-
-def test_transmit_probe_output_is_read_only(rng):
-    ch = make_test_channel(rotation=pc.random_rotation(rng))
-    out = chm.transmit_probe(ch, pc.S_H)
-    kept = out.copy()
-    with pytest.raises(ValueError):
-        out[0] = 5.0
-    with pytest.raises(ValueError):
-        out += 1.0
-    assert np.array_equal(chm.transmit_probe(ch, pc.S_H), kept)
 
 
 def test_transmit_qubit_kraus_identity_channel():

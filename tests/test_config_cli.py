@@ -391,13 +391,14 @@ def test_cli_trials_override_is_held_to_the_run_length(tmp_path, capsys, argv):
     assert not (out / "manifest.json").exists()
 
 
-# teleport sends int(counts_per_basis) shots along each axis: 0.5 sent none and
-# divided by zero, 1e19 overflowed numpy's C long. The other two protocols draw
-# Poisson counts of any mean.
+# teleport sends counts_per_basis shots along each axis: 0.5 sent none and
+# divided by zero, 100.5 sent 100, 1e19 overflowed numpy's C long. The other
+# two protocols draw Poisson counts of any mean.
 @pytest.mark.parametrize("protocol, value, rejected", [
     ("teleport", "0.5", True),
     ("teleport", "1e19", True),
     ("teleport", "1", False),
+    ("teleport", "100.5", True),
     ("ion-photon", "0.5", False),
 ])
 def test_teleport_counts_per_basis_are_whole_shots(tmp_path, capsys, protocol, value, rejected):
@@ -783,6 +784,21 @@ def test_cli_seed_override_changes_outputs(tmp_path):
     assert sha256_file(out1 / "pdl_series.csv") != sha256_file(out2 / "pdl_series.csv")
     manifest = json.loads((out2 / "manifest.json").read_text())
     assert manifest["seed"] == 999
+
+
+def test_library_seed_override_runs_at_the_new_seed(tmp_path):
+    # every stream draws from the overridden seed, as from a file that sets it
+    preset = cli._preset_dir() / "pdl_characterize.ini"
+    scn = config.load(preset)
+    scn.override("scenario", "seed", "5")
+    assert scn.seed == 5
+    reseeded = tmp_path / "seed5.ini"
+    reseeded.write_text(preset.read_text().replace("seed = 81231", "seed = 5"))
+    files = run_protocol(scn, tmp_path / "override")
+    want = run_protocol(config.load(reseeded), tmp_path / "file")
+    assert [f.name for f in files] == [f.name for f in want]
+    for got, expected in zip(files, want):
+        assert sha256_file(got) == sha256_file(expected), got.name
 
 
 def test_cli_trials_override(tmp_path):

@@ -19,6 +19,10 @@ def noise_free_polarimeter():
     return ins.Polarimeter(sigma=0.0, rng=np.random.default_rng(0))
 
 
+def _link(ch):
+    return st.probe_link(ch, ins.ReferenceSwitch())
+
+
 # ---------------------------------------------------------------------------
 # error function
 # ---------------------------------------------------------------------------
@@ -26,13 +30,13 @@ def noise_free_polarimeter():
 def test_error_function_compensated_channel_is_zero():
     ch = make_test_channel()
     piezo = ins.PiezoController()
-    assert st.error_function(ch, piezo, noise_free_polarimeter()) == pytest.approx(0.0, abs=1e-15)
+    assert st.error_function(_link(ch), piezo, noise_free_polarimeter()) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_error_function_half_turn_about_s3():
     ch = make_test_channel(rotation=pc.rotation_about([0, 0, 1], math.pi))
     piezo = ins.PiezoController()
-    f = st.error_function(ch, piezo, noise_free_polarimeter())
+    f = st.error_function(_link(ch), piezo, noise_free_polarimeter())
     assert f == pytest.approx(8.0, abs=1e-12)
 
 
@@ -44,7 +48,7 @@ def test_error_function_equivalent_to_fidelity(rng):
     for _ in range(1000):
         q = pc.random_rotation(rng)
         ch = make_test_channel(rotation=q)
-        f = st.error_function(ch, piezo, pol)
+        f = st.error_function(_link(ch), piezo, pol)
         assert f == pytest.approx(4.0 - 2.0 * (q[0, 0] + q[1, 1]), abs=1e-9)
         fp = pc.process_fidelity(q)
         if f < 1e-12:
@@ -69,7 +73,7 @@ def test_measure_probe_pair_matches_matrix_oracle(rng, sigma, pdl_transmission):
         piezo = ins.PiezoController(voltages=rng.uniform(-limit, limit, size=4))
         pol = ins.Polarimeter(sigma=sigma, rng=np.random.default_rng(k))
         twin = ins.Polarimeter(sigma=sigma, rng=np.random.default_rng(k))
-        got = st.measure_probe_pair(ch, piezo, pol, ins.ReferenceSwitch())
+        got = st.measure_probe_pair(_link(ch), piezo, pol)
         comp = piezo.rotation()
         want = [twin.read(comp @ chm.transmit_probe(ch, s)) for s in (pc.S_H, pc.S_D)]
         worst = max(worst, np.abs(np.asarray(got) - np.asarray(want)).max())
@@ -145,24 +149,8 @@ def test_probe_path_matches_scalar_oracle(steps, layout, seed):
             continue
         q = piezo_quaternion_oracle(axes, gains, volts)
         assert_same_floats(piezo.quaternion(), q)
-        got = st.measure_probe_pair(ch, piezo, pol, switch)
+        got = st.measure_probe_pair(st.probe_link(ch, switch), piezo, pol)
         assert_same_floats([v for read in got for v in read], _direct_probe_pair(ch, q, twin))
-
-
-def _assert_pairs_fresh(ch, calls, maps):
-    """Memo served or not, measure_probe_pair equals the direct map bit for
-    bit, and two reads map the link `maps` times, H then D each time.
-    Returns the link outputs of H and D."""
-    piezo = ins.PiezoController()
-    piezo.bias_neutral()
-    pol = noise_free_polarimeter()
-    before = len(calls)
-    for _ in range(2):
-        got = st.measure_probe_pair(ch, piezo, pol, ins.ReferenceSwitch())
-        want = _direct_probe_pair(ch, piezo.quaternion(), noise_free_polarimeter())
-        assert_same_floats([v for read in got for v in read], want)
-    assert [s.tolist() for s in calls[before:]] == [pc.S_H.tolist(), pc.S_D.tolist()] * maps
-    return [pc.pdl_apply_bloch(ch.rotation @ s, ch.current_pdl()) for s in (pc.S_H, pc.S_D)]
 
 
 @pytest.fixture
@@ -176,75 +164,6 @@ def transmit_calls(monkeypatch):
 
     monkeypatch.setattr(st, "transmit_probe", counting)
     return calls
-
-
-def test_probe_pair_memo_never_stale(rng, transmit_calls):
-    ch = make_test_channel(
-        rotation=pc.random_rotation(rng), rng=np.random.default_rng(5),
-        day_rate=1e-3, night_rate=1e-3, pdl_axis=[0.2, 0.5, -0.3], pdl_transmission=0.9,
-    )
-    # the rotations the link stores are read-only: mapped once per two reads
-    history = [_assert_pairs_fresh(ch, transmit_calls, 1)]
-    ch.advance(1.0)
-    history.append(_assert_pairs_fresh(ch, transmit_calls, 1))
-    with pytest.raises(ValueError):
-        ch.rotation[...] = pc.random_rotation(rng)
-    with pytest.raises(ValueError):
-        ch.rotation[1, 0] += 1e-12
-    # a writable rotation assigned from outside is mapped on every read
-    ch.rotation = pc.random_rotation(rng)
-    history.append(_assert_pairs_fresh(ch, transmit_calls, 2))
-    ch.rotation[...] = pc.random_rotation(rng)
-    history.append(_assert_pairs_fresh(ch, transmit_calls, 2))
-    ch.rotation[1, 0] += 1e-12
-    history.append(_assert_pairs_fresh(ch, transmit_calls, 2))
-    # and so is a read-only view of an array that can still be written
-    base = pc.random_rotation(rng).copy()
-    ch.rotation = base[...]
-    ch.rotation.flags.writeable = False
-    history.append(_assert_pairs_fresh(ch, transmit_calls, 2))
-    base[...] = pc.random_rotation(rng)
-    history.append(_assert_pairs_fresh(ch, transmit_calls, 2))
-    # a walk stores its rotation read-only again; a new loss element misses
-    ch.advance(1.0)
-    history.append(_assert_pairs_fresh(ch, transmit_calls, 1))
-    ch.rotation.flags.writeable = True  # made writable again behind the link's back
-    ch.rotation[1, 0] -= 1e-12
-    history.append(_assert_pairs_fresh(ch, transmit_calls, 2))
-    ch.advance(1.0)
-    history.append(_assert_pairs_fresh(ch, transmit_calls, 1))
-    ch.pdl = pc.PdlElement.from_axis([0.0, -1.0, 0.4], 0.8)
-    history.append(_assert_pairs_fresh(ch, transmit_calls, 1))
-    for before, after in zip(history, history[1:]):
-        assert not np.array_equal(before[0], after[0])
-
-
-def test_probe_pair_memo_follows_spikes(rng, transmit_calls):
-    ch = make_test_channel(
-        rotation=pc.random_rotation(rng), pdl_axis=[1, 0, 0], pdl_transmission=0.95,
-    )
-    quiet = _assert_pairs_fresh(ch, transmit_calls, 1)
-    ch.spikes = chm.PdlSpikeProcess(rate_per_s=1e9, extra_db=1.0, duration_s=2.0)
-    ch.advance(1.0)  # a spike starts and lasts until clock 3.0
-    spiking = _assert_pairs_fresh(ch, transmit_calls, 1)
-    assert not np.array_equal(quiet[0], spiking[0])
-    ch.spikes = chm.PdlSpikeProcess(rate_per_s=0.0, extra_db=1.0, duration_s=2.0)
-    ch.advance(2.0)  # clock 3.0: the spike's last instant, one spike mapped once
-    assert np.array_equal(_assert_pairs_fresh(ch, transmit_calls, 0)[0], spiking[0])
-    ch.advance(1e-9)  # the spike has ended
-    assert np.array_equal(_assert_pairs_fresh(ch, transmit_calls, 1)[0], quiet[0])
-    ch.spikes = chm.PdlSpikeProcess(rate_per_s=1e9, extra_db=1.0, duration_s=2.0)
-    ch.advance(1.0)  # a new spike of the same loss is mapped afresh, to the same bits
-    assert np.array_equal(_assert_pairs_fresh(ch, transmit_calls, 1)[0], spiking[0])
-    ch.spikes = chm.PdlSpikeProcess(rate_per_s=0.0, extra_db=2.0, duration_s=2.0)
-    assert not np.array_equal(_assert_pairs_fresh(ch, transmit_calls, 1)[0], spiking[0])
-
-
-def test_probe_pair_memo_takes_a_list_loss_vector(rng, transmit_calls):
-    g = pc.pdl_gamma(0.9)
-    pdl = pc.PdlElement(gamma_vec=[0.0, g, 0.0], amplitude_transmission=0.9)
-    ch = chm.ChannelState(rng=rng, pdl=pdl, rotation=pc.random_rotation(rng))
-    _assert_pairs_fresh(ch, transmit_calls, 1)
 
 
 def _preset_channel(rotation_seed):
@@ -280,14 +199,15 @@ def test_stabilize_maps_a_held_still_link_once(transmit_calls, probe_pair_calls)
 
 @pytest.mark.parametrize("spike_rate", [0.0, 1e3], ids=["quiet", "spiking"])
 def test_duty_cycle_maps_each_window_boundary_once(transmit_calls, probe_pair_calls, spike_rate):
-    # each window's boundary probe and its stabilization see one link; the
-    # walk between windows moves it, and a spike each step renews the loss
+    # each window maps the link once for its boundary probe and once for its
+    # stabilization; the walk between windows moves it, and a spike each step
+    # renews the loss
     ch, piezo, pol, switch, cfg = _preset_channel(12)
     ch.spikes = chm.PdlSpikeProcess(rate_per_s=spike_rate, extra_db=0.5, duration_s=30.0)
     log = st.duty_cycle_run(ch, piezo, pol, cfg, transmit_window_s=5.0, total_s=10.0, switch=switch)
     assert [r.stabilized for r in log.records] == [True, True]
     assert len(probe_pair_calls) > 100
-    assert [s.tolist() for s in transmit_calls] == [pc.S_H.tolist(), pc.S_D.tolist()] * 2
+    assert [s.tolist() for s in transmit_calls] == [pc.S_H.tolist(), pc.S_D.tolist()] * 4
 
 
 @pytest.mark.parametrize("u0", [
@@ -304,7 +224,7 @@ def test_quaternion_prefix_follows_gradient_probe_order(monkeypatch, u0):
     gains = piezo.gains_rad_per_v.tolist()
     probed = []
 
-    def checking_error(ch, piezo, polarimeter, switch=None):
+    def checking_error(link, piezo, polarimeter):
         volts = piezo.voltages.tolist()
         probed.append(volts)
         assert_same_floats(piezo.quaternion(), piezo_quaternion_oracle(ins.PIEZO_AXES_DEFAULT, gains, volts))
@@ -313,7 +233,7 @@ def test_quaternion_prefix_follows_gradient_probe_order(monkeypatch, u0):
     monkeypatch.setattr(st, "error_function", checking_error)
     ch = make_test_channel()
     for k, du in enumerate((0.1, 0.05, 0.1)):
-        direction = st.gradient(ch, piezo, noise_free_polarimeter(), delta_u_v=du)
+        direction = st.gradient(_link(ch), piezo, noise_free_polarimeter(), delta_u_v=du)
         if k == 0:  # a channel on its limit probes the centre once
             assert probed.count(u0) == any(abs(v) == piezo.limit_v for v in u0)
         volts = piezo.voltages.tolist()
@@ -328,7 +248,7 @@ def test_quaternion_prefix_follows_gradient_probe_order(monkeypatch, u0):
 def test_gradient_vanishes_at_optimum():
     ch = make_test_channel()
     piezo = ins.PiezoController()
-    g = st.gradient(ch, piezo, noise_free_polarimeter(), delta_u_v=1e-3)
+    g = st.gradient(_link(ch), piezo, noise_free_polarimeter(), delta_u_v=1e-3)
     assert np.linalg.norm(g) < 1e-9
 
 
@@ -342,14 +262,14 @@ def test_gradient_matches_analytic_on_synthetic_quadratic(monkeypatch):
     ])
     b = np.array([0.4, -0.2, 0.1, 0.3])
 
-    def synthetic_error(ch, piezo, polarimeter, switch=None):
+    def synthetic_error(link, piezo, polarimeter):
         u = piezo.voltages
         return float(u @ a @ u + b @ u + 1.0)
 
     monkeypatch.setattr(st, "error_function", synthetic_error)
     piezo = ins.PiezoController(voltages=np.array([0.5, -0.4, 0.2, 0.1]))
     ch = make_test_channel()
-    g = st.gradient(ch, piezo, noise_free_polarimeter(), delta_u_v=1e-3)
+    g = st.gradient(_link(ch), piezo, noise_free_polarimeter(), delta_u_v=1e-3)
     analytic_descent = -(2.0 * a @ piezo.voltages + b)
     assert np.all(np.abs(g - analytic_descent) < 1e-6)
     assert np.array_equal(piezo.voltages, np.array([0.5, -0.4, 0.2, 0.1]))
@@ -361,19 +281,19 @@ def test_gradient_direction_decreases_error(rng):
         ch = make_test_channel(rotation=pc.random_rotation(rng))
         piezo = ins.PiezoController()
         piezo.bias_neutral()
-        f0 = st.error_function(ch, piezo, pol)
+        f0 = st.error_function(_link(ch), piezo, pol)
         if f0 < 1e-9:
             continue
-        g = st.gradient(ch, piezo, pol, delta_u_v=1e-4)
+        g = st.gradient(_link(ch), piezo, pol, delta_u_v=1e-4)
         piezo.set_voltages(piezo.voltages + 1e-3 * g)
-        assert st.error_function(ch, piezo, pol) < f0
+        assert st.error_function(_link(ch), piezo, pol) < f0
 
 
 def test_gradient_one_sided_fallback_at_limits():
     ch = make_test_channel(rotation=pc.rotation_about([0, 1, 0], 0.4))
     piezo = ins.PiezoController(voltages=np.array([10.0, 0.0, 0.0, 0.0]))
     pol = noise_free_polarimeter()
-    g = st.gradient(ch, piezo, pol, delta_u_v=0.1)
+    g = st.gradient(_link(ch), piezo, pol, delta_u_v=0.1)
     assert np.all(np.isfinite(g))
     assert np.array_equal(piezo.voltages, np.array([10.0, 0.0, 0.0, 0.0]))
 
@@ -382,7 +302,7 @@ def test_gradient_raises_when_no_probe_fits():
     ch = make_test_channel()
     piezo = ins.PiezoController(voltages=np.array([10.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ins.VoltageOutOfRange):
-        st.gradient(ch, piezo, noise_free_polarimeter(), delta_u_v=25.0)
+        st.gradient(_link(ch), piezo, noise_free_polarimeter(), delta_u_v=25.0)
 
 
 def test_gradient_looks_up_error_function_per_probe(monkeypatch):
@@ -391,21 +311,21 @@ def test_gradient_looks_up_error_function_per_probe(monkeypatch):
     # out-of-range probe is replaced by one probe at the centre
     probes = []
 
-    def counting_error(ch, piezo, polarimeter, switch=None):
+    def counting_error(link, piezo, polarimeter):
         probes.append(piezo.voltages.tolist())
         return 0.0
 
     monkeypatch.setattr(st, "error_function", counting_error)
     ch = make_test_channel()
     interior = [0.5, -0.4, 0.2, 0.1]
-    st.gradient(ch, ins.PiezoController(voltages=np.array(interior)),
+    st.gradient(_link(ch), ins.PiezoController(voltages=np.array(interior)),
                 noise_free_polarimeter(), delta_u_v=0.1)
     assert len(probes) == 8
     assert interior not in probes
 
     probes.clear()
     at_limit = [10.0, -0.4, 0.2, 0.1]
-    st.gradient(ch, ins.PiezoController(voltages=np.array(at_limit)),
+    st.gradient(_link(ch), ins.PiezoController(voltages=np.array(at_limit)),
                 noise_free_polarimeter(), delta_u_v=0.1)
     assert len(probes) == 8
     assert probes.count(at_limit) == 1
