@@ -21,6 +21,7 @@ raises ConfigInvalid on the first set of problems.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from configparser import ConfigParser
 from pathlib import Path
@@ -66,8 +67,8 @@ def _unit_open(x: float) -> bool:
     return 0.0 < x <= 1.0
 
 
-def _time_of_day(seconds: float) -> bool:
-    return 0.0 <= seconds <= 86400.0
+# H, HH, H:MM or HH:MM in ASCII digits
+_HMS = re.compile(r"([0-9]{1,2})(?::([0-9]{2}))?")
 
 
 # (section, key) -> (parser, default, predicate, constraint description) for
@@ -81,8 +82,8 @@ _FIELDS: dict[tuple[str, str], tuple] = {
 
     ("channel", "day_rate_rad2_per_s"): (float, 1.5e-6, non_negative, ">= 0"),
     ("channel", "night_rate_rad2_per_s"): (float, 2.0e-7, non_negative, ">= 0"),
-    ("channel", "day_start_hms"): ("hms", "07:30", _time_of_day, "in [00:00, 24:00]"),
-    ("channel", "day_end_hms"): ("hms", "18:00", _time_of_day, "in [00:00, 24:00]"),
+    ("channel", "day_start_hms"): ("hms", "07:30", None, ""),
+    ("channel", "day_end_hms"): ("hms", "18:00", None, ""),
     ("channel", "start_clock_s"): (float, 0.0, non_negative, ">= 0"),
     ("channel", "drift_dt_s"): (float, 1.0, positive, "> 0"),
     ("channel", "pdl_db"): (float, 0.08, non_negative, ">= 0"),
@@ -156,11 +157,11 @@ def _parse_value(kind, raw: str):
     if kind == "labels":
         return tuple(x.strip().upper() for x in raw.split(","))
     if kind == "hms":
-        h, _, m = raw.partition(":")
-        try:
-            return float(h) * 3600.0 + float(m or 0) * 60.0
-        except ValueError:
-            raise ValueError(f"not a time of day HH:MM: {raw.strip()!r}") from None
+        match = _HMS.fullmatch(raw.strip())
+        h, m = (int(match[1]), int(match[2] or 0)) if match else (-1, 0)
+        if not (0 <= h <= 23 and m <= 59 or h == 24 and m == 0):
+            raise ValueError(f"not a time of day HH:MM in [00:00, 24:00]: {raw.strip()!r}")
+        return h * 3600.0 + m * 60.0
     raise AssertionError(kind)
 
 
@@ -176,13 +177,27 @@ def _parse_field(spec, raw: str):
 
 @dataclass
 class Scenario:
-    """Fully parsed scenario: typed values plus the raw file text."""
+    """Fully parsed scenario: typed values plus the raw file text.
 
-    name: str
-    protocol: str
-    out_dir: str
+    `name`, `protocol`, `out_dir` and `seed` read `values`; `stem` names
+    the scenario when `[scenario] name` is empty.
+    """
+
+    stem: str
     values: dict[tuple[str, str], object]
     text: str
+
+    @property
+    def name(self) -> str:
+        return self.values[("scenario", "name")] or self.stem
+
+    @property
+    def protocol(self) -> str:
+        return self.values[("scenario", "protocol")]
+
+    @property
+    def out_dir(self) -> str:
+        return self.values[("scenario", "out_dir")] or f"runs/{self.name}"
 
     @property
     def seed(self) -> int:
@@ -196,7 +211,10 @@ class Scenario:
 
     def override(self, section: str, key: str, raw: str) -> None:
         """Set `[section] key` from `raw`, held to the bound of its field and
-        to the bounds that span fields; a ValueError names what it breaks."""
+        to the bounds that span fields; a ValueError names what it breaks.
+        The protocol chooses the schema, so `[scenario] protocol` is fixed."""
+        if (section, key) == ("scenario", "protocol"):
+            raise ValueError("[scenario] protocol cannot be overridden")
         spec = _PROTOCOL_FIELDS[self.protocol][(section, key)]
         values = {**self.values, (section, key): _parse_field(spec, raw)}
         issues = _checks(self.text, self.protocol, values)
@@ -373,15 +391,7 @@ def loads(text: str, name: str = "scenario") -> Scenario:
     values, issues = _collect(text)
     if issues:
         raise ConfigInvalid(issues)
-    scen_name = values[("scenario", "name")] or name
-    out_dir = values[("scenario", "out_dir")] or f"runs/{scen_name}"
-    return Scenario(
-        name=scen_name,
-        protocol=values[("scenario", "protocol")],
-        out_dir=out_dir,
-        values=values,
-        text=text,
-    )
+    return Scenario(stem=name, values=values, text=text)
 
 
 def load(path) -> Scenario:

@@ -1,9 +1,9 @@
 """Measurement and actuation hardware models.
 
 Covers the polarimeter at the receiver, the four-channel piezo polarization
-controller and the switchable H/D reference lasers at the sender.
-Instrument instances are stateful (latency bookkeeping, private generators)
-and must be serialized per instance.
+controller and the switchable H/D reference lasers at the sender. Settings
+are checked and fixed at construction; an instance is still stateful (the
+polarimeter's generator, the controller's voltages) and must be serialized.
 """
 
 from __future__ import annotations
@@ -34,11 +34,14 @@ PIEZO_AXES_DEFAULT = (
     np.array([0.0, 1.0, 0.0]),
 )
 
+_setattr = object.__setattr__  # past the frozen guard; looked up once per module
+
+
 class VoltageOutOfRange(ValueError):
     """Requested piezo voltage exceeds the controller limits."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Polarimeter:
     """Stokes polarimeter with iid Gaussian read noise per component.
 
@@ -99,60 +102,52 @@ def _in_ball(x: float, y: float, z: float) -> tuple[float, float, float]:
     return x, y, z
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PiezoController:
     """Four-channel piezo polarization controller.
 
     Channel i rotates the Poincare sphere by gain_i * U_i about its fixed
-    axis; the channels act on the light in order 1 -> 4. The axes are read
-    once, at construction, into unit vectors held as Python floats;
-    assigning `axes` afterwards has no effect. `quaternion()` multiplies
-    the four channels' half-angle quaternions (q4 q3 q2 q1) in scalar
-    arithmetic, and `rotation()` builds one matrix from the product; the
-    stabilizer's probes use the quaternion directly. Voltages are clamped
-    at +/- limit_v; a non-finite voltage is out of range everywhere.
+    axis; the channels act on the light in order 1 -> 4. `quaternion()`
+    multiplies the four channels' half-angle quaternions (q4 q3 q2 q1) in
+    scalar arithmetic, and `rotation()` builds one matrix from the product;
+    the stabilizer's probes use the quaternion directly. Voltages are
+    clamped at +/- limit_v; a non-finite voltage is out of range everywhere.
     `set_voltages` raises on out-of-range requests while `apply_clamped`
     clamps after attempting a full-period re-centering (a 2*pi/gain shift
     leaves the rotation unchanged) and logs the event.
 
-    Voltages are checked once, when they are stored: by the constructor,
-    `set_voltages`, `apply_clamped` and `bias_neutral`. Each stores a
-    fresh, read-only `voltages` array, so an in-place write such as
-    `voltages[0] = 1.0` raises ValueError, and keeps its checked floats
-    next to it. `quaternion()` reads those floats while `voltages` is still
-    that array and `limit_v` is unchanged; after a direct assignment to
-    `voltages` or a change of `limit_v` it checks the voltages again and
-    raises `VoltageOutOfRange` if one is out of range. Each channel's
-    half-angle factor is kept with the exact half angle it was built from,
-    so a call computes cos/sin only for the channels whose half angle
-    changed since the last call, and with the running product after it, so
-    a call starts after the longest run of leading channels whose half
-    angles are all unchanged. The settling time `settle_s` must be finite
-    and >= 0.
+    The settings are checked and fixed at construction: `axes` holds the
+    unit axes as float triples, `gains_rad_per_v` a read-only float copy,
+    and `settle_s` must be finite and >= 0. Only the constructor,
+    `set_voltages`, `apply_clamped` and `bias_neutral` store voltages: each
+    checks them, stores a fresh read-only `voltages` array (an in-place
+    write raises ValueError) and keeps its floats for `quaternion()`. Each
+    channel keeps its half-angle factor with the exact half angle it was
+    built from, and the running product after it, so a call computes
+    cos/sin only for the channels whose half angle changed and starts after
+    the longest run of unchanged leading channels.
     """
 
     voltages: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    axes: tuple[np.ndarray, ...] = PIEZO_AXES_DEFAULT
+    axes: tuple = PIEZO_AXES_DEFAULT
     gains_rad_per_v: np.ndarray = field(default_factory=lambda: np.full(4, 0.5))
     limit_v: float = 10.0
     settle_s: float = 0.0
     clamp_events: int = field(default=0, repr=False)
-    _unit_axes: tuple[tuple[float, float, float], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    # (voltages array, limit_v, its floats) as stored in range, else None
-    _checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _volts: list = field(init=False, repr=False)  # the stored voltages as floats
+    _half_gains: tuple = field(init=False, repr=False)  # 0.5 * gain_i as floats
     # per channel (half angle h, cos h, sin h * unit axis, product through it)
-    _factors: list = field(init=False, repr=False, compare=False)
+    _factors: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_non_negative(settle_s=self.settle_s)
         u = _four_voltages(self.voltages)
-        self.gains_rad_per_v = np.asarray(self.gains_rad_per_v, dtype=float)
-        if self.gains_rad_per_v.shape != (4,):
-            raise ValueError(f"need 4 gains, got shape {self.gains_rad_per_v.shape}")
-        if np.any(self.gains_rad_per_v == 0.0) or not np.all(np.isfinite(self.gains_rad_per_v)):
+        gains = np.array(self.gains_rad_per_v, dtype=float)
+        if gains.shape != (4,):
+            raise ValueError(f"need 4 gains, got shape {gains.shape}")
+        if np.any(gains == 0.0) or not np.all(np.isfinite(gains)):
             raise ValueError("gains must be finite and nonzero")
+        gains.setflags(write=False)
         if len(self.axes) != 4:
             raise ValueError(f"need 4 axes, got {len(self.axes)}")
         unit_axes = []
@@ -164,12 +159,14 @@ class PiezoController:
             if n == 0.0:
                 raise ValueError("rotation axis must be nonzero")
             unit_axes.append(tuple((a / n).tolist()))
-        self._unit_axes = tuple(unit_axes)
-        self._factors = [(math.nan,)] * 4
         volts = u.tolist()
         if not _within(volts, self.limit_v):
             raise VoltageOutOfRange("initial voltages exceed limits")
-        self._store(u, volts, checked=True)
+        _setattr(self, "gains_rad_per_v", gains)
+        _setattr(self, "axes", tuple(unit_axes))
+        _setattr(self, "_half_gains", tuple((0.5 * gains).tolist()))
+        _setattr(self, "_factors", [(math.nan,)] * 4)
+        self._store(u, volts)
 
     def bias_neutral(self) -> None:
         """Move to the neutral operating point (net identity, full-rank control).
@@ -192,7 +189,7 @@ class PiezoController:
         volts = u.tolist()
         if not _within(volts, self.limit_v + 1e-12):
             raise VoltageOutOfRange(f"requested voltages {u} exceed +/-{self.limit_v} V")
-        self._store(u, volts, checked=True)
+        self._store(u, volts)
 
     def apply_clamped(self, u: np.ndarray) -> np.ndarray:
         """Set voltages, re-centering by full rotation periods where possible.
@@ -207,19 +204,16 @@ class PiezoController:
                 period = 2.0 * math.pi / abs(self.gains_rad_per_v[i])
                 shifted = u[i] - math.copysign(period, u[i])
                 u[i] = shifted if abs(shifted) <= self.limit_v else math.copysign(self.limit_v, u[i])
-                self.clamp_events += 1
+                _setattr(self, "clamp_events", self.clamp_events + 1)
         self._store(u, u.tolist())
         return u
 
-    def _store(self, u: np.ndarray, volts: list[float], checked: bool = False) -> None:
-        """Keep the fresh array `u` read-only as the voltages, and its floats
-        `volts` for `quaternion()` if they lie within the limits; `checked`
-        says the caller has just found them within."""
+    def _store(self, u: np.ndarray, volts: list[float]) -> None:
+        """Keep the checked fresh array `u` read-only as the voltages, and
+        its floats `volts` for `quaternion()`."""
         u.setflags(write=False)
-        self.voltages = u
-        limit = self.limit_v
-        within = checked or _within(volts, limit + 1e-12)
-        self._checked = (u, limit, volts) if within else None
+        _setattr(self, "voltages", u)
+        _setattr(self, "_volts", volts)
 
     def rotation(self) -> np.ndarray:
         """Net Stokes rotation of the controller at its current voltages."""
@@ -227,13 +221,6 @@ class PiezoController:
 
     def quaternion(self) -> tuple[float, float, float, float]:
         """Net unit quaternion (w, x, y, z) of the controller's rotation."""
-        checked = self._checked
-        if checked is not None and checked[0] is self.voltages and checked[1] == self.limit_v:
-            volts = checked[2]
-        else:
-            volts = _four_voltages(self.voltages).tolist()
-            if not _within(volts, self.limit_v + 1e-12):
-                raise VoltageOutOfRange("voltages exceed limits")
         # Channel i turns by gain_i * U_i about its unit axis a_i, i.e. the
         # quaternion (cos h, sin h * a_i) with h the half angle. Channel 1
         # acts first, so the net quaternion is q4 q3 q2 q1. Each channel
@@ -245,8 +232,8 @@ class PiezoController:
         w, x, y, z = 1.0, 0.0, 0.0, 0.0
         prefix = True
         i = 0
-        for gain, volt, factor in zip(self.gains_rad_per_v.tolist(), volts, factors):
-            h = 0.5 * gain * volt
+        for half_gain, volt, factor in zip(self._half_gains, self._volts, factors):
+            h = half_gain * volt
             if h == factor[0] and h:
                 if prefix:
                     _, _, _, _, _, w, x, y, z = factor
@@ -256,7 +243,7 @@ class PiezoController:
             else:
                 prefix = False
                 s = math.sin(h)
-                ax, ay, az = self._unit_axes[i]
+                ax, ay, az = self.axes[i]
                 c, bx, by, bz = math.cos(h), s * ax, s * ay, s * az
             w, x, y, z = (
                 c * w - bx * x - by * y - bz * z,
@@ -283,7 +270,7 @@ def _within(volts: list[float], limit: float) -> bool:
     return abs(u1) <= limit and abs(u2) <= limit and abs(u3) <= limit and abs(u4) <= limit
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ReferenceSwitch:
     """Switchable reference lasers with fixed H and D output polarizations.
 
@@ -291,7 +278,6 @@ class ReferenceSwitch:
     """
 
     latency_s: float = 0.0
-    current: str = "H"
 
     def __post_init__(self) -> None:
         _require_non_negative(latency_s=self.latency_s)
@@ -299,5 +285,4 @@ class ReferenceSwitch:
     def select(self, which: str) -> np.ndarray:
         if which not in ("H", "D"):
             raise ValueError(f"unknown reference polarization {which!r}")
-        self.current = which
         return S_H if which == "H" else S_D

@@ -304,33 +304,24 @@ def _projector(label: str) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-@functools.lru_cache(maxsize=64)
 def _projector_2q(ba: str, bb: str) -> np.ndarray:
-    """Read-only two-qubit projector P_a (x) P_b, built once per label pair.
-
-    An unknown label raises SingularDesign and leaves nothing cached.
-    """
-    proj = np.kron(_projector(ba), _projector(bb))
-    proj.flags.writeable = False
-    return proj
+    """Two-qubit projector P_a (x) P_b; an unknown label raises SingularDesign."""
+    return np.kron(_projector(ba), _projector(bb))
 
 
-@functools.lru_cache(maxsize=1)
-def _tomo_projectors() -> np.ndarray:
-    """Read-only (16, 4, 4) stack of the projectors of TOMO_BASES_2Q."""
-    stack = np.stack([_projector_2q(ba, bb) for ba, bb in TOMO_BASES_2Q])
-    stack.flags.writeable = False
-    return stack
+# read-only (16, 4, 4) stack of the projectors of TOMO_BASES_2Q
+_TOMO_PROJECTORS = np.stack([_projector_2q(ba, bb) for ba, bb in TOMO_BASES_2Q])
+_TOMO_PROJECTORS.flags.writeable = False
 
 
 def coincidence_probabilities(rho: np.ndarray) -> dict[tuple[str, str], float]:
     """Forward model: coincidence probability per setting of TOMO_BASES_2Q.
 
-    The 16 projectors are one read-only stack built on first use, so a call
-    is one stacked product and one stacked trace.
+    The 16 projectors are one read-only stack built at import, so a call is
+    one stacked product and one stacked trace.
     """
     rho = np.asarray(rho, dtype=complex)
-    probs = np.trace(_tomo_projectors() @ rho, axis1=1, axis2=2).real.tolist()
+    probs = np.trace(_TOMO_PROJECTORS @ rho, axis1=1, axis2=2).real.tolist()
     return dict(zip(TOMO_BASES_2Q, probs))
 
 

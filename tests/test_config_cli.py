@@ -666,6 +666,21 @@ def test_day_window_is_parsed_at_validate_time():
     assert (schedule.day_start_s, schedule.day_end_s) == (6.25 * 3600.0, 20 * 3600.0)
 
 
+@pytest.mark.parametrize("value", ["07:90", "07:-30", "-0:30", "7.5", "7:5", "007:30", "24:30", "+7"])
+def test_day_window_takes_only_a_time_of_day(value):
+    # H, HH, H:MM or HH:MM with the minute in 00-59, up to 24:00
+    text = f"[scenario]\nprotocol = drift-characterize\n\n[channel]\nday_start_hms = {value}\n"
+    with pytest.raises(config.ConfigInvalid, match="day_start_hms"):
+        config.loads(text)
+
+
+@pytest.mark.parametrize("value, seconds", [("0", 0.0), ("9", 9 * 3600.0), ("23:59", 86340.0),
+                                            ("24", 86400.0), ("24:00", 86400.0)])
+def test_day_window_accepts_each_time_of_day_form(value, seconds):
+    scn = config.loads(f"[scenario]\nprotocol = drift-characterize\n\n[channel]\nday_end_hms = {value}\n")
+    assert scn[("channel", "day_end_hms")] == seconds
+
+
 def test_unknown_key_is_flagged(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text(MINIMAL + "\n[channel]\npdl_deciBels = 1\n")
@@ -799,6 +814,25 @@ def test_library_seed_override_runs_at_the_new_seed(tmp_path):
     assert [f.name for f in files] == [f.name for f in want]
     for got, expected in zip(files, want):
         assert sha256_file(got) == sha256_file(expected), got.name
+
+
+def test_library_override_of_name_and_out_dir_is_read_back():
+    scn = config.load(cli._preset_dir() / "pdl_characterize.ini")
+    scn.override("scenario", "out_dir", "elsewhere")
+    scn.override("scenario", "name", "renamed")
+    assert (scn.name, scn.out_dir) == ("renamed", "elsewhere")
+    scn.override("scenario", "out_dir", "")
+    assert scn.out_dir == "runs/renamed"
+    unnamed = config.loads(MINIMAL, name="mini")
+    assert (unnamed.name, unnamed.out_dir) == ("mini", "runs/mini")
+
+
+def test_library_override_keeps_the_protocol():
+    # the protocol chooses the schema every other key was checked against
+    scn = config.load(cli._preset_dir() / "pdl_characterize.ini")
+    with pytest.raises(ValueError, match="protocol"):
+        scn.override("scenario", "protocol", "teleport")
+    assert scn.protocol == scn[("scenario", "protocol")] == "pdl-characterize"
 
 
 def test_cli_trials_override(tmp_path):
