@@ -120,12 +120,10 @@ class PiezoController:
     unit axes as float triples, `gains_rad_per_v` a read-only float copy,
     and `settle_s` must be finite and >= 0. Only the constructor,
     `set_voltages`, `apply_clamped` and `bias_neutral` store voltages: each
-    checks them, stores a fresh read-only `voltages` array (an in-place
-    write raises ValueError) and keeps its floats for `quaternion()`. Each
-    channel keeps its half-angle factor with the exact half angle it was
-    built from, and the running product after it, so a call computes
-    cos/sin only for the channels whose half angle changed and starts after
-    the longest run of unchanged leading channels.
+    checks them and stores a fresh read-only `voltages` array (an in-place
+    write raises ValueError). `limit_v` must be finite and > 0. A read
+    changes nothing: each `quaternion()` call multiplies the four
+    half-angle factors afresh from the settings and `voltages`.
     """
 
     voltages: np.ndarray = field(default_factory=lambda: np.zeros(4))
@@ -134,13 +132,12 @@ class PiezoController:
     limit_v: float = 10.0
     settle_s: float = 0.0
     clamp_events: int = field(default=0, repr=False)
-    _volts: list = field(init=False, repr=False)  # the stored voltages as floats
     _half_gains: tuple = field(init=False, repr=False)  # 0.5 * gain_i as floats
-    # per channel (half angle h, cos h, sin h * unit axis, product through it)
-    _factors: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_non_negative(settle_s=self.settle_s)
+        if not (math.isfinite(self.limit_v) and self.limit_v > 0.0):
+            raise ValueError(f"limit_v must be finite and > 0, got {self.limit_v}")
         u = _four_voltages(self.voltages)
         gains = np.array(self.gains_rad_per_v, dtype=float)
         if gains.shape != (4,):
@@ -159,14 +156,12 @@ class PiezoController:
             if n == 0.0:
                 raise ValueError("rotation axis must be nonzero")
             unit_axes.append(tuple((a / n).tolist()))
-        volts = u.tolist()
-        if not _within(volts, self.limit_v):
+        if not _within(u, self.limit_v):
             raise VoltageOutOfRange("initial voltages exceed limits")
         _setattr(self, "gains_rad_per_v", gains)
         _setattr(self, "axes", tuple(unit_axes))
         _setattr(self, "_half_gains", tuple((0.5 * gains).tolist()))
-        _setattr(self, "_factors", [(math.nan,)] * 4)
-        self._store(u, volts)
+        self._store(u)
 
     def bias_neutral(self) -> None:
         """Move to the neutral operating point (net identity, full-rank control).
@@ -182,14 +177,13 @@ class PiezoController:
         bias = np.array([0.0, -quarter, 0.0, quarter]) / self.gains_rad_per_v
         if np.any(np.abs(bias) > self.limit_v):
             raise VoltageOutOfRange("neutral bias exceeds voltage limits")
-        self._store(bias, bias.tolist())
+        self._store(bias)
 
     def set_voltages(self, u: np.ndarray) -> None:
         u = _four_voltages(u)
-        volts = u.tolist()
-        if not _within(volts, self.limit_v + 1e-12):
+        if not _within(u, self.limit_v + 1e-12):
             raise VoltageOutOfRange(f"requested voltages {u} exceed +/-{self.limit_v} V")
-        self._store(u, volts)
+        self._store(u)
 
     def apply_clamped(self, u: np.ndarray) -> np.ndarray:
         """Set voltages, re-centering by full rotation periods where possible.
@@ -205,15 +199,13 @@ class PiezoController:
                 shifted = u[i] - math.copysign(period, u[i])
                 u[i] = shifted if abs(shifted) <= self.limit_v else math.copysign(self.limit_v, u[i])
                 _setattr(self, "clamp_events", self.clamp_events + 1)
-        self._store(u, u.tolist())
+        self._store(u)
         return u
 
-    def _store(self, u: np.ndarray, volts: list[float]) -> None:
-        """Keep the checked fresh array `u` read-only as the voltages, and
-        its floats `volts` for `quaternion()`."""
+    def _store(self, u: np.ndarray) -> None:
+        """Keep the checked fresh array `u` read-only as the voltages."""
         u.setflags(write=False)
         _setattr(self, "voltages", u)
-        _setattr(self, "_volts", volts)
 
     def rotation(self) -> np.ndarray:
         """Net Stokes rotation of the controller at its current voltages."""
@@ -223,36 +215,19 @@ class PiezoController:
         """Net unit quaternion (w, x, y, z) of the controller's rotation."""
         # Channel i turns by gain_i * U_i about its unit axis a_i, i.e. the
         # quaternion (cos h, sin h * a_i) with h the half angle. Channel 1
-        # acts first, so the net quaternion is q4 q3 q2 q1. Each channel
-        # keeps its factor and the running product after it. A factor is
-        # reused only for the same nonzero h: a zero h is rebuilt, so -0.0
-        # and 0.0 never share one. While every h so far is reused, so is the
-        # running product: the same products in the same order.
-        factors = self._factors
+        # acts first, so the net quaternion is q4 q3 q2 q1, each factor
+        # multiplied from the left.
         w, x, y, z = 1.0, 0.0, 0.0, 0.0
-        prefix = True
-        i = 0
-        for half_gain, volt, factor in zip(self._half_gains, self._volts, factors):
+        for (ax, ay, az), half_gain, volt in zip(self.axes, self._half_gains, self.voltages.tolist()):
             h = half_gain * volt
-            if h == factor[0] and h:
-                if prefix:
-                    _, _, _, _, _, w, x, y, z = factor
-                    i += 1
-                    continue
-                _, c, bx, by, bz, _, _, _, _ = factor
-            else:
-                prefix = False
-                s = math.sin(h)
-                ax, ay, az = self.axes[i]
-                c, bx, by, bz = math.cos(h), s * ax, s * ay, s * az
+            c, s = math.cos(h), math.sin(h)
+            bx, by, bz = s * ax, s * ay, s * az
             w, x, y, z = (
                 c * w - bx * x - by * y - bz * z,
                 c * x + bx * w + by * z - bz * y,
                 c * y - bx * z + by * w + bz * x,
                 c * z + bx * y - by * x + bz * w,
             )
-            factors[i] = (h, c, bx, by, bz, w, x, y, z)
-            i += 1
         return w, x, y, z
 
 
@@ -264,9 +239,9 @@ def _four_voltages(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _within(volts: list[float], limit: float) -> bool:
-    """True if all four voltages lie in [-limit, limit]; NaN lies nowhere."""
-    u1, u2, u3, u4 = volts
+def _within(u: np.ndarray, limit: float) -> bool:
+    """True if all four voltages `u` lie in [-limit, limit]; NaN lies nowhere."""
+    u1, u2, u3, u4 = u.tolist()
     return abs(u1) <= limit and abs(u2) <= limit and abs(u3) <= limit and abs(u4) <= limit
 
 

@@ -78,8 +78,10 @@ class StabilizerConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.fp_crossover < self.fp_threshold <= 1.0:
             raise ValueError("need 0 < fp_crossover < fp_threshold <= 1")
-        if min(self.d0, self.d1, self.du0_v, self.du1_v) <= 0.0:
-            raise ValueError("step parameters must be > 0")
+        for name in ("d0", "d1", "du0_v", "du1_v"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"step parameter {name} must be finite and > 0, got {value}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -188,8 +190,8 @@ def gradient(
     difference with the in-range probe only. Each probe's piezo settling
     and probe-pair reads are charged to `clock`.
     """
-    if delta_u_v <= 0.0:
-        raise ValueError("delta_u must be > 0")
+    if not (math.isfinite(delta_u_v) and delta_u_v > 0.0):
+        raise ValueError(f"delta_u_v must be finite and > 0, got {delta_u_v}")
     clock = clock or _Clock(polarimeter, piezo, ReferenceSwitch())
 
     def probe(u: list[float]) -> float:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -271,6 +272,29 @@ def test_piezo_stored_voltages_are_read_only(writer):
     with pytest.raises(ValueError):
         c.voltages += 1.0
     assert c.voltages.tolist() == before and c.quaternion() == q
+
+
+@pytest.mark.parametrize("writer", _WRITERS)
+def test_piezo_read_leaves_the_controller_unchanged(writer):
+    # quaternion() and rotation() read the settings and voltages and store
+    # nothing: every attribute equals its snapshot from before the reads
+    c = _stored_by(writer)
+    before = copy.deepcopy(vars(c))
+    c.quaternion()
+    c.rotation()
+    after = vars(c)
+    assert after.keys() == before.keys()
+    for name, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(after[name], value), name
+        else:
+            assert after[name] == value, name
+
+
+@pytest.mark.parametrize("limit", [-1.0, math.nan, 0.0, math.inf])
+def test_piezo_requires_finite_positive_limit(limit):
+    with pytest.raises(ValueError, match="limit_v"):
+        ins.PiezoController(limit_v=limit)
 
 
 def test_piezo_copies_requested_voltages():

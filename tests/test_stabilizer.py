@@ -207,10 +207,10 @@ def test_duty_cycle_maps_each_window_boundary_once(transmit_calls, probe_pair_ca
     [0.25, -0.5, 1.5, 0.0],
 ])
 def test_quaternion_prefix_follows_gradient_probe_order(monkeypatch, u0):
-    # quaternion() reuses the running product of unchanged leading channels;
     # over the gradient's probe order (one channel moved at a time, centre
-    # probes at a limit, then a new point) it stays equal to a product built
-    # from scratch, bit for bit
+    # probes at a limit, then a new point), with zero and negative-zero half
+    # angles among the probes, quaternion() equals the scalar oracle, bit
+    # for bit
     piezo = ins.PiezoController(voltages=np.array(u0))
     gains = piezo.gains_rad_per_v.tolist()
     probed = []
@@ -296,6 +296,16 @@ def test_gradient_raises_when_no_probe_fits():
         st.gradient(_link(ch), piezo, noise_free_polarimeter(), delta_u_v=25.0)
 
 
+@pytest.mark.parametrize("du", [math.nan, math.inf])
+def test_gradient_rejects_non_finite_step_before_probing(monkeypatch, du):
+    probes = []
+    monkeypatch.setattr(st, "error_function", lambda *args: probes.append(None) or 0.0)
+    piezo = ins.PiezoController(voltages=np.array([0.5, -0.4, 0.2, 0.1]))
+    with pytest.raises(ValueError, match="delta_u_v"):
+        st.gradient(_link(make_test_channel()), piezo, noise_free_polarimeter(), delta_u_v=du)
+    assert probes == [] and piezo.voltages.tolist() == [0.5, -0.4, 0.2, 0.1]
+
+
 def test_gradient_looks_up_error_function_per_probe(monkeypatch):
     # criterion 06 patches the module-level error_function, so every probe
     # must go through it: two per channel, and at a channel on its limit the
@@ -354,6 +364,10 @@ def test_stabilizer_config_validation():
         st.StabilizerConfig(fp_crossover=0.99, fp_threshold=0.98)
     with pytest.raises(ValueError):
         st.StabilizerConfig(d0=-1.0)
+    for name in ("d0", "d1", "du0_v", "du1_v"):
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match=name):
+                st.StabilizerConfig(**{name: bad})
 
 
 # ---------------------------------------------------------------------------
