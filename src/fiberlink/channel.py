@@ -169,9 +169,10 @@ class ChannelState:
     of `walk` multiplies it from the left by a small rotation about a
     uniformly random axis, with angle drawn from Normal(0, sqrt(2 * rate *
     dt)), where the rate is the day or night rate of the schedule at the
-    current clock. The generator advances with each step, so a linear chain
-    of steps is deterministic given the initial seed, however it is split
-    into walks.
+    current clock. The rotation walk draws from `rng` and the spike times
+    from `spike_rng` (seeded 0 by default), each generator advancing only
+    with its own draws. So a chain of walks is deterministic per stream,
+    however it is split into walks, and spikes never move the rotation.
 
     The link keeps its rotation read-only: the constructor stores a checked
     float copy of `rotation`, and `walk` stores the rotation it ends on, so
@@ -187,6 +188,7 @@ class ChannelState:
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     clock_s: float = 0.0
     spikes: PdlSpikeProcess = field(default_factory=PdlSpikeProcess)
+    spike_rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     _spike_until_s: float = field(default=-1.0, repr=False)
 
     def __post_init__(self) -> None:
@@ -209,12 +211,13 @@ class ChannelState:
         """Advance by n drift steps of dt; return the rotation and the loss
         element (`current_pdl()`) after each step.
 
-        A step with a nonzero rate draws three axis normals, redrawn while
-        the axis is too short to normalize, then the angle's normal; a step
-        with spikes on then draws one uniform. When every step draws exactly
-        four normals, the walk takes them as one (n, 4) block, which is the
-        same stream. Either way the steps' Rodrigues matrices are one stack.
-        A rotation the walk made is stored read-only.
+        `rng` draws only normals: the k steps with a nonzero rate take one
+        (k, 4) block, three axis normals and then the angle's normal per
+        step, and a zero-rate step draws nothing. Only if a drawn axis is too
+        short to normalize does the walk redraw the block step by step, in
+        stream order, redrawing each short axis. With spikes on, `spike_rng`
+        draws one uniform per step, as one block. The steps' Rodrigues
+        matrices are one stack. A rotation the walk made is stored read-only.
         """
         if dt <= 0.0:
             raise ValueError("dt must be > 0")
@@ -223,50 +226,43 @@ class ChannelState:
         for _ in range(n):
             rates.append(self.day_rate if self.schedule.is_day(clock) else self.night_rate)
             clock += dt
-        spiky = self.spikes.rate_per_s > 0.0
-        z = None
-        if not spiky and 0.0 not in rates:
-            state = self.rng.bit_generator.state
-            z = self.rng.standard_normal((n, 4))
-            # row by row: a vectorized norm moves rotations in the last bit
-            norms = [math.sqrt(v @ v) for v in z[:, :3]]
-            if min(norms, default=1.0) < 1e-12:
-                self.rng.bit_generator.state, z = state, None
-        by_step = z is None
-        if by_step:
-            # a zero rate leaves its row at a unit axis and a zero angle
-            z, norms = np.zeros((n, 4)), [1.0] * n
-            z[:, 0] = 1.0
-        losses = []
-        for i, rate in enumerate(rates):
-            if by_step and rate > 0.0:
+        sigmas = [math.sqrt(2.0 * rate * dt) for rate in rates if rate > 0.0]
+        state = self.rng.bit_generator.state
+        z = self.rng.standard_normal((len(sigmas), 4))
+        # row by row: a vectorized norm moves rotations in the last bit
+        norms = [math.sqrt(v @ v) for v in z[:, :3]]
+        if min(norms, default=1.0) < 1e-12:
+            self.rng.bit_generator.state = state
+            for i in range(len(sigmas)):
                 v = self.rng.standard_normal(3)
                 while (norm := math.sqrt(v @ v)) < 1e-12:
                     v = self.rng.standard_normal(3)
                 z[i, :3], z[i, 3], norms[i] = v, self.rng.standard_normal(), norm
-            self.clock_s += dt
-            if spiky and self.rng.random() < 1.0 - math.exp(-self.spikes.rate_per_s * dt):
-                self._spike_until_s = self.clock_s + self.spikes.duration_s
-            losses.append(self.current_pdl())
         # Rodrigues form. The axis is normalized twice, once as drawn and once
         # as the Rodrigues axis, and the angle is 0 + sigma * z, which are
         # the bits every drift step has had.
         a = z[:, :3] / np.array(norms)[:, None]
         a = a / np.array([math.sqrt(v @ v) for v in a])[:, None]
-        angles = [0.0 + math.sqrt(2.0 * rate * dt) * x for rate, x in zip(rates, z[:, 3].tolist())]
+        angles = [0.0 + sigma * x for sigma, x in zip(sigmas, z[:, 3].tolist())]
         sin = np.array([math.sin(t) for t in angles])[:, None, None]
         one_minus_cos = np.array([1.0 - math.cos(t) for t in angles])[:, None, None]
-        k = np.zeros((n, 3, 3))
+        k = np.zeros((len(sigmas), 3, 3))
         k[:, 0, 1], k[:, 0, 2] = -a[:, 2], a[:, 1]
         k[:, 1, 0], k[:, 1, 2] = a[:, 2], -a[:, 0]
         k[:, 2, 0], k[:, 2, 1] = -a[:, 1], a[:, 0]
-        steps = np.eye(3) + sin * k + one_minus_cos * (k @ k)
+        steps = iter(np.eye(3) + sin * k + one_minus_cos * (k @ k))
+        spike_p = 1.0 - math.exp(-self.spikes.rate_per_s * dt)
+        uniforms = self.spike_rng.random(n).tolist() if self.spikes.rate_per_s > 0.0 else [1.0] * n
         m = start = self.rotation
-        rotations = []
-        for r, rate in zip(steps, rates):
+        rotations, losses = [], []
+        for rate, u in zip(rates, uniforms):
             if rate > 0.0:
-                m = r @ m
+                m = next(steps) @ m
             rotations.append(m)
+            self.clock_s += dt
+            if u < spike_p:
+                self._spike_until_s = self.clock_s + self.spikes.duration_s
+            losses.append(self.current_pdl())
         if m is not start:
             m.flags.writeable = False
             self.rotation = m

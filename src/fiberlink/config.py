@@ -228,8 +228,8 @@ class Scenario:
         return seeding.stream(self.seed, label)
 
     def make_channel(self, label: str = "channel.drift", rotation=None) -> ChannelState:
-        """The configured link, its drift walk on stream `label`, starting at
-        `rotation` (identity by default)."""
+        """The configured link, its drift walk on stream `label` and its loss
+        spikes on `label.spikes`, starting at `rotation` (identity by default)."""
         v = self.values
         pdl_db = v[("channel", "pdl_db")]
         if pdl_db > 0.0:
@@ -252,6 +252,7 @@ class Scenario:
                 extra_db=v[("channel", "spike_extra_db")],
                 duration_s=v[("channel", "spike_duration_s")],
             ),
+            spike_rng=self.rng(f"{label}.spikes"),
         )
 
     def make_polarimeter(self, label: str = "polarimeter") -> Polarimeter:

@@ -619,10 +619,11 @@ def _keys(section: str, names: str) -> tuple[tuple[str, str], ...]:
     return tuple((section, name) for name in names.split())
 
 
-# Shared keys by the part of the testbed that reads them: the drift walk draws
-# spike times, and a stabilization's duration reads the timing keys.
+# Shared keys by the part of the testbed that reads them: the rotation walk reads
+# no spike key, as spikes draw from a stream of their own, and a stabilization's
+# duration reads the timing keys.
 _DRIFT = _keys("channel", "day_rate_rad2_per_s night_rate_rad2_per_s day_start_hms day_end_hms "
-               "start_clock_s spike_rate_per_s")
+               "start_clock_s")
 _LOSS = _keys("channel", "pdl_db pdl_axis")
 _CONTROL = (*_keys("instruments", "polarimeter_sigma piezo_gain_rad_per_v piezo_limit_v"),
             *_keys("stabilizer", "fp_threshold fp_crossover d0 d1 du0_v du1_v max_iterations"))
@@ -656,8 +657,8 @@ PROTOCOLS = {
         "accidental_rate_b_per_s": (float, 0.0, non_negative, ">= 0"),
         "coincidence_window_s": (float, 1e-9, positive, "> 0"),
     }, "total_per_interval_s", _distribute_checks, reads=(
-        *_DRIFT, *_keys("channel", "drift_dt_s spike_extra_db spike_duration_s"), *_LOSS,
-        *_CONTROL, *_TIMING, *_PAIR, ("source", "pair_rate_per_s"))),
+        *_DRIFT, *_keys("channel", "drift_dt_s spike_rate_per_s spike_extra_db spike_duration_s"),
+        *_LOSS, *_CONTROL, *_TIMING, *_PAIR, ("source", "pair_rate_per_s"))),
     "ion-photon": Protocol(run_ion_photon, {"counts_per_basis": _EXACT_COUNTS, **_ARM_B},
                            reads=_ARM_B_READS),
     "teleport": Protocol(run_teleport, {

@@ -42,8 +42,9 @@ def drift_step_oracle(ch, dt) -> tuple[np.ndarray, polcore.PdlElement]:
 
     A nonzero rate draws three axis normals (redrawn while the axis is too
     short to normalize) and one angle normal, and the step's rotation is
-    `polcore.rotation_about`; spikes on then draw one uniform. Returns the
-    rotation and the loss element after the step.
+    `polcore.rotation_about`, all drawn from `ch.rng`; spikes on then draw
+    one uniform from `ch.spike_rng`. Returns the rotation and the loss
+    element after the step.
     """
     rate = ch.current_rate()
     if rate > 0.0:
@@ -54,7 +55,7 @@ def drift_step_oracle(ch, dt) -> tuple[np.ndarray, polcore.PdlElement]:
         ch.rotation = polcore.rotation_about(v / math.sqrt(v @ v), angle) @ ch.rotation
     ch.clock_s += dt
     rate = ch.spikes.rate_per_s
-    if rate > 0.0 and ch.rng.random() < 1.0 - math.exp(-rate * dt):
+    if rate > 0.0 and ch.spike_rng.random() < 1.0 - math.exp(-rate * dt):
         ch._spike_until_s = ch.clock_s + ch.spikes.duration_s
     return ch.rotation, ch.current_pdl()
 

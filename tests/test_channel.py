@@ -152,7 +152,7 @@ def test_walk_matches_advance_bit_for_bit(seed):
     assert ch.walk(10.0, 0) == ([], []) and ch.clock_s == 0.0
 
 
-@pytest.mark.parametrize("spikes", [0.0, 0.05], ids=["block", "by_step"])
+@pytest.mark.parametrize("spikes", [0.0, 0.05], ids=["block", "spikes"])
 def test_walk_splits_into_consecutive_walks(spikes):
     # the duty cycle walks window by window: 07:25 to 07:35 in three walks
     kw = dict(clock_s=chm.DaySchedule().day_start_s - 300.0, day_rate=2e-5,
@@ -192,6 +192,20 @@ def test_walk_with_spikes_on():
                                spikes=chm.PdlSpikeProcess(rate_per_s=0.05))
     assert len({loss[0] for loss in results[1][1]}) > 1  # a spike came and went
     _assert_bit_equal(results)
+
+
+def test_spikes_never_move_the_drift():
+    # spike times draw from `spike_rng`, so the rotations and the next
+    # drift draw are the same bits at every spike rate
+    walks = []
+    for rate in (0.0, 1e-12, 0.05, 1e3):
+        ch = chm.ChannelState(rng=np.random.default_rng(11), day_rate=3e-6,
+                              spikes=chm.PdlSpikeProcess(rate_per_s=rate))
+        walks.append(_outcome(ch, *ch.walk(1.0, 300)))
+    for rotations, _, _, next_draw in walks[1:]:
+        assert np.array_equal(rotations, walks[0][0])
+        assert np.array_equal(next_draw, walks[0][3])
+    assert walks[0][1] != walks[3][1]  # the losses do see the spikes
 
 
 @pytest.mark.parametrize("row", [0, 6])
@@ -356,7 +370,7 @@ def test_transmit_probe_memo_never_stale(rng):
         assert not np.array_equal(before[0], after[0])
 
 
-def test_transmit_probe_memo_follows_spikes(rng):
+def test_transmit_probe_follows_spikes(rng):
     ch = make_test_channel(
         rotation=pc.random_rotation(rng), pdl_axis=[1, 0, 0], pdl_transmission=0.95,
     )

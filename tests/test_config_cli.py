@@ -608,12 +608,13 @@ _PERTURBED = {
     ("ion", "decay_per_s"): "1000",
 }
 # protocol -> a small scenario whose drift crosses the 07:30 edge of the day
-# window with loss spikes on, and whose exact counts see the pair rate
-# through the accidentals
+# window (with loss spikes on where the run reads them), and whose exact
+# counts see the pair rate through the accidentals
 _CROSSING = {("channel", "start_clock_s"): "26990", ("channel", "spike_rate_per_s"): "0.05"}
 _SMALL = {
     "pdl-characterize": {},
-    "drift-characterize": {**_CROSSING, ("protocol", "total_s"): "200", ("protocol", "tau_grid_s"): "10"},
+    "drift-characterize": {("channel", "start_clock_s"): _CROSSING[("channel", "start_clock_s")],
+                           ("protocol", "total_s"): "200", ("protocol", "tau_grid_s"): "10"},
     "stabilize": {("protocol", "n_trials"): "1"},
     "distribute-entanglement": {**_CROSSING, ("protocol", "intervals_s"): "20",
                                 ("protocol", "total_per_interval_s"): "100",
@@ -1059,7 +1060,8 @@ def test_distribute_window_superoperator_matches_per_step_sum(tmp_path, monkeypa
 
 
 # No shipped preset has loss spikes or a zero drift rate, so the golden
-# hashes never see `walk` draw step by step; these outputs pin that path.
+# hashes never see `walk` draw spike uniforms or skip a zero-rate step;
+# these outputs pin both.
 _ZERO_NIGHT_PPE = """
 [scenario]
 protocol = distribute-entanglement
@@ -1081,12 +1083,12 @@ total_per_interval_s = 1800
 
 
 @pytest.mark.parametrize("text, dutycycle, summary", [
-    (SPIKY_PPE, "d04cde00a8d1adfad58b138d9ae4eca40518141313b6352b25746433786d7473",
-     "06e266805e1c55bb8e47d939fc7935254154c1631873e549fe1bf31c2b4c86db"),
+    (SPIKY_PPE, "e93feb3b466ca91eed2be4e6be6b9ea89d67abee31c75a3b895d72c4084080e2",
+     "fa8d958d04ece7fd3c7cb0b7b1c77506f9b5f60af1db8da46187556b4d3cead8"),
     (_ZERO_NIGHT_PPE, "1396ebb1a58328120aaddf605abf9cdb7d25ac6ddc64d27f21e547ed0f124027",
      "7657e07176e80c75ede5cc64f96867326642baf8e875f26ec3129e2b130b036e"),
 ], ids=["spikes", "zero_night_rate"])
-def test_step_by_step_drift_outputs_are_pinned(tmp_path, text, dutycycle, summary):
+def test_unshipped_drift_outputs_are_pinned(tmp_path, text, dutycycle, summary):
     run_protocol(config.loads(text, name="pinned"), tmp_path)
     assert sha256_file(tmp_path / "dutycycle.csv") == dutycycle
     assert sha256_file(tmp_path / "dutycycle_summary.csv") == summary
