@@ -48,16 +48,28 @@ class EmptySeries(ValueError):
     """A time series argument contained no samples."""
 
 
+def _require(bound: str, ok, **values: float) -> None:
+    """Raise ValueError naming the first value that is not finite or not `ok`."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and ok(value)):
+            raise ValueError(f"{name} must be finite and {bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class DaySchedule:
     """Daily window with elevated drift, in seconds since local midnight.
 
     A window whose start lies after its end wraps past midnight: 22:00 to
-    06:00 is day from 22:00 until 06:00 the next morning.
+    06:00 is day from 22:00 until 06:00 the next morning. Both bounds must
+    be finite and in [0, 86400].
     """
 
     day_start_s: float = 7.5 * 3600.0
     day_end_s: float = 18.0 * 3600.0
+
+    def __post_init__(self) -> None:
+        _require("in [0, 86400]", lambda v: 0.0 <= v <= 86400.0,
+                 day_start_s=self.day_start_s, day_end_s=self.day_end_s)
 
     def is_day(self, clock_s: float) -> bool:
         t = clock_s % 86400.0
@@ -154,11 +166,19 @@ def temperature_delay_prediction(
 
 @dataclass(frozen=True)
 class PdlSpikeProcess:
-    """Transient loss spikes triggered at Poisson times (mechanical events)."""
+    """Transient loss spikes triggered at Poisson times (mechanical events).
+
+    `rate_per_s` and `extra_db` must be finite and >= 0, `duration_s`
+    finite and > 0.
+    """
 
     rate_per_s: float = 0.0
     extra_db: float = 0.5
     duration_s: float = 30.0
+
+    def __post_init__(self) -> None:
+        _require(">= 0", lambda v: v >= 0.0, rate_per_s=self.rate_per_s, extra_db=self.extra_db)
+        _require("> 0", lambda v: v > 0.0, duration_s=self.duration_s)
 
 
 @dataclass
@@ -177,7 +197,8 @@ class ChannelState:
     The link keeps its rotation read-only: the constructor stores a checked
     float copy of `rotation`, and `walk` stores the rotation it ends on, so
     an in-place write to either raises ValueError. A rotation assigned
-    from outside is kept as it is.
+    from outside is kept as it is. The constructor requires both rates to
+    be finite and >= 0.
     """
 
     rng: np.random.Generator
@@ -192,8 +213,7 @@ class ChannelState:
     _spike_until_s: float = field(default=-1.0, repr=False)
 
     def __post_init__(self) -> None:
-        if self.day_rate < 0.0 or self.night_rate < 0.0:
-            raise ValueError("diffusion rates must be >= 0")
+        _require(">= 0", lambda v: v >= 0.0, day_rate=self.day_rate, night_rate=self.night_rate)
         rotation = np.array(self.rotation, dtype=float)
         if rotation.shape != (3, 3) or not np.all(np.isfinite(rotation)):
             raise ValueError(f"rotation must be a finite 3x3 matrix, got {self.rotation!r}")

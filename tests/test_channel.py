@@ -38,6 +38,23 @@ def test_negative_rate_is_rejected(rng, rates):
         chm.ChannelState(rng=rng, day_rate=rates[0], night_rate=rates[1])
 
 
+# values the link used to take and then walk without drift, fail in the
+# middle of a walk, never spike, fail at the first spike or never be day
+@pytest.mark.parametrize("make, field, value", [
+    (make_test_channel, "day_rate", math.nan),
+    (make_test_channel, "night_rate", math.inf),
+    (chm.PdlSpikeProcess, "rate_per_s", math.nan),
+    (chm.PdlSpikeProcess, "extra_db", -1.0),
+    (chm.PdlSpikeProcess, "duration_s", -5.0),
+    (chm.DaySchedule, "day_start_s", math.nan),
+    (chm.DaySchedule, "day_end_s", 86400.5),
+], ids=["day_rate", "night_rate", "rate_per_s", "extra_db", "duration_s", "day_start_s",
+        "day_end_s"])
+def test_link_settings_are_checked_at_construction(make, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        make(**{field: value})
+
+
 @pytest.mark.parametrize("rotation", [
     [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
     [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]],
