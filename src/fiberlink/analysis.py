@@ -59,7 +59,8 @@ def quantile_surface(samples) -> QuantileSurface:
     q of the samples at that tau lies at or above f, i.e. the (1-q) quantile
     of the per-bin empirical distribution. Bins with fewer samples than
     MIN_SAMPLES_PER_BIN are kept but flagged in `warnings`. `samples` is a
-    sequence of (tau, fidelity) pairs or an (m, 2) array.
+    sequence of (tau, fidelity) pairs or an (m, 2) array. A bin's three
+    quantiles are taken in one `np.quantile` call.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
@@ -70,6 +71,7 @@ def quantile_surface(samples) -> QuantileSurface:
     incidence = np.zeros((taus.size, FIDELITY_BINS))
     counts = np.zeros(taus.size, dtype=int)
     curves = {q: np.empty(taus.size) for q in QUANTILES}
+    levels = [1.0 - q for q in QUANTILES]
     warnings = []
     for i, tau in enumerate(taus):
         vals = samples[samples[:, 0] == tau, 1]
@@ -81,8 +83,8 @@ def quantile_surface(samples) -> QuantileSurface:
         hist, _ = np.histogram(vals, bins=edges)
         if hist.sum() > 0:
             incidence[i] = hist / hist.sum()
-        for q in QUANTILES:
-            curves[q][i] = np.quantile(vals, 1.0 - q)
+        for q, value in zip(QUANTILES, np.quantile(vals, levels)):
+            curves[q][i] = value
     centers = 0.5 * (edges[:-1] + edges[1:])
     return QuantileSurface(
         tau_grid=taus,

@@ -86,8 +86,7 @@ class AttenuationBudget:
 
     def __post_init__(self) -> None:
         for label, loss in self.components:
-            if loss < 0.0:
-                raise ValueError(f"component {label!r} has negative loss {loss}")
+            _require(">= 0", lambda v: v >= 0.0, **{f"component {label!r} loss_db": loss})
 
     @classmethod
     def of(cls, *components: tuple[str, float]) -> AttenuationBudget:
@@ -108,8 +107,7 @@ class BackgroundSource:
     rate_per_s: float
 
     def __post_init__(self) -> None:
-        if self.rate_per_s < 0.0:
-            raise ValueError("background rate must be >= 0")
+        _require(">= 0", lambda v: v >= 0.0, rate_per_s=self.rate_per_s)
 
 
 def sample_background(bg: BackgroundSource, window_s: float, rng: np.random.Generator) -> int:
@@ -135,9 +133,9 @@ class DelayDriftModel:
     gate_time_s: float = 0.01
 
     def __post_init__(self) -> None:
-        for name in ("overhead_km", "sensitivity_ps_per_km_k", "nu0_hz", "gate_time_s"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+        _require("> 0", lambda v: v > 0.0, overhead_km=self.overhead_km,
+                 sensitivity_ps_per_km_k=self.sensitivity_ps_per_km_k,
+                 nu0_hz=self.nu0_hz, gate_time_s=self.gate_time_s)
 
 
 def doppler_delay_step(m: DelayDriftModel, delta_nu_d_hz: float) -> float:

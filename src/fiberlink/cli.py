@@ -122,7 +122,7 @@ def _cmd_presets(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fiberlink",
         description="Polarization quantum-channel scenario runner",
@@ -146,8 +146,15 @@ def main(argv=None) -> int:
     p_pre = sub.add_parser("presets", help="manage built-in scenarios")
     p_pre.add_argument("action", choices=["list"])
     p_pre.set_defaults(func=_cmd_presets)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# Built once per process: each `main` call parses into a fresh namespace.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

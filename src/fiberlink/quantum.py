@@ -80,8 +80,10 @@ TOMO_BASES_2Q = tuple(
     (a, b) for a in TOMO_BASES_1Q for b in TOMO_BASES_1Q
 )
 
-# Pauli set (identity, H/V flip, D/A flip, R/L flip); see module docstring.
-_PAULI4 = (np.eye(2, dtype=complex),) + PAULI
+# Read-only (4, 2, 2) stack of the Pauli set (identity, H/V flip, D/A flip,
+# R/L flip); see module docstring.
+_PAULI4 = np.stack((np.eye(2, dtype=complex),) + PAULI)
+_PAULI4.flags.writeable = False
 PAULI_LABELS = ("i", "hv", "da", "rl")
 
 BELL_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / _SQ2
@@ -105,6 +107,20 @@ _ENCODE = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / _SQ2
 
 _BELL_MINUS_MEM = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / _SQ2
 _BELL_PLUS_MEM = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / _SQ2
+
+
+def _bell_projector(bell: np.ndarray) -> np.ndarray:
+    """Read-only |B><B| (x) I on the (memory, arm A, arm B) qubits."""
+    proj = np.kron(np.outer(bell, bell.conj()), np.eye(2, dtype=complex))
+    proj.flags.writeable = False
+    return proj
+
+
+# (herald name, projector) of the two distinguished Bell states
+_BSM_PROJECTORS = (
+    ("phi_minus", _bell_projector(_BELL_MINUS_MEM)),
+    ("phi_plus", _bell_projector(_BELL_PLUS_MEM)),
+)
 
 
 class SingularDesign(ValueError):
@@ -266,6 +282,8 @@ def bsm_branches(
     the two distinguished Bell states. Values are (probability,
     probability * conditional_state), so the second entry is the linear
     (trace = probability) branch output used for process reconstruction.
+    The two (|B><B| (x) I) projectors are read-only constants built at
+    import.
     """
     rho_m = _encode_prepared(prepared)
     rho_m = _dephase_first_qubit(
@@ -277,8 +295,7 @@ def bsm_branches(
     joint = np.kron(rho_m, rho_ab)  # qubits (m, a, B)
 
     branches = {}
-    for name, bell in (("phi_minus", _BELL_MINUS_MEM), ("phi_plus", _BELL_PLUS_MEM)):
-        proj = np.kron(np.outer(bell, bell.conj()), np.eye(2, dtype=complex))
+    for name, proj in _BSM_PROJECTORS:
         sub = proj @ joint @ proj
         prob = float(np.trace(sub).real)
         rho_b = _partial_trace_to_last(sub)
@@ -529,21 +546,16 @@ def process_matrix_from_io(
     Hermitized, clipped to the positive cone and rescaled to unit trace,
     the convention used for the heralded teleportation branches.
 
+    The design (`_process_design`) is one stacked product over the
+    read-only stack of the four Paulis built at import.
+
     Raises SingularDesign when the inputs do not span the single-qubit
     operator space, or when the reconstructed chi has no positive trace.
     """
     if len(inputs) != len(outputs) or len(inputs) < 4:
         raise SingularDesign("need >= 4 input/output pairs")
     _check_input_completeness(inputs)
-    columns = []
-    for m in range(4):
-        for n in range(4):
-            col = []
-            for rho_in in inputs:
-                term = _PAULI4[m] @ np.asarray(rho_in, dtype=complex) @ _PAULI4[n]
-                col.append(term.reshape(4))
-            columns.append(np.concatenate(col))
-    a = np.column_stack(columns)
+    a = _process_design(inputs)
     b = np.concatenate([np.asarray(o, dtype=complex).reshape(4) for o in outputs])
     chi_vec, *_ = np.linalg.lstsq(a, b, rcond=None)
     chi = chi_vec.reshape(4, 4)
@@ -555,6 +567,14 @@ def process_matrix_from_io(
     if t <= 0.0:
         raise SingularDesign("reconstructed process has non-positive trace")
     return chi / t
+
+
+def _process_design(inputs: list[np.ndarray]) -> np.ndarray:
+    """(4 n, 16) design of n inputs: row 4 i + e, column 4 m + n holds
+    entry e of P_m rho_i P_n, in the Pauli order of `_PAULI4`."""
+    rho_in = np.stack([np.asarray(r, dtype=complex) for r in inputs])
+    terms = _PAULI4[:, None, None] @ rho_in[None, :, None] @ _PAULI4[None, None, :]
+    return terms.reshape(4, len(inputs), 4, 4).transpose(1, 3, 0, 2).reshape(-1, 16)
 
 
 def process_tomography(

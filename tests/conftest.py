@@ -83,6 +83,26 @@ def piezo_quaternion_oracle(axes, gains, voltages) -> tuple[float, float, float,
     return w, x, y, z
 
 
+def process_design_oracle(inputs) -> np.ndarray:
+    """Process-tomography design built column by column: the reference for
+    `quantum._process_design`.
+
+    Column 4 m + n stacks the flattened P_m rho_i P_n of every input i, one
+    2x2 product pair at a time, over the Paulis (identity, H/V flip, D/A
+    flip, R/L flip).
+    """
+    paulis = (np.eye(2, dtype=complex),) + polcore.PAULI
+    columns = []
+    for m in range(4):
+        for n in range(4):
+            col = []
+            for rho_in in inputs:
+                term = paulis[m] @ np.asarray(rho_in, dtype=complex) @ paulis[n]
+                col.append(term.reshape(4))
+            columns.append(np.concatenate(col))
+    return np.column_stack(columns)
+
+
 def assert_same_floats(got, want) -> None:
     """Equal floats, with equal signs of zero, entry by entry."""
     got, want = list(got), list(want)

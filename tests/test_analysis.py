@@ -52,6 +52,19 @@ def test_quantile_surface_ordering_invariant(rng):
     assert np.all(q90 >= q99) and np.all(q99 >= q999)
 
 
+def test_quantile_surface_curves_equal_per_quantile_calls(rng):
+    # bins of several sizes, with ties and a constant bin
+    samples = [(1.0, f) for f in rng.uniform(0.8, 1.0, size=257)]
+    samples += [(2.0, f) for f in rng.choice([0.9, 0.95, 1.0], size=130)]
+    samples += [(3.0, 0.97)] * 7
+    samples += [(4.0, f) for f in 1.0 - rng.exponential(0.01, size=1001)]
+    surf = an.quantile_surface(samples)
+    arr = np.asarray(samples)
+    for q in an.QUANTILES:
+        want = [np.quantile(arr[arr[:, 0] == tau, 1], 1.0 - q) for tau in surf.tau_grid]
+        assert surf.curves[q].tobytes() == np.array(want).tobytes(), q
+
+
 def test_quantile_surface_incidence_normalized_per_column(rng):
     samples = [(1.0, f) for f in rng.uniform(0.9, 1.0, size=300)]
     surf = an.quantile_surface(samples)

@@ -367,7 +367,7 @@ def _assert_probes_fresh(ch):
     return outs
 
 
-def test_transmit_probe_memo_never_stale(rng):
+def test_transmit_probe_follows_every_change_to_the_link(rng):
     ch = make_test_channel(
         rotation=pc.random_rotation(rng), rng=np.random.default_rng(5),
         day_rate=1e-3, night_rate=1e-3, pdl_axis=[0.2, 0.5, -0.3], pdl_transmission=0.9,
@@ -491,6 +491,12 @@ def test_budget_rejects_negative_loss():
         chm.AttenuationBudget.of(("bad", -0.1))
 
 
+@pytest.mark.parametrize("loss", [math.nan, math.inf])
+def test_budget_rejects_non_finite_loss(loss):
+    with pytest.raises(ValueError, match="component 'x' loss_db must be finite"):
+        chm.AttenuationBudget.of(("fiber", 1.0), ("x", loss))
+
+
 # ---------------------------------------------------------------------------
 # background counts
 # ---------------------------------------------------------------------------
@@ -509,6 +515,12 @@ def test_sample_background_mean(rng):
     assert abs(mean - 1970.0) < 3 * sigma_of_mean
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_background_rejects_non_finite_rate(rate):
+    with pytest.raises(ValueError, match="rate_per_s must be finite"):
+        chm.BackgroundSource(rate)
+
+
 def test_sample_background_deterministic():
     bg = chm.BackgroundSource(19.7)
     a = [chm.sample_background(bg, 1.0, np.random.default_rng(5)) for _ in range(10)]
@@ -519,6 +531,13 @@ def test_sample_background_deterministic():
 # ---------------------------------------------------------------------------
 # delay drift
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["overhead_km", "sensitivity_ps_per_km_k", "nu0_hz", "gate_time_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_delay_drift_model_rejects_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        chm.DelayDriftModel(**{name: value})
+
 
 def test_doppler_delay_step_zero():
     m = chm.DelayDriftModel()

@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -767,6 +770,53 @@ def test_cli_presets_list(capsys):
     assert cli.main(["presets", "list"]) == 0
     out = capsys.readouterr().out.split()
     assert "ppe_dutycycle" in out
+
+
+# Runs, validations, a listing, a note, a bound failure and argparse's own
+# exits (a bad flag, --version), each exiting 0 or 2.
+_CLI_SEQUENCE = (
+    ["run", "pdl_characterize", "--trials", "50", "--seed", "7", "--out", "pdl"],
+    ["run", "teleport_ideal", "--trials", "3", "--out", "tele"],
+    ["validate", "teleport_noisy"],
+    ["presets", "list"],
+    ["run", "pdl_characterize", "--bogus"],
+    ["run", "pdl_characterize", "--trials", "1", "--out", "short"],
+    ["validate", "--quiet", "stabilize_demo"],
+    ["--version"],
+)
+
+
+def _out_hashes(root: Path, argv) -> dict:
+    """Hash of each file the call wrote under `root`, by name."""
+    if "--out" not in argv:
+        return {}
+    out = root / argv[argv.index("--out") + 1]
+    return {p.name: sha256_file(p) for p in sorted(out.iterdir())} if out.is_dir() else {}
+
+
+def test_cli_main_called_repeatedly_matches_fresh_processes(tmp_path, monkeypatch):
+    fresh_dir, reused_dir = tmp_path / "fresh", tmp_path / "reused"
+    fresh_dir.mkdir()
+    reused_dir.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    fresh = {}
+    for argv in _CLI_SEQUENCE:
+        proc = subprocess.run([sys.executable, "-m", "fiberlink.cli", *argv], cwd=fresh_dir,
+                              env=env, capture_output=True, text=True, check=False)
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr,
+                              _out_hashes(fresh_dir, argv))
+    monkeypatch.chdir(reused_dir)
+    # twice through, the second time in reverse, all on one parser
+    for argv in [*_CLI_SEQUENCE, *reversed(_CLI_SEQUENCE)]:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        got = (code, stdout.getvalue(), stderr.getvalue(), _out_hashes(reused_dir, argv))
+        assert got == fresh[tuple(argv)], argv
+    assert {fresh[tuple(argv)][0] for argv in _CLI_SEQUENCE} == {0, 2}
 
 
 def test_cli_run_writes_manifest(tmp_path):

@@ -3,12 +3,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from fiberlink import polcore as pc
 from fiberlink import quantum as q
 from fiberlink.channel import transmit_qubit_kraus
 
-from conftest import make_test_channel, random_mixed_state_2q, read_counts_csv
+from conftest import (
+    make_test_channel,
+    process_design_oracle,
+    random_mixed_state_2q,
+    read_counts_csv,
+)
 
 
 IDEAL_SOURCE = q.SpdcSource(phase_rad=0.0, noise_p=0.0)
@@ -545,6 +551,33 @@ def test_process_matrix_from_io_rejects_incomplete_inputs():
     h = np.outer(q.BASIS_KETS["H"], q.BASIS_KETS["H"].conj())
     with pytest.raises(q.SingularDesign):
         q.process_matrix_from_io([h] * 4, [h] * 4)
+
+
+_REAL = hst.floats(-2.0, 2.0, allow_subnormal=False)
+# an entry is zero, purely real or complex
+_ENTRY = hst.one_of(
+    hst.just(0j),
+    _REAL.map(complex),
+    hst.builds(complex, _REAL, _REAL),
+)
+_INPUT = hst.lists(_ENTRY, min_size=4, max_size=4).map(lambda e: np.array(e).reshape(2, 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inputs=hst.lists(_INPUT, min_size=4, max_size=6))
+@example(inputs=[np.outer(q.BASIS_KETS[b], q.BASIS_KETS[b].conj()) for b in q.TOMO_BASES_1Q])
+def test_process_design_matches_the_column_by_column_oracle(inputs):
+    got = q._process_design(inputs)
+    want = process_design_oracle(inputs)
+    assert got.shape == want.shape == (4 * len(inputs), 16)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_bsm_projectors_are_read_only_bell_projectors():
+    for (name, proj), bell in zip(q._BSM_PROJECTORS, (q._BELL_MINUS_MEM, q._BELL_PLUS_MEM)):
+        want = np.kron(np.outer(bell, bell.conj()), np.eye(2, dtype=complex))
+        assert proj.tobytes() == want.tobytes(), name
+        assert not proj.flags.writeable
 
 
 def test_process_matrix_psd_and_normalized(rng):
