@@ -187,9 +187,9 @@ class ChannelState:
     of `walk` multiplies it from the left by a small rotation about a
     uniformly random axis, with angle drawn from Normal(0, sqrt(2 * rate *
     dt)), where the rate is the day or night rate of the schedule at the
-    current clock. The rotation walk draws from `rng` and the spike times
-    from `spike_rng` (seeded 0 by default), each generator advancing only
-    with its own draws. So a chain of walks is deterministic per stream,
+    step's clock (`rate_at`). The rotation walk draws from `rng` and the
+    spike times from `spike_rng` (seeded 0 by default), each generator
+    advancing only with its own draws. So a chain of walks is deterministic per stream,
     however it is split into walks, and spikes never move the rotation.
 
     The link keeps its rotation read-only: the constructor stores a checked
@@ -218,8 +218,9 @@ class ChannelState:
         rotation.flags.writeable = False
         self.rotation = rotation
 
-    def current_rate(self) -> float:
-        return self.day_rate if self.schedule.is_day(self.clock_s) else self.night_rate
+    def rate_at(self, clock_s: float) -> float:
+        """The diffusion rate (rad^2/s) the schedule sets at `clock_s`."""
+        return self.day_rate if self.schedule.is_day(clock_s) else self.night_rate
 
     def advance(self, dt: float) -> None:
         """Advance the link timeline by dt seconds of free drift."""
@@ -242,7 +243,7 @@ class ChannelState:
         rates = []
         clock = self.clock_s
         for _ in range(n):
-            rates.append(self.day_rate if self.schedule.is_day(clock) else self.night_rate)
+            rates.append(self.rate_at(clock))
             clock += dt
         sigmas = [math.sqrt(2.0 * rate * dt) for rate in rates if rate > 0.0]
         state = self.rng.bit_generator.state

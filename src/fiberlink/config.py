@@ -265,7 +265,7 @@ class Scenario:
     def make_piezo(self) -> PiezoController:
         v = self.values
         piezo = PiezoController(
-            gains_rad_per_v=np.full(4, v[("instruments", "piezo_gain_rad_per_v")]),
+            gain_rad_per_v=v[("instruments", "piezo_gain_rad_per_v")],
             limit_v=v[("instruments", "piezo_limit_v")],
             settle_s=v[("instruments", "piezo_settle_s")],
         )

@@ -1,8 +1,9 @@
 """Measurement and actuation hardware models.
 
 Covers the polarimeter at the receiver, the four-channel piezo polarization
-controller and the switchable H/D reference lasers at the sender. Settings
-are checked and fixed at construction; an instance is still stateful (the
+controller (the paper's fixed squeezer stack: four alternating axes, one
+gain) and the switchable H/D reference lasers at the sender. Settings are
+checked and fixed at construction; an instance is still stateful (the
 polarimeter's generator, the controller's voltages) and must be serialized.
 """
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import polcore
+from .channel import _require
 from .polcore import S_D, S_H
 
 __all__ = [
@@ -23,16 +25,11 @@ __all__ = [
     "VoltageOutOfRange",
 ]
 
-# Default squeezer geometry: physical squeeze axes alternating 0 deg / 45 deg,
-# i.e. Poincare rotation axes alternating between the s1 and s2 directions.
-# Two orthogonal equatorial axes with four channels give full rotation
-# coverage (verified by the controllability test).
-PIEZO_AXES_DEFAULT = (
-    np.array([1.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0]),
-    np.array([1.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0]),
-)
+# The squeezer geometry: physical squeeze axes alternating 0 deg / 45 deg,
+# i.e. Poincare rotation axes alternating between the s1 and s2 directions,
+# as unit float triples. Two orthogonal equatorial axes with four channels
+# give full rotation coverage (verified by the controllability test).
+PIEZO_AXES_DEFAULT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 _setattr = object.__setattr__  # past the frozen guard; looked up once per module
 
@@ -60,7 +57,7 @@ class Polarimeter:
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
 
     def __post_init__(self) -> None:
-        _require_non_negative(sigma=self.sigma, latency_s=self.latency_s)
+        _require(">= 0", lambda v: v >= 0.0, sigma=self.sigma, latency_s=self.latency_s)
 
     def read(self, s_true: np.ndarray) -> np.ndarray:
         """Noisy Stokes read; renormalized only if the noisy norm exceeds 1.
@@ -87,13 +84,6 @@ class Polarimeter:
         return [_in_ball(x1, y1, z1), _in_ball(x2, y2, z2)]
 
 
-def _require_non_negative(**values: float) -> None:
-    """Raise ValueError naming the first value that is not finite and >= 0."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
 def _in_ball(x: float, y: float, z: float) -> tuple[float, float, float]:
     """(x, y, z), divided by its norm if that exceeds 1."""
     n = math.sqrt(x * x + y * y + z * z)
@@ -104,63 +94,41 @@ def _in_ball(x: float, y: float, z: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True, eq=False)
 class PiezoController:
-    """Four-channel piezo polarization controller.
+    """Four-channel piezo polarization controller: a fixed squeezer stack.
 
-    Channel i rotates the Poincare sphere by gain_i * U_i about its fixed
-    axis; the channels act on the light in order 1 -> 4. `quaternion()`
-    multiplies the four channels' half-angle quaternions (q4 q3 q2 q1) in
-    scalar arithmetic, and `rotation()` builds one matrix from the product;
-    the stabilizer's probes use the quaternion directly. Voltages are
-    clamped at +/- limit_v; a non-finite voltage is out of range everywhere.
-    `set_voltages` raises on out-of-range requests while `apply_clamped`
-    clamps after attempting a full-period re-centering (a 2*pi/gain shift
-    leaves the rotation unchanged) and logs the event.
+    Channel i rotates the Poincare sphere by gain * U_i about its axis in
+    `PIEZO_AXES_DEFAULT` (s1, s2, s1, s2); every channel has the one gain
+    `gain_rad_per_v`, and the channels act on the light in order 1 -> 4.
+    `quaternion()` multiplies the four channels' half-angle quaternions
+    (q4 q3 q2 q1) in scalar arithmetic, and `rotation()` builds one matrix
+    from the product; the stabilizer's probes use the quaternion directly.
+    Voltages are clamped at +/- limit_v; a non-finite voltage is out of
+    range everywhere. `set_voltages` raises on out-of-range requests while
+    `apply_clamped` clamps after attempting a full-period re-centering (a
+    2*pi/|gain| shift leaves the rotation unchanged) and logs the event.
 
-    The settings are checked and fixed at construction: `axes` holds the
-    unit axes as float triples, `gains_rad_per_v` a read-only float copy,
-    and `settle_s` must be finite and >= 0. Only the constructor,
-    `set_voltages`, `apply_clamped` and `bias_neutral` store voltages: each
-    checks them and stores a fresh read-only `voltages` array (an in-place
-    write raises ValueError). `limit_v` must be finite and > 0. A read
-    changes nothing: each `quaternion()` call multiplies the four
-    half-angle factors afresh from the settings and `voltages`.
+    The settings are checked and fixed at construction: `gain_rad_per_v`
+    must be finite and nonzero, `limit_v` finite and > 0, and `settle_s`
+    finite and >= 0. Only the constructor, `set_voltages`, `apply_clamped`
+    and `bias_neutral` store voltages: each checks them and stores a fresh
+    read-only `voltages` array (an in-place write raises ValueError). A
+    read changes nothing: each `quaternion()` call multiplies the four
+    half-angle factors afresh from the gain and `voltages`.
     """
 
     voltages: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    axes: tuple = PIEZO_AXES_DEFAULT
-    gains_rad_per_v: np.ndarray = field(default_factory=lambda: np.full(4, 0.5))
+    gain_rad_per_v: float = 0.5
     limit_v: float = 10.0
     settle_s: float = 0.0
     clamp_events: int = field(default=0, repr=False)
-    _half_gains: tuple = field(init=False, repr=False)  # 0.5 * gain_i as floats
 
     def __post_init__(self) -> None:
-        _require_non_negative(settle_s=self.settle_s)
-        if not (math.isfinite(self.limit_v) and self.limit_v > 0.0):
-            raise ValueError(f"limit_v must be finite and > 0, got {self.limit_v}")
+        _require(">= 0", lambda v: v >= 0.0, settle_s=self.settle_s)
+        _require("> 0", lambda v: v > 0.0, limit_v=self.limit_v)
+        _require("nonzero", lambda v: v != 0.0, gain_rad_per_v=self.gain_rad_per_v)
         u = _four_voltages(self.voltages)
-        gains = np.array(self.gains_rad_per_v, dtype=float)
-        if gains.shape != (4,):
-            raise ValueError(f"need 4 gains, got shape {gains.shape}")
-        if np.any(gains == 0.0) or not np.all(np.isfinite(gains)):
-            raise ValueError("gains must be finite and nonzero")
-        gains.setflags(write=False)
-        if len(self.axes) != 4:
-            raise ValueError(f"need 4 axes, got {len(self.axes)}")
-        unit_axes = []
-        for axis in self.axes:
-            a = np.asarray(axis, dtype=float)
-            if a.shape != (3,) or not np.all(np.isfinite(a)):
-                raise ValueError(f"axis {axis!r} must be a finite 3-vector")
-            n = math.sqrt(a @ a)
-            if n == 0.0:
-                raise ValueError("rotation axis must be nonzero")
-            unit_axes.append(tuple((a / n).tolist()))
         if not _within(u, self.limit_v):
             raise VoltageOutOfRange("initial voltages exceed limits")
-        _setattr(self, "gains_rad_per_v", gains)
-        _setattr(self, "axes", tuple(unit_axes))
-        _setattr(self, "_half_gains", tuple((0.5 * gains).tolist()))
         self._store(u)
 
     def bias_neutral(self) -> None:
@@ -174,7 +142,7 @@ class PiezoController:
         mid-range.
         """
         quarter = 0.5 * math.pi
-        bias = np.array([0.0, -quarter, 0.0, quarter]) / self.gains_rad_per_v
+        bias = np.array([0.0, -quarter, 0.0, quarter]) / self.gain_rad_per_v
         if np.any(np.abs(bias) > self.limit_v):
             raise VoltageOutOfRange("neutral bias exceeds voltage limits")
         self._store(bias)
@@ -195,7 +163,7 @@ class PiezoController:
             raise VoltageOutOfRange(f"requested voltages {u} are not finite")
         for i in range(4):
             if abs(u[i]) > self.limit_v:
-                period = 2.0 * math.pi / abs(self.gains_rad_per_v[i])
+                period = 2.0 * math.pi / abs(self.gain_rad_per_v)
                 shifted = u[i] - math.copysign(period, u[i])
                 u[i] = shifted if abs(shifted) <= self.limit_v else math.copysign(self.limit_v, u[i])
                 _setattr(self, "clamp_events", self.clamp_events + 1)
@@ -213,13 +181,15 @@ class PiezoController:
 
     def quaternion(self) -> tuple[float, float, float, float]:
         """Net unit quaternion (w, x, y, z) of the controller's rotation."""
-        # Channel i turns by gain_i * U_i about its unit axis a_i, i.e. the
+        # Channel i turns by gain * U_i about its unit axis a_i, i.e. the
         # quaternion (cos h, sin h * a_i) with h the half angle. Channel 1
         # acts first, so the net quaternion is q4 q3 q2 q1, each factor
-        # multiplied from the left.
+        # multiplied from the left. The zero components of the axes stay in
+        # the sums: dropping them could flip the sign of a zero.
         w, x, y, z = 1.0, 0.0, 0.0, 0.0
-        for (ax, ay, az), half_gain, volt in zip(self.axes, self._half_gains, self.voltages.tolist()):
-            h = half_gain * volt
+        half = 0.5 * self.gain_rad_per_v
+        for (ax, ay, az), volt in zip(PIEZO_AXES_DEFAULT, self.voltages.tolist()):
+            h = half * volt
             c, s = math.cos(h), math.sin(h)
             bx, by, bz = s * ax, s * ay, s * az
             w, x, y, z = (
@@ -255,7 +225,7 @@ class ReferenceSwitch:
     latency_s: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_non_negative(latency_s=self.latency_s)
+        _require(">= 0", lambda v: v >= 0.0, latency_s=self.latency_s)
 
     def select(self, which: str) -> np.ndarray:
         if which not in ("H", "D"):

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import _require
 # No code here calls it; the benchmark's tracer patches it by this module's name.
 from .channel import transmit_qubit_kraus  # noqa: F401
 from .output import write_csv
@@ -166,17 +167,20 @@ def bell_fidelity(rho: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SpdcSource:
-    """Cavity-enhanced pair source with adjustable phase and white admixture."""
+    """Cavity-enhanced pair source with adjustable phase and white admixture.
+
+    The phase must be finite, the pair rate finite and >= 0, and the
+    admixture `noise_p` in [0, 1].
+    """
 
     phase_rad: float = 0.0
     pair_rate_per_s: float = 144.4
     noise_p: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.noise_p <= 1.0:
-            raise ValueError("noise admixture must be in [0, 1]")
-        if self.pair_rate_per_s < 0.0:
-            raise ValueError("pair rate must be >= 0")
+        _require("real", lambda v: True, phase_rad=self.phase_rad)
+        _require(">= 0", lambda v: v >= 0.0, pair_rate_per_s=self.pair_rate_per_s)
+        _require("in [0, 1]", lambda v: 0.0 <= v <= 1.0, noise_p=self.noise_p)
 
 
 def spdc_state(src: SpdcSource) -> np.ndarray:
@@ -227,26 +231,32 @@ class IonMemory:
     """Abstract memory qubit with exponential dephasing in the Zeeman basis.
 
     decay_per_s is the effective dephasing rate after the spin echo; the
-    coherence factor over the exposure window is exp(-decay * window).
+    coherence factor over the exposure window is exp(-decay * window). The
+    window must be finite and > 0, the rate finite and >= 0.
     """
 
     exposure_window_s: float = 400e-6
     decay_per_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.exposure_window_s <= 0.0 or self.decay_per_s < 0.0:
-            raise ValueError("window must be > 0 and decay >= 0")
+        _require("> 0", lambda v: v > 0.0, exposure_window_s=self.exposure_window_s)
+        _require(">= 0", lambda v: v >= 0.0, decay_per_s=self.decay_per_s)
 
     def coherence(self) -> float:
         return math.exp(-self.decay_per_s * self.exposure_window_s)
 
 
-def _dephase_first_qubit(rho4: np.ndarray, coherence: float) -> np.ndarray:
-    """Phase damping of the first qubit of a two-qubit state."""
+# Z on the first of two qubits, Z (x) I, read-only.
+_Z_FIRST = np.kron(PAULI[0], np.eye(2, dtype=complex))
+_Z_FIRST.flags.writeable = False
+
+
+def _dephase_first_qubit(rho: np.ndarray, coherence: float) -> np.ndarray:
+    """Phase damping of the first qubit of a one- or two-qubit state."""
     if coherence >= 1.0:
-        return rho4
-    z = np.kron(np.diag([1.0, -1.0]).astype(complex), np.eye(2, dtype=complex))
-    return 0.5 * (1.0 + coherence) * rho4 + 0.5 * (1.0 - coherence) * (z @ rho4 @ z)
+        return rho
+    z = _Z_FIRST if len(rho) == 4 else PAULI[0]
+    return 0.5 * (1.0 + coherence) * rho + 0.5 * (1.0 - coherence) * (z @ rho @ z)
 
 
 def heralded_absorption(rho_pair: np.ndarray, ion: IonMemory) -> np.ndarray:
@@ -285,11 +295,7 @@ def bsm_branches(
     The two (|B><B| (x) I) projectors are read-only constants built at
     import.
     """
-    rho_m = _encode_prepared(prepared)
-    rho_m = _dephase_first_qubit(
-        np.kron(rho_m, np.eye(2, dtype=complex) / 2.0), ion.coherence()
-    )
-    rho_m = np.einsum("ikjk->ij", rho_m.reshape(2, 2, 2, 2))  # trace out the ancilla
+    rho_m = _dephase_first_qubit(_encode_prepared(prepared), ion.coherence())
 
     rho_ab = _ABSORB_ARM_A @ np.asarray(rho_pair, dtype=complex) @ _ABSORB_ARM_A.conj().T
     joint = np.kron(rho_m, rho_ab)  # qubits (m, a, B)

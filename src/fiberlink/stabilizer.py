@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,8 +83,12 @@ class StabilizerConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"step parameter {name} must be finite and > 0, got {value}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        try:
+            iterations = operator.index(self.max_iterations)
+        except TypeError:
+            iterations = 0
+        if iterations < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
 
 @dataclass

@@ -46,7 +46,7 @@ def drift_step_oracle(ch, dt) -> tuple[np.ndarray, polcore.PdlElement]:
     one uniform from `ch.spike_rng`. Returns the rotation and the loss
     element after the step.
     """
-    rate = ch.current_rate()
+    rate = ch.rate_at(ch.clock_s)
     if rate > 0.0:
         v = ch.rng.normal(size=3)
         while math.sqrt(v @ v) < 1e-12:

@@ -299,14 +299,9 @@ def test_drift_axis_distribution_uniform_chi2():
 
 def test_day_schedule_rate_selection():
     sched = chm.DaySchedule()
-    day = chm.ChannelState(
-        rng=np.random.default_rng(0), clock_s=12 * 3600.0, schedule=sched
-    )
-    night = chm.ChannelState(
-        rng=np.random.default_rng(0), clock_s=3 * 3600.0, schedule=sched
-    )
-    assert day.current_rate() == chm.DAY_RATE_DEFAULT
-    assert night.current_rate() == chm.NIGHT_RATE_DEFAULT
+    ch = chm.ChannelState(rng=np.random.default_rng(0), schedule=sched)
+    assert ch.rate_at(12 * 3600.0) == chm.DAY_RATE_DEFAULT
+    assert ch.rate_at(3 * 3600.0) == chm.NIGHT_RATE_DEFAULT
     assert sched.is_day(7.5 * 3600.0)
     assert not sched.is_day(18.0 * 3600.0)
     assert sched.is_day((24 + 12) * 3600.0)  # wraps across midnight

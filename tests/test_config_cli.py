@@ -138,23 +138,38 @@ def _referenced_names(node) -> set[str]:
     return names
 
 
+def _units(stmt) -> list[ast.AST]:
+    """The parts of a top-level statement whose references count apart: a
+    class's header and each statement of its body, else the statement."""
+    if isinstance(stmt, ast.ClassDef):
+        return [*stmt.decorator_list, *stmt.bases, *stmt.keywords, *stmt.body]
+    return [stmt]
+
+
 def test_every_definition_is_reached():
     # A top-level definition of the package passes when some statement
-    # other than its own definition and `__all__` refers to it by name.
-    definitions = []
-    references: dict[str, list[ast.stmt]] = {}
+    # other than its own definition and `__all__` refers to it by name. A
+    # method other than a dunder passes when something outside its own
+    # body does, its class's other methods included.
+    definitions = []  # (dotted name, name, the statement or method defining it)
+    references: dict[str, list[tuple[ast.stmt, ast.AST]]] = {}
     for path in _REACHING:
         for stmt in ast.parse(path.read_text()).body:
             defined = _defined_names(stmt)
             if defined == ["__all__"]:
                 continue
-            if path.parent.name == "fiberlink":
-                definitions += [(path.stem, name, stmt) for name in defined]
-            for name in _referenced_names(stmt):
-                references.setdefault(name, []).append(stmt)
+            package = path.parent.name == "fiberlink"
+            if package:
+                definitions += [(f"{path.stem}.{name}", name, stmt) for name in defined]
+            for unit in _units(stmt):
+                if (package and unit is not stmt and isinstance(unit, ast.FunctionDef)
+                        and not unit.name.startswith("__")):
+                    definitions.append((f"{path.stem}.{stmt.name}.{unit.name}", unit.name, unit))
+                for name in _referenced_names(unit):
+                    references.setdefault(name, []).append((stmt, unit))
     unreached = [
-        f"{module}.{name}" for module, name, stmt in definitions
-        if all(where is stmt for where in references.get(name, []))
+        dotted for dotted, name, where in definitions
+        if all(where is stmt or where is unit for stmt, unit in references.get(name, []))
     ]
     assert unreached == []
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -139,6 +140,44 @@ def test_ion_memory_coherence():
     assert ion.coherence() == pytest.approx(math.exp(-313.4 * 400e-6), abs=1e-12)
     with pytest.raises(ValueError):
         q.IonMemory(exposure_window_s=0.0)
+
+
+# a NaN window made coherence() NaN and an infinite decay made it 0.0; a
+# NaN or infinite rate or phase reached the source state unchecked
+@pytest.mark.parametrize("make, field, value, bound", [
+    (q.IonMemory, "exposure_window_s", math.nan, "> 0"),
+    (q.IonMemory, "exposure_window_s", math.inf, "> 0"),
+    (q.IonMemory, "decay_per_s", math.inf, ">= 0"),
+    (q.IonMemory, "decay_per_s", math.nan, ">= 0"),
+    (q.SpdcSource, "pair_rate_per_s", math.nan, ">= 0"),
+    (q.SpdcSource, "pair_rate_per_s", math.inf, ">= 0"),
+    (q.SpdcSource, "phase_rad", math.nan, "real"),
+    (q.SpdcSource, "phase_rad", -math.inf, "real"),
+], ids=["window_nan", "window_inf", "decay_inf", "decay_nan", "pair_rate_nan", "pair_rate_inf",
+        "phase_nan", "phase_inf"])
+def test_memory_and_source_reject_non_finite_fields(make, field, value, bound):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and {re.escape(bound)}, got"):
+        make(**{field: value})
+
+
+def test_bsm_branches_match_the_ancilla_round_trip():
+    # the memory is dephased alone; dephasing it beside a maximally mixed
+    # ancilla and tracing the ancilla out again gives the same branches, bit
+    # for bit, at full coherence too (where the memory's signed zeros differ)
+    rng = np.random.default_rng(8)
+    kets = [*q.BASIS_KETS.values(), *(rng.normal(size=(20, 2)) + 1j * rng.normal(size=(20, 2)))]
+    pairs = [q.spdc_state(q.SpdcSource(noise_p=p, phase_rad=0.3)) for p in (0.0, 0.2187)]
+    for ket, pair, decay in itertools.product(kets, pairs, (0.0, 313.4)):
+        ion = q.IonMemory(decay_per_s=decay)
+        beside = np.kron(q._encode_prepared(ket), np.eye(2, dtype=complex) / 2.0)
+        rho_m = np.einsum("ikjk->ij", q._dephase_first_qubit(beside, ion.coherence()).reshape(2, 2, 2, 2))
+        joint = np.kron(rho_m, q._ABSORB_ARM_A @ pair @ q._ABSORB_ARM_A.conj().T)
+        branches = q.bsm_branches(ket, pair, ion)
+        for name, proj in q._BSM_PROJECTORS:
+            sub = proj @ joint @ proj
+            prob, rho_b = branches[name]
+            assert prob == float(np.trace(sub).real)
+            assert rho_b.tobytes() == q._partial_trace_to_last(sub).tobytes()
 
 
 # ---------------------------------------------------------------------------
