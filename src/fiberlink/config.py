@@ -13,7 +13,8 @@ Scenarios are INI files with explicit units in the key names, e.g.
 Every key has a documented default. A scenario may set only the
 `[scenario]` keys, its protocol's `[protocol]` keys and the shared keys its
 protocol reads (`Protocol.reads`); any other key is rejected, so a typo or a
-key the run would ignore surfaces at validate time. `validate`
+key the run would ignore surfaces at validate time. So is a read key that
+the other values leave unread (`Protocol.ignores`). `validate`
 returns a list of Issue records with best-effort line numbers; `load`
 raises ConfigInvalid on the first set of problems.
 """
@@ -360,6 +361,11 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
 
     if len(values) == len(schema):  # the bounds across fields need every value
         issues += _checks(text, protocol, values)
+        if protocol in PROTOCOLS:
+            issues += [Issue(section, key, f"not read by protocol {protocol!r} {condition}",
+                             _find_line(text, section, key))
+                       for section, key, condition in PROTOCOLS[protocol].ignores(values)
+                       if parser.has_option(section, key)]
     return values, issues
 
 

@@ -30,6 +30,8 @@ __all__ = [
 # as unit float triples. Two orthogonal equatorial axes with four channels
 # give full rotation coverage (verified by the controllability test).
 PIEZO_AXES_DEFAULT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+# The twelve axis components in channel order, for the fold in `quaternion`.
+_AXIS_COMPONENTS = tuple(c for axis in PIEZO_AXES_DEFAULT for c in axis)
 
 _setattr = object.__setattr__  # past the frozen guard; looked up once per module
 
@@ -127,7 +129,7 @@ class PiezoController:
         _require("> 0", lambda v: v > 0.0, limit_v=self.limit_v)
         _require("nonzero", lambda v: v != 0.0, gain_rad_per_v=self.gain_rad_per_v)
         u = _four_voltages(self.voltages)
-        if not _within(u, self.limit_v):
+        if not _within(u.tolist(), self.limit_v):
             raise VoltageOutOfRange("initial voltages exceed limits")
         self._store(u)
 
@@ -149,7 +151,7 @@ class PiezoController:
 
     def set_voltages(self, u: np.ndarray) -> None:
         u = _four_voltages(u)
-        if not _within(u, self.limit_v + 1e-12):
+        if not _within(u.tolist(), self.limit_v + 1e-12):
             raise VoltageOutOfRange(f"requested voltages {u} exceed +/-{self.limit_v} V")
         self._store(u)
 
@@ -159,13 +161,14 @@ class PiezoController:
         Returns the stored (read-only) voltages.
         """
         u = _four_voltages(u)
-        if not all(map(math.isfinite, u.tolist())):
+        volts = u.tolist()
+        if not all(map(math.isfinite, volts)):
             raise VoltageOutOfRange(f"requested voltages {u} are not finite")
-        for i in range(4):
-            if abs(u[i]) > self.limit_v:
+        for i, v in enumerate(volts):
+            if abs(v) > self.limit_v:
                 period = 2.0 * math.pi / abs(self.gain_rad_per_v)
-                shifted = u[i] - math.copysign(period, u[i])
-                u[i] = shifted if abs(shifted) <= self.limit_v else math.copysign(self.limit_v, u[i])
+                shifted = v - math.copysign(period, v)
+                u[i] = shifted if abs(shifted) <= self.limit_v else math.copysign(self.limit_v, v)
                 _setattr(self, "clamp_events", self.clamp_events + 1)
         self._store(u)
         return u
@@ -184,21 +187,33 @@ class PiezoController:
         # Channel i turns by gain * U_i about its unit axis a_i, i.e. the
         # quaternion (cos h, sin h * a_i) with h the half angle. Channel 1
         # acts first, so the net quaternion is q4 q3 q2 q1, each factor
-        # multiplied from the left. The zero components of the axes stay in
-        # the sums: dropping them could flip the sign of a zero.
+        # multiplied from the left, written out channel by channel. The zero
+        # components of the axes stay in the sums: dropping them could flip
+        # the sign of a zero.
+        a1x, a1y, a1z, a2x, a2y, a2z, a3x, a3y, a3z, a4x, a4y, a4z = _AXIS_COMPONENTS
+        cos, sin, half = math.cos, math.sin, 0.5 * self.gain_rad_per_v
+        u1, u2, u3, u4 = self.voltages.tolist()
         w, x, y, z = 1.0, 0.0, 0.0, 0.0
-        half = 0.5 * self.gain_rad_per_v
-        for (ax, ay, az), volt in zip(PIEZO_AXES_DEFAULT, self.voltages.tolist()):
-            h = half * volt
-            c, s = math.cos(h), math.sin(h)
-            bx, by, bz = s * ax, s * ay, s * az
-            w, x, y, z = (
-                c * w - bx * x - by * y - bz * z,
-                c * x + bx * w + by * z - bz * y,
-                c * y - bx * z + by * w + bz * x,
-                c * z + bx * y - by * x + bz * w,
-            )
-        return w, x, y, z
+        h = half * u1
+        c, s = cos(h), sin(h)
+        bx, by, bz = s * a1x, s * a1y, s * a1z
+        w, x, y, z = (c * w - bx * x - by * y - bz * z, c * x + bx * w + by * z - bz * y,
+                      c * y - bx * z + by * w + bz * x, c * z + bx * y - by * x + bz * w)
+        h = half * u2
+        c, s = cos(h), sin(h)
+        bx, by, bz = s * a2x, s * a2y, s * a2z
+        w, x, y, z = (c * w - bx * x - by * y - bz * z, c * x + bx * w + by * z - bz * y,
+                      c * y - bx * z + by * w + bz * x, c * z + bx * y - by * x + bz * w)
+        h = half * u3
+        c, s = cos(h), sin(h)
+        bx, by, bz = s * a3x, s * a3y, s * a3z
+        w, x, y, z = (c * w - bx * x - by * y - bz * z, c * x + bx * w + by * z - bz * y,
+                      c * y - bx * z + by * w + bz * x, c * z + bx * y - by * x + bz * w)
+        h = half * u4
+        c, s = cos(h), sin(h)
+        bx, by, bz = s * a4x, s * a4y, s * a4z
+        return (c * w - bx * x - by * y - bz * z, c * x + bx * w + by * z - bz * y,
+                c * y - bx * z + by * w + bz * x, c * z + bx * y - by * x + bz * w)
 
 
 def _four_voltages(u: np.ndarray) -> np.ndarray:
@@ -209,9 +224,9 @@ def _four_voltages(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _within(u: np.ndarray, limit: float) -> bool:
-    """True if all four voltages `u` lie in [-limit, limit]; NaN lies nowhere."""
-    u1, u2, u3, u4 = u.tolist()
+def _within(volts: list[float], limit: float) -> bool:
+    """True if all four voltages `volts` lie in [-limit, limit]; NaN lies nowhere."""
+    u1, u2, u3, u4 = volts
     return abs(u1) <= limit and abs(u2) <= limit and abs(u3) <= limit and abs(u4) <= limit
 
 

@@ -119,49 +119,65 @@ def _rotation_entries(q) -> tuple:
     )
 
 
-def _quaternion_of_rotation(m: np.ndarray) -> tuple[float, float, float, float]:
-    """Unit quaternion (w >= 0) of a rotation matrix, stable in all branches.
+# Row-major indices (0 = m00, ..., 8 = m22) of the entries the quaternion
+# formulas read. Row i of _DIAGONALS is the diagonal started at m_ii, so
+# row 0 is (m00, m11, m22), and branch i + 1 has radicand
+# 1 + row[0] - row[1] - row[2].
+_DIAGONALS = np.array([[0, 4, 8], [4, 8, 0], [8, 0, 4]])
+# The six off-diagonal parts m21 - m12, m02 - m20, m10 - m01, m10 + m01,
+# m20 + m02 and m21 + m12, as a + sign * b.
+_OFF_A = np.array([7, 2, 3, 3, 6, 7])
+_OFF_B = np.array([5, 6, 1, 1, 2, 5])
+_OFF_SIGNS = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+# Branch k's quaternion, before its sign flip and normalization, takes these
+# entries of (0.5 r, the six parts times s = 0.5 / r): row k of a symmetric
+# matrix with 0.5 r on its diagonal.
+_BRANCH_ENTRIES = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
+# (w, -x, -z, -y, z, -y, w, x): the (real, imaginary) parts of the SU(2) lift.
+_SU2_ENTRIES = np.array([0, 1, 3, 2, 3, 2, 0, 1])
+_SU2_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
 
-    The branch is picked by the trace, then by the largest diagonal element
-    (the first one on ties), and the components are computed in scalar
-    arithmetic.
+
+def _quaternion_of_rotation(m: np.ndarray) -> np.ndarray:
+    """Unit quaternions (w, x, y, z) with w >= 0, shape (..., 4), of rotation
+    matrices, shape (..., 3, 3); stable in all branches.
+
+    Each matrix picks its branch by its trace (branch 0), then by its
+    largest diagonal element (branch 1, 2 or 3, the first one on ties).
+    Every step is elementwise over the stack, in the order of the scalar
+    formulas (a subtraction as the addition of a negated term), so each
+    matrix gets the bits it would get alone.
     """
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=float).tolist()
-    t = m00 + m11 + m22
-    if t > 0:
-        r = math.sqrt(1.0 + t)
-        s = 0.5 / r
-        w, x, y, z = 0.5 * r, (m21 - m12) * s, (m02 - m20) * s, (m10 - m01) * s
-    elif m00 >= m11 and m00 >= m22:
-        r = math.sqrt(1.0 + m00 - m11 - m22)
-        s = 0.5 / r
-        w, x, y, z = (m21 - m12) * s, 0.5 * r, (m10 + m01) * s, (m20 + m02) * s
-    elif m11 >= m22:
-        r = math.sqrt(1.0 + m11 - m22 - m00)
-        s = 0.5 / r
-        w, x, y, z = (m02 - m20) * s, (m01 + m10) * s, 0.5 * r, (m21 + m12) * s
-    else:
-        r = math.sqrt(1.0 + m22 - m00 - m11)
-        s = 0.5 / r
-        w, x, y, z = (m10 - m01) * s, (m02 + m20) * s, (m12 + m21) * s, 0.5 * r
-    if w < 0:
-        w, x, y, z = -w, -x, -y, -z
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    return w / n, x / n, y / n, z / n
+    m = np.asarray(m, dtype=float)
+    lead = m.shape[:-2]
+    e = m.reshape(-1, 9)
+    rows = np.arange(len(e))
+    diag = e.take(_DIAGONALS, axis=1)
+    t = diag[:, 0, 0] + diag[:, 0, 1] + diag[:, 0, 2]
+    branch = np.where(t > 0, 0, diag[:, :, 0].argmax(axis=1) + 1)
+    radicands = np.concatenate([(1.0 + t)[:, None], 1.0 + diag[..., 0] - diag[..., 1] - diag[..., 2]], axis=1)
+    r = np.sqrt(radicands[rows, branch])
+    parts = e.take(_OFF_A, axis=1) + e.take(_OFF_B, axis=1) * _OFF_SIGNS
+    entries = np.concatenate([(0.5 * r)[:, None], parts * (0.5 / r)[:, None]], axis=1)
+    q = entries[rows[:, None], _BRANCH_ENTRIES[branch]]
+    np.negative(q, out=q, where=q[:, :1] < 0)
+    sq = q * q
+    n = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
+    return (q / n[:, None]).reshape(lead + (4,))
 
 
 def su2_of_rotation(m: np.ndarray) -> np.ndarray:
-    """SU(2) lift of a Bloch rotation, sign fixed by trace >= 0.
+    """SU(2) lifts, shape (..., 2, 2), of Bloch rotations, shape (..., 3, 3);
+    each sign is fixed by trace >= 0.
 
     Returns U with U (v . sigma) U^dag = (m v) . sigma for every Bloch
     vector v. The global sign is unobservable in every implemented protocol.
     """
-    w, x, y, z = _quaternion_of_rotation(m)
-    # U = w I - i (x sigma_hv + y sigma_da + z sigma_rl), written out
-    return np.array([
-        [complex(w, -x), complex(-z, -y)],
-        [complex(z, -y), complex(w, x)],
-    ])
+    q = _quaternion_of_rotation(m)
+    # U = w I - i (x sigma_hv + y sigma_da + z sigma_rl), written out as
+    # (real, imaginary) pairs, so no complex product touches a sign of zero
+    parts = q.take(_SU2_ENTRIES, axis=-1) * _SU2_SIGNS
+    return parts.view(complex).reshape(q.shape[:-1] + (2, 2))
 
 
 # ---------------------------------------------------------------------------

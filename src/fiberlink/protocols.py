@@ -35,6 +35,10 @@ class ProtocolFailed(RuntimeError):
 # drift steps, loss samples or stabilization trials, each held or walked in turn.
 _MAX_TRACE_STEPS = 10**6
 
+# Drift steps whose arm-B operators one stack holds, in whole windows: a
+# run at the step bound never holds every step's superoperator at once.
+_ARM_B_BLOCK_STEPS = 8192
+
 
 def _too_long(key: str, steps: float, formula: str, unit: str) -> list[tuple[str, str, str]]:
     """One issue on `[protocol] key` if a run of `steps` `unit` exceeds
@@ -269,6 +273,38 @@ def _distribute_checks(values) -> list[tuple[str, str, str]]:
                               "sum over intervals_s of windows * drift steps per window", "drift steps")
 
 
+def _distribute_ignores(values) -> list[tuple[str, str, str]]:
+    # Drawn counts take counts_per_basis pairs per basis; only exact counts
+    # scale with the pair rate.
+    if values[("protocol", "counts_per_basis")] > 0.0:
+        return [("source", "pair_rate_per_s", "when counts_per_basis > 0")]
+    return []
+
+
+def _arm_b_windows(records):
+    """Each window's record, its arm-B link superoperator and the SU(2) lift
+    of its compensator C, in window order.
+
+    The link's operator after step t is K_t = B_t U_t. The idle piezo holds
+    C through the window, so sum_t (C K_t) rho (C K_t)^dag is
+    C (sum_t K_t rho K_t^dag) C^dag, and the window's link superoperator is
+    the sum over its steps of `quantum.arm_b_superoperator(K_t)`, taken in
+    step order. Every window has the same step count, so the lifts and sums
+    run on stacks of whole windows, at most `_ARM_B_BLOCK_STEPS` steps a
+    block (one window if it alone is longer).
+    """
+    n_steps = len(records[0].rotations)
+    per_block = max(1, _ARM_B_BLOCK_STEPS // n_steps)
+    for start in range(0, len(records), per_block):
+        block = records[start:start + per_block]
+        losses = np.array([loss.operator() for rec in block for loss in rec.losses])
+        lifts = polcore.su2_of_rotation(np.array([r for rec in block for r in rec.rotations]))
+        terms = quantum.arm_b_superoperator(losses @ lifts)
+        link_sums = np.add.reduce(terms.reshape((len(block), n_steps) + terms.shape[1:]), axis=1)
+        comps = polcore.su2_of_rotation(np.array([rec.compensator for rec in block]))
+        yield from zip(block, link_sums, comps)
+
+
 def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
     intervals = scn.protocol_value("intervals_s")
     total = scn.protocol_value("total_per_interval_s")
@@ -309,18 +345,8 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
         )
 
         fids_raw, fids_corr = [], []
-        for rec in log.records:
-            # arm B: the link at each step (K_t = B_t U_t), then the window's
-            # compensator C, which the idle piezo holds through the window:
-            # sum_t (C K_t) rho (C K_t)^dag is C (sum_t K_t rho K_t^dag) C^dag,
-            # the sum taken in step order
-            link_sum = np.add.reduce(quantum.arm_b_superoperator(
-                [chmod.transmit_qubit_kraus(r, loss) for r, loss in zip(rec.rotations, rec.losses)]
-            ), axis=0)
-            acc_rho = quantum.on_arm_b(
-                quantum.on_arm_b_superoperator(rho_src, link_sum),
-                polcore.su2_of_rotation(rec.compensator),
-            )
+        for rec, link_sum, comp in _arm_b_windows(log.records):
+            acc_rho = quantum.on_arm_b(quantum.on_arm_b_superoperator(rho_src, link_sum), comp)
             tr = float(np.trace(acc_rho).real)
             if tr <= 0.0:
                 raise ProtocolFailed("window state fully extinguished")
@@ -598,6 +624,10 @@ class Protocol(NamedTuple):
     # the (section, key) pairs of the shared sections that the runner reads;
     # `config` rejects any other shared key and leaves it at its default
     reads: tuple[tuple[str, str], ...] = ()
+    # every parsed value -> (section, key, condition) per key of `reads` that
+    # the runner leaves unread at these values; `config` rejects the key
+    # where the file sets it
+    ignores: Callable[[dict], list[tuple[str, str, str]]] = lambda values: []
 
 
 def positive(x: float) -> bool:
@@ -658,7 +688,8 @@ PROTOCOLS = {
         "coincidence_window_s": (float, 1e-9, positive, "> 0"),
     }, "total_per_interval_s", _distribute_checks, reads=(
         *_DRIFT, *_keys("channel", "drift_dt_s spike_rate_per_s spike_extra_db spike_duration_s"),
-        *_LOSS, *_CONTROL, *_TIMING, *_PAIR, ("source", "pair_rate_per_s"))),
+        *_LOSS, *_CONTROL, *_TIMING, *_PAIR, ("source", "pair_rate_per_s")),
+        ignores=_distribute_ignores),
     "ion-photon": Protocol(run_ion_photon, {"counts_per_basis": _EXACT_COUNTS, **_ARM_B},
                            reads=_ARM_B_READS),
     "teleport": Protocol(run_teleport, {

@@ -141,15 +141,12 @@ def measure_probe_pair(
     controller's quaternion in scalar arithmetic and read with one paired
     polarimeter draw. Returns the H and D reads as float triples.
     """
-    r = polcore._rotation_entries(piezo.quaternion())
-    out_h, out_d = link
-    return polarimeter.read_pair(_rotate(r, out_h), _rotate(r, out_d))
-
-
-def _rotate(r: tuple, s: list[float]) -> tuple[float, float, float]:
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
-    a, b, c = s
-    return r00 * a + r01 * b + r02 * c, r10 * a + r11 * b + r12 * c, r20 * a + r21 * b + r22 * c
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = polcore._rotation_entries(piezo.quaternion())
+    (a, b, c), (d, e, f) = link
+    return polarimeter.read_pair(
+        (r00 * a + r01 * b + r02 * c, r10 * a + r11 * b + r12 * c, r20 * a + r21 * b + r22 * c),
+        (r00 * d + r01 * e + r02 * f, r10 * d + r11 * e + r12 * f, r20 * d + r21 * e + r22 * f),
+    )
 
 
 def _error_of_pair(s1, s2) -> float:
@@ -207,19 +204,13 @@ def gradient(
 
     u0 = piezo.voltages.tolist()
     f0 = None
-    out = np.zeros(4)
+    out = []
     for i in range(4):
-        f_lo, f_hi = None, None
-        for sign in (-1.0, +1.0):
-            u = list(u0)
-            u[i] += sign * delta_u_v
-            if abs(u[i]) > piezo.limit_v:
-                continue
-            f = probe(u)
-            if sign < 0:
-                f_lo = f
-            else:
-                f_hi = f
+        lo, hi = list(u0), list(u0)
+        lo[i] -= delta_u_v
+        hi[i] += delta_u_v
+        f_lo = probe(lo) if abs(lo[i]) <= piezo.limit_v else None
+        f_hi = probe(hi) if abs(hi[i]) <= piezo.limit_v else None
         if f_lo is None and f_hi is None:
             raise VoltageOutOfRange(
                 f"search step {delta_u_v} V exceeds limits on both sides of channel {i + 1}"
@@ -228,13 +219,13 @@ def gradient(
             if f0 is None:
                 f0 = probe(u0)
             if f_lo is None:
-                out[i] = (f0 - f_hi) / delta_u_v
+                out.append((f0 - f_hi) / delta_u_v)
             else:
-                out[i] = (f_lo - f0) / delta_u_v
+                out.append((f_lo - f0) / delta_u_v)
         else:
-            out[i] = (f_lo - f_hi) / (2.0 * delta_u_v)
+            out.append((f_lo - f_hi) / (2.0 * delta_u_v))
     piezo.set_voltages(u0)
-    return out
+    return np.array(out)
 
 
 def adapt_parameters(cfg: StabilizerConfig, current_fp: float) -> tuple[float, float]:
@@ -272,7 +263,7 @@ def stabilize(
     s1, s2 = measure_probe_pair(link, piezo, polarimeter)
     fp = _fidelity_of_pair(s1, s2)
     f_val = _error_of_pair(s1, s2)
-    trace: list[tuple] = [(0, *piezo.voltages, f_val, fp, clock.t)]
+    trace: list[tuple] = [(0, *piezo.voltages.tolist(), f_val, fp, clock.t)]
     if fp >= cfg.fp_threshold:
         return StabilizerRun(Outcome.CONVERGED, 0, fp, clock.t, trace, 0)
 
@@ -289,7 +280,7 @@ def stabilize(
         s1, s2 = measure_probe_pair(link, piezo, polarimeter)
         f_val = _error_of_pair(s1, s2)
         fp = _fidelity_of_pair(s1, s2)
-        trace.append((iteration, *piezo.voltages, f_val, fp, clock.t))
+        trace.append((iteration, *piezo.voltages.tolist(), f_val, fp, clock.t))
         if fp >= cfg.fp_threshold:
             outcome = Outcome.CONVERGED
             break

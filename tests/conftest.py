@@ -83,6 +83,48 @@ def piezo_quaternion_oracle(axes, gains, voltages) -> tuple[float, float, float,
     return w, x, y, z
 
 
+def quaternion_of_rotation_oracle(m) -> tuple[float, float, float, float]:
+    """Unit quaternion (w >= 0) of one rotation matrix, in scalar arithmetic:
+    the reference for `polcore._quaternion_of_rotation`.
+
+    The branch is picked by the trace, then by the largest diagonal element
+    (the first one on ties).
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=float).tolist()
+    t = m00 + m11 + m22
+    if t > 0:
+        r = math.sqrt(1.0 + t)
+        s = 0.5 / r
+        w, x, y, z = 0.5 * r, (m21 - m12) * s, (m02 - m20) * s, (m10 - m01) * s
+    elif m00 >= m11 and m00 >= m22:
+        r = math.sqrt(1.0 + m00 - m11 - m22)
+        s = 0.5 / r
+        w, x, y, z = (m21 - m12) * s, 0.5 * r, (m10 + m01) * s, (m20 + m02) * s
+    elif m11 >= m22:
+        r = math.sqrt(1.0 + m11 - m22 - m00)
+        s = 0.5 / r
+        w, x, y, z = (m02 - m20) * s, (m01 + m10) * s, 0.5 * r, (m21 + m12) * s
+    else:
+        r = math.sqrt(1.0 + m22 - m00 - m11)
+        s = 0.5 / r
+        w, x, y, z = (m10 - m01) * s, (m02 + m20) * s, (m12 + m21) * s, 0.5 * r
+    if w < 0:
+        w, x, y, z = -w, -x, -y, -z
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return w / n, x / n, y / n, z / n
+
+
+def su2_of_rotation_oracle(m) -> np.ndarray:
+    """SU(2) lift of one rotation matrix, U = w I - i (x sigma_hv + y sigma_da
+    + z sigma_rl) from `quaternion_of_rotation_oracle`: the reference for
+    `polcore.su2_of_rotation`."""
+    w, x, y, z = quaternion_of_rotation_oracle(m)
+    return np.array([
+        [complex(w, -x), complex(-z, -y)],
+        [complex(z, -y), complex(w, x)],
+    ])
+
+
 def process_design_oracle(inputs) -> np.ndarray:
     """Process-tomography design built column by column: the reference for
     `quantum._process_design`.
@@ -108,6 +150,14 @@ def assert_same_floats(got, want) -> None:
     got, want = list(got), list(want)
     assert got == want
     assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+
+
+def assert_same_complex(got, want) -> None:
+    """Equal complex arrays: equal real and imaginary parts, with equal signs
+    of zero, entry by entry."""
+    def parts(a):
+        return [part for v in np.asarray(a).ravel().tolist() for part in (v.real, v.imag)]
+    assert_same_floats(parts(got), parts(want))
 
 
 def random_mixed_state_2q(rng):

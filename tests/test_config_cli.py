@@ -678,6 +678,32 @@ def test_every_unread_key_is_rejected(tmp_path, capsys, protocol):
         assert not out.exists()
 
 
+# Drawn counts (counts_per_basis > 0) take counts_per_basis pairs per basis
+# and never read the pair rate: `validate` and `run` reject a file that sets
+# it, with its line, and a file that leaves it unset runs.
+def test_drawn_counts_reject_the_pair_rate(tmp_path, capsys):
+    preset = (cli._preset_dir() / "ppe_dutycycle.ini").read_text()
+    assert preset.count("counts_per_basis = 0\n") == 1
+    drawn = preset.replace("counts_per_basis = 0\n", "counts_per_basis = 50\n")
+    path = tmp_path / "drawn.ini"
+    path.write_text(drawn)
+    assert config.validate_file(path) == []
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "unset"), "--trials", "5", "--quiet"]) == 0
+
+    text = drawn + "\n[source]\npair_rate_per_s = 1000\n"
+    path.write_text(text)
+    line = text.splitlines().index("pair_rate_per_s = 1000") + 1
+    assert [(i.section, i.key, i.message, i.line) for i in config.validate_file(path)] == [
+        ("source", "pair_rate_per_s",
+         "not read by protocol 'distribute-entanglement' when counts_per_basis > 0", line)
+    ]
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--trials", "5", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"line {line}: [source] pair_rate_per_s" in err
+    assert not out.exists()
+
+
 def test_day_window_is_parsed_at_validate_time():
     scn = config.loads("[scenario]\nprotocol = drift-characterize\n\n"
                        "[channel]\nday_start_hms = 6:15\nday_end_hms = 20\n")

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from fiberlink import polcore as pc
 
-from conftest import bloch_of_ket, random_bloch, rotation_of_unitary, rotation_to_axis_angle
+from conftest import (
+    assert_same_complex, assert_same_floats, bloch_of_ket, quaternion_of_rotation_oracle, random_bloch,
+    rotation_of_unitary, rotation_to_axis_angle, su2_of_rotation_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +121,91 @@ def test_su2_rotation_round_trips(rng):
         back = pc.su2_of_rotation(rotation_of_unitary(u))
         assert min(np.max(np.abs(back - u)), np.max(np.abs(back + u))) <= 1e-14
     assert branches == {"trace", 0, 1, 2}
+
+
+# Rotations for the stacked lift: every branch (trace > 0, then m00, m11 or
+# m22 the largest diagonal element), ties on the diagonal (the first one
+# wins), a trace of exactly 0, half turns about each axis with and without
+# negative zeros off the diagonal, and turns near a half turn whose raw w is
+# negative, so the sign flip runs.
+_CYCLE = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def _trace_zero(m):
+    """m with m22 moved (by rounding only) so its trace is exactly 0."""
+    m = m.copy()
+    m[2, 2] = -(m[0, 0] + m[1, 1])
+    return m
+
+
+_LIFT_CASES = [
+    np.eye(3),
+    np.array([[1.0, -0.0, 0.0], [0.0, 1.0, -0.0], [-0.0, 0.0, 1.0]]),
+    pc.rotation_about([0.3, -0.2, 0.9], 1.0),
+    _CYCLE, _CYCLE.T, _trace_zero(pc.rotation_about([0.2, 0.5, 0.8], 2.0 * math.pi / 3.0)),
+    np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0]),
+    np.array([[-1.0, -0.0, 0.0], [0.0, -1.0, -0.0], [-0.0, -0.0, 1.0]]),
+    np.array([[1.0, 0.0, -0.0], [-0.0, -1.0, 0.0], [0.0, -0.0, -1.0]]),
+    pc.rotation_about([1, 1, 0], math.pi), pc.rotation_about([1, 0, 1], math.pi),
+    pc.rotation_about([0, 1, 1], math.pi), pc.rotation_about([1, 1, 1], math.pi),
+    *[pc.rotation_about(axis, angle) for axis in np.eye(3)
+      for angle in (math.pi, -math.pi, math.pi - 0.1, 0.1 - math.pi, 2.5, -2.5)],
+]
+
+
+def _branch(m) -> int:
+    (m00, _, _), (_, m11, _), (_, _, m22) = m.tolist()
+    if m00 + m11 + m22 > 0:
+        return 0
+    return 1 if m00 >= m11 and m00 >= m22 else 2 if m11 >= m22 else 3
+
+
+def _assert_lifts_match_oracle(stack) -> None:
+    flat = stack.reshape(-1, 3, 3)
+    q = pc._quaternion_of_rotation(stack)
+    u = pc.su2_of_rotation(stack)
+    assert q.shape == stack.shape[:-2] + (4,) and u.shape == stack.shape[:-2] + (2, 2)
+    for m, qm, um in zip(flat, q.reshape(-1, 4), u.reshape(-1, 2, 2)):
+        assert_same_floats(qm.tolist(), quaternion_of_rotation_oracle(m))
+        assert_same_complex(um, su2_of_rotation_oracle(m))
+
+
+def test_lift_cases_cover_every_branch_and_the_sign_flip():
+    assert {_branch(m) for m in _LIFT_CASES} == {0, 1, 2, 3}
+    raw_w = [(m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1])[_branch(m) - 1]
+             for m in _LIFT_CASES if _branch(m) > 0]
+    assert min(raw_w) < 0.0 < max(raw_w)
+    assert any(m[0, 0] == m[1, 1] >= m[2, 2] for m in _LIFT_CASES if _branch(m) == 1)
+    assert any(m[1, 1] == m[2, 2] > m[0, 0] for m in _LIFT_CASES if _branch(m) == 2)
+    assert any(np.trace(m) == 0.0 and not np.array_equal(m, m.T) for m in _LIFT_CASES)
+
+
+@pytest.mark.parametrize("case", range(len(_LIFT_CASES)))
+def test_lift_of_one_rotation_matches_scalar_oracle(case):
+    # a (3, 3) input takes the stacked path and gives (4,) and (2, 2)
+    _assert_lifts_match_oracle(_LIFT_CASES[case])
+
+
+def test_lift_of_the_case_stack_matches_scalar_oracle():
+    stack = np.array(_LIFT_CASES)
+    _assert_lifts_match_oracle(stack)
+    _assert_lifts_match_oracle(stack[:24].reshape(2, 3, 4, 3, 3))
+
+
+_UNIT = hst.floats(-1.0, 1.0, allow_nan=False)
+_ROTATIONS = hst.one_of(
+    hst.sampled_from(range(len(_LIFT_CASES))).map(lambda i: _LIFT_CASES[i]),
+    hst.tuples(_UNIT, _UNIT, _UNIT, _UNIT).filter(lambda q: sum(v * v for v in q) > 1e-6).map(
+        lambda q: pc._rotation_of_quaternion(np.array(q) / math.sqrt(sum(v * v for v in q)))),
+)
+
+
+# A stack of any rotations in any leading shape lifts each rotation to the
+# bits the scalar oracle gives it alone, signs of zero included.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rotations=hst.lists(_ROTATIONS, min_size=1, max_size=12), lead=hst.sampled_from(((-1,), (1, -1), (-1, 1))))
+def test_stacked_lift_matches_scalar_oracle(rotations, lead):
+    _assert_lifts_match_oracle(np.array(rotations).reshape(lead + (3, 3)))
 
 
 def test_bloch_ket_round_trips(rng):

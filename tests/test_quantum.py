@@ -7,14 +7,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 from fiberlink import polcore as pc
+from fiberlink import protocols
 from fiberlink import quantum as q
 from fiberlink.channel import transmit_qubit_kraus
+from fiberlink.stabilizer import WindowRecord
 
 from conftest import (
+    assert_same_complex,
     make_test_channel,
     process_design_oracle,
     random_mixed_state_2q,
     read_counts_csv,
+    su2_of_rotation_oracle,
 )
 
 
@@ -112,6 +116,42 @@ def test_apply_channel_invariants_hold(rng):
 # ---------------------------------------------------------------------------
 # heralded absorption
 # ---------------------------------------------------------------------------
+
+# (steps per window, windows, block cap in steps): the duty-cycle shapes of
+# 5, 20, 160 and 60 s windows, each in one block, then caps that end a block
+# between two windows, and one a window is longer than.
+@pytest.mark.parametrize("steps, windows, cap", [
+    (5, 30, None), (20, 6, None), (160, 3, None), (60, 4, None),
+    (20, 6, 50), (60, 4, 130), (160, 3, 100),
+])
+def test_arm_b_block_sums_match_per_window_sums(monkeypatch, steps, windows, cap):
+    # each window's link superoperator equals the per-window sum
+    # np.add.reduce(..., axis=0) of its steps' terms, and its compensator lift
+    # the scalar oracle's, bit for bit; a block is one lift per stack
+    if cap is not None:
+        monkeypatch.setattr(protocols, "_ARM_B_BLOCK_STEPS", cap)
+    lifts = []
+    monkeypatch.setattr(pc, "su2_of_rotation", lambda m, lift=pc.su2_of_rotation: lifts.append(m) or lift(m))
+    rng = np.random.default_rng(steps * windows)
+    quiet = pc.PdlElement.from_axis(np.zeros(3), 1.0)
+    lossy = [pc.PdlElement.from_db(rng.normal(size=3), db) for db in (0.08, 0.58, 3.0)]
+    records = [
+        WindowRecord(window=w, fp_before=0.5, stabilized=True, stab_iterations=1,
+                     stab_duration_s=0.1, fp_after=1.0, compensator=pc.random_rotation(rng),
+                     rotations=[pc.random_rotation(rng) for _ in range(steps)],
+                     losses=[quiet if rng.random() < 0.5 else lossy[rng.integers(3)]
+                             for _ in range(steps)])
+        for w in range(windows)
+    ]
+    got = list(protocols._arm_b_windows(records))
+    assert [rec for rec, _, _ in got] == records
+    for rec, link_sum, comp in got:
+        terms = [loss.operator() @ su2_of_rotation_oracle(r) for r, loss in zip(rec.rotations, rec.losses)]
+        assert_same_complex(link_sum, np.add.reduce(q.arm_b_superoperator(terms), axis=0))
+        assert_same_complex(comp, su2_of_rotation_oracle(rec.compensator))
+    per_block = max(1, (cap or protocols._ARM_B_BLOCK_STEPS) // steps)
+    assert len(lifts) == 2 * math.ceil(windows / per_block)
+
 
 def test_heralded_absorption_ideal_target():
     out = q.heralded_absorption(q.spdc_state(IDEAL_SOURCE), IDEAL_ION)
