@@ -233,20 +233,16 @@ def run_stabilize(scn: Scenario, out: Path) -> list[Path]:
 def _window_counts(rho, n_per_basis, accidental_mean, rng):
     """Count table of the 16 tomography settings: the expected counts
     n_per_basis * p + accidental_mean, or a Poisson draw of them with `rng`."""
-    counts = []
-    for (ba, bb), p in quantum.coincidence_probabilities(rho).items():
-        mean = n_per_basis * p + accidental_mean
-        value = float(rng.poisson(mean)) if rng is not None else mean
-        counts.append((ba, bb, value, 1.0))
-    return counts
+    means = n_per_basis * np.array(list(quantum.coincidence_probabilities(rho).values())) + accidental_mean
+    counts = means if rng is None else rng.poisson(means).astype(float)
+    return quantum.CountTable(quantum.TOMO_BASES_2Q, counts, np.ones(16))
 
 
 def _corrected_counts(counts, noise_p, accidental_mean):
     if accidental_mean > 0.0:
         counts = quantum.subtract_expected_accidentals(counts, accidental_mean)
-    group = {(a, b) for a in "HV" for b in "HV"}
-    n_hat = sum(row[2] for row in counts if (row[0], row[1]) in group)
-    return quantum.subtract_expected_accidentals(counts, n_hat * noise_p / 4.0)
+    n = counts.counts.tolist()  # HH, HV, VH and VV are rows 0, 1, 4 and 5, summed left to right
+    return quantum.subtract_expected_accidentals(counts, (n[0] + n[1] + n[4] + n[5]) * noise_p / 4.0)
 
 
 def _duty_cycle_steps(values) -> float:

@@ -39,6 +39,7 @@ from .polcore import PAULI
 __all__ = [
     "BASIS_KETS",
     "BELL_PSI_PLUS",
+    "CountTable",
     "ION_PHOTON_TARGET",
     "TOMO_BASES_1Q",
     "TOMO_BASES_2Q",
@@ -369,15 +370,51 @@ def _inversion_map(settings: tuple[tuple[str, str], ...]) -> np.ndarray:
     return inversion
 
 
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """A coincidence count table. `settings` holds each row's (basis_a,
+    basis_b) and keys the inversion map's cache; `counts` and `integration_s`
+    are read-only float copies, one entry per row. The constructor checks the
+    table once: a ValueError names the first row whose count is negative or
+    not finite, or whose integration time is not finite and > 0."""
+
+    settings: tuple[tuple[str, str], ...]
+    counts: np.ndarray
+    integration_s: np.ndarray
+
+    def __post_init__(self) -> None:
+        n, t = np.array(self.counts, dtype=float), np.array(self.integration_s, dtype=float)
+        n.flags.writeable = t.flags.writeable = False
+        if not n.shape == t.shape == (len(self.settings),):
+            raise ValueError(f"count table: {len(self.settings)} settings, {n.shape} counts, {t.shape} times")
+        object.__setattr__(self, "counts", n)
+        object.__setattr__(self, "integration_s", t)
+        # Written so that nan fails each comparison; the row is sought only on failure.
+        if n.size and not (0.0 <= n.min() and n.max() < math.inf
+                           and 0.0 < t.min() and t.max() < math.inf):
+            i = int(np.argmin((0.0 <= n) & (n < math.inf) & (0.0 < t) & (t < math.inf)))
+            raise ValueError(f"count row {(*self.settings[i], float(n[i]), float(t[i]))!r}: counts "
+                             "must be finite and >= 0 and the integration time finite and > 0")
+
+    @classmethod
+    def of(cls, table) -> CountTable:
+        """`table` if it is a CountTable, else the table of its (basis_a, basis_b,
+        counts[, integration_s]) rows; a 3-field row is integrated for 1 s."""
+        if isinstance(table, cls):
+            return table
+        rows = [(*row, 1.0) if len(row) == 3 else row for row in table]
+        settings = tuple((str(ba), str(bb)) for ba, bb, _, _ in rows)
+        return cls(settings, *(np.array([r[k] for r in rows], dtype=float) for k in (2, 3)))
+
+
 def tomography_2q(counts) -> np.ndarray:
     """Two-qubit state from a 16-setting coincidence table.
 
-    `counts` is a sequence of (basis_a, basis_b, counts) or (basis_a,
-    basis_b, counts, integration_s) rows. Counts are converted to rates,
-    the unnormalized Hermitian operator X with tr(P_nu X) = rate_nu is
-    solved for by linear inversion, and X is normalized and projected onto
-    the physical cone (eigenvalue clipping). Exact probabilities of any
-    physical state round-trip to that state.
+    `counts` is a CountTable or its rows (`CountTable.of`). Counts are
+    converted to rates, the unnormalized Hermitian operator X with
+    tr(P_nu X) = rate_nu is solved for by linear inversion, and X is
+    normalized and projected onto the physical cone (eigenvalue clipping).
+    Exact probabilities of any physical state round-trip to that state.
 
     The inversion depends only on the settings, not on the counts: one
     linear map from rates to X is built and rank-checked once per distinct
@@ -387,39 +424,17 @@ def tomography_2q(counts) -> np.ndarray:
     Raises SingularDesign when the setting list does not span the two-qubit
     operator space.
     """
-    rows = [_count_row(r) for r in counts]
-    if len(rows) < 16:
-        raise SingularDesign(f"need at least 16 settings, got {len(rows)}")
-    inversion = _inversion_map(tuple((ba, bb) for ba, bb, _, _ in rows))
-    rates = np.array([n / integration for _, _, n, integration in rows])
-    x = (inversion @ rates).reshape(4, 4)
+    table = CountTable.of(counts)
+    if len(table.settings) < 16:
+        raise SingularDesign(f"need at least 16 settings, got {len(table.settings)}")
+    inversion = _inversion_map(table.settings)
+    x = (inversion @ (table.counts / table.integration_s)).reshape(4, 4)
     total = float(x.trace().real)
     if total <= 0.0:
         # Pathological data (e.g. all-zero counts): fall back to the
         # maximally mixed state rather than dividing by a non-positive trace.
         return np.eye(4, dtype=complex) / 4.0
     return _project_physical(x / total)
-
-
-def _count_row(row) -> tuple[str, str, float, float]:
-    """(basis_a, basis_b, counts, integration_s) of a 3- or 4-field row.
-
-    Raises ValueError naming the row when the count is negative or not
-    finite, or the integration time is not finite and > 0.
-    """
-    if len(row) == 3:
-        ba, bb, n = row
-        integration = 1.0
-    else:
-        ba, bb, n, integration = row
-    n, integration = float(n), float(integration)
-    # Written so that nan fails both comparisons.
-    if not (0.0 <= n < math.inf and 0.0 < integration < math.inf):
-        raise ValueError(
-            f"count row {row!r}: counts must be finite and >= 0 and the "
-            "integration time finite and > 0"
-        )
-    return str(ba), str(bb), n, integration
 
 
 def _hermitian_basis() -> tuple[np.ndarray, ...]:
@@ -489,24 +504,20 @@ def mc_uncertainty(
     """
     if n_resamples < 100:
         raise ValueError("need n_resamples >= 100 for a meaningful spread")
-    rows = [_count_row(r) for r in counts]
+    table = CountTable.of(counts)
     warnings = []
-    nonzero = sum(1 for r in rows if r[2] > 0)
+    nonzero = int(np.count_nonzero(table.counts))
     if nonzero < 16:
         warnings.append(
-            f"degenerate design: only {nonzero} of {len(rows)} settings have counts"
+            f"degenerate design: only {nonzero} of {len(table.settings)} settings have counts"
         )
-    point = bell_fidelity(tomography_2q(rows))
-    means = np.array([n for _, _, n, _ in rows])
+    point = bell_fidelity(tomography_2q(table))
     # One (n_resamples, n_rows) block consumes the stream exactly as
     # resample-by-resample, row-by-row scalar rng.poisson(n) calls would.
-    draws = rng.poisson(means, size=(n_resamples, len(rows))).astype(float).tolist()
+    draws = rng.poisson(table.counts, size=(n_resamples, len(table.settings))).astype(float)
     values = np.empty(n_resamples)
     for k, counts_k in enumerate(draws):
-        resampled = [
-            (ba, bb, d, integration)
-            for (ba, bb, _, integration), d in zip(rows, counts_k)
-        ]
+        resampled = CountTable(table.settings, counts_k, table.integration_s)
         values[k] = bell_fidelity(tomography_2q(resampled))
     return McResult(
         mean=float(values.mean()),
@@ -517,17 +528,16 @@ def mc_uncertainty(
     )
 
 
-def subtract_expected_accidentals(counts, expected_per_setting: float):
+def subtract_expected_accidentals(counts, expected_per_setting: float) -> CountTable:
     """Subtract a flat expected accidental count from every setting.
 
     For accidentals of singles rates a and b in a coincidence window w over
     an integration time t, the expectation is a * b * w * t. Corrected
     counts are clamped at zero.
     """
-    out = []
-    for ba, bb, n, integration in (_count_row(r) for r in counts):
-        out.append((ba, bb, max(0.0, n - expected_per_setting), integration))
-    return out
+    table = CountTable.of(counts)
+    corrected = np.maximum(table.counts - expected_per_setting, 0.0)
+    return CountTable(table.settings, corrected, table.integration_s)
 
 
 COUNTS_CSV_HEADER = ("basis_a", "basis_b", "counts", "integration_s")
@@ -535,7 +545,9 @@ COUNTS_CSV_HEADER = ("basis_a", "basis_b", "counts", "integration_s")
 
 def write_counts_csv(path, counts) -> Path:
     """Write a coincidence count table with the fixed four-column schema."""
-    return write_csv(path, COUNTS_CSV_HEADER, (_count_row(r) for r in counts))
+    t = CountTable.of(counts)
+    return write_csv(path, COUNTS_CSV_HEADER,
+                     zip(*zip(*t.settings), t.counts.tolist(), t.integration_s.tolist()))
 
 
 # ---------------------------------------------------------------------------

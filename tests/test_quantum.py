@@ -343,12 +343,12 @@ def _lstsq_operator(rows):
     Returns the normalized operator before the physical projection, or None
     where tomography_2q falls back to I/4.
     """
-    rows = [q._count_row(r) for r in rows]
+    table = q.CountTable.of(rows)
     design = np.array([
         [np.trace(q._projector_2q(ba, bb) @ b).real for b in q._HERM_BASIS]
-        for ba, bb, _, _ in rows
+        for ba, bb in table.settings
     ])
-    rates = np.array([n / integration for _, _, n, integration in rows])
+    rates = np.array([n / t for n, t in zip(table.counts.tolist(), table.integration_s.tolist())])
     params, *_ = np.linalg.lstsq(design, rates, rcond=None)
     x = sum(p * b for p, b in zip(params, q._HERM_BASIS))
     total = float(np.trace(x).real)
@@ -424,17 +424,91 @@ def test_tomography_all_zero_counts_falls_back_to_mixed():
     ("integration", np.nan),
     ("integration", np.inf),
 ])
-def test_count_row_rejects_bad_counts_and_integration_times(field, value):
+def test_count_row_rejects_bad_counts_and_integration_times(field, value, tmp_path):
     rows = [(a, b, 100.0, 1.0) for a, b in q.TOMO_BASES_2Q]
     bad = ("D", "R", value, 1.0) if field == "counts" else ("D", "R", 100.0, value)
     rows[11] = bad
+    columns = [np.array([r[k] for r in rows]) for k in (2, 3)]
     for call in (
+        lambda r: q.CountTable(q.TOMO_BASES_2Q, *columns),
+        q.CountTable.of,
         q.tomography_2q,
         lambda r: q.mc_uncertainty(r, 100, np.random.default_rng(0)),
         lambda r: q.subtract_expected_accidentals(r, 1.0),
+        lambda r: q.write_counts_csv(tmp_path / "counts.csv", r),
     ):
         with pytest.raises(ValueError, match=f"count row {re.escape(repr(bad))}"):
             call(rows)
+
+
+def test_count_table_is_checked_once_and_read_only():
+    rows = [(a, b, 10.0 + i, 2.0) for i, (a, b) in enumerate(q.TOMO_BASES_2Q)]
+    table = q.CountTable.of(rows)
+    assert q.CountTable.of(table) is table
+    assert table.settings == q.TOMO_BASES_2Q
+    counts = table.counts.copy()
+    for arr in (table.counts, table.integration_s):
+        assert arr.dtype == float and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the table owns copies: a caller's array written afterwards changes nothing
+    source = np.array(counts)
+    built = q.CountTable(q.TOMO_BASES_2Q, source, np.ones(16))
+    source[:] = -1.0
+    assert built.counts.tolist() == counts.tolist()
+    with pytest.raises(AttributeError):
+        table.counts = counts
+    # a 3-field row is integrated for 1 s
+    assert q.CountTable.of([("H", "H", 3)]).integration_s.tolist() == [1.0]
+    for settings, n, t in ((q.TOMO_BASES_2Q, np.ones(15), np.ones(16)),
+                           (q.TOMO_BASES_2Q, np.ones(16), np.ones(1)),
+                           (q.TOMO_BASES_2Q[:3], np.ones(16), np.ones(16))):
+        with pytest.raises(ValueError, match="count table"):
+            q.CountTable(settings, n, t)
+    with pytest.raises(ValueError):
+        q.CountTable.of([("H", "H", 1.0, 1.0, 1.0)])
+
+
+def test_count_table_consumers_take_rows_or_tables_bit_for_bit(rng, tmp_path):
+    probs = q.coincidence_probabilities(_noisy_pair_state(rng))
+    rows = [(a, b, float(rng.poisson(400 * p)), 0.5 + i % 3)
+            for i, ((a, b), p) in enumerate(probs.items())]
+    rows[5] = rows[5][:2] + (0,)  # an int count, integrated for 1 s
+    table = q.CountTable.of(rows)
+    assert q.tomography_2q(rows).tobytes() == q.tomography_2q(table).tobytes()
+    by_rows = q.subtract_expected_accidentals(rows, 3.5)
+    by_table = q.subtract_expected_accidentals(table, 3.5)
+    assert by_rows.settings == by_table.settings == table.settings
+    assert by_rows.counts.tobytes() == by_table.counts.tobytes()
+    assert by_rows.integration_s.tobytes() == table.integration_s.tobytes()
+    mc_rows = q.mc_uncertainty(rows, 100, np.random.default_rng(9))
+    mc_table = q.mc_uncertainty(table, 100, np.random.default_rng(9))
+    assert mc_rows.values.tobytes() == mc_table.values.tobytes()
+    assert (mc_rows.point_estimate, mc_rows.warnings) == (mc_table.point_estimate, mc_table.warnings)
+    q.write_counts_csv(tmp_path / "rows.csv", rows)
+    q.write_counts_csv(tmp_path / "table.csv", table)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+    assert read_counts_csv(tmp_path / "rows.csv")[5] == (*rows[5][:2], 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n_per_basis, accidental_mean", [(2.0, 0.0), (30.0, 0.4), (5e3, 2.0)])
+def test_window_counts_block_draw_matches_scalar_draws(n_per_basis, accidental_mean):
+    # one Poisson block per window against the per-row scalar draws it
+    # replaced, with means below and above 10, where numpy switches sampler
+    rho = _noisy_pair_state(np.random.default_rng(int(n_per_basis)))
+    probs = q.coincidence_probabilities(rho)
+    means = [n_per_basis * p + accidental_mean for p in probs.values()]
+    assert (max(means) < 10, min(means) < 10 < max(means), min(means) > 10)[
+        (2.0, 30.0, 5e3).index(n_per_basis)]
+    rng, ref_rng = np.random.default_rng(77), np.random.default_rng(77)
+    for _ in range(20):
+        table = protocols._window_counts(rho, n_per_basis, accidental_mean, rng)
+        assert table.settings == tuple(probs)
+        assert table.counts.tolist() == [float(ref_rng.poisson(m)) for m in means]
+        assert table.integration_s.tolist() == [1.0] * 16
+    assert rng.random() == ref_rng.random()
+    exact = protocols._window_counts(rho, n_per_basis, accidental_mean, None)
+    assert exact.counts.tolist() == means
 
 
 def test_tomography_decomposes_once_per_call(monkeypatch, rng):
@@ -500,9 +574,9 @@ def test_mc_uncertainty_calls_tomography_once_per_resample(monkeypatch):
     calls = []
     tomography = q.tomography_2q
 
-    def counted(rows):
-        calls.append(len(rows))
-        return tomography(rows)
+    def counted(table):
+        calls.append(len(q.CountTable.of(table).settings))
+        return tomography(table)
 
     monkeypatch.setattr(q, "tomography_2q", counted)
     rows = [(a, b, 100.0 + i) for i, (a, b) in enumerate(q.TOMO_BASES_2Q)]
@@ -540,8 +614,22 @@ def test_mc_uncertainty_mean_near_point_estimate(rng):
 # ---------------------------------------------------------------------------
 
 def test_background_correction_zero_rates_unchanged():
-    rows = [(a, b, 100.0, 1.0) for a, b in q.TOMO_BASES_2Q]
-    assert q.subtract_expected_accidentals(rows, 0.0) == rows  # zero singles rates
+    rows = [(a, b, 100.0 + i, 1.0 + i % 3) for i, (a, b) in enumerate(q.TOMO_BASES_2Q)]
+    out = q.subtract_expected_accidentals(rows, 0.0)  # zero singles rates
+    assert out.settings == q.TOMO_BASES_2Q
+    assert out.counts.tolist() == [r[2] for r in rows]
+    assert out.integration_s.tolist() == [r[3] for r in rows]
+
+
+def test_background_correction_matches_per_row_clamp_bit_for_bit(rng):
+    # np.maximum(n - e, 0.0) against the per-row max(0.0, n - e) it replaced,
+    # signed zeros included: -0.0 counts and a -0.0 expectation give +0.0
+    counts = np.concatenate([[0.0, -0.0, 5e-324, 1.0], rng.poisson(30.0, 28).astype(float)])
+    rows = [(a, b, n) for (a, b), n in zip(q.TOMO_BASES_2Q * 2, counts.tolist())]
+    for e in (0.0, -0.0, 5e-324, 0.5, 1.0, 30.0, 1e6):
+        got = q.subtract_expected_accidentals(rows, e).counts
+        want = np.array([max(0.0, n - e) for _, _, n in rows])
+        assert got.tobytes() == want.tobytes(), e
 
 
 def test_background_correction_recovers_injected_accidentals(rng):
@@ -563,8 +651,8 @@ def test_background_correction_recovers_injected_accidentals(rng):
 def test_background_correction_clamps_at_zero():
     rows = [("H", "H", 1.0, 1.0)] + [(a, b, 50.0, 1.0) for a, b in q.TOMO_BASES_2Q[1:]]
     out = q.subtract_expected_accidentals(rows, 1e3 * 1e3 * 1e-5)  # 10 accidentals
-    assert out[0][2] == 0.0
-    assert all(r[2] == pytest.approx(40.0) for r in out[1:])
+    assert out.counts[0] == 0.0
+    assert all(n == pytest.approx(40.0) for n in out.counts[1:])
 
 
 def test_background_correction_lifts_fidelity_toward_source_limit(rng):
