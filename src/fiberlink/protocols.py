@@ -238,11 +238,27 @@ def _window_counts(rho, n_per_basis, accidental_mean, rng):
     return quantum.CountTable(quantum.TOMO_BASES_2Q, counts, np.ones(16))
 
 
+def _hv_counts(table) -> float:
+    """The counts of the HH, HV, VH and VV settings, rows 0, 1, 4 and 5 of a
+    `_window_counts` table, summed left to right."""
+    n = table.counts.tolist()
+    return n[0] + n[1] + n[4] + n[5]
+
+
+def _measured(table, what: str):
+    """`table`, if its HH, HV, VH and VV settings saw counts. Without them
+    the trace of the tomography's estimate is rounding residue of its
+    inversion map, so the state it reports means nothing."""
+    if _hv_counts(table) > 0.0:
+        return table
+    raise ProtocolFailed(f"{what} has no counts in the HH, HV, VH and VV settings "
+                         f"({table.counts.sum():g} counts in all 16)")
+
+
 def _corrected_counts(counts, noise_p, accidental_mean):
     if accidental_mean > 0.0:
         counts = quantum.subtract_expected_accidentals(counts, accidental_mean)
-    n = counts.counts.tolist()  # HH, HV, VH and VV are rows 0, 1, 4 and 5, summed left to right
-    return quantum.subtract_expected_accidentals(counts, (n[0] + n[1] + n[4] + n[5]) * noise_p / 4.0)
+    return quantum.subtract_expected_accidentals(counts, _hv_counts(counts) * noise_p / 4.0)
 
 
 def _duty_cycle_steps(values) -> float:
@@ -349,10 +365,13 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
             rho_bar = acc_rho / tr
             # Each step's trace is at most 1; rounding of the sum may not be.
             success = min(1.0, tr / len(rec.rotations))
-            counts = _window_counts(rho_bar, n_per_basis, accidental_mean, count_rng)
+            where = f"interval {interval:g} s, window {rec.window}"
+            counts = _measured(_window_counts(rho_bar, n_per_basis, accidental_mean, count_rng),
+                               f"{where}: the raw count table")
             fid_raw = quantum.bell_fidelity(quantum.tomography_2q(counts))
             if correct:
-                corrected = _corrected_counts(counts, noise_p, accidental_mean)
+                corrected = _measured(_corrected_counts(counts, noise_p, accidental_mean),
+                                      f"{where}: the corrected count table")
                 fid_corr = quantum.bell_fidelity(quantum.tomography_2q(corrected))
             else:
                 fid_corr = fid_raw
@@ -425,10 +444,10 @@ def run_ion_photon(scn: Scenario, out: Path) -> list[Path]:
 
     rng = scn.rng("counts.ion_photon") if counts_per_basis > 0 else None
     n_per_basis = counts_per_basis if counts_per_basis > 0 else 1e6
-    counts = _window_counts(rho, n_per_basis, 0.0, rng)
+    counts = _measured(_window_counts(rho, n_per_basis, 0.0, rng), "the raw count table")
 
     rho_hat = quantum.tomography_2q(counts)
-    corrected = _corrected_counts(counts, src.noise_p, 0.0)
+    corrected = _measured(_corrected_counts(counts, src.noise_p, 0.0), "the corrected count table")
     rho_corr = quantum.tomography_2q(corrected)
 
     fid_raw = quantum.fidelity(rho_hat, quantum.ION_PHOTON_TARGET)

@@ -411,7 +411,8 @@ def test_cli_trials_override_is_held_to_the_run_length(tmp_path, capsys, argv):
 
 # teleport sends counts_per_basis shots along each axis: 0.5 sent none and
 # divided by zero, 100.5 sent 100, 1e19 overflowed numpy's C long. The other
-# two protocols draw Poisson counts of any mean.
+# two protocols draw Poisson counts of any mean; ion-photon's draw at 0.5 per
+# basis and seed 7 has no count in HH, HV, VH and VV, so its run fails cleanly.
 @pytest.mark.parametrize("protocol, value, rejected", [
     ("teleport", "0.5", True),
     ("teleport", "1e19", True),
@@ -427,8 +428,13 @@ def test_teleport_counts_per_basis_are_whole_shots(tmp_path, capsys, protocol, v
     issues = config.validate_file(path)
     assert [(i.key, i.line) for i in issues] == ([("counts_per_basis", 6)] if rejected else [])
     out = tmp_path / "out"
-    assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == (2 if rejected else 0)
-    assert "Traceback" not in capsys.readouterr().err
+    code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if protocol == "ion-photon":
+        assert code == 3 and "no counts in the HH, HV, VH and VV settings" in err
+    else:
+        assert code == (2 if rejected else 0)
 
 
 def test_percent_sign_in_a_value_is_literal(tmp_path):
@@ -477,10 +483,10 @@ _SIZES = {
     "distribute-entanglement": {
         "intervals_s": ("5", "1,5", "0", "1e-9", "5,20,60,160"),
         "total_per_interval_s": ("0", "1", "5", "1e10"),
-        "counts_per_basis": ("0", "0.5", "1e3", "1e19"),
+        "counts_per_basis": ("0", "0.001", "0.5", "2", "1e3", "1e19"),
     },
-    "ion-photon": {"counts_per_basis": ("0", "0.5", "1e3", "1e19")},
-    "teleport": {"counts_per_basis": ("0", "0.5", "1", "1e19")},
+    "ion-photon": {"counts_per_basis": ("0", "0.001", "0.5", "2", "1e3", "1e19")},
+    "teleport": {"counts_per_basis": ("0", "0.5", "1", "2", "1e19")},
     "delay-drift": {
         "days": ("0", "0.01", "2", "1e10"),
         "series_period_s": ("-1", "600", "1e-9", "1e-300"),
@@ -536,8 +542,9 @@ def _values(draw, protocol):
 
 
 # Each example runs one scenario per protocol. Each @example after the first
-# five is a scenario that `validate` passed and whose run then raised, or that
-# made `validate` itself raise; the protocols it does not apply to reject it.
+# five is a scenario that `validate` passed and whose run then raised or
+# exited 0 with an estimate from an empty count table, or that made `validate`
+# itself raise; the protocols it does not apply to reject it.
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(values=st.data(), trials=st.sampled_from((None, -1, 0, 1, 2, 10**12)))
 @example(values={("ion", "decay_per_s"): "0"}, trials=None)  # read by ion-photon and teleport only
@@ -547,6 +554,10 @@ def _values(draw, protocol):
 @example(values={}, trials=0)
 @example(values={("protocol", "counts_per_basis"): "0.5"}, trials=None)
 @example(values={("protocol", "counts_per_basis"): "1e19"}, trials=None)
+# ion-photon: no count at all, then counts only outside HH, HV, VH and VV
+@example(values={("protocol", "counts_per_basis"): "0.001"}, trials=None)
+@example(values={("protocol", "counts_per_basis"): "2"}, trials=None)
+@example(values={("protocol", "counts_per_basis"): "2", ("scenario", "seed"): "3"}, trials=None)
 @example(values={("protocol", "days"): "1e10", ("protocol", "series_period_s"): "1e-300"},
          trials=None)
 @example(values={("protocol", "series_period_s"): "1e-9"}, trials=None)
@@ -588,6 +599,26 @@ def _runs_or_fails_cleanly(text, trials, unread=()):
             code = cli.main(argv)
         assert code == 0 or (code in (2, 3) and len(err.getvalue().splitlines()) == 1), (
             text + err.getvalue())
+        if code == 0:
+            _check_estimates(Path(tmp) / "out", text)
+
+
+def _check_estimates(out, text):
+    """Every fidelity and purity a run wrote is finite and in [0, 1], and each
+    state tomography it wrote came from counts in HH, HV, VH and VV."""
+    values = []
+    for path in out.glob("*.csv"):
+        header, rows = read_csv_rows(path)
+        values += [(path.name, c, row[i]) for i, c in enumerate(header)
+                   if "fidelity" in c or "purity" in c for row in rows]
+    for path in out.glob("*.json"):
+        values += [(path.name, k, v) for k, v in json.loads(path.read_text()).items()
+                   if "fidelity" in k or "purity" in k]
+    for name, key, value in values:
+        assert 0.0 <= float(value) <= 1.0, f"{text}{name}: {key} = {value}"
+    if (out / "tomo_counts.csv").exists():
+        _, rows = read_csv_rows(out / "tomo_counts.csv")
+        assert sum(float(n) for a, b, n, _ in rows if a in "HV" and b in "HV") > 0.0, text
 
 
 # A value per shared key that moves some output of every protocol that reads
@@ -1229,6 +1260,42 @@ def test_ion_photon_sampled_counts_pinned(tmp_path):
         "ion_photon_summary.json":
             "c5cad269b5aa63086eb1ada0e1279728158d58ad9a28c6976da570b8898a7cbe",
     }
+
+
+# Without counts in HH, HV, VH and VV, the trace of a tomography estimate is
+# rounding residue (or <= 0, and the estimate I/4): each of these runs exited 0.
+_DRAWN = "counts_per_basis = 0"
+_SHORT = {"intervals_s = 5,20,60,160": "intervals_s = 5", "total_per_interval_s = 6400": ""}
+_WHITE = "[source]\nnoise_p = 1\n"
+
+
+@pytest.mark.parametrize("preset, seed, edits, extra, message", [
+    ("ion_photon", 1, {_DRAWN: _DRAWN + ".001"}, "", "the raw count table (0 counts"),
+    ("ion_photon", 1, {_DRAWN: "counts_per_basis = 2"}, "", "the raw count table (9 counts"),
+    ("ion_photon", 3, {_DRAWN: "counts_per_basis = 2"}, "", "the raw count table (5 counts"),
+    ("ion_photon", None, {"arm_b = true": "arm_b = false"}, _WHITE,
+     "the corrected count table (0 counts"),
+    ("ppe_dutycycle", None, {**_SHORT, _DRAWN: _DRAWN + ".001\ntotal_per_interval_s = 40"}, "",
+     "interval 5 s, window 0: the raw count table (0 counts"),
+    ("ppe_dutycycle", None, {**_SHORT, _DRAWN: _DRAWN + "\ntotal_per_interval_s = 5"}, _WHITE,
+     "interval 5 s, window 0: the corrected count table (0 counts"),
+], ids=["ion_no_counts", "ion_seed1", "ion_seed3", "ion_white", "ppe_no_counts", "ppe_white"])
+def test_run_on_a_count_table_without_hv_counts_exits_3(tmp_path, capsys, preset, seed, edits,
+                                                       extra, message):
+    text = cli._resolve(preset).read_text()
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "empty.ini"
+    path.write_text(text + extra)
+    assert config.validate_file(path) == []
+    out = tmp_path / "out"
+    argv = ["run", str(path), "--out", str(out), "--quiet"]
+    assert cli.main(argv + (["--seed", str(seed)] if seed else [])) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.replace(" has no counts in the HH, HV, VH and VV settings", "").startswith(
+        f"protocol failed: {message}"), line
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("counts_per_basis", [0, 2000])
