@@ -181,12 +181,14 @@ class Scenario:
     """Fully parsed scenario: typed values plus the raw file text.
 
     `name`, `protocol`, `out_dir` and `seed` read `values`; `stem` names
-    the scenario when `[scenario] name` is empty.
+    the scenario when `[scenario] name` is empty. `set_keys` holds the keys
+    the file or an override set.
     """
 
     stem: str
     values: dict[tuple[str, str], object]
     text: str
+    set_keys: frozenset[tuple[str, str]] = frozenset()
 
     @property
     def name(self) -> str:
@@ -211,17 +213,22 @@ class Scenario:
         return self.values[("protocol", key)]
 
     def override(self, section: str, key: str, raw: str) -> None:
-        """Set `[section] key` from `raw`, held to the bound of its field and
-        to the bounds that span fields; a ValueError names what it breaks.
-        The protocol chooses the schema, so `[scenario] protocol` is fixed."""
+        """Set `[section] key` from `raw`, held to the bound of its field, to
+        the bounds that span fields and to the keys the protocol leaves unread
+        (`Protocol.ignores`) among those set; a ValueError names what it
+        breaks. The protocol chooses the schema, so `[scenario] protocol` is
+        fixed."""
         if (section, key) == ("scenario", "protocol"):
             raise ValueError("[scenario] protocol cannot be overridden")
         spec = _PROTOCOL_FIELDS[self.protocol][(section, key)]
         values = {**self.values, (section, key): _parse_field(spec, raw)}
+        set_keys = self.set_keys | {(section, key)}
         issues = _checks(self.text, self.protocol, values)
+        issues += _ignored(self.text, self.protocol, values, set_keys)
         if issues:
-            raise ValueError("; ".join(issue.message for issue in issues))
-        self.values = values
+            raise ValueError("; ".join(i.message if (i.section, i.key) == (section, key)
+                                       else f"[{i.section}] {i.key}: {i.message}" for i in issues))
+        self.values, self.set_keys = values, set_keys
 
     # -- assembly ----------------------------------------------------------
 
@@ -315,14 +322,15 @@ def _find_line(text: str, section: str, key: str) -> int | None:
     return None
 
 
-def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
+def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue], frozenset]:
+    """The file's values, its issues and the keys it sets."""
     parser = ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (all lower case)
     issues: list[Issue] = []
     try:
         parser.read_string(text)
     except Exception as exc:  # configparser raises several subclasses
-        return {}, [Issue("scenario", "(file)", f"parse error: {exc}")]
+        return {}, [Issue("scenario", "(file)", f"parse error: {exc}")], frozenset()
 
     # A file whose protocol is missing or unknown leaves [protocol] unread.
     protocol = parser.get("scenario", "protocol", fallback="").strip()
@@ -359,14 +367,21 @@ def _collect(text: str) -> tuple[dict[tuple[str, str], object], list[Issue]]:
     if not protocol:
         issues.append(Issue("scenario", "protocol", "required key is missing"))
 
+    set_keys = frozenset((section, key) for section in parser.sections()
+                         for key in parser.options(section))
     if len(values) == len(schema):  # the bounds across fields need every value
-        issues += _checks(text, protocol, values)
-        if protocol in PROTOCOLS:
-            issues += [Issue(section, key, f"not read by protocol {protocol!r} {condition}",
-                             _find_line(text, section, key))
-                       for section, key, condition in PROTOCOLS[protocol].ignores(values)
-                       if parser.has_option(section, key)]
-    return values, issues
+        issues += _checks(text, protocol, values) + _ignored(text, protocol, values, set_keys)
+    return values, issues, set_keys
+
+
+def _ignored(text: str, protocol: str, values, set_keys) -> list[Issue]:
+    """An issue per key of `set_keys` that the protocol leaves unread at `values`."""
+    if protocol not in PROTOCOLS:
+        return []
+    return [Issue(section, key, f"not read by protocol {protocol!r} {condition}",
+                  _find_line(text, section, key))
+            for section, key, condition in PROTOCOLS[protocol].ignores(values)
+            if (section, key) in set_keys]
 
 
 def _checks(text: str, protocol: str, values) -> list[Issue]:
@@ -395,10 +410,10 @@ def _checks(text: str, protocol: str, values) -> list[Issue]:
 
 
 def loads(text: str, name: str = "scenario") -> Scenario:
-    values, issues = _collect(text)
+    values, issues, set_keys = _collect(text)
     if issues:
         raise ConfigInvalid(issues)
-    return Scenario(stem=name, values=values, text=text)
+    return Scenario(stem=name, values=values, text=text, set_keys=set_keys)
 
 
 def load(path) -> Scenario:
@@ -413,5 +428,4 @@ def validate_file(path) -> list[Issue]:
     p = Path(path)
     if not p.is_file():
         return [Issue("scenario", "(file)", f"no such file: {p}")]
-    _, issues = _collect(p.read_text())
-    return issues
+    return _collect(p.read_text())[1]

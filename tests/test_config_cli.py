@@ -735,6 +735,29 @@ def test_drawn_counts_reject_the_pair_rate(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_override_rejects_a_set_key_the_protocol_then_ignores():
+    # the file sets the pair rate; an override to drawn counts would leave it unread
+    preset = (cli._preset_dir() / "ppe_dutycycle.ini").read_text()
+    scn = config.loads(preset + "\n[source]\npair_rate_per_s = 1000\n", name="exact")
+    before = (scn.values, scn.set_keys)
+    with pytest.raises(ValueError, match=r"^\[source\] pair_rate_per_s: not read by protocol "
+                       "'distribute-entanglement' when counts_per_basis > 0$"):
+        scn.override("protocol", "counts_per_basis", "50")
+    assert scn.values is before[0] and scn.set_keys is before[1]  # unchanged
+    scn.override("source", "pair_rate_per_s", "2000")  # exact counts read it
+    assert scn[("source", "pair_rate_per_s")] == 2000.0
+
+    # an override sets its key too: the pair rate, once drawn counts are set
+    drawn = config.loads(preset, name="drawn")
+    drawn.override("protocol", "counts_per_basis", "50")
+    with pytest.raises(ValueError, match="^not read by protocol 'distribute-entanglement'"):
+        drawn.override("source", "pair_rate_per_s", "1000")
+    assert drawn[("source", "pair_rate_per_s")] == 144.4
+    # a key the file does not set stays free to leave unread
+    assert config.loads(preset).set_keys >= {("protocol", "counts_per_basis")}
+    assert ("source", "pair_rate_per_s") not in config.loads(preset).set_keys
+
+
 def test_day_window_is_parsed_at_validate_time():
     scn = config.loads("[scenario]\nprotocol = drift-characterize\n\n"
                        "[channel]\nday_start_hms = 6:15\nday_end_hms = 20\n")
