@@ -441,7 +441,7 @@ def test_count_row_rejects_bad_counts_and_integration_times(field, value, tmp_pa
             call(rows)
 
 
-def test_count_table_is_checked_once_and_read_only():
+def test_count_table_owns_read_only_arrays_and_checks_shapes():
     rows = [(a, b, 10.0 + i, 2.0) for i, (a, b) in enumerate(q.TOMO_BASES_2Q)]
     table = q.CountTable.of(rows)
     assert q.CountTable.of(table) is table
