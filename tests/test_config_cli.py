@@ -1285,6 +1285,19 @@ def test_ion_photon_sampled_counts_pinned(tmp_path):
     }
 
 
+def test_teleport_sampled_branches_pinned(tmp_path):
+    # no preset samples teleport shots; pin the binomial branch estimates
+    text = (cli._resolve("teleport_noisy").read_text()
+            .replace("counts_per_basis = 0", "counts_per_basis = 500")
+            .replace("input_states = H,V,D,R", "input_states = H,V,D,A,R,L"))
+    assert {f.name: sha256_file(f) for f in run_protocol(config.loads(text), tmp_path)} == {
+        "chi_phi_minus.json": "f83d4eaf78a7481f2603593e0cde358005f5ec0763fd4e4a28e26caaff2f0c9b",
+        "chi_phi_plus.json": "82759fe87a99b850dac0ed80ac2b3a445514ccdf3aaf1d962c3c946a2784c9d6",
+        "teleport_summary.csv": "e44800ce10f7881a8e7a2697f04bbafde558dbdd2dfc065da20fcfe6ffce0bd7",
+        "teleport_meta.json": "b08bb28f94a48a96a717568d965bd152672c4bcae1e65a3924434bda0d311586",
+    }
+
+
 # Without counts in HH, HV, VH and VV, the trace of a tomography estimate is
 # rounding residue (or <= 0, and the estimate I/4): each of these runs exited 0.
 _DRAWN = "counts_per_basis = 0"
