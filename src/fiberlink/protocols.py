@@ -421,14 +421,10 @@ def _prepare_arm_b(scn: Scenario, rho_pair: np.ndarray):
         return rho_pair, 1.0, None
     ch = scn.make_channel(rotation=polcore.random_rotation(scn.rng("protocol.initial_rotation")))
     piezo = scn.make_piezo()
-    run = None
-    if scn.protocol_value("stabilize_first"):
-        run = stabilizer.stabilize(
-            ch, piezo, scn.make_polarimeter(), scn.make_stabilizer_config(),
-            scn.make_switch(),
-        )
-    comp = polcore.su2_of_rotation(piezo.rotation())
-    rho = quantum.on_arm_b(rho_pair, comp @ chmod.transmit_qubit_kraus(ch.rotation, ch.current_pdl()))
+    run = stabilizer.stabilize(ch, piezo, scn.make_polarimeter(), scn.make_stabilizer_config(),
+                               scn.make_switch())
+    link, comp = polcore.su2_of_rotation(np.array([ch.rotation, piezo.rotation()]))
+    rho = quantum.on_arm_b(rho_pair, comp @ (ch.current_pdl().operator() @ link))
     prob = float(np.trace(rho).real)
     if prob <= 1e-12:
         raise ProtocolFailed("arm-B photon fully blocked")
@@ -475,39 +471,29 @@ def run_ion_photon(scn: Scenario, out: Path) -> list[Path]:
 # teleport
 # ---------------------------------------------------------------------------
 
-def _sampled_branch_tomography(branches_by_input, n_events, rng):
-    """Finite-statistics reconstruction of the two heralded teleport channels.
+# herald -> the Pauli its branch applies to the teleported qubit
+_HERALD_PAULI = {"phi_minus": "i", "phi_plus": "rl"}
 
-    For each prepared input and analysis axis, n_events protocol shots are
-    distributed over (phi_minus, phi_plus, failure) with Born probabilities;
-    heralded shots are measured along the axis and the conditional states
-    are rebuilt from the port asymmetries.
-    """
-    axes = {"hv": 0, "da": 1, "rl": 2}
-    io_pairs = {"phi_minus": ([], []), "phi_plus": ([], [])}
-    for rho_in, branches in branches_by_input:
-        est = {}
-        for herald in ("phi_minus", "phi_plus"):
-            prob, unnorm = branches[herald]
-            rho_c = unnorm / prob if prob > 0 else np.eye(2, dtype=complex) / 2
-            lam = polcore.bloch_of_density(rho_c)
-            lam_hat = np.zeros(3)
-            herald_counts = 0
-            for name, idx in axes.items():
-                n_herald = rng.binomial(n_events, min(1.0, prob))
-                herald_counts += n_herald
-                p_port1 = 0.5 * (1.0 + lam[idx])
-                n1 = rng.binomial(n_herald, min(1.0, max(0.0, p_port1)))
-                lam_hat[idx] = 2.0 * n1 / n_herald - 1.0 if n_herald else 0.0
-            norm = np.linalg.norm(lam_hat)
-            if norm > 1.0:
-                lam_hat /= norm
-            p_hat = herald_counts / (3.0 * n_events)
-            est[herald] = p_hat * polcore.density_of_bloch(lam_hat)
-        for herald in ("phi_minus", "phi_plus"):
-            io_pairs[herald][0].append(rho_in)
-            io_pairs[herald][1].append(est[herald])
-    return io_pairs
+
+def _sampled_branch(prob, unnorm, n_events, rng):
+    """Finite-statistics estimate of one heralded teleport branch: along each
+    analysis axis (hv, da, rl), n_events protocol shots herald it with its
+    Born probability `prob`, heralded shots are measured along the axis, and
+    the conditional state is rebuilt from the port asymmetries."""
+    rho_c = unnorm / prob if prob > 0 else np.eye(2, dtype=complex) / 2
+    lam = polcore.bloch_of_density(rho_c)
+    lam_hat = np.zeros(3)
+    herald_counts = 0
+    for idx in range(3):
+        n_herald = rng.binomial(n_events, min(1.0, prob))
+        herald_counts += n_herald
+        p_port1 = 0.5 * (1.0 + lam[idx])
+        n1 = rng.binomial(n_herald, min(1.0, max(0.0, p_port1)))
+        lam_hat[idx] = 2.0 * n1 / n_herald - 1.0 if n_herald else 0.0
+    norm = np.linalg.norm(lam_hat)
+    if norm > 1.0:
+        lam_hat /= norm
+    return herald_counts / (3.0 * n_events) * polcore.density_of_bloch(lam_hat)
 
 
 def run_teleport(scn: Scenario, out: Path) -> list[Path]:
@@ -516,37 +502,30 @@ def run_teleport(scn: Scenario, out: Path) -> list[Path]:
     src = scn.make_source()
     ion = scn.make_ion()
     rho_pair, success, _ = _prepare_arm_b(scn, quantum.spdc_state(src))
+    rng = scn.rng("counts.teleport") if counts_per_basis > 0 else None
 
-    inputs, branch_list = [], []
+    # the draws run input by input, then herald by herald
+    inputs = []
+    probs, outputs = {h: [] for h in _HERALD_PAULI}, {h: [] for h in _HERALD_PAULI}
     for label in labels:
         ket = quantum.BASIS_KETS[label]
         rho_in = np.outer(ket, ket.conj())
         inputs.append(rho_in)
-        branch_list.append((rho_in, quantum.bsm_branches(rho_in, rho_pair, ion)))
+        branches = quantum.bsm_branches(rho_in, rho_pair, ion)
+        for herald in _HERALD_PAULI:
+            prob, unnorm = branches[herald]
+            probs[herald].append(prob)
+            outputs[herald].append(
+                unnorm if rng is None else _sampled_branch(prob, unnorm, int(counts_per_basis), rng))
+    chis = {herald: quantum.process_matrix_from_io(inputs, outs) for herald, outs in outputs.items()}
+    herald_probs = {herald: float(np.mean(p)) for herald, p in probs.items()}
 
-    chis = {}
-    herald_probs = {}
-    if counts_per_basis > 0:
-        rng = scn.rng("counts.teleport")
-        io_pairs = _sampled_branch_tomography(branch_list, int(counts_per_basis), rng)
-        for herald, (ins_, outs) in io_pairs.items():
-            chis[herald] = quantum.process_matrix_from_io(ins_, outs)
-    else:
-        for herald in ("phi_minus", "phi_plus"):
-            outs = [branches[herald][1] for _, branches in branch_list]
-            chis[herald] = quantum.process_matrix_from_io(inputs, outs)
-    for herald in ("phi_minus", "phi_plus"):
-        herald_probs[herald] = float(
-            np.mean([branches[herald][0] for _, branches in branch_list])
-        )
-
-    expected = {"phi_minus": "i", "phi_plus": "rl"}
     rows = []
     files = []
-    for herald, chi in chis.items():
-        fid = quantum.process_fidelity_element(chi, expected[herald])
-        rows.append((herald, expected[herald], fid, herald_probs[herald]))
-        files.append(write_json(out / f"chi_{herald}.json", matrix_payload(chi)))
+    for herald, pauli in _HERALD_PAULI.items():
+        fid = quantum.process_fidelity_element(chis[herald], pauli)
+        rows.append((herald, pauli, fid, herald_probs[herald]))
+        files.append(write_json(out / f"chi_{herald}.json", matrix_payload(chis[herald])))
     files.append(
         write_csv(
             out / "teleport_summary.csv",
@@ -654,10 +633,7 @@ def non_negative(x: float) -> bool:
 
 
 _EXACT_COUNTS = (float, 0.0, non_negative, ">= 0 (0 = exact)")
-_ARM_B = {
-    "apply_link_to_arm_b": (bool, True, None, ""),
-    "stabilize_first": (bool, True, None, ""),
-}
+_ARM_B = {"apply_link_to_arm_b": (bool, True, None, "")}
 
 
 def _keys(section: str, names: str) -> tuple[tuple[str, str], ...]:

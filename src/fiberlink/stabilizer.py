@@ -259,36 +259,27 @@ def stabilize(
     clamp_before = piezo.clamp_events
 
     link = probe_link(ch, switch)
-    clock.probe_pair()
-    s1, s2 = measure_probe_pair(link, piezo, polarimeter)
-    fp = _fidelity_of_pair(s1, s2)
-    f_val = _error_of_pair(s1, s2)
-    trace: list[tuple] = [(0, *piezo.voltages.tolist(), f_val, fp, clock.t)]
-    if fp >= cfg.fp_threshold:
-        return StabilizerRun(Outcome.CONVERGED, 0, fp, clock.t, trace, 0)
-
-    d_step, du = cfg.d0, cfg.du0_v
+    trace: list[tuple] = []
     outcome = Outcome.MAX_ITERATIONS
-    iterations = 0
-    for iteration in range(1, cfg.max_iterations + 1):
-        iterations = iteration
-        direction = gradient(link, piezo, polarimeter, du, clock)
-        piezo.apply_clamped(piezo.voltages + d_step * direction)
-        clock.piezo_apply()
+    # Iteration 0 only probes; step 1 takes d0 and du0_v whatever that probe read.
+    for iteration in range(cfg.max_iterations + 1):
+        if iteration > 0:
+            d_step, du = adapt_parameters(cfg, fp) if iteration > 1 else (cfg.d0, cfg.du0_v)
+            direction = gradient(link, piezo, polarimeter, du, clock)
+            piezo.apply_clamped(piezo.voltages + d_step * direction)
+            clock.piezo_apply()
 
         clock.probe_pair()
         s1, s2 = measure_probe_pair(link, piezo, polarimeter)
-        f_val = _error_of_pair(s1, s2)
         fp = _fidelity_of_pair(s1, s2)
-        trace.append((iteration, *piezo.voltages.tolist(), f_val, fp, clock.t))
+        trace.append((iteration, *piezo.voltages.tolist(), _error_of_pair(s1, s2), fp, clock.t))
         if fp >= cfg.fp_threshold:
             outcome = Outcome.CONVERGED
             break
-        d_step, du = adapt_parameters(cfg, fp)
 
     return StabilizerRun(
         outcome=outcome,
-        iterations=iterations,
+        iterations=iteration,
         final_fp=fp,
         duration_s=clock.t,
         trace=trace,
