@@ -652,6 +652,14 @@ _TIMING = _keys("instruments", "polarimeter_latency_s switch_latency_s piezo_set
 _PAIR = _keys("source", "phase_rad noise_p")
 _ARM_B_READS = (*_LOSS, *_CONTROL, *_PAIR, *_keys("ion", "exposure_window_us decay_per_s"))
 
+
+def _arm_b_ignores(values) -> list[tuple[str, str, str]]:
+    # A local arm B meets no link: no loss element and no stabilization.
+    if values[("protocol", "apply_link_to_arm_b")]:
+        return []
+    return [(section, key, "when apply_link_to_arm_b = false") for section, key in (*_LOSS, *_CONTROL)]
+
+
 PROTOCOLS = {
     "pdl-characterize": Protocol(run_pdl_characterize, {
         "n_samples": (int, 500, lambda v: 2 <= v <= _MAX_TRACE_STEPS, f"in [2, {_MAX_TRACE_STEPS}]"),
@@ -682,7 +690,7 @@ PROTOCOLS = {
         *_LOSS, *_CONTROL, *_TIMING, *_PAIR, ("source", "pair_rate_per_s")),
         ignores=_distribute_ignores),
     "ion-photon": Protocol(run_ion_photon, {"counts_per_basis": _EXACT_COUNTS, **_ARM_B},
-                           reads=_ARM_B_READS),
+                           reads=_ARM_B_READS, ignores=_arm_b_ignores),
     "teleport": Protocol(run_teleport, {
         # counts_per_basis shots per axis, drawn by numpy as a C long
         "counts_per_basis": (float, 0.0, lambda v: v.is_integer() and 0.0 <= v < 2.0**63,
@@ -690,7 +698,7 @@ PROTOCOLS = {
         **_ARM_B,
         "input_states": ("labels", "H,V,D,R", lambda v: set(v) <= set(quantum.BASIS_KETS),
                          f"labels from {','.join(quantum.BASIS_KETS)}"),
-    }, reads=_ARM_B_READS),
+    }, reads=_ARM_B_READS, ignores=_arm_b_ignores),
     "delay-drift": Protocol(run_delay_drift, {
         "days": (float, 2.0, positive, "> 0"),
         "temp_amplitude_k": (float, 4.0, non_negative, ">= 0"),

@@ -681,11 +681,51 @@ def _output_hashes(protocol, values) -> dict[str, str]:
         return {f.name: sha256_file(f) for f in run_protocol(scn, tmp)}
 
 
-@pytest.mark.parametrize("protocol, key", [
-    pytest.param(name, key, id=f"{name}-{key[1]}") for name, p in PROTOCOLS.items() for key in p.reads
+# protocol -> label -> a setting of the [protocol] keys that switch reads off
+_SWITCHED = {name: {"local-": {("protocol", "apply_link_to_arm_b"): "false"}}
+             for name in ("ion-photon", "teleport")}
+
+
+def _accepted(protocol, setting) -> list[tuple[str, str]]:
+    """The shared keys a file may set under `setting`: those the protocol
+    reads and does not then ignore."""
+    values = config.loads(_scenario_text(protocol, setting, _SMALL)).values
+    ignored = {(section, key) for section, key, _ in PROTOCOLS[protocol].ignores(values)}
+    return [k for k in PROTOCOLS[protocol].reads if k not in ignored]
+
+
+@pytest.mark.parametrize("protocol, setting, key", [
+    pytest.param(name, setting, key, id=f"{name}-{label}{key[1]}")
+    for name in PROTOCOLS
+    for label, setting in {"": {}, **_SWITCHED.get(name, {})}.items()
+    for key in _accepted(name, setting)
 ])
-def test_every_read_key_moves_an_output(protocol, key):
-    assert _output_hashes(protocol, {key: _PERTURBED[key]}) != _output_hashes(protocol, {})
+def test_every_read_key_moves_an_output(protocol, setting, key):
+    assert (_output_hashes(protocol, {**setting, key: _PERTURBED[key]})
+            != _output_hashes(protocol, setting))
+
+
+# A local arm B (apply_link_to_arm_b = false) meets no link: `validate` and
+# `run` reject each loss and stabilization key the file sets, with its line.
+@pytest.mark.parametrize("preset, protocol, edits", [
+    ("teleport_ideal", "teleport", {}),
+    ("ion_photon", "ion-photon", {"apply_link_to_arm_b = true": "apply_link_to_arm_b = false"}),
+], ids=["teleport_ideal", "ion_photon_local"])
+def test_local_arm_b_rejects_the_link_keys(tmp_path, capsys, preset, protocol, edits):
+    text = _edited(preset, edits) + "\n[stabilizer]\nfp_threshold = 0.99999\n\n[channel]\npdl_db = 3\n"
+    path = tmp_path / "local.ini"
+    path.write_text(text)
+    lines = text.splitlines()
+    condition = f"not read by protocol {protocol!r} when apply_link_to_arm_b = false"
+    assert sorted((i.section, i.key, i.message, i.line) for i in config.validate_file(path)) == [
+        ("channel", "pdl_db", condition, lines.index("pdl_db = 3") + 1),
+        ("stabilizer", "fp_threshold", condition, lines.index("fp_threshold = 0.99999") + 1),
+    ]
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 2 and "Traceback" not in err
+    assert not out.exists()
 
 
 # Each shared key a protocol does not read is rejected with its line, whether
@@ -1296,6 +1336,14 @@ def test_teleport_sampled_branches_pinned(tmp_path):
         "teleport_summary.csv": "e44800ce10f7881a8e7a2697f04bbafde558dbdd2dfc065da20fcfe6ffce0bd7",
         "teleport_meta.json": "b08bb28f94a48a96a717568d965bd152672c4bcae1e65a3924434bda0d311586",
     }
+
+
+def _edited(preset, edits) -> str:
+    text = cli._resolve(preset).read_text()
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
 
 
 # Without counts in HH, HV, VH and VV, the trace of a tomography estimate is
