@@ -261,6 +261,15 @@ def _corrected_counts(counts, noise_p, accidental_mean):
     return quantum.subtract_expected_accidentals(counts, _hv_counts(counts) * noise_p / 4.0)
 
 
+def _noise_checks(values) -> list[tuple[str, str, str]]:
+    """`_corrected_counts` takes noise_p of the HH, HV, VH and VV total for
+    white noise. At noise_p = 1 it takes all of it, and what the corrected
+    table keeps is the link's loss asymmetry and rounding, not a state."""
+    if values[("source", "noise_p")] < 1.0:
+        return []
+    return [("source", "noise_p", "must be < 1 where the background is corrected: at 1 every pair is noise")]
+
+
 def _duty_cycle_steps(values) -> float:
     """The drift steps `duty_cycle_run` walks over all intervals_s: exact
     within the bound, and past it an estimate that stays past it."""
@@ -277,7 +286,7 @@ def _duty_cycle_steps(values) -> float:
 
 
 def _distribute_checks(values) -> list[tuple[str, str, str]]:
-    issues = []
+    issues = _noise_checks(values) if values[("protocol", "correct_background")] else []
     if values[("protocol", "counts_per_basis")] == values[("source", "pair_rate_per_s")] == 0.0:
         issues.append(("source", "pair_rate_per_s",
                        "must be > 0 for exact counts (counts_per_basis = 0): every count table is empty"))
@@ -690,7 +699,7 @@ PROTOCOLS = {
         *_LOSS, *_CONTROL, *_TIMING, *_PAIR, ("source", "pair_rate_per_s")),
         ignores=_distribute_ignores),
     "ion-photon": Protocol(run_ion_photon, {"counts_per_basis": _EXACT_COUNTS, **_ARM_B},
-                           reads=_ARM_B_READS, ignores=_arm_b_ignores),
+                           checks=_noise_checks, reads=_ARM_B_READS, ignores=_arm_b_ignores),
     "teleport": Protocol(run_teleport, {
         # counts_per_basis shots per axis, drawn by numpy as a C long
         "counts_per_basis": (float, 0.0, lambda v: v.is_integer() and 0.0 <= v < 2.0**63,

@@ -1338,6 +1338,15 @@ def test_teleport_sampled_branches_pinned(tmp_path):
     }
 
 
+# Without counts in HH, HV, VH and VV, the trace of a tomography estimate is
+# rounding residue (or <= 0, and the estimate I/4): each of these runs exited 0.
+_DRAWN = "counts_per_basis = 0"
+_SHORT = {"intervals_s = 5,20,60,160": "intervals_s = 5", "total_per_interval_s = 6400": ""}
+# one drawn pair per setting under 3.125 expected accidentals
+_ACCIDENTALS = ("counts_per_basis = 1\ntotal_per_interval_s = 5\n"
+                "accidental_rate_a_per_s = 1e5\naccidental_rate_b_per_s = 1e5")
+
+
 def _edited(preset, edits) -> str:
     text = cli._resolve(preset).read_text()
     for old, new in edits.items():
@@ -1346,32 +1355,19 @@ def _edited(preset, edits) -> str:
     return text
 
 
-# Without counts in HH, HV, VH and VV, the trace of a tomography estimate is
-# rounding residue (or <= 0, and the estimate I/4): each of these runs exited 0.
-_DRAWN = "counts_per_basis = 0"
-_SHORT = {"intervals_s = 5,20,60,160": "intervals_s = 5", "total_per_interval_s = 6400": ""}
-_WHITE = "[source]\nnoise_p = 1\n"
-
-
-@pytest.mark.parametrize("preset, seed, edits, extra, message", [
-    ("ion_photon", 1, {_DRAWN: _DRAWN + ".001"}, "", "the raw count table (0 counts"),
-    ("ion_photon", 1, {_DRAWN: "counts_per_basis = 2"}, "", "the raw count table (9 counts"),
-    ("ion_photon", 3, {_DRAWN: "counts_per_basis = 2"}, "", "the raw count table (5 counts"),
-    ("ion_photon", None, {"arm_b = true": "arm_b = false"}, _WHITE,
-     "the corrected count table (0 counts"),
-    ("ppe_dutycycle", None, {**_SHORT, _DRAWN: _DRAWN + ".001\ntotal_per_interval_s = 40"}, "",
+@pytest.mark.parametrize("preset, seed, edits, message", [
+    ("ion_photon", 1, {_DRAWN: _DRAWN + ".001"}, "the raw count table (0 counts"),
+    ("ion_photon", 1, {_DRAWN: "counts_per_basis = 2"}, "the raw count table (9 counts"),
+    ("ion_photon", 3, {_DRAWN: "counts_per_basis = 2"}, "the raw count table (5 counts"),
+    ("ppe_dutycycle", None, {**_SHORT, _DRAWN: _DRAWN + ".001\ntotal_per_interval_s = 40"},
      "interval 5 s, window 0: the raw count table (0 counts"),
-    ("ppe_dutycycle", None, {**_SHORT, _DRAWN: _DRAWN + "\ntotal_per_interval_s = 5"}, _WHITE,
-     "interval 5 s, window 0: the corrected count table (0 counts"),
-], ids=["ion_no_counts", "ion_seed1", "ion_seed3", "ion_white", "ppe_no_counts", "ppe_white"])
+    ("ppe_dutycycle", 13, {**_SHORT, _DRAWN: _ACCIDENTALS},
+     "interval 5 s, window 0: the corrected count table (16 counts"),
+], ids=["ion_no_counts", "ion_seed1", "ion_seed3", "ppe_no_counts", "ppe_accidentals"])
 def test_run_on_a_count_table_without_hv_counts_exits_3(tmp_path, capsys, preset, seed, edits,
-                                                       extra, message):
-    text = cli._resolve(preset).read_text()
-    for old, new in edits.items():
-        assert text.count(old) == 1
-        text = text.replace(old, new)
+                                                       message):
     path = tmp_path / "empty.ini"
-    path.write_text(text + extra)
+    path.write_text(_edited(preset, edits))
     assert config.validate_file(path) == []
     out = tmp_path / "out"
     argv = ["run", str(path), "--out", str(out), "--quiet"]
@@ -1380,6 +1376,39 @@ def test_run_on_a_count_table_without_hv_counts_exits_3(tmp_path, capsys, preset
     assert line.replace(" has no counts in the HH, HV, VH and VV settings", "").startswith(
         f"protocol failed: {message}"), line
     assert not (out / "manifest.json").exists()
+
+
+# The background correction takes noise_p of the HH, HV, VH and VV total for
+# white noise; at noise_p = 1 it takes all of it. ion_photon then exited 0
+# with fidelity_corrected 0.25000000000001193 from what the link's loss left.
+_WHITE = "\n[source]\nnoise_p = 1\n"
+_UNCORRECTED = {"correct_background = true": "correct_background = false"}
+
+
+@pytest.mark.parametrize("preset, edits, rejected", [
+    ("ion_photon", {}, True),
+    ("ion_photon", {"arm_b = true": "arm_b = false"}, True),
+    ("ppe_dutycycle", {**_SHORT, _DRAWN: _DRAWN + "\ntotal_per_interval_s = 5"}, True),
+    ("ppe_dutycycle", {**_SHORT, **_UNCORRECTED, _DRAWN: _DRAWN + "\ntotal_per_interval_s = 5"},
+     False),
+    ("teleport_noisy", {}, False),
+], ids=["ion_white", "ion_local_white", "ppe_white", "ppe_uncorrected_white", "teleport_white"])
+def test_white_noise_is_rejected_where_the_background_is_corrected(tmp_path, capsys, preset, edits,
+                                                                  rejected):
+    path = tmp_path / "white.ini"
+    text = _edited(preset, edits) + _WHITE
+    path.write_text(text)
+    line = len(text.splitlines())
+    out = tmp_path / "out"
+    code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+    if not rejected:
+        assert code == 0 and config.validate_file(path) == []
+        return
+    assert [(i.section, i.key, i.line) for i in config.validate_file(path)] == [
+        ("source", "noise_p", line)]
+    assert code == 2 and not out.exists()
+    (err,) = capsys.readouterr().err.splitlines()
+    assert f"line {line}: [source] noise_p: must be < 1" in err
 
 
 @pytest.mark.parametrize("counts_per_basis", [0, 2000])
