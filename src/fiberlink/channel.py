@@ -311,5 +311,9 @@ def transmit_qubit_kraus(rotation: np.ndarray, loss: PdlElement) -> np.ndarray:
     loss element; the post-selected state map is
     rho -> K rho K^dag / tr(K rho K^dag) with success probability
     tr(K rho K^dag) in [T^2, 1].
+
+    The runners lift rotations in stacks and build K themselves; this is
+    the library's operator of a single configuration, and the name the
+    benchmark's tracer patches to count such lifts.
     """
     return loss.operator() @ polcore.su2_of_rotation(rotation)

@@ -683,7 +683,7 @@ def _output_hashes(protocol, values) -> dict[str, str]:
 
 # protocol -> label -> a setting of the [protocol] keys that switch reads off
 _SWITCHED = {name: {"local-": {("protocol", "apply_link_to_arm_b"): "false"}}
-             for name in ("ion-photon", "teleport")}
+             for name, p in PROTOCOLS.items() if "apply_link_to_arm_b" in p.fields}
 
 
 def _accepted(protocol, setting) -> list[tuple[str, str]]:
