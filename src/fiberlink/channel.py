@@ -235,8 +235,9 @@ class ChannelState:
         step, and a zero-rate step draws nothing. Only if a drawn axis is too
         short to normalize does the walk redraw the block step by step, in
         stream order, redrawing each short axis. With spikes on, `spike_rng`
-        draws one uniform per step, as one block. The steps' Rodrigues
-        matrices are one stack. A rotation the walk made is stored read-only.
+        draws one uniform per step, as one block. The steps' rotations are
+        one `polcore.rotation_about` stack. A rotation the walk made is
+        stored read-only.
         """
         if dt <= 0.0:
             raise ValueError("dt must be > 0")
@@ -257,19 +258,10 @@ class ChannelState:
                 while (norm := math.sqrt(v @ v)) < 1e-12:
                     v = self.rng.standard_normal(3)
                 z[i, :3], z[i, 3], norms[i] = v, self.rng.standard_normal(), norm
-        # Rodrigues form. The axis is normalized twice, once as drawn and once
-        # as the Rodrigues axis, and the angle is 0 + sigma * z, which are
-        # the bits every drift step has had.
-        a = z[:, :3] / np.array(norms)[:, None]
-        a = a / np.array([math.sqrt(v @ v) for v in a])[:, None]
+        # The drawn axis, normalized here and again in rotation_about, and
+        # the angle 0 + sigma * z give the bits every drift step has had.
         angles = [0.0 + sigma * x for sigma, x in zip(sigmas, z[:, 3].tolist())]
-        sin = np.array([math.sin(t) for t in angles])[:, None, None]
-        one_minus_cos = np.array([1.0 - math.cos(t) for t in angles])[:, None, None]
-        k = np.zeros((len(sigmas), 3, 3))
-        k[:, 0, 1], k[:, 0, 2] = -a[:, 2], a[:, 1]
-        k[:, 1, 0], k[:, 1, 2] = a[:, 2], -a[:, 0]
-        k[:, 2, 0], k[:, 2, 1] = -a[:, 1], a[:, 0]
-        steps = iter(np.eye(3) + sin * k + one_minus_cos * (k @ k))
+        steps = iter(polcore.rotation_about(z[:, :3] / np.array(norms)[:, None], angles))
         spike_p = 1.0 - math.exp(-self.spikes.rate_per_s * dt)
         uniforms = self.spike_rng.random(n).tolist() if self.spikes.rate_per_s > 0.0 else [1.0] * n
         m = start = self.rotation
@@ -304,16 +296,14 @@ def transmit_probe(ch: ChannelState, s_in: np.ndarray) -> np.ndarray:
     return polcore.pdl_apply_bloch(rotation @ s_in, ch.current_pdl())
 
 
-def transmit_qubit_kraus(rotation: np.ndarray, loss: PdlElement) -> np.ndarray:
-    """Single-qubit operator K = B U of one link configuration.
+def transmit_qubit_kraus(rotation: np.ndarray, loss) -> np.ndarray:
+    """Single-qubit operators K = B U, shape (..., 2, 2), of rotations
+    (..., 3, 3), each with its loss element (one `PdlElement` for one).
 
-    U is the SU(2) lift of the link's rotation and B the operator of its
-    loss element; the post-selected state map is
-    rho -> K rho K^dag / tr(K rho K^dag) with success probability
-    tr(K rho K^dag) in [T^2, 1].
-
-    The runners lift rotations in stacks and build K themselves; this is
-    the library's operator of a single configuration, and the name the
-    benchmark's tracer patches to count such lifts.
+    U is the SU(2) lift of the rotation and B the operator of its loss
+    element; the post-selected state map is rho -> K rho K^dag / tr(K rho
+    K^dag) with success probability tr(K rho K^dag) in [T^2, 1].
     """
-    return loss.operator() @ polcore.su2_of_rotation(rotation)
+    lifts = polcore.su2_of_rotation(rotation)
+    ops = np.array([pdl.operator() for pdl in np.ravel(loss)])
+    return ops.reshape(lifts.shape) @ lifts

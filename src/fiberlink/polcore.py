@@ -83,19 +83,26 @@ class FullyExtinguished(ValueError):
 # Rotations
 # ---------------------------------------------------------------------------
 
-def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Right-handed rotation by `angle` (rad) about `axis` (Rodrigues form)."""
+def rotation_about(axis: np.ndarray, angle) -> np.ndarray:
+    """Right-handed rotations by `angle` (rad) about `axis` (Rodrigues form):
+    axes (..., 3) and as many angles give (..., 3, 3). Norms, sines and
+    cosines are scalar, so a rotation has the same bits in a stack as alone.
+    """
     a = np.asarray(axis, dtype=float)
-    n = math.sqrt(a @ a)
-    if n == 0.0:
+    lead = a.shape[:-1]
+    a = a.reshape(-1, 3)
+    norms = [math.sqrt(v @ v) for v in a]
+    if not all(norms):
         raise ValueError("rotation axis must be nonzero")
-    a = a / n
-    k = np.array([
-        [0.0, -a[2], a[1]],
-        [a[2], 0.0, -a[0]],
-        [-a[1], a[0], 0.0],
-    ])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    a = a / np.array(norms)[:, None]
+    angles = np.ravel(angle).tolist()
+    sin = np.array([math.sin(t) for t in angles])[:, None, None]
+    one_minus_cos = np.array([1.0 - math.cos(t) for t in angles])[:, None, None]
+    k = np.zeros((len(a), 3, 3))
+    k[:, 0, 1], k[:, 0, 2] = -a[:, 2], a[:, 1]
+    k[:, 1, 0], k[:, 1, 2] = a[:, 2], -a[:, 0]
+    k[:, 2, 0], k[:, 2, 1] = -a[:, 1], a[:, 0]
+    return (np.eye(3) + sin * k + one_minus_cos * (k @ k)).reshape(lead + (3, 3))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -211,11 +218,9 @@ def ket_of_bloch(n: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def process_fidelity(m: np.ndarray) -> float:
-    """Overlap of a rotation-only channel with the identity process.
-
-    F = (1 + tr m) / 4, so the identity gives 1 and any half-turn gives 0.
-    """
-    return (1.0 + float(np.trace(m))) / 4.0
+    """Overlap of rotation-only channels (..., 3, 3) with the identity
+    process, F = (1 + tr m) / 4: 1 for the identity, 0 for any half-turn."""
+    return process_fidelity_from_trace(np.trace(m, axis1=-2, axis2=-1))
 
 
 def process_fidelity_from_trace(trace: float) -> float:

@@ -156,12 +156,11 @@ def run_drift_characterize(scn: Scenario, out: Path) -> list[Path]:
     ]
 
     # (tau, fidelity) per pair of rotations `lag` periods apart: the
-    # process fidelity (1 + tr(R_{i+lag} R_i^T)) / 4 of the relative rotation
+    # process fidelity of the relative rotation R_{i+lag} R_i^T
     samples = []
     for tau in tau_grid:
         lag = drift_lag(tau, period)
-        rel = rotations[lag:] @ rotations[:-lag].transpose(0, 2, 1)
-        fids = (1.0 + np.trace(rel, axis1=1, axis2=2)) / 4.0
+        fids = polcore.process_fidelity(rotations[lag:] @ rotations[:-lag].transpose(0, 2, 1))
         samples.append(np.column_stack((np.full(fids.size, lag * period), fids)))
     surface = analysis.quantile_surface(np.concatenate(samples))
 
@@ -318,9 +317,9 @@ def _arm_b_windows(records):
     per_block = max(1, _ARM_B_BLOCK_STEPS // n_steps)
     for start in range(0, len(records), per_block):
         block = records[start:start + per_block]
-        losses = np.array([loss.operator() for rec in block for loss in rec.losses])
-        lifts = polcore.su2_of_rotation(np.array([r for rec in block for r in rec.rotations]))
-        terms = quantum.arm_b_superoperator(losses @ lifts)
+        kraus = chmod.transmit_qubit_kraus(np.array([r for rec in block for r in rec.rotations]),
+                                           [loss for rec in block for loss in rec.losses])
+        terms = quantum.arm_b_superoperator(kraus)
         link_sums = np.add.reduce(terms.reshape((len(block), n_steps) + terms.shape[1:]), axis=1)
         comps = polcore.su2_of_rotation(np.array([rec.compensator for rec in block]))
         yield from zip(block, link_sums, comps)

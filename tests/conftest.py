@@ -37,12 +37,28 @@ def make_test_channel(
     )
 
 
+def rotation_about_oracle(axis, angle) -> np.ndarray:
+    """One right-handed rotation by `angle` (rad) about `axis` in the
+    Rodrigues form, scalar: the reference for `polcore.rotation_about`."""
+    a = np.asarray(axis, dtype=float)
+    n = math.sqrt(a @ a)
+    if n == 0.0:
+        raise ValueError("rotation axis must be nonzero")
+    a = a / n
+    k = np.array([
+        [0.0, -a[2], a[1]],
+        [a[2], 0.0, -a[0]],
+        [-a[1], a[0], 0.0],
+    ])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
 def drift_step_oracle(ch, dt) -> tuple[np.ndarray, polcore.PdlElement]:
     """One drift step of `ch`, scalar: the reference for `ChannelState.walk`.
 
     A nonzero rate draws three axis normals (redrawn while the axis is too
     short to normalize) and one angle normal, and the step's rotation is
-    `polcore.rotation_about`, all drawn from `ch.rng`; spikes on then draw
+    `rotation_about_oracle`, all drawn from `ch.rng`; spikes on then draw
     one uniform from `ch.spike_rng`. Returns the rotation and the loss
     element after the step.
     """
@@ -52,7 +68,7 @@ def drift_step_oracle(ch, dt) -> tuple[np.ndarray, polcore.PdlElement]:
         while math.sqrt(v @ v) < 1e-12:
             v = ch.rng.normal(size=3)
         angle = ch.rng.normal(0.0, math.sqrt(2.0 * rate * dt))
-        ch.rotation = polcore.rotation_about(v / math.sqrt(v @ v), angle) @ ch.rotation
+        ch.rotation = rotation_about_oracle(v / math.sqrt(v @ v), angle) @ ch.rotation
     ch.clock_s += dt
     rate = ch.spikes.rate_per_s
     if rate > 0.0 and ch.spike_rng.random() < 1.0 - math.exp(-rate * dt):

@@ -8,8 +8,8 @@ from fiberlink import channel as chm
 from fiberlink import polcore as pc
 
 from conftest import (
-    assert_same_floats, drift_step_oracle, make_test_channel, random_bloch,
-    rotation_to_axis_angle,
+    assert_same_complex, assert_same_floats, drift_step_oracle, make_test_channel, random_bloch,
+    rotation_to_axis_angle, su2_of_rotation_oracle,
 )
 
 
@@ -427,6 +427,29 @@ def test_transmit_qubit_kraus_matches_probe_map(rng):
             out = k @ rho @ k.conj().T
             lam = pc.bloch_of_density(out / np.trace(out))
             assert np.allclose(lam, chm.transmit_probe(ch, s), atol=1e-9)
+
+
+def test_transmit_qubit_kraus_stack_matches_each_configuration(rng):
+    # a stack of rotations, each with its own loss element, gives each
+    # configuration's B U with the bits of one lift and one 2x2 product
+    n = 300
+    rotations = np.array([pc.random_rotation(rng) for _ in range(n)])
+    rotations[:4] = [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+                     np.diag([-1.0, -1.0, 1.0])]
+    losses = [pc.PdlElement.from_db(random_bloch(rng, pure=True), loss_db)
+              for loss_db in rng.uniform(0.0, 3.0, size=n)]
+    losses[:2] = [pc.PdlElement.from_axis(np.zeros(3), 1.0)] * 2
+    want = [loss.operator() @ su2_of_rotation_oracle(r) for r, loss in zip(rotations, losses)]
+    got = chm.transmit_qubit_kraus(rotations, losses)
+    assert got.shape == (n, 2, 2)
+    assert_same_complex(got, want)
+    stacked = chm.transmit_qubit_kraus(rotations.reshape(3, -1, 3, 3), np.reshape(losses, (3, -1)))
+    assert stacked.shape == (3, n // 3, 2, 2)
+    assert_same_complex(stacked, want)
+    for i in range(6):
+        one = chm.transmit_qubit_kraus(rotations[i], losses[i])
+        assert one.shape == (2, 2)
+        assert_same_complex(one, want[i])
 
 
 def test_transmit_qubit_kraus_success_probability_bounds(rng):

@@ -9,7 +9,7 @@ from fiberlink import polcore as pc
 
 from conftest import (
     assert_same_complex, assert_same_floats, bloch_of_ket, quaternion_of_rotation_oracle, random_bloch,
-    rotation_of_unitary, rotation_to_axis_angle, su2_of_rotation_oracle,
+    rotation_about_oracle, rotation_of_unitary, rotation_to_axis_angle, su2_of_rotation_oracle,
 )
 
 
@@ -41,6 +41,19 @@ def test_process_fidelity_range_and_identity_condition(rng):
         assert 0.0 <= f <= 1.0 + 1e-12
         if f > 1.0 - 1e-12:
             assert np.allclose(m, np.eye(3), atol=1e-5)
+
+
+def test_process_fidelity_stack_matches_scalar_bits(rng):
+    # each entry of a stack is (1 + tr m) / 4 summed as one matrix alone,
+    # and one matrix gives a float
+    ms = np.array([pc.random_rotation(rng) for _ in range(300)]
+                  + [np.eye(3), -np.eye(3), np.diag([1.0, -1.0, -1.0]), np.zeros((3, 3))])
+    want = [(1.0 + (m[0][0] + m[1][1] + m[2][2])) / 4.0 for m in ms.tolist()]
+    assert_same_floats(pc.process_fidelity(ms).tolist(), want)
+    assert_same_floats(pc.process_fidelity(ms.reshape(2, -1, 3, 3)).ravel().tolist(), want)
+    one = pc.process_fidelity(ms[0])
+    assert isinstance(one, float)
+    assert_same_floats([one], want[:1])
 
 
 def test_trace_from_probe_pair_identity():
@@ -77,6 +90,41 @@ def test_rotation_about_matches_scipy(rng):
         ours = pc.rotation_about(axis, angle)
         theirs = ScipyRotation.from_rotvec(angle * axis).as_matrix()
         assert np.allclose(ours, theirs, atol=1e-12)
+
+
+# Angles where a sine, a cosine or a product may round to a signed zero
+_EDGE_ANGLES = (0.0, -0.0, math.pi, -math.pi, 5e-324, -5e-324, 1e3, -1e3)
+
+
+def test_rotation_about_stack_matches_scalar_oracle_bits(rng):
+    # each rotation of a stack has the scalar Rodrigues form's bits, signs of
+    # zeros included, at any axis scale; coordinate axes put zeros in k
+    n = 2000
+    axes = rng.normal(size=(n, 3)) * rng.choice([1e-6, 1.0, 1e6], size=(n, 1))
+    axes[:6] = np.concatenate([np.eye(3), -np.eye(3)])
+    axes[6:12] = np.concatenate([np.eye(3) * 1e-6, np.eye(3) * -1e6])
+    axes[12] = [-0.0, 1.0, 0.0]
+    angles = rng.uniform(-4.0, 4.0, size=n)
+    angles[::5] = np.resize(_EDGE_ANGLES, angles[::5].size)
+    angles[:13] = np.resize(_EDGE_ANGLES, 13)
+    want = [rotation_about_oracle(a, t) for a, t in zip(axes, angles.tolist())]
+    got = pc.rotation_about(axes, angles)
+    assert got.shape == (n, 3, 3)
+    assert_same_floats(got.ravel().tolist(), np.array(want).ravel().tolist())
+    # any leading shape, angles as a list, and one axis alone
+    got = pc.rotation_about(axes.reshape(4, -1, 3), angles.reshape(4, -1).tolist())
+    assert_same_floats(got.ravel().tolist(), np.array(want).ravel().tolist())
+    for i in range(13):
+        one = pc.rotation_about(axes[i].tolist(), float(angles[i]))
+        assert one.shape == (3, 3)
+        assert_same_floats(one.ravel().tolist(), want[i].ravel().tolist())
+
+
+def test_rotation_about_rejects_a_zero_axis():
+    with pytest.raises(ValueError, match="nonzero"):
+        pc.rotation_about([0.0, 0.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match="nonzero"):
+        pc.rotation_about([[1.0, 0.0, 0.0], [0.0, -0.0, 0.0]], [1.0, 1.0])
 
 
 def test_axis_angle_round_trip(rng):
