@@ -9,7 +9,8 @@
 name, seed, config hash and full text, package version, output hashes, and
 the `--trials` value when one was applied) next to the protocol outputs; the
 manifest alone suffices to reproduce the run bit-identically. Exit codes:
-0 success, 2 invalid configuration, 3 protocol failure.
+0 success, 2 invalid configuration or an output directory that cannot be
+created or written, 3 protocol failure.
 """
 
 from __future__ import annotations
@@ -96,6 +97,9 @@ def _cmd_run(args) -> int:
     except (ProtocolFailed, ValueError) as exc:
         print(f"protocol failed: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: output directory {out_dir}: {exc}", file=sys.stderr)
+        return 2
 
     manifest = {
         "scenario": scn.name,

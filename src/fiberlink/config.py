@@ -33,7 +33,7 @@ from . import seeding
 from .channel import ChannelState, DaySchedule, PdlSpikeProcess
 from .instruments import PiezoController, Polarimeter, ReferenceSwitch
 from .polcore import PdlElement
-from .protocols import PROTOCOLS, non_negative, positive
+from .protocols import _MAX_TRACE_STEPS, PROTOCOLS, non_negative, positive
 from .quantum import IonMemory, SpdcSource
 from .stabilizer import StabilizerConfig
 
@@ -108,7 +108,8 @@ _FIELDS: dict[tuple[str, str], tuple] = {
     ("stabilizer", "d1"): (float, 0.1, positive, "> 0"),
     ("stabilizer", "du0_v"): (float, 0.2, positive, "> 0"),
     ("stabilizer", "du1_v"): (float, 0.02, positive, "> 0"),
-    ("stabilizer", "max_iterations"): (int, 200, lambda v: v >= 1, ">= 1"),
+    ("stabilizer", "max_iterations"): (int, 200, lambda v: 1 <= v <= _MAX_TRACE_STEPS,
+                                       f"in [1, {_MAX_TRACE_STEPS}]"),
 
     ("source", "phase_rad"): (float, 0.0, None, ""),
     ("source", "noise_p"): (float, 0.2187, _fraction, "in [0, 1]"),
@@ -416,16 +417,25 @@ def loads(text: str, name: str = "scenario") -> Scenario:
     return Scenario(stem=name, values=values, text=text, set_keys=set_keys)
 
 
+def _read(path: Path) -> tuple[str, list[Issue]]:
+    """The text of a scenario file read as UTF-8, or the issue that kept it
+    from being read."""
+    if not path.is_file():
+        return "", [Issue("scenario", "(file)", f"no such file: {path}")]
+    try:
+        return path.read_text(encoding="utf-8"), []
+    except (OSError, UnicodeDecodeError) as exc:
+        return "", [Issue("scenario", "(file)", f"cannot read {path}: {exc}")]
+
+
 def load(path) -> Scenario:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigInvalid([Issue("scenario", "(file)", f"no such file: {p}")])
-    return loads(p.read_text(), name=p.stem)
+    text, issues = _read(Path(path))
+    if issues:
+        raise ConfigInvalid(issues)
+    return loads(text, name=Path(path).stem)
 
 
 def validate_file(path) -> list[Issue]:
     """Schema and physical-range check without running; empty list means valid."""
-    p = Path(path)
-    if not p.is_file():
-        return [Issue("scenario", "(file)", f"no such file: {p}")]
-    return _collect(p.read_text())[1]
+    text, issues = _read(Path(path))
+    return issues or _collect(text)[1]

@@ -32,7 +32,8 @@ class ProtocolFailed(RuntimeError):
 
 
 # The longest run `validate` lets through: trace periods, series samples,
-# drift steps, loss samples or stabilization trials, each held or walked in turn.
+# drift steps, loss samples, stabilization trials or stabilizer iterations,
+# each held or walked in turn.
 _MAX_TRACE_STEPS = 10**6
 
 # Drift steps whose arm-B operators one stack holds, in whole windows: a

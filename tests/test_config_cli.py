@@ -301,6 +301,20 @@ def test_validate_bounds_the_drift_trace_length(tmp_path, capsys, total_s, trace
     assert "Traceback" not in capsys.readouterr().err
 
 
+# The stabilizer's iterations are a run length too. Neither value is run.
+@pytest.mark.parametrize("iterations, rejected", [(10**6, False), (10**6 + 1, True)],
+                         ids=["at_bound", "past_bound"])
+def test_validate_bounds_max_iterations(tmp_path, capsys, iterations, rejected):
+    path = tmp_path / "iterations.ini"
+    path.write_text(f"[scenario]\nprotocol = stabilize\n[stabilizer]\nmax_iterations = {iterations}\n")
+    issues = config.validate_file(path)
+    assert [(i.section, i.key, i.line) for i in issues] == (
+        [("stabilizer", "max_iterations", 4)] if rejected else []
+    )
+    assert cli.main(["validate", str(path)]) == (2 if rejected else 0)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 _DELAY = "[scenario]\nprotocol = delay-drift\n[protocol]\n"
 _DISTRIBUTE = "[scenario]\nprotocol = distribute-entanglement\n"
 
@@ -856,6 +870,22 @@ def test_missing_file_reported():
     assert issues and "no such file" in issues[0].message
 
 
+def test_undecodable_scenario_file_exits_2(tmp_path, capsys):
+    # a scenario file is read as UTF-8; a byte that does not decode is an
+    # issue with the file, not a traceback
+    path = tmp_path / "binary.ini"
+    path.write_bytes(b"[scenario]\nprotocol = stabilize\nname = \xff\n")
+    issues = config.validate_file(path)
+    assert [(i.section, i.key) for i in issues] == [("scenario", "(file)")]
+    assert "utf-8" in issues[0].message
+    with pytest.raises(config.ConfigInvalid):
+        config.load(path)
+    for command in ("validate", "run"):
+        assert cli.main([command, str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
@@ -1042,6 +1072,18 @@ def test_cli_override_out_of_bounds_exits_2(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err and f"{argv[1]} {argv[2]}" in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a_file", "below_a_file"])
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "F"
+    blocker.write_text("kept\n")
+    out = blocker / below
+    assert cli.main(["run", "teleport_ideal", "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert str(out) in err and "Traceback" not in err
+    assert blocker.read_text() == "kept\n"
 
 
 def test_manifest_replays_trials_override(tmp_path):
