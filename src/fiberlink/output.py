@@ -37,24 +37,10 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    return obj
-
-
 def write_json(path, payload) -> Path:
     path = Path(path)
     with open(path, "w") as fh:
-        json.dump(_jsonify(payload), fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
 
