@@ -217,7 +217,7 @@ def ket_of_bloch(n: np.ndarray) -> np.ndarray:
 # Process fidelity
 # ---------------------------------------------------------------------------
 
-def process_fidelity(m: np.ndarray) -> float:
+def process_fidelity(m: np.ndarray) -> float | np.ndarray:
     """Overlap of rotation-only channels (..., 3, 3) with the identity
     process, F = (1 + tr m) / 4: 1 for the identity, 0 for any half-turn."""
     return process_fidelity_from_trace(np.trace(m, axis1=-2, axis2=-1))
