@@ -16,7 +16,6 @@ import numpy as np
 
 from . import polcore
 from .channel import _require
-from .polcore import S_D, S_H
 
 __all__ = [
     "Polarimeter",
@@ -113,12 +112,12 @@ class PiezoController:
     must be finite and nonzero, `limit_v` finite and > 0, and `settle_s`
     finite and >= 0. Only the constructor, `set_voltages`, `apply_clamped`
     and `bias_neutral` store voltages: each checks them and stores a fresh
-    read-only `voltages` array (an in-place write raises ValueError). A
-    read changes nothing: each `quaternion()` call multiplies the four
+    tuple of four floats as `voltages` (item assignment raises TypeError).
+    A read changes nothing: each `quaternion()` call multiplies the four
     half-angle factors afresh from the gain and `voltages`.
     """
 
-    voltages: np.ndarray = field(default_factory=lambda: np.zeros(4))
+    voltages: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     gain_rad_per_v: float = 0.5
     limit_v: float = 10.0
     settle_s: float = 0.0
@@ -129,9 +128,9 @@ class PiezoController:
         _require("> 0", lambda v: v > 0.0, limit_v=self.limit_v)
         _require("nonzero", lambda v: v != 0.0, gain_rad_per_v=self.gain_rad_per_v)
         u = _four_voltages(self.voltages)
-        if not _within(u.tolist(), self.limit_v):
+        if not _within(u, self.limit_v):
             raise VoltageOutOfRange("initial voltages exceed limits")
-        self._store(u)
+        _setattr(self, "voltages", u)
 
     def bias_neutral(self) -> None:
         """Move to the neutral operating point (net identity, full-rank control).
@@ -143,40 +142,35 @@ class PiezoController:
         three rotation directions actuatable, like idling a squeezer at
         mid-range.
         """
-        quarter = 0.5 * math.pi
-        bias = np.array([0.0, -quarter, 0.0, quarter]) / self.gain_rad_per_v
-        if np.any(np.abs(bias) > self.limit_v):
+        q, g = 0.5 * math.pi, self.gain_rad_per_v
+        # 0.0 / g keeps the sign of zero that numpy's division gives
+        bias = (0.0 / g, -q / g, 0.0 / g, q / g)
+        if not _within(bias, self.limit_v):
             raise VoltageOutOfRange("neutral bias exceeds voltage limits")
-        self._store(bias)
+        _setattr(self, "voltages", bias)
 
-    def set_voltages(self, u: np.ndarray) -> None:
+    def set_voltages(self, u) -> None:
         u = _four_voltages(u)
-        if not _within(u.tolist(), self.limit_v + 1e-12):
+        if not _within(u, self.limit_v + 1e-12):
             raise VoltageOutOfRange(f"requested voltages {u} exceed +/-{self.limit_v} V")
-        self._store(u)
+        _setattr(self, "voltages", u)
 
-    def apply_clamped(self, u: np.ndarray) -> np.ndarray:
+    def apply_clamped(self, u) -> tuple[float, float, float, float]:
         """Set voltages, re-centering by full rotation periods where possible.
 
-        Returns the stored (read-only) voltages.
+        Returns the stored voltages.
         """
-        u = _four_voltages(u)
-        volts = u.tolist()
+        volts = list(_four_voltages(u))
         if not all(map(math.isfinite, volts)):
-            raise VoltageOutOfRange(f"requested voltages {u} are not finite")
+            raise VoltageOutOfRange(f"requested voltages {volts} are not finite")
         for i, v in enumerate(volts):
             if abs(v) > self.limit_v:
                 period = 2.0 * math.pi / abs(self.gain_rad_per_v)
                 shifted = v - math.copysign(period, v)
-                u[i] = shifted if abs(shifted) <= self.limit_v else math.copysign(self.limit_v, v)
+                volts[i] = shifted if abs(shifted) <= self.limit_v else math.copysign(self.limit_v, v)
                 _setattr(self, "clamp_events", self.clamp_events + 1)
-        self._store(u)
-        return u
-
-    def _store(self, u: np.ndarray) -> None:
-        """Keep the checked fresh array `u` read-only as the voltages."""
-        u.setflags(write=False)
-        _setattr(self, "voltages", u)
+        _setattr(self, "voltages", tuple(volts))
+        return self.voltages
 
     def rotation(self) -> np.ndarray:
         """Net Stokes rotation of the controller at its current voltages."""
@@ -192,7 +186,7 @@ class PiezoController:
         # the sign of a zero.
         a1x, a1y, a1z, a2x, a2y, a2z, a3x, a3y, a3z, a4x, a4y, a4z = _AXIS_COMPONENTS
         cos, sin, half = math.cos, math.sin, 0.5 * self.gain_rad_per_v
-        u1, u2, u3, u4 = self.voltages.tolist()
+        u1, u2, u3, u4 = self.voltages
         w, x, y, z = 1.0, 0.0, 0.0, 0.0
         h = half * u1
         c, s = cos(h), sin(h)
@@ -216,15 +210,18 @@ class PiezoController:
                 c * y - bx * z + by * w + bz * x, c * z + bx * y - by * x + bz * w)
 
 
-def _four_voltages(u: np.ndarray) -> np.ndarray:
-    """A fresh float array of the four voltages `u`."""
-    u = np.array(u, dtype=float)
-    if u.shape != (4,):
-        raise ValueError(f"need 4 voltages, got shape {u.shape}")
-    return u
+def _four_voltages(u) -> tuple[float, float, float, float]:
+    """The four voltages `u` as a tuple of floats."""
+    try:
+        volts = tuple(map(float, u))
+    except TypeError:  # a scalar, or rows of a 2-D request
+        volts = ()
+    if len(volts) != 4:
+        raise ValueError(f"need 4 voltages, got {u!r}")
+    return volts
 
 
-def _within(volts: list[float], limit: float) -> bool:
+def _within(volts, limit: float) -> bool:
     """True if all four voltages `volts` lie in [-limit, limit]; NaN lies nowhere."""
     u1, u2, u3, u4 = volts
     return abs(u1) <= limit and abs(u2) <= limit and abs(u3) <= limit and abs(u4) <= limit
@@ -232,17 +229,12 @@ def _within(volts: list[float], limit: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ReferenceSwitch:
-    """Switchable reference lasers with fixed H and D output polarizations.
-
-    The switching latency `latency_s` must be finite and >= 0.
+    """Switchable reference lasers with fixed H and D outputs, `polcore.S_H`
+    and `S_D` (`stabilizer.probe_link` sends them). Only the switching
+    latency `latency_s` is modelled; it must be finite and >= 0.
     """
 
     latency_s: float = 0.0
 
     def __post_init__(self) -> None:
         _require(">= 0", lambda v: v >= 0.0, latency_s=self.latency_s)
-
-    def select(self, which: str) -> np.ndarray:
-        if which not in ("H", "D"):
-            raise ValueError(f"unknown reference polarization {which!r}")
-        return S_H if which == "H" else S_D

@@ -285,11 +285,23 @@ def _duty_cycle_steps(values) -> float:
     return steps
 
 
+def _interval_label(interval: float) -> str:
+    """The label of an intervals_s entry's random streams: six significant digits."""
+    return f"{interval:g}"
+
+
 def _distribute_checks(values) -> list[tuple[str, str, str]]:
     issues = _noise_checks(values) if values[("protocol", "correct_background")] else []
     if values[("protocol", "counts_per_basis")] == values[("source", "pair_rate_per_s")] == 0.0:
         issues.append(("source", "pair_rate_per_s",
                        "must be > 0 for exact counts (counts_per_basis = 0): every count table is empty"))
+    labels: dict[str, float] = {}
+    for interval in values[("protocol", "intervals_s")]:
+        label = _interval_label(interval)
+        if label in labels:
+            issues.append(("protocol", "intervals_s",
+                           f"entries {labels[label]!r} and {interval!r} both label their random streams {label}"))
+        labels.setdefault(label, interval)
     return issues + _too_long("total_per_interval_s", _duty_cycle_steps(values),
                               "sum over intervals_s of windows * drift steps per window", "drift steps")
 
@@ -342,13 +354,14 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
     rows = []
     summary = []
     for interval in intervals:
+        label = _interval_label(interval)
         ch = scn.make_channel(
-            f"channel.drift.{interval:g}",
-            polcore.random_rotation(scn.rng(f"protocol.initial.{interval:g}")),
+            f"channel.drift.{label}",
+            polcore.random_rotation(scn.rng(f"protocol.initial.{label}")),
         )
         piezo = scn.make_piezo()
-        pol = scn.make_polarimeter(f"polarimeter.{interval:g}")
-        count_rng = scn.rng(f"counts.{interval:g}") if counts_per_basis > 0 else None
+        pol = scn.make_polarimeter(f"polarimeter.{label}")
+        count_rng = scn.rng(f"counts.{label}") if counts_per_basis > 0 else None
 
         integration = interval / 16.0
         n_per_basis = (
@@ -357,7 +370,7 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
         )
         accidental_mean = acc_a * acc_b * coinc_w * integration
 
-        log = stabilizer.duty_cycle_run(
+        records = stabilizer.duty_cycle_run(
             ch, piezo, pol, cfg,
             transmit_window_s=float(interval),
             total_s=total,
@@ -366,7 +379,7 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
         )
 
         fids_raw, fids_corr = [], []
-        for rec, link_sum, comp in _arm_b_windows(log.records):
+        for rec, link_sum, comp in _arm_b_windows(records):
             acc_rho = quantum.on_arm_b(quantum.on_arm_b_superoperator(rho_src, link_sum), comp)
             tr = float(np.trace(acc_rho).real)
             if tr <= 0.0:
@@ -374,7 +387,7 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
             rho_bar = acc_rho / tr
             # Each step's trace is at most 1; rounding of the sum may not be.
             success = min(1.0, tr / len(rec.rotations))
-            where = f"interval {interval:g} s, window {rec.window}"
+            where = f"interval {label} s, window {rec.window}"
             counts = _measured(_window_counts(rho_bar, n_per_basis, accidental_mean, count_rng),
                                f"{where}: the raw count table")
             fid_raw = quantum.bell_fidelity(quantum.tomography_2q(counts))
@@ -392,15 +405,18 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
                  fid_raw, fid_corr, success)
             )
 
+        # the window per mean stabilization time; -1 if no run took any time
+        runs = [r.stab_duration_s for r in records if r.stab_iterations > 0]
+        duty_ratio = interval / (sum(runs) / len(runs)) if sum(runs) != 0.0 else math.inf
         summary.append(
             (
                 interval,
-                len(log.records),
-                float(np.mean([r.fp_after for r in log.records])),
+                len(records),
+                float(np.mean([r.fp_after for r in records])),
                 float(np.mean(fids_raw)),
                 float(np.mean(fids_corr)),
-                log.stabilization_count(),
-                log.duty_ratio if math.isfinite(log.duty_ratio) else -1.0,
+                len(runs),
+                duty_ratio if math.isfinite(duty_ratio) else -1.0,
             )
         )
 

@@ -37,8 +37,8 @@ __all__ = [
     "Outcome",
     "StabilizerConfig",
     "StabilizerRun",
-    "DutyCycleLog",
     "TRACE_HEADER",
+    "WindowRecord",
     "adapt_parameters",
     "duty_cycle_run",
     "error_function",
@@ -122,11 +122,10 @@ class _Clock:
         self.t += self._settle
 
 
-def probe_link(ch: ChannelState, switch: ReferenceSwitch) -> tuple[list[float], list[float]]:
-    """The link's outputs for injected H and D reference light, as float
-    triples. A link held still gives the same pair to every probe."""
-    s_h, s_d = switch.select("H"), switch.select("D")
-    return transmit_probe(ch, s_h).tolist(), transmit_probe(ch, s_d).tolist()
+def probe_link(ch: ChannelState) -> tuple[list[float], list[float]]:
+    """The link's outputs for the H and D reference light `polcore.S_H` and
+    `S_D`, as float triples. A link held still gives the same pair to every probe."""
+    return transmit_probe(ch, polcore.S_H).tolist(), transmit_probe(ch, polcore.S_D).tolist()
 
 
 def measure_probe_pair(
@@ -202,7 +201,7 @@ def gradient(
         clock.probe_pair()
         return error_function(link, piezo, polarimeter)
 
-    u0 = piezo.voltages.tolist()
+    u0 = piezo.voltages
     f0 = None
     out = []
     for i in range(4):
@@ -254,11 +253,10 @@ def stabilize(
     D outputs are mapped once and every probe reads that pair.
     """
     cfg = cfg or StabilizerConfig()
-    switch = switch or ReferenceSwitch()
-    clock = _Clock(polarimeter, piezo, switch)
+    clock = _Clock(polarimeter, piezo, switch or ReferenceSwitch())
     clamp_before = piezo.clamp_events
 
-    link = probe_link(ch, switch)
+    link = probe_link(ch)
     trace: list[tuple] = []
     outcome = Outcome.MAX_ITERATIONS
     # Iteration 0 only probes; step 1 takes d0 and du0_v whatever that probe read.
@@ -272,7 +270,7 @@ def stabilize(
         clock.probe_pair()
         s1, s2 = measure_probe_pair(link, piezo, polarimeter)
         fp = _fidelity_of_pair(s1, s2)
-        trace.append((iteration, *piezo.voltages.tolist(), _error_of_pair(s1, s2), fp, clock.t))
+        trace.append((iteration, *piezo.voltages, _error_of_pair(s1, s2), fp, clock.t))
         if fp >= cfg.fp_threshold:
             outcome = Outcome.CONVERGED
             break
@@ -289,37 +287,18 @@ def stabilize(
 
 @dataclass
 class WindowRecord:
-    """One window: its boundary stabilization, the compensator rotation the
-    piezo holds through the window, and the link's rotation and loss element
-    after each of the window's drift steps."""
+    """One window: its boundary stabilization (none if `stab_iterations` is
+    0), the compensator rotation the piezo holds through the window, and the
+    link's rotation and loss element after each of the window's drift steps."""
 
     window: int
     fp_before: float
-    stabilized: bool
     stab_iterations: int
     stab_duration_s: float
     fp_after: float
     compensator: np.ndarray
     rotations: list[np.ndarray]
     losses: list[polcore.PdlElement]
-
-
-@dataclass
-class DutyCycleLog:
-    """Per-window log of alternating transmission and stabilization."""
-
-    records: list[WindowRecord]
-    transmit_window_s: float
-
-    @property
-    def duty_ratio(self) -> float:
-        runs = [r.stab_duration_s for r in self.records if r.stabilized]
-        if not runs or sum(runs) == 0.0:
-            return math.inf
-        return self.transmit_window_s / (sum(runs) / len(runs))
-
-    def stabilization_count(self) -> int:
-        return sum(1 for r in self.records if r.stabilized)
 
 
 def window_plan(transmit_window_s: float, total_s: float, drift_dt_s: float) -> tuple[int, int]:
@@ -340,8 +319,10 @@ def duty_cycle_run(
     total_s: float,
     switch: ReferenceSwitch | None = None,
     drift_dt_s: float = 1.0,
-) -> DutyCycleLog:
-    """Alternate free-drift transmission windows with stabilization runs.
+) -> list[WindowRecord]:
+    """Alternate free-drift transmission windows with stabilization runs;
+    returns one record per window, in window order, from which the caller
+    counts stabilizations and their durations.
 
     Fidelity is probed at each window boundary, and the loop runs only when
     it has dropped below the threshold (otherwise the boundary costs just
@@ -352,28 +333,19 @@ def duty_cycle_run(
     """
     if transmit_window_s <= 0.0 or total_s <= 0.0:
         raise ValueError("windows must be > 0")
-    switch = switch or ReferenceSwitch()
     records: list[WindowRecord] = []
     n_windows, n_steps = window_plan(transmit_window_s, total_s, drift_dt_s)
     dt = transmit_window_s / n_steps
     for window in range(n_windows):
-        s1, s2 = measure_probe_pair(probe_link(ch, switch), piezo, polarimeter)
+        s1, s2 = measure_probe_pair(probe_link(ch), piezo, polarimeter)
         fp_before = _fidelity_of_pair(s1, s2)
-        run = None
+        iterations, duration, fp_after = 0, 0.0, fp_before
         if fp_before < cfg.fp_threshold:
             run = stabilize(ch, piezo, polarimeter, cfg, switch)
+            iterations, duration, fp_after = run.iterations, run.duration_s, run.final_fp
         rotations, losses = ch.walk(dt, n_steps)
-        records.append(
-            WindowRecord(
-                window=window,
-                fp_before=fp_before,
-                stabilized=run is not None and run.iterations > 0,
-                stab_iterations=run.iterations if run is not None else 0,
-                stab_duration_s=run.duration_s if run is not None else 0.0,
-                fp_after=run.final_fp if run is not None else fp_before,
-                compensator=piezo.rotation(),
-                rotations=rotations,
-                losses=losses,
-            )
-        )
-    return DutyCycleLog(records=records, transmit_window_s=transmit_window_s)
+        records.append(WindowRecord(
+            window=window, fp_before=fp_before, stab_iterations=iterations, stab_duration_s=duration,
+            fp_after=fp_after, compensator=piezo.rotation(), rotations=rotations, losses=losses,
+        ))
+    return records

@@ -399,13 +399,39 @@ def test_validate_counts_the_drift_steps_duty_cycle_run_walks(intervals, total, 
                        f"[protocol]\nintervals_s = {','.join(intervals)}\ntotal_per_interval_s = {total}\n")
     steps = 0
     for interval in scn.protocol_value("intervals_s"):
-        log = stabilizer.duty_cycle_run(
+        records = stabilizer.duty_cycle_run(
             scn.make_channel(), scn.make_piezo(), scn.make_polarimeter(), scn.make_stabilizer_config(),
             transmit_window_s=interval, total_s=scn.protocol_value("total_per_interval_s"),
             drift_dt_s=scn[("channel", "drift_dt_s")],
         )
-        steps += sum(len(r.rotations) for r in log.records)
+        steps += sum(len(r.rotations) for r in records)
     assert protocols._duty_cycle_steps(scn.values) == steps
+
+
+# Each intervals_s entry labels its random streams with six significant
+# digits; two entries that share a label drew the same drift, polarimeter
+# and count streams, so `validate` rejects them and names both entries.
+@pytest.mark.parametrize("intervals, shared", [
+    ("5,5.0000001", ("5.0", "5.0000001")),
+    ("20,5,20", ("20.0", "20.0")),
+    ("5,5.00001", None),
+], ids=["six_digits", "repeated", "distinct"])
+def test_validate_rejects_intervals_that_share_stream_labels(tmp_path, capsys, intervals, shared):
+    path = tmp_path / "intervals.ini"
+    text = _DISTRIBUTE + f"[protocol]\nintervals_s = {intervals}\ntotal_per_interval_s = 20\n"
+    path.write_text(text)
+    issues = config.validate_file(path)
+    if shared is None:
+        assert issues == []
+        return
+    (issue,) = issues
+    assert (issue.section, issue.key, issue.line) == ("protocol", "intervals_s", 4)
+    assert issue.message.startswith(f"entries {shared[0]} and {shared[1]} both label their random streams")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"entries {shared[0]} and {shared[1]}" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
 
 
 # `--trials` is held to the same bounds as the key it sets, run length included.
@@ -1252,11 +1278,11 @@ def test_distribute_window_superoperator_matches_per_step_sum(tmp_path, monkeypa
     rho_src = quantum.spdc_state(scn.make_source())
     real_duty_cycle_run = stabilizer.duty_cycle_run
     real_window_counts = protocols._window_counts
-    logs, window_states = [], []
+    runs, window_states = [], []
 
     def duty_cycle_run(*args, **kwargs):
-        logs.append(real_duty_cycle_run(*args, **kwargs))
-        return logs[-1]
+        runs.append(real_duty_cycle_run(*args, **kwargs))
+        return runs[-1]
 
     def window_counts(rho, *args):
         window_states.append(rho)
@@ -1267,12 +1293,12 @@ def test_distribute_window_superoperator_matches_per_step_sum(tmp_path, monkeypa
     run_protocol(scn, tmp_path)
 
     header, rows = read_csv_rows(tmp_path / "dutycycle.csv")
-    (log,) = logs
-    assert len(rows) == len(window_states) == len(log.records) == 10
+    (records,) = runs
+    assert len(rows) == len(window_states) == len(records) == 10
     # a spike inside a window: two loss elements in one window
-    assert any(len({p.amplitude_transmission for p in rec.losses}) > 1 for rec in log.records)
+    assert any(len({p.amplitude_transmission for p in rec.losses}) > 1 for rec in records)
     n_steps = 20
-    for row, rho_bar, rec in zip(rows, window_states, log.records):
+    for row, rho_bar, rec in zip(rows, window_states, records):
         assert int(row[header.index("window")]) == rec.window
         comp = polcore.su2_of_rotation(rec.compensator)
         state_sum, trace_sum = np.zeros((4, 4), dtype=complex), 0.0
@@ -1284,6 +1310,43 @@ def test_distribute_window_superoperator_matches_per_step_sum(tmp_path, monkeypa
         assert success < 1.0
         assert abs(success * n_steps - trace_sum) <= 1e-12
         assert np.max(np.abs(rho_bar * (success * n_steps) - state_sum)) <= 1e-12
+
+
+# `dutycycle_summary.csv` counts the windows that stabilized and divides the
+# transmit window by their mean stabilization time, from the records
+# `duty_cycle_run` returns; the ratio is -1 where no window stabilized or
+# the runs took no time.
+@pytest.mark.parametrize("edits, case", [
+    ({}, "ratio"),
+    # every window starts above the threshold
+    ({"fp_threshold = 0.999": "fp_threshold = 0.02\nfp_crossover = 0.01"}, "none_stabilized"),
+    # the polarimeter, switch and piezo take no time
+    ({"polarimeter_sigma = 0.0": "polarimeter_sigma = 0.0\npolarimeter_latency_s = 0"}, "no_time"),
+], ids=["ratio", "none_stabilized", "no_time"])
+def test_duty_cycle_summary_recounts_the_returned_records(tmp_path, monkeypatch, edits, case):
+    text = SPIKY_PPE
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    real_duty_cycle_run = stabilizer.duty_cycle_run
+    returned = []
+
+    def duty_cycle_run(*args, **kwargs):
+        returned.append(real_duty_cycle_run(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(stabilizer, "duty_cycle_run", duty_cycle_run)
+    run_protocol(config.loads(text, name="summary"), tmp_path)
+    header, (row,) = read_csv_rows(tmp_path / "dutycycle_summary.csv")
+    (records,) = returned
+    runs = [r.stab_duration_s for r in records if r.stab_iterations > 0]
+    assert row[header.index("n_windows")] == str(len(records)) == "10"
+    assert row[header.index("n_stabilizations")] == str(len(runs))
+    ratio = float(row[header.index("duty_ratio")])
+    if case == "ratio":
+        assert len(runs) >= 2 and ratio == 20.0 / (sum(runs) / len(runs))
+    else:
+        assert (runs == []) == (case == "none_stabilized") and sum(runs) == 0.0
+        assert ratio == -1.0
 
 
 # No shipped preset has loss spikes or a zero drift rate, so the golden

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from fiberlink import channel as chm
 from fiberlink import instruments as ins
 from fiberlink import polcore as pc
+from fiberlink import stabilizer as st
 
-from conftest import piezo_quaternion_oracle, random_bloch
+from conftest import assert_same_floats, make_test_channel, piezo_quaternion_oracle, random_bloch
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +192,7 @@ def test_piezo_rotation_matches_rotation_about(rng, gain):
         np.zeros(4), np.full(4, -0.0), np.array([0.0, -0.0, -0.0, 0.0]),
         np.full(4, c.limit_v), np.full(4, -c.limit_v),
         np.array([c.limit_v, -c.limit_v, -c.limit_v, c.limit_v]),
-        c.voltages.copy(),
+        c.voltages,
         *rng.uniform(-c.limit_v, c.limit_v, size=(50, 4)),
     ]
     for u in cases:
@@ -247,15 +249,24 @@ def _stored_by(writer):
 
 
 @pytest.mark.parametrize("writer", _WRITERS)
+def test_piezo_stores_a_tuple_of_four_floats(writer):
+    volts = _stored_by(writer).voltages
+    assert type(volts) is tuple and len(volts) == 4
+    assert all(type(v) is float for v in volts)
+
+
+@pytest.mark.parametrize("writer", _WRITERS)
 def test_piezo_stored_voltages_are_read_only(writer):
+    # a tuple: item assignment and in-place addition raise TypeError (a
+    # read-only array raised ValueError)
     c = _stored_by(writer)
-    before = c.voltages.tolist()
+    before = c.voltages
     q = c.quaternion()
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         c.voltages[0] = 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         c.voltages += 1.0
-    assert c.voltages.tolist() == before and c.quaternion() == q
+    assert c.voltages == before and c.quaternion() == q
 
 
 @pytest.mark.parametrize("writer", _WRITERS)
@@ -286,10 +297,11 @@ def test_piezo_copies_requested_voltages():
     u = np.array([0.5, -1.0, 2.0, 9.5])
     c.set_voltages(u)
     u[0] = 20.0
-    assert c.voltages.tolist() == [0.5, -1.0, 2.0, 9.5]
+    assert c.voltages == (0.5, -1.0, 2.0, 9.5)
     returned = c.apply_clamped(u)
-    assert u[0] == 20.0 and returned is c.voltages
-    with pytest.raises(ValueError):
+    u[1] = 7.0
+    assert u[0] == 20.0 and returned is c.voltages and returned[1] == -1.0
+    with pytest.raises(TypeError):
         returned[1] = 0.0
 
 
@@ -314,6 +326,29 @@ def test_piezo_settings_and_voltages_are_fixed_outside_the_writers(name, value):
 def test_piezo_requires_four_voltages(n):
     with pytest.raises(ValueError, match="need 4 voltages"):
         ins.PiezoController(voltages=np.zeros(n))
+
+
+# 3 or 5 voltages: test_piezo_requires_four_voltages and
+# test_piezo_set_voltages_requires_four_channels
+@pytest.mark.parametrize("u", [np.zeros((4, 1)), np.zeros((1, 4)), np.zeros((2, 4)), 0.0, []],
+                         ids=["column", "row", "two_rows", "scalar", "empty"])
+def test_piezo_writers_reject_a_request_that_is_not_four_numbers(u):
+    c = ins.PiezoController(voltages=[0.5, -1.0, 2.0, 9.5])
+    for write in (lambda: ins.PiezoController(voltages=u), lambda: c.set_voltages(u),
+                  lambda: c.apply_clamped(u)):
+        with pytest.raises(ValueError, match="need 4 voltages"):
+            write()
+    assert c.voltages == (0.5, -1.0, 2.0, 9.5) and c.clamp_events == 0
+
+
+@pytest.mark.parametrize("gain", [0.5, -0.7, 1.1, -1e-3])
+def test_piezo_neutral_bias_keeps_numpy_division_bits(gain):
+    # the bias in Python floats equals the former numpy array division, bit
+    # for bit and with its signs of zero (-0.0 at a negative gain)
+    c = ins.PiezoController(gain_rad_per_v=gain, limit_v=1e4)
+    c.bias_neutral()
+    quarter = 0.5 * math.pi
+    assert_same_floats(c.voltages, (np.array([0.0, -quarter, 0.0, quarter]) / gain).tolist())
 
 
 @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf, 0.0, -0.0])
@@ -405,17 +440,13 @@ def test_piezo_controllability_grid_oracle(rng):
 # reference switch
 # ---------------------------------------------------------------------------
 
-def test_reference_switch_outputs():
-    sw = ins.ReferenceSwitch()
-    assert np.array_equal(sw.select("H"), np.array([1.0, 0.0, 0.0]))
-    assert np.array_equal(sw.select("D"), np.array([0.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        sw.select("X")
-
-
-def test_reference_switch_shares_read_only_probes():
-    sw = ins.ReferenceSwitch()
-    h, d = sw.select("H"), sw.select("D")
+def test_reference_switch_shares_read_only_probes(monkeypatch):
+    # the switch's H and D outputs are polcore's read-only constants, which
+    # `probe_link` sends without a copy
+    sent = []
+    monkeypatch.setattr(st, "transmit_probe", lambda ch, s: sent.append(s) or chm.transmit_probe(ch, s))
+    st.probe_link(make_test_channel())
+    h, d = sent
     assert h is pc.S_H and d is pc.S_D
     for probe in (h, d, pc.S_R):
         with pytest.raises(ValueError):

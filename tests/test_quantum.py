@@ -136,7 +136,7 @@ def test_arm_b_block_sums_match_per_window_sums(monkeypatch, steps, windows, cap
     quiet = pc.PdlElement.from_axis(np.zeros(3), 1.0)
     lossy = [pc.PdlElement.from_db(rng.normal(size=3), db) for db in (0.08, 0.58, 3.0)]
     records = [
-        WindowRecord(window=w, fp_before=0.5, stabilized=True, stab_iterations=1,
+        WindowRecord(window=w, fp_before=0.5, stab_iterations=1,
                      stab_duration_s=0.1, fp_after=1.0, compensator=pc.random_rotation(rng),
                      rotations=[pc.random_rotation(rng) for _ in range(steps)],
                      losses=[quiet if rng.random() < 0.5 else lossy[rng.integers(3)]
