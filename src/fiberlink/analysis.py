@@ -53,29 +53,27 @@ class QuantileSurface:
 
 
 def quantile_surface(samples) -> QuantileSurface:
-    """Bin (tau, fidelity) samples by tau and extract the QUANTILES curves.
+    """Bin fidelity samples by tau and extract the QUANTILES curves.
 
-    The q-curve value at a given tau is the fidelity f such that a fraction
-    q of the samples at that tau lies at or above f, i.e. the (1-q) quantile
-    of the per-bin empirical distribution. Bins with fewer samples than
-    MIN_SAMPLES_PER_BIN are kept but flagged in `warnings`. `samples` is a
-    sequence of (tau, fidelity) pairs or an (m, 2) array. A bin's three
-    quantiles are taken in one `np.quantile` call.
+    `samples` maps each tau to its fidelities. The q-curve value at a given
+    tau is the fidelity f such that a fraction q of the samples at that tau
+    lies at or above f, i.e. the (1-q) quantile of the per-tau empirical
+    distribution. Taus with fewer samples than MIN_SAMPLES_PER_BIN are kept
+    but flagged in `warnings`. A tau's three quantiles are taken in one
+    `np.quantile` call.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("no samples")
-    taus = np.unique(samples[:, 0])
-    f_lo = min(0.0, samples[:, 1].min())
+    taus = sorted(samples)
+    bins = [np.asarray(samples[tau], dtype=float) for tau in taus]
+    if not bins or not all(vals.size for vals in bins):
+        raise ValueError("need samples at every tau")
+    f_lo = min(0.0, *(vals.min() for vals in bins))
     edges = np.linspace(f_lo, 1.0, FIDELITY_BINS + 1)
-    incidence = np.zeros((taus.size, FIDELITY_BINS))
-    counts = np.zeros(taus.size, dtype=int)
-    curves = {q: np.empty(taus.size) for q in QUANTILES}
+    incidence = np.zeros((len(taus), FIDELITY_BINS))
+    counts = np.array([vals.size for vals in bins])
+    curves = {q: np.empty(len(taus)) for q in QUANTILES}
     levels = [1.0 - q for q in QUANTILES]
     warnings = []
-    for i, tau in enumerate(taus):
-        vals = samples[samples[:, 0] == tau, 1]
-        counts[i] = vals.size
+    for i, (tau, vals) in enumerate(zip(taus, bins)):
         if vals.size < MIN_SAMPLES_PER_BIN:
             warnings.append(
                 f"tau={tau:g}: only {vals.size} samples for quoted quantiles"
@@ -87,7 +85,7 @@ def quantile_surface(samples) -> QuantileSurface:
             curves[q][i] = value
     centers = 0.5 * (edges[:-1] + edges[1:])
     return QuantileSurface(
-        tau_grid=taus,
+        tau_grid=np.array(taus, dtype=float),
         fidelity_grid=centers,
         incidence=incidence,
         curves=curves,

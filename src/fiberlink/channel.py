@@ -226,9 +226,10 @@ class ChannelState:
         """Advance the link timeline by dt seconds of free drift."""
         self.walk(dt, 1)
 
-    def walk(self, dt: float, n: int) -> tuple[list[np.ndarray], list[PdlElement]]:
-        """Advance by n drift steps of dt; return the rotation and the loss
-        element (`current_pdl()`) after each step.
+    def walk(self, dt: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Advance by n drift steps of dt; return the rotation after each
+        step, shape (n, 3, 3), and the spike mask, shape (n,): whether the
+        step's loss element (`current_pdl()`) is `spike_pdl()`, not `pdl`.
 
         `rng` draws only normals: the k steps with a nonzero rate take one
         (k, 4) block, three axis normals and then the angle's normal per
@@ -265,29 +266,31 @@ class ChannelState:
         spike_p = 1.0 - math.exp(-self.spikes.rate_per_s * dt)
         uniforms = self.spike_rng.random(n).tolist() if self.spikes.rate_per_s > 0.0 else [1.0] * n
         m = start = self.rotation
-        rotations, losses = [], []
-        for rate, u in zip(rates, uniforms):
+        rotations, spiked = np.empty((n, 3, 3)), np.empty(n, dtype=bool)
+        for i, (rate, u) in enumerate(zip(rates, uniforms)):
             if rate > 0.0:
                 m = next(steps) @ m
-            rotations.append(m)
+            rotations[i] = m
             self.clock_s += dt
             if u < spike_p:
                 self._spike_until_s = self.clock_s + self.spikes.duration_s
-            losses.append(self.current_pdl())
+            spiked[i] = self._spike_until_s >= self.clock_s
         if m is not start:
             m.flags.writeable = False
             self.rotation = m
-        return rotations, losses
+        return rotations, spiked
 
-    def current_pdl(self) -> PdlElement:
-        """The loss element now: `pdl`, or during a spike an element
-        `spikes.extra_db` lossier."""
-        if self._spike_until_s < self.clock_s:
-            return self.pdl
+    def spike_pdl(self) -> PdlElement:
+        """The loss element during a spike: `spikes.extra_db` lossier than
+        `pdl`, along its pass axis (`polcore.S_H` if it has none)."""
         pdl, extra_db = self.pdl, self.spikes.extra_db
         if pdl.gamma > 0.0:
             return PdlElement.from_db(pdl.pass_axis(), pdl.loss_db + extra_db)
         return PdlElement.from_db(polcore.S_H, extra_db)
+
+    def current_pdl(self) -> PdlElement:
+        """The loss element now: `pdl`, or during a spike `spike_pdl()`."""
+        return self.pdl if self._spike_until_s < self.clock_s else self.spike_pdl()
 
 
 def transmit_probe(ch: ChannelState, s_in: np.ndarray) -> np.ndarray:
@@ -296,14 +299,13 @@ def transmit_probe(ch: ChannelState, s_in: np.ndarray) -> np.ndarray:
     return polcore.pdl_apply_bloch(rotation @ s_in, ch.current_pdl())
 
 
-def transmit_qubit_kraus(rotation: np.ndarray, loss) -> np.ndarray:
+def transmit_qubit_kraus(rotation: np.ndarray, loss: np.ndarray) -> np.ndarray:
     """Single-qubit operators K = B U, shape (..., 2, 2), of rotations
-    (..., 3, 3), each with its loss element (one `PdlElement` for one).
+    (..., 3, 3) and their loss operators B (`PdlElement.operator()`),
+    shape (..., 2, 2).
 
-    U is the SU(2) lift of the rotation and B the operator of its loss
-    element; the post-selected state map is rho -> K rho K^dag / tr(K rho
-    K^dag) with success probability tr(K rho K^dag) in [T^2, 1].
+    U is the SU(2) lift of the rotation; the post-selected state map is
+    rho -> K rho K^dag / tr(K rho K^dag) with success probability
+    tr(K rho K^dag) in [T^2, 1].
     """
-    lifts = polcore.su2_of_rotation(rotation)
-    ops = np.array([pdl.operator() for pdl in np.ravel(loss)])
-    return ops.reshape(lifts.shape) @ lifts
+    return loss @ polcore.su2_of_rotation(rotation)

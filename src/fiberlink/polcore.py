@@ -21,7 +21,7 @@ The corresponding 2x2 operator is B = T*I + (1-T)|P><P|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -296,8 +296,6 @@ class PdlElement:
 
     gamma_vec: np.ndarray
     amplitude_transmission: float
-    # operator(), built on first use.
-    _operator: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = self.amplitude_transmission
@@ -350,20 +348,12 @@ class PdlElement:
         return self.gamma_vec / g
 
     def operator(self) -> np.ndarray:
-        """2x2 loss operator B = T*I + (1-T)|P><P| (non-trace-preserving).
-
-        Built once per element and returned read-only.
-        """
-        if self._operator is None:
-            t = self.amplitude_transmission
-            if self.gamma == 0.0:
-                op = np.eye(2, dtype=complex)
-            else:
-                p = ket_of_bloch(self.pass_axis())
-                op = t * np.eye(2, dtype=complex) + (1.0 - t) * np.outer(p, p.conj())
-            op.flags.writeable = False
-            object.__setattr__(self, "_operator", op)
-        return self._operator
+        """2x2 loss operator B = T*I + (1-T)|P><P| (non-trace-preserving)."""
+        if self.gamma == 0.0:
+            return np.eye(2, dtype=complex)
+        t = self.amplitude_transmission
+        p = ket_of_bloch(self.pass_axis())
+        return t * np.eye(2, dtype=complex) + (1.0 - t) * np.outer(p, p.conj())
 
 
 def pdl_apply_bloch(lambda_in: np.ndarray, pdl: PdlElement) -> np.ndarray:

@@ -33,11 +33,13 @@ class ProtocolFailed(RuntimeError):
 
 # The longest run `validate` lets through: trace periods, series samples,
 # drift steps, loss samples, stabilization trials or stabilizer iterations,
-# each held or walked in turn.
+# each held or walked in turn, and the most fidelities a drift-characterize
+# run holds for its quantile surface.
 _MAX_TRACE_STEPS = 10**6
+_MAX_DRIFT_SAMPLES = 10**7
 
-# Drift steps whose arm-B operators one stack holds, in whole windows: a
-# run at the step bound never holds every step's superoperator at once.
+# Drift steps whose arm-B operators one stack holds: whole windows, or
+# chunks of one longer window, so no stack outgrows it at the step bound.
 _ARM_B_BLOCK_STEPS = 8192
 
 
@@ -113,9 +115,10 @@ def drift_lag(tau: float, period: float) -> int:
 
 
 def _drift_checks(values) -> list[tuple[str, str, str]]:
-    """The trace may hold at most _MAX_TRACE_STEPS periods, and each
-    tau_grid_s entry must be > 0 and give its own lag, in trace periods,
-    that the run's int(total_s / trace_period_s) periods cover."""
+    """The trace may hold at most _MAX_TRACE_STEPS periods, each tau_grid_s
+    entry must be > 0 and give its own lag, in trace periods, that the run's
+    int(total_s / trace_period_s) periods cover; together the lags may take
+    at most _MAX_DRIFT_SAMPLES samples, trace points - lag each."""
     period, taus = values[("protocol", "trace_period_s")], values[("protocol", "tau_grid_s")]
     steps = values[("protocol", "total_s")] / period
     too_long = _too_long("trace_period_s", steps, "total_s / trace_period_s", "trace periods")
@@ -139,6 +142,10 @@ def _drift_checks(values) -> list[tuple[str, str, str]]:
             seen[lag] = tau
             continue
         issues.append(("protocol", "tau_grid_s", message))
+    held = sum(longest + 1 - lag for lag in seen)
+    if held > _MAX_DRIFT_SAMPLES:
+        issues.append(("protocol", "tau_grid_s", f"sum over tau_grid_s of (trace points - lag) = {held} "
+                       f"samples; at most {_MAX_DRIFT_SAMPLES} per run"))
     return issues
 
 
@@ -149,21 +156,20 @@ def run_drift_characterize(scn: Scenario, out: Path) -> list[Path]:
     ch = scn.make_channel()
 
     n_points = int(total / period) + 1
-    rotations = np.array([ch.rotation, *ch.walk(period, n_points - 1)[0]])
+    rotations = np.concatenate(([ch.rotation], ch.walk(period, n_points - 1)[0]))
     trace_rows = [
         (i * period, *h, *d)
         for i, (h, d) in enumerate(zip((rotations @ polcore.S_H).tolist(),
                                        (rotations @ polcore.S_D).tolist()))
     ]
 
-    # (tau, fidelity) per pair of rotations `lag` periods apart: the
-    # process fidelity of the relative rotation R_{i+lag} R_i^T
-    samples = []
+    # per tau, the fidelity of each pair of rotations `lag` periods apart:
+    # the process fidelity of the relative rotation R_{i+lag} R_i^T
+    samples = {}
     for tau in tau_grid:
         lag = drift_lag(tau, period)
-        fids = polcore.process_fidelity(rotations[lag:] @ rotations[:-lag].transpose(0, 2, 1))
-        samples.append(np.column_stack((np.full(fids.size, lag * period), fids)))
-    surface = analysis.quantile_surface(np.concatenate(samples))
+        samples[lag * period] = polcore.process_fidelity(rotations[lag:] @ rotations[:-lag].transpose(0, 2, 1))
+    surface = analysis.quantile_surface(samples)
 
     files = [
         write_csv(
@@ -314,28 +320,30 @@ def _distribute_ignores(values) -> list[tuple[str, str, str]]:
     return []
 
 
-def _arm_b_windows(records):
-    """Each window's record, its arm-B link superoperator and the SU(2) lift
-    of its compensator C, in window order.
+def _arm_b_sums(rotations, spiked, ops):
+    """Each window's arm-B link superoperator, in window order, from the
+    rotations and spike mask `duty_cycle_run` returns and the loss
+    operators `ops` of `pdl` and `spike_pdl()`.
 
     The link's operator after step t is K_t = B_t U_t. The idle piezo holds
-    C through the window, so sum_t (C K_t) rho (C K_t)^dag is
+    the window's compensator C, so sum_t (C K_t) rho (C K_t)^dag is
     C (sum_t K_t rho K_t^dag) C^dag, and the window's link superoperator is
-    the sum over its steps of `quantum.arm_b_superoperator(K_t)`, taken in
-    step order. Every window has the same step count, so the lifts and sums
-    run on stacks of whole windows, at most `_ARM_B_BLOCK_STEPS` steps a
-    block (one window if it alone is longer).
+    the sum over its steps of `quantum.arm_b_superoperator(K_t)`, in step
+    order. A stack holds whole windows, at most `_ARM_B_BLOCK_STEPS` steps;
+    a longer window is summed in chunks of that many steps, each with the
+    running sum prepended.
     """
-    n_steps = len(records[0].rotations)
+    n_windows, n_steps = spiked.shape
     per_block = max(1, _ARM_B_BLOCK_STEPS // n_steps)
-    for start in range(0, len(records), per_block):
-        block = records[start:start + per_block]
-        kraus = chmod.transmit_qubit_kraus(np.array([r for rec in block for r in rec.rotations]),
-                                           [loss for rec in block for loss in rec.losses])
-        terms = quantum.arm_b_superoperator(kraus)
-        link_sums = np.add.reduce(terms.reshape((len(block), n_steps) + terms.shape[1:]), axis=1)
-        comps = polcore.su2_of_rotation(np.array([rec.compensator for rec in block]))
-        yield from zip(block, link_sums, comps)
+    for start in range(0, n_windows, per_block):
+        for lo in range(0, n_steps, _ARM_B_BLOCK_STEPS):
+            chunk = np.s_[start:start + per_block, lo:lo + _ARM_B_BLOCK_STEPS]
+            loss = np.where(spiked[chunk][..., None, None], ops[1], ops[0])
+            terms = quantum.arm_b_superoperator(chmod.transmit_qubit_kraus(rotations[chunk], loss))
+            if lo:  # the running sum first, so each window sums in step order
+                terms = np.concatenate((sums[:, None], terms), axis=1)
+            sums = np.add.reduce(terms, axis=1)
+        yield from sums
 
 
 def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
@@ -370,24 +378,26 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
         )
         accidental_mean = acc_a * acc_b * coinc_w * integration
 
-        records = stabilizer.duty_cycle_run(
+        records, rotations, spiked = stabilizer.duty_cycle_run(
             ch, piezo, pol, cfg,
             transmit_window_s=float(interval),
             total_s=total,
             switch=scn.make_switch(),
             drift_dt_s=scn[("channel", "drift_dt_s")],
         )
+        ops = np.array([ch.pdl.operator(), ch.spike_pdl().operator()])
+        comps = polcore.su2_of_rotation(np.array([rec.compensator for rec in records]))
 
         fids_raw, fids_corr = [], []
-        for rec, link_sum, comp in _arm_b_windows(records):
+        for window, (rec, link_sum, comp) in enumerate(zip(records, _arm_b_sums(rotations, spiked, ops), comps)):
             acc_rho = quantum.on_arm_b(quantum.on_arm_b_superoperator(rho_src, link_sum), comp)
             tr = float(np.trace(acc_rho).real)
             if tr <= 0.0:
                 raise ProtocolFailed("window state fully extinguished")
             rho_bar = acc_rho / tr
             # Each step's trace is at most 1; rounding of the sum may not be.
-            success = min(1.0, tr / len(rec.rotations))
-            where = f"interval {label} s, window {rec.window}"
+            success = min(1.0, tr / spiked.shape[1])
+            where = f"interval {label} s, window {window}"
             counts = _measured(_window_counts(rho_bar, n_per_basis, accidental_mean, count_rng),
                                f"{where}: the raw count table")
             fid_raw = quantum.bell_fidelity(quantum.tomography_2q(counts))
@@ -400,7 +410,7 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
             fids_raw.append(fid_raw)
             fids_corr.append(fid_corr)
             rows.append(
-                (interval, rec.window, rec.fp_before, rec.fp_after,
+                (interval, window, rec.fp_before, rec.fp_after,
                  rec.stab_iterations, rec.stab_duration_s,
                  fid_raw, fid_corr, success)
             )

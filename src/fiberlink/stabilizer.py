@@ -288,17 +288,13 @@ def stabilize(
 @dataclass
 class WindowRecord:
     """One window: its boundary stabilization (none if `stab_iterations` is
-    0), the compensator rotation the piezo holds through the window, and the
-    link's rotation and loss element after each of the window's drift steps."""
+    0) and the compensator rotation the piezo holds through the window."""
 
-    window: int
     fp_before: float
     stab_iterations: int
     stab_duration_s: float
     fp_after: float
     compensator: np.ndarray
-    rotations: list[np.ndarray]
-    losses: list[polcore.PdlElement]
 
 
 def window_plan(transmit_window_s: float, total_s: float, drift_dt_s: float) -> tuple[int, int]:
@@ -319,23 +315,25 @@ def duty_cycle_run(
     total_s: float,
     switch: ReferenceSwitch | None = None,
     drift_dt_s: float = 1.0,
-) -> list[WindowRecord]:
+) -> tuple[list[WindowRecord], np.ndarray, np.ndarray]:
     """Alternate free-drift transmission windows with stabilization runs;
     returns one record per window, in window order, from which the caller
-    counts stabilizations and their durations.
+    counts stabilizations and their durations, and the link's rotation and
+    spike mask after each drift step, shapes (windows, steps, 3, 3) and
+    (windows, steps).
 
     Fidelity is probed at each window boundary, and the loop runs only when
     it has dropped below the threshold (otherwise the boundary costs just
-    the probe pair). Each window is then one `ch.walk` of its drift steps.
-    The piezo is idle for a whole window, so its rotation is read once, as
-    the record's compensator; with the walk's rotations and loss elements
-    a caller can integrate transmission observables over the window.
+    the probe pair). Each window is then one `ch.walk` of its drift steps,
+    which fills its slice of both arrays. The piezo is idle for a whole
+    window, so its rotation is read once, as the record's compensator.
     """
     if transmit_window_s <= 0.0 or total_s <= 0.0:
         raise ValueError("windows must be > 0")
     records: list[WindowRecord] = []
     n_windows, n_steps = window_plan(transmit_window_s, total_s, drift_dt_s)
     dt = transmit_window_s / n_steps
+    rotations, spiked = np.empty((n_windows, n_steps, 3, 3)), np.empty((n_windows, n_steps), dtype=bool)
     for window in range(n_windows):
         s1, s2 = measure_probe_pair(probe_link(ch), piezo, polarimeter)
         fp_before = _fidelity_of_pair(s1, s2)
@@ -343,9 +341,6 @@ def duty_cycle_run(
         if fp_before < cfg.fp_threshold:
             run = stabilize(ch, piezo, polarimeter, cfg, switch)
             iterations, duration, fp_after = run.iterations, run.duration_s, run.final_fp
-        rotations, losses = ch.walk(dt, n_steps)
-        records.append(WindowRecord(
-            window=window, fp_before=fp_before, stab_iterations=iterations, stab_duration_s=duration,
-            fp_after=fp_after, compensator=piezo.rotation(), rotations=rotations, losses=losses,
-        ))
-    return records
+        rotations[window], spiked[window] = ch.walk(dt, n_steps)
+        records.append(WindowRecord(fp_before, iterations, duration, fp_after, piezo.rotation()))
+    return records, rotations, spiked

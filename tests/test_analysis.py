@@ -18,7 +18,7 @@ from conftest import make_test_channel
 # ---------------------------------------------------------------------------
 
 def test_quantile_surface_constant_fidelity():
-    samples = [(tau, 1.0) for tau in (1.0, 2.0, 4.0) for _ in range(200)]
+    samples = {tau: [1.0] * 200 for tau in (1.0, 2.0, 4.0)}
     surf = an.quantile_surface(samples)
     for curve in surf.curves.values():
         assert np.allclose(curve, 1.0)
@@ -30,13 +30,12 @@ def test_quantile_surface_matches_analytic_diffusion(rng):
     # maintained with probability q is (1 + cos phi_q)/2 with
     # phi_q^2 = (2 rate tau / 3) chi2_3^{-1}(q)
     rate = 1e-4
-    samples = []
+    samples = {}
     for tau in (50.0, 200.0):
         s2 = 2.0 * rate * tau / 3.0
         phi = rng.normal(0.0, math.sqrt(s2), size=(20_000, 3))
         angles = np.linalg.norm(phi, axis=1)
-        fps = (1.0 + np.cos(angles)) / 2.0
-        samples.extend((tau, f) for f in fps)
+        samples[tau] = (1.0 + np.cos(angles)) / 2.0
     surf = an.quantile_surface(samples)
     for i, tau in enumerate(surf.tau_grid):
         phi_q = math.sqrt(2.0 * rate * tau / 3.0 * stats.chi2.ppf(0.90, df=3))
@@ -45,41 +44,52 @@ def test_quantile_surface_matches_analytic_diffusion(rng):
 
 
 def test_quantile_surface_ordering_invariant(rng):
-    samples = [(tau, f) for tau in (10.0, 20.0)
-               for f in rng.uniform(0.85, 1.0, size=500)]
+    samples = {tau: rng.uniform(0.85, 1.0, size=500) for tau in (10.0, 20.0)}
     surf = an.quantile_surface(samples)
     q90, q99, q999 = (surf.curves[q] for q in (0.90, 0.99, 0.999))
     assert np.all(q90 >= q99) and np.all(q99 >= q999)
 
 
 def test_quantile_surface_curves_equal_per_quantile_calls(rng):
-    # bins of several sizes, with ties and a constant bin
-    samples = [(1.0, f) for f in rng.uniform(0.8, 1.0, size=257)]
-    samples += [(2.0, f) for f in rng.choice([0.9, 0.95, 1.0], size=130)]
-    samples += [(3.0, 0.97)] * 7
-    samples += [(4.0, f) for f in 1.0 - rng.exponential(0.01, size=1001)]
+    # bins of several sizes, with ties and a constant bin, given out of tau order
+    samples = {2.0: rng.choice([0.9, 0.95, 1.0], size=130), 1.0: rng.uniform(0.8, 1.0, size=257),
+               4.0: 1.0 - rng.exponential(0.01, size=1001), 3.0: [0.97] * 7}
     surf = an.quantile_surface(samples)
-    arr = np.asarray(samples)
+    assert surf.tau_grid.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert surf.counts.tolist() == [257, 130, 7, 1001]
     for q in an.QUANTILES:
-        want = [np.quantile(arr[arr[:, 0] == tau, 1], 1.0 - q) for tau in surf.tau_grid]
+        want = [np.quantile(samples[tau], 1.0 - q) for tau in surf.tau_grid.tolist()]
         assert surf.curves[q].tobytes() == np.array(want).tobytes(), q
 
 
+def test_quantile_surface_bins_from_the_lowest_fidelity_of_any_tau():
+    # f_lo is the least per-tau minimum, or 0 if every fidelity is above it
+    surf = an.quantile_surface({1.0: [0.5, -0.25], 2.0: [-0.5, 0.75]})
+    assert surf.fidelity_grid[0] == -0.5 + 0.75 / an.FIDELITY_BINS
+    assert an.quantile_surface({1.0: [0.5]}).fidelity_grid[0] == 0.5 / an.FIDELITY_BINS
+
+
+@pytest.mark.parametrize("samples", [{}, {1.0: [0.9], 2.0: []}], ids=["no_tau", "empty_tau"])
+def test_quantile_surface_needs_samples_at_every_tau(samples):
+    with pytest.raises(ValueError, match="need samples at every tau"):
+        an.quantile_surface(samples)
+
+
 def test_quantile_surface_incidence_normalized_per_column(rng):
-    samples = [(1.0, f) for f in rng.uniform(0.9, 1.0, size=300)]
+    samples = {1.0: rng.uniform(0.9, 1.0, size=300)}
     surf = an.quantile_surface(samples)
     assert surf.incidence[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quantile_surface_warns_on_small_bins():
-    surf = an.quantile_surface([(1.0, 0.99)] * 30)
+    surf = an.quantile_surface({1.0: [0.99] * 30})
     assert surf.warnings
 
 
 def test_quantile_surface_after_stabilization(rng):
     # drift after stabilizing to threshold 0.99: the 90 % curve stays above
     # 0.98 out to 100 s of calibrated night drift
-    samples = []
+    samples = {tau: [] for tau in (20.0, 60.0, 100.0)}
     converged = 0
     for k in range(120):
         ch = make_test_channel(
@@ -98,14 +108,14 @@ def test_quantile_surface_after_stabilization(rng):
         comp = piezo.rotation()
         for tau in (20.0, 60.0, 100.0):
             ch.advance(20.0)
-            samples.append((tau, pc.process_fidelity(comp @ ch.rotation)))
+            samples[tau].append(pc.process_fidelity(comp @ ch.rotation))
     assert converged >= 114  # >= 95 % of the campaign
     surf = an.quantile_surface(samples)
     assert np.all(surf.curves[0.90] >= 0.98)
 
 
 def test_write_quantile_surface_csv(tmp_path, rng):
-    samples = [(tau, f) for tau in (1.0, 2.0) for f in rng.uniform(0.9, 1.0, 150)]
+    samples = {tau: rng.uniform(0.9, 1.0, 150) for tau in (1.0, 2.0)}
     surf = an.quantile_surface(samples)
     an.write_quantile_surface_csv(surf, tmp_path / "c.csv", tmp_path / "i.csv")
     header = (tmp_path / "c.csv").read_text().splitlines()[0]

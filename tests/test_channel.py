@@ -85,16 +85,21 @@ def test_link_stores_read_only_rotations(rng):
 
 
 def test_walk_through_a_spike_shares_one_loss_element():
+    # every spiked step's loss element is `spike_pdl()`, whose bits are the
+    # same at each call: 1 dB lossier along the pass axis of `pdl`
     ch = make_test_channel(pdl_axis=[0, 1, 0], pdl_transmission=0.95)
     ch.spikes = chm.PdlSpikeProcess(rate_per_s=1e9, extra_db=1.0, duration_s=30.0)
-    first = ch.walk(1.0, 1)[1][0]
+    first = ch.spike_pdl()
+    assert ch.walk(1.0, 1)[1].tolist() == [True]
     ch.spikes = chm.PdlSpikeProcess(rate_per_s=0.0, extra_db=1.0, duration_s=30.0)
-    losses = ch.walk(1.0, 10)[1]
-    assert all(loss.gamma_vec.tobytes() == first.gamma_vec.tobytes() for loss in losses)
+    assert ch.walk(1.0, 10)[1].tolist() == [True] * 10
+    assert ch.current_pdl().gamma_vec.tobytes() == first.gamma_vec.tobytes()
     assert first.gamma_vec.tobytes() == pc.PdlElement.from_db([0, 1, 0], 1.0 + ch.pdl.loss_db).gamma_vec.tobytes()
     ch.spikes = chm.PdlSpikeProcess(rate_per_s=1e9, extra_db=1.0, duration_s=30.0)
-    renewed = ch.walk(1.0, 1)[1][0]  # a new spike's element has the same bits
+    assert ch.walk(1.0, 1)[1].tolist() == [True]
+    renewed = ch.spike_pdl()  # a new spike's element has the same bits
     assert renewed.gamma_vec.tobytes() == first.gamma_vec.tobytes()
+    assert_same_complex(renewed.operator(), first.operator())
     ch.spikes = chm.PdlSpikeProcess(rate_per_s=0.0, extra_db=2.0, duration_s=30.0)
     assert ch.current_pdl().loss_db == pytest.approx(ch.pdl.loss_db + 2.0, abs=1e-9)
 
@@ -136,12 +141,20 @@ def _outcome(ch, rotations, losses):
     return np.array(rotations), losses, ch.clock_s, ch.rng.standard_normal(4)
 
 
+def _walk(ch, dt, n):
+    """`ch.walk(dt, n)`, its spike mask read as the loss element after each
+    step: `spike_pdl()` where it is True, `pdl` where it is False."""
+    rotations, spiked = ch.walk(dt, n)
+    assert rotations.shape == (n, 3, 3) and spiked.shape == (n,) and spiked.dtype == bool
+    return rotations, [ch.spike_pdl() if s else ch.pdl for s in spiked.tolist()]
+
+
 def _walk_and_oracle(make_rng, n, dt=10.0, **kw):
     """Outcomes of n scalar oracle steps and of one `walk(dt, n)`."""
     oracle = chm.ChannelState(rng=make_rng(), **kw)
     steps = [drift_step_oracle(oracle, dt) for _ in range(n)]
     ch = chm.ChannelState(rng=make_rng(), **kw)
-    return [_outcome(oracle, *zip(*steps)), _outcome(ch, *ch.walk(dt, n))]
+    return [_outcome(oracle, *zip(*steps)), _outcome(ch, *_walk(ch, dt, n))]
 
 
 def _assert_bit_equal(results):
@@ -166,7 +179,8 @@ def test_walk_matches_advance_bit_for_bit(seed):
         steps.append((ch.rotation, ch.current_pdl()))
     _assert_bit_equal([reference[0], _outcome(ch, *zip(*steps))])
     ch = chm.ChannelState(rng=np.random.default_rng(seed), **kw)
-    assert ch.walk(10.0, 0) == ([], []) and ch.clock_s == 0.0
+    rotations, spiked = ch.walk(10.0, 0)
+    assert rotations.shape == (0, 3, 3) and spiked.shape == (0,) and ch.clock_s == 0.0
 
 
 @pytest.mark.parametrize("spikes", [0.0, 0.05], ids=["block", "spikes"])
@@ -178,10 +192,10 @@ def test_walk_splits_into_consecutive_walks(spikes):
     parts = chm.ChannelState(rng=np.random.default_rng(8), **kw)
     rotations, losses = [], []
     for n in (250, 1, 349):
-        r, loss = parts.walk(1.0, n)
-        rotations += r
+        r, loss = _walk(parts, 1.0, n)
+        rotations += list(r)
         losses += loss
-    _assert_bit_equal([_outcome(whole, *whole.walk(1.0, 600)), _outcome(parts, rotations, losses)])
+    _assert_bit_equal([_outcome(whole, *_walk(whole, 1.0, 600)), _outcome(parts, rotations, losses)])
 
 
 def test_walk_crosses_day_and_night():
@@ -218,7 +232,7 @@ def test_spikes_never_move_the_drift():
     for rate in (0.0, 1e-12, 0.05, 1e3):
         ch = chm.ChannelState(rng=np.random.default_rng(11), day_rate=3e-6,
                               spikes=chm.PdlSpikeProcess(rate_per_s=rate))
-        walks.append(_outcome(ch, *ch.walk(1.0, 300)))
+        walks.append(_outcome(ch, *_walk(ch, 1.0, 300)))
     for rotations, _, _, next_draw in walks[1:]:
         assert np.array_equal(rotations, walks[0][0])
         assert np.array_equal(next_draw, walks[0][3])
@@ -411,7 +425,7 @@ def test_transmit_probe_converts_non_float_inputs(rng):
 
 def test_transmit_qubit_kraus_identity_channel():
     ch = make_test_channel()
-    k = chm.transmit_qubit_kraus(ch.rotation, ch.current_pdl())
+    k = chm.transmit_qubit_kraus(ch.rotation, ch.current_pdl().operator())
     assert np.allclose(k / k[0, 0], np.eye(2), atol=1e-12)
 
 
@@ -420,7 +434,7 @@ def test_transmit_qubit_kraus_matches_probe_map(rng):
         r = pc.random_rotation(rng)
         ch = make_test_channel(rotation=r, pdl_axis=random_bloch(rng, pure=True),
                                pdl_transmission=rng.uniform(0.5, 1.0))
-        k = chm.transmit_qubit_kraus(ch.rotation, ch.current_pdl())
+        k = chm.transmit_qubit_kraus(ch.rotation, ch.current_pdl().operator())
         for _ in range(10):
             s = random_bloch(rng, pure=True)
             rho = pc.density_of_bloch(s)
@@ -430,7 +444,7 @@ def test_transmit_qubit_kraus_matches_probe_map(rng):
 
 
 def test_transmit_qubit_kraus_stack_matches_each_configuration(rng):
-    # a stack of rotations, each with its own loss element, gives each
+    # a stack of rotations, each with its own loss operator, gives each
     # configuration's B U with the bits of one lift and one 2x2 product
     n = 300
     rotations = np.array([pc.random_rotation(rng) for _ in range(n)])
@@ -440,14 +454,15 @@ def test_transmit_qubit_kraus_stack_matches_each_configuration(rng):
               for loss_db in rng.uniform(0.0, 3.0, size=n)]
     losses[:2] = [pc.PdlElement.from_axis(np.zeros(3), 1.0)] * 2
     want = [loss.operator() @ su2_of_rotation_oracle(r) for r, loss in zip(rotations, losses)]
-    got = chm.transmit_qubit_kraus(rotations, losses)
+    ops = np.array([loss.operator() for loss in losses])
+    got = chm.transmit_qubit_kraus(rotations, ops)
     assert got.shape == (n, 2, 2)
     assert_same_complex(got, want)
-    stacked = chm.transmit_qubit_kraus(rotations.reshape(3, -1, 3, 3), np.reshape(losses, (3, -1)))
+    stacked = chm.transmit_qubit_kraus(rotations.reshape(3, -1, 3, 3), ops.reshape(3, -1, 2, 2))
     assert stacked.shape == (3, n // 3, 2, 2)
     assert_same_complex(stacked, want)
     for i in range(6):
-        one = chm.transmit_qubit_kraus(rotations[i], losses[i])
+        one = chm.transmit_qubit_kraus(rotations[i], ops[i])
         assert one.shape == (2, 2)
         assert_same_complex(one, want[i])
 
@@ -460,7 +475,7 @@ def test_transmit_qubit_kraus_success_probability_bounds(rng):
             pdl_axis=random_bloch(rng, pure=True),
             pdl_transmission=t,
         )
-        k = chm.transmit_qubit_kraus(ch.rotation, ch.current_pdl())
+        k = chm.transmit_qubit_kraus(ch.rotation, ch.current_pdl().operator())
         for _ in range(20):
             rho = pc.density_of_bloch(random_bloch(rng))
             p = np.trace(k @ rho @ k.conj().T).real

@@ -301,6 +301,29 @@ def test_validate_bounds_the_drift_trace_length(tmp_path, capsys, total_s, trace
     assert "Traceback" not in capsys.readouterr().err
 
 
+# `run` holds trace points - lag fidelities per tau_grid_s entry for its
+# quantile surface; `validate` bounds their sum. None of these scenarios is
+# run: 2,000 taus over 10**6 periods would hold 2e9 fidelities.
+@pytest.mark.parametrize("taus, rejected", [
+    (range(1, 11), False),  # 9,999,955 fidelities
+    (range(1, 12), True),
+    (range(1, 2001), True),
+], ids=["at_bound", "past_bound", "2000_taus"])
+def test_validate_bounds_the_drift_samples_held(tmp_path, capsys, taus, rejected):
+    path = tmp_path / "taus.ini"
+    text = _DRIFT + f"total_s = 1000000\ntrace_period_s = 1\ntau_grid_s = {','.join(map(str, taus))}\n"
+    path.write_text(text)
+    held = sum(10**6 + 1 - lag for lag in taus)
+    assert (held > protocols._MAX_DRIFT_SAMPLES) == rejected
+    issues = config.validate_file(path)
+    assert [(i.section, i.key, i.line, i.message) for i in issues] == ([(
+        "protocol", "tau_grid_s", 6,
+        f"sum over tau_grid_s of (trace points - lag) = {held} samples; at most 10000000 per run",
+    )] if rejected else [])
+    assert cli.main(["validate", str(path)]) == (2 if rejected else 0)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # The stabilizer's iterations are a run length too. Neither value is run.
 @pytest.mark.parametrize("iterations, rejected", [(10**6, False), (10**6 + 1, True)],
                          ids=["at_bound", "past_bound"])
@@ -399,12 +422,12 @@ def test_validate_counts_the_drift_steps_duty_cycle_run_walks(intervals, total, 
                        f"[protocol]\nintervals_s = {','.join(intervals)}\ntotal_per_interval_s = {total}\n")
     steps = 0
     for interval in scn.protocol_value("intervals_s"):
-        records = stabilizer.duty_cycle_run(
+        _, _, spiked = stabilizer.duty_cycle_run(
             scn.make_channel(), scn.make_piezo(), scn.make_polarimeter(), scn.make_stabilizer_config(),
             transmit_window_s=interval, total_s=scn.protocol_value("total_per_interval_s"),
             drift_dt_s=scn[("channel", "drift_dt_s")],
         )
-        steps += sum(len(r.rotations) for r in records)
+        steps += spiked.size
     assert protocols._duty_cycle_steps(scn.values) == steps
 
 
@@ -1293,17 +1316,19 @@ def test_distribute_window_superoperator_matches_per_step_sum(tmp_path, monkeypa
     run_protocol(scn, tmp_path)
 
     header, rows = read_csv_rows(tmp_path / "dutycycle.csv")
-    (records,) = runs
+    ((records, rotations, spiked),) = runs
     assert len(rows) == len(window_states) == len(records) == 10
     # a spike inside a window: two loss elements in one window
-    assert any(len({p.amplitude_transmission for p in rec.losses}) > 1 for rec in records)
+    assert any(0 < s.sum() < s.size for s in spiked)
+    ch = scn.make_channel()
+    losses = {False: ch.pdl, True: ch.spike_pdl()}
     n_steps = 20
-    for row, rho_bar, rec in zip(rows, window_states, records):
-        assert int(row[header.index("window")]) == rec.window
+    for window, (row, rho_bar, rec) in enumerate(zip(rows, window_states, records)):
+        assert int(row[header.index("window")]) == window
         comp = polcore.su2_of_rotation(rec.compensator)
         state_sum, trace_sum = np.zeros((4, 4), dtype=complex), 0.0
-        for rotation, loss in zip(rec.rotations, rec.losses):
-            term = quantum.on_arm_b(rho_src, comp @ chmod.transmit_qubit_kraus(rotation, loss))
+        for rotation, s in zip(rotations[window], spiked[window].tolist()):
+            term = quantum.on_arm_b(rho_src, comp @ chmod.transmit_qubit_kraus(rotation, losses[s].operator()))
             state_sum += term
             trace_sum += float(np.trace(term).real)
         success = float(row[header.index("success_prob")])
@@ -1337,7 +1362,7 @@ def test_duty_cycle_summary_recounts_the_returned_records(tmp_path, monkeypatch,
     monkeypatch.setattr(stabilizer, "duty_cycle_run", duty_cycle_run)
     run_protocol(config.loads(text, name="summary"), tmp_path)
     header, (row,) = read_csv_rows(tmp_path / "dutycycle_summary.csv")
-    (records,) = returned
+    ((records, _, _),) = returned
     runs = [r.stab_duration_s for r in records if r.stab_iterations > 0]
     assert row[header.index("n_windows")] == str(len(records)) == "10"
     assert row[header.index("n_stabilizations")] == str(len(runs))

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as hst
 from fiberlink import polcore as pc
 from fiberlink import protocols
 from fiberlink import quantum as q
-from fiberlink.channel import transmit_qubit_kraus
-from fiberlink.stabilizer import WindowRecord
+from fiberlink.channel import ChannelState, transmit_qubit_kraus
 
 from conftest import (
     assert_same_complex,
@@ -71,7 +70,7 @@ def test_spdc_phase_rotates_coherence():
 def through_link_arm_b(rho, ch):
     """Post-selected state and success probability of sending arm B through
     the link, by the superoperator path of the distribute-entanglement run."""
-    op = transmit_qubit_kraus(ch.rotation, ch.current_pdl())
+    op = transmit_qubit_kraus(ch.rotation, ch.current_pdl().operator())
     out = q.on_arm_b_superoperator(rho, q.arm_b_superoperator(op))
     prob = float(np.trace(out).real)
     return out / prob, prob
@@ -119,38 +118,40 @@ def test_apply_channel_invariants_hold(rng):
 
 # (steps per window, windows, block cap in steps): the duty-cycle shapes of
 # 5, 20, 160 and 60 s windows, each in one block, then caps that end a block
-# between two windows, and one a window is longer than.
+# between two windows, and caps below one window, whose steps are summed in
+# chunks.
 @pytest.mark.parametrize("steps, windows, cap", [
     (5, 30, None), (20, 6, None), (160, 3, None), (60, 4, None),
     (20, 6, 50), (60, 4, 130), (160, 3, 100),
+    (160, 3, 1), (160, 3, 7), (160, 3, 13), (60, 4, 64), (5, 30, 3),
 ])
 def test_arm_b_block_sums_match_per_window_sums(monkeypatch, steps, windows, cap):
     # each window's link superoperator equals the per-window sum
-    # np.add.reduce(..., axis=0) of its steps' terms, and its compensator lift
-    # the scalar oracle's, bit for bit; a block is one lift per stack
+    # np.add.reduce(..., axis=0) of its steps' terms, bit for bit, and no
+    # stack of operators holds more than the cap in steps
     if cap is not None:
         monkeypatch.setattr(protocols, "_ARM_B_BLOCK_STEPS", cap)
-    lifts = []
-    monkeypatch.setattr(pc, "su2_of_rotation", lambda m, lift=pc.su2_of_rotation: lifts.append(m) or lift(m))
+    cap = protocols._ARM_B_BLOCK_STEPS
+    stacks = []
+    monkeypatch.setattr(protocols.chmod, "transmit_qubit_kraus",
+                        lambda r, b, kraus=transmit_qubit_kraus: stacks.append(r.shape[:-2]) or kraus(r, b))
     rng = np.random.default_rng(steps * windows)
-    quiet = pc.PdlElement.from_axis(np.zeros(3), 1.0)
-    lossy = [pc.PdlElement.from_db(rng.normal(size=3), db) for db in (0.08, 0.58, 3.0)]
-    records = [
-        WindowRecord(window=w, fp_before=0.5, stab_iterations=1,
-                     stab_duration_s=0.1, fp_after=1.0, compensator=pc.random_rotation(rng),
-                     rotations=[pc.random_rotation(rng) for _ in range(steps)],
-                     losses=[quiet if rng.random() < 0.5 else lossy[rng.integers(3)]
-                             for _ in range(steps)])
-        for w in range(windows)
-    ]
-    got = list(protocols._arm_b_windows(records))
-    assert [rec for rec, _, _ in got] == records
-    for rec, link_sum, comp in got:
-        terms = [loss.operator() @ su2_of_rotation_oracle(r) for r, loss in zip(rec.rotations, rec.losses)]
+    # a lossless link (the 60-step windows) or a lossy one, with its spike
+    pdl = pc.PdlElement.from_db(rng.normal(size=3), (0.0, 0.08, 0.58, 3.0)[(steps + windows) % 4])
+    spike = ChannelState(rng=rng, pdl=pdl).spike_pdl()
+    ops = np.array([pdl.operator(), spike.operator()])
+    rotations = np.array([[pc.random_rotation(rng) for _ in range(steps)] for _ in range(windows)])
+    spiked = rng.random((windows, steps)) < 0.5
+    got = list(protocols._arm_b_sums(rotations, spiked, ops))
+    assert len(got) == windows
+    for link_sum, window_rotations, window_spiked in zip(got, rotations, spiked):
+        terms = [(spike if s else pdl).operator() @ su2_of_rotation_oracle(r)
+                 for r, s in zip(window_rotations, window_spiked)]
         assert_same_complex(link_sum, np.add.reduce(q.arm_b_superoperator(terms), axis=0))
-        assert_same_complex(comp, su2_of_rotation_oracle(rec.compensator))
-    per_block = max(1, (cap or protocols._ARM_B_BLOCK_STEPS) // steps)
-    assert len(lifts) == 2 * math.ceil(windows / per_block)
+    assert max(math.prod(shape) for shape in stacks) <= cap
+    assert sum(math.prod(shape) for shape in stacks) == windows * steps
+    per_block = max(1, cap // steps)
+    assert len(stacks) == math.ceil(windows / per_block) * math.ceil(steps / min(steps, cap))
 
 
 def test_heralded_absorption_ideal_target():

@@ -190,7 +190,7 @@ def test_duty_cycle_maps_each_window_boundary_once(transmit_calls, probe_pair_ca
     # renews the loss
     ch, piezo, pol, switch, cfg = _preset_channel(12)
     ch.spikes = chm.PdlSpikeProcess(rate_per_s=spike_rate, extra_db=0.5, duration_s=30.0)
-    records = st.duty_cycle_run(ch, piezo, pol, cfg, transmit_window_s=5.0, total_s=10.0, switch=switch)
+    records, _, _ = st.duty_cycle_run(ch, piezo, pol, cfg, transmit_window_s=5.0, total_s=10.0, switch=switch)
     assert [r.stab_iterations > 0 for r in records] == [True, True]
     assert len(probe_pair_calls) > 100
     assert [s.tolist() for s in transmit_calls] == [pc.S_H.tolist(), pc.S_D.tolist()] * 4
@@ -465,7 +465,7 @@ def test_duty_cycle_zero_drift_single_stabilization(rng):
     piezo = ins.PiezoController()
     piezo.bias_neutral()
     cfg = st.StabilizerConfig(fp_threshold=0.99)
-    records = st.duty_cycle_run(
+    records, _, _ = st.duty_cycle_run(
         ch, piezo, noise_free_polarimeter(), cfg,
         transmit_window_s=100.0, total_s=1000.0,
     )
@@ -487,7 +487,7 @@ def test_duty_cycle_night_drift_keeps_fidelity(rng):
         piezo = ins.PiezoController()
         piezo.bias_neutral()
         cfg = st.StabilizerConfig(fp_threshold=0.99)
-        records = st.duty_cycle_run(
+        records, _, _ = st.duty_cycle_run(
             ch, piezo, noise_free_polarimeter(), cfg,
             transmit_window_s=100.0, total_s=600.0, drift_dt_s=10.0,
         )
@@ -505,7 +505,7 @@ def test_duty_cycle_ratio_bookkeeping(rng):
     piezo = ins.PiezoController()
     piezo.bias_neutral()
     cfg = st.StabilizerConfig(fp_threshold=0.99)
-    records = st.duty_cycle_run(
+    records, _, _ = st.duty_cycle_run(
         ch, piezo, noise_free_polarimeter(), cfg,
         transmit_window_s=100.0, total_s=2000.0, drift_dt_s=10.0,
     )
@@ -520,12 +520,12 @@ def test_duty_cycle_ratio_bookkeeping(rng):
 
 def test_duty_cycle_step_counts(rng):
     ch = make_test_channel(rotation=pc.random_rotation(rng))
-    records = st.duty_cycle_run(
+    records, rotations, spiked = st.duty_cycle_run(
         ch, ins.PiezoController(), noise_free_polarimeter(), st.StabilizerConfig(),
         transmit_window_s=10.0, total_s=50.0, drift_dt_s=1.0,
     )
-    assert [r.window for r in records] == list(range(5))
-    assert [(len(r.rotations), len(r.losses)) for r in records] == [(10, 10)] * 5
+    assert len(records) == 5
+    assert rotations.shape == (5, 10, 3, 3) and spiked.shape == (5, 10) and not spiked.any()
     assert ch.clock_s == 50.0
 
 
@@ -539,12 +539,14 @@ def test_duty_cycle_piezo_idle_within_each_window(rng):
     )
     piezo = ins.PiezoController()
     piezo.bias_neutral()
-    records = st.duty_cycle_run(
+    records, rotations, spiked = st.duty_cycle_run(
         ch, piezo, noise_free_polarimeter(), st.StabilizerConfig(fp_threshold=0.99),
         transmit_window_s=100.0, total_s=2000.0, drift_dt_s=10.0,
     )
-    assert [r.window for r in records] == list(range(20))
-    assert all(len(r.rotations) == 10 for r in records)
+    assert len(records) == 20
+    assert rotations.shape == (20, 10, 3, 3) and spiked.shape == (20, 10)
+    # the link ends where the last window's walk left it
+    assert np.array_equal(rotations[-1, -1], ch.rotation)
     # the last window's compensator is what the piezo still holds after it
     assert np.array_equal(records[-1].compensator, piezo.rotation())
     # the stabilizer did move the piezo between windows
@@ -557,9 +559,9 @@ def test_duty_cycle_piezo_idle_within_each_window(rng):
 ])
 def test_duty_cycle_window_count_is_exact(window_s, total_s, n_windows):
     # summing window starts in floats ran an eleventh window for 1.0 / 0.1
-    records = st.duty_cycle_run(
+    records, rotations, spiked = st.duty_cycle_run(
         make_test_channel(), ins.PiezoController(), noise_free_polarimeter(),
         st.StabilizerConfig(), transmit_window_s=window_s, total_s=total_s,
     )
-    assert [r.window for r in records] == list(range(n_windows))
-    assert all(r.rotations for r in records)
+    assert len(records) == n_windows
+    assert rotations.shape[:2] == spiked.shape == (n_windows, max(1, round(window_s)))
