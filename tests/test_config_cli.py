@@ -1409,6 +1409,29 @@ def test_unshipped_drift_outputs_are_pinned(tmp_path, text, dutycycle, summary):
     assert sha256_file(tmp_path / "dutycycle_summary.csv") == summary
 
 
+# Every shipped preset reads its probes at switch latency 0; these outputs
+# pin the stabilization times at nonzero switch, read and settle latencies.
+_LATENCIES = """
+[instruments]
+polarimeter_latency_s = 0.1
+switch_latency_s = 0.0137
+piezo_settle_s = 0.003
+"""
+
+
+@pytest.mark.parametrize("text, name, digest", [
+    ("[scenario]\nprotocol = stabilize\nseed = 4242\n" + _LATENCIES + "[protocol]\nn_trials = 5\n",
+     "stabilize_trials.csv", "527ce22f05f5768f4ad52fd659337e82fc10cae02ef121ea2e4a87d638ccf0ed"),
+    ("[scenario]\nprotocol = distribute-entanglement\nseed = 4243\n"
+     "[channel]\nnight_rate_rad2_per_s = 1e-4\nday_rate_rad2_per_s = 1e-4\n" + _LATENCIES +
+     "[stabilizer]\nfp_threshold = 0.999\n[protocol]\nintervals_s = 20\ntotal_per_interval_s = 200\n",
+     "dutycycle.csv", "e5f5d6a9563597f90c98bbd2a578a0748554c32d61cd9c7b7ada650f328d2fb7"),
+], ids=["stabilize", "distribute"])
+def test_nonzero_latency_outputs_are_pinned(tmp_path, text, name, digest):
+    run_protocol(config.loads(text, name="latencies"), tmp_path)
+    assert sha256_file(tmp_path / name) == digest
+
+
 def test_dutycycle_runs_no_window_past_total(tmp_path):
     # 2.1 s of 0.7 s windows is three windows; summing window starts in
     # floats ran a fourth, transmitting from 2.1 s to 2.8 s
