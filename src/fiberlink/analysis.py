@@ -135,13 +135,14 @@ def pdl_statistics(samples_db, detection_db) -> tuple[float, float]:
 
 
 def delay_correlation(measured, predicted) -> tuple[float, float]:
-    """Pearson correlation and residual RMS of two (t, ps) series.
+    """Pearson correlation and residual RMS of two (t, ps) series, each an
+    (n, 2) array or its rows.
 
     Both series are linearly resampled onto the overlap of their time
     supports before comparison.
     """
-    m = np.asarray(list(measured), dtype=float)
-    p = np.asarray(list(predicted), dtype=float)
+    m = np.asarray(measured, dtype=float)
+    p = np.asarray(predicted, dtype=float)
     if m.size == 0 or p.size == 0:
         raise EmptyOverlap("empty series")
     lo = max(m[:, 0].min(), p[:, 0].min())

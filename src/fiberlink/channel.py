@@ -143,23 +143,21 @@ def doppler_delay_step(m: DelayDriftModel, delta_nu_d_hz: float) -> float:
     return delta_nu_d_hz / (2.0 * m.nu0_hz) * m.gate_time_s
 
 
-def temperature_delay_prediction(
-    m: DelayDriftModel,
-    temp_series: list[tuple[float, float]],
-) -> list[tuple[float, float]]:
-    """Loop delay change in ps predicted from a (t, kelvin) series.
+def temperature_delay_prediction(m: DelayDriftModel, temp_series) -> np.ndarray:
+    """Loop delay change in ps predicted from a (t, kelvin) series, an
+    (n, 2) array or its rows; returns the (n, 2) array of (t, ps) rows.
 
     Uses delta(t) = sensitivity * (2 * overhead length) * (T(t) - T(0)),
     the factor 2 accounting for the out-and-back loop geometry.
     """
-    if not temp_series:
+    series = np.asarray(temp_series, dtype=float)
+    if series.size == 0:
         raise EmptySeries("temperature series is empty")
-    times = [t for t, _ in temp_series]
-    if any(b < a for a, b in zip(times, times[1:])):
+    times = series[:, 0]
+    if np.any(times[1:] < times[:-1]):
         raise ValueError("timestamps must be monotone non-decreasing")
-    t0_temp = temp_series[0][1]
     scale = m.sensitivity_ps_per_km_k * 2.0 * m.overhead_km
-    return [(t, scale * (temp - t0_temp)) for t, temp in temp_series]
+    return np.column_stack((times, scale * (series[:, 1] - series[0, 1])))
 
 
 @dataclass(frozen=True)

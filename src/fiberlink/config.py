@@ -31,7 +31,7 @@ import numpy as np
 
 from . import seeding
 from .channel import ChannelState, DaySchedule, PdlSpikeProcess
-from .instruments import PiezoController, Polarimeter, ReferenceSwitch
+from .instruments import PiezoController, Polarimeter
 from .polcore import PdlElement
 from .protocols import _MAX_TRACE_STEPS, PROTOCOLS, non_negative, positive
 from .quantum import IonMemory, SpdcSource
@@ -240,14 +240,9 @@ class Scenario:
         """The configured link, its drift walk on stream `label` and its loss
         spikes on `label.spikes`, starting at `rotation` (identity by default)."""
         v = self.values
-        pdl_db = v[("channel", "pdl_db")]
-        if pdl_db > 0.0:
-            pdl = PdlElement.from_db(v[("channel", "pdl_axis")], pdl_db)
-        else:
-            pdl = PdlElement.from_axis(np.zeros(3), 1.0)
         return ChannelState(
             rng=self.rng(label),
-            pdl=pdl,
+            pdl=PdlElement.from_db(v[("channel", "pdl_axis")], v[("channel", "pdl_db")]),
             day_rate=v[("channel", "day_rate_rad2_per_s")],
             night_rate=v[("channel", "night_rate_rad2_per_s")],
             schedule=DaySchedule(
@@ -265,9 +260,11 @@ class Scenario:
         )
 
     def make_polarimeter(self, label: str = "polarimeter") -> Polarimeter:
+        """The polarimeter; each read waits for the reference switch too."""
+        v = self.values
         return Polarimeter(
-            sigma=self.values[("instruments", "polarimeter_sigma")],
-            latency_s=self.values[("instruments", "polarimeter_latency_s")],
+            sigma=v[("instruments", "polarimeter_sigma")],
+            latency_s=v[("instruments", "switch_latency_s")] + v[("instruments", "polarimeter_latency_s")],
             rng=self.rng(label),
         )
 
@@ -280,9 +277,6 @@ class Scenario:
         )
         piezo.bias_neutral()
         return piezo
-
-    def make_switch(self) -> ReferenceSwitch:
-        return ReferenceSwitch(latency_s=self.values[("instruments", "switch_latency_s")])
 
     def make_stabilizer_config(self) -> StabilizerConfig:
         v = self.values
@@ -403,6 +397,17 @@ def _checks(text: str, protocol: str, values) -> list[Issue]:
     # any in-range voltage `gradient` has at least one in-range probe.
     if values[("stabilizer", "du0_v")] + values[("stabilizer", "du1_v")] > limit:
         found.append(("stabilizer", "du0_v", f"du0_v + du1_v must be <= piezo_limit_v ({limit:g} V)"))
+
+    # A stabilization reads at most 10 * max_iterations + 1 probe pairs (up to
+    # nine per `gradient` call, one per iteration) and settles no more often.
+    timing = {key: values[("instruments", key)]
+              for key in ("switch_latency_s", "polarimeter_latency_s", "piezo_settle_s")}
+    switch, read, settle = timing.values()
+    longest = (10 * values[("stabilizer", "max_iterations")] + 1) * (2.0 * (switch + read) + settle)
+    if not math.isfinite(longest):
+        found.append(("instruments", max(timing, key=timing.get),
+                      f"the longest stabilization, (10 * max_iterations + 1) * (2 * (switch_latency_s + "
+                      f"polarimeter_latency_s) + piezo_settle_s) = {longest:g} s, must be finite"))
 
     if protocol in PROTOCOLS:
         found += PROTOCOLS[protocol].checks(values)

@@ -1,8 +1,9 @@
 """Measurement and actuation hardware models.
 
-Covers the polarimeter at the receiver, the four-channel piezo polarization
+Covers the polarimeter at the receiver, which reads the switched H/D
+reference light from the sender, and the four-channel piezo polarization
 controller (the paper's fixed squeezer stack: four alternating axes, one
-gain) and the switchable H/D reference lasers at the sender. Settings are
+gain). Settings are
 checked and fixed at construction; an instance is still stateful (the
 polarimeter's generator, the controller's voltages) and must be serialized.
 """
@@ -20,7 +21,6 @@ from .channel import _require
 __all__ = [
     "Polarimeter",
     "PiezoController",
-    "ReferenceSwitch",
     "VoltageOutOfRange",
 ]
 
@@ -47,8 +47,9 @@ class Polarimeter:
     Python-float arithmetic, from one draw of six normals: the same
     generator stream as two successive `read` calls.
 
-    The 45 ms default latency makes one measure-feedback cycle (H probe read
-    + D probe read + voltage update) take the 90 ms the stabilization
+    `latency_s` is one probe read, the switch to its reference light
+    included. The 45 ms default makes one measure-feedback cycle (H probe
+    read + D probe read + voltage update) take the 90 ms the stabilization
     receiver needs per cycle. `sigma` and `latency_s` must be finite and
     >= 0.
     """
@@ -226,15 +227,3 @@ def _within(volts, limit: float) -> bool:
     u1, u2, u3, u4 = volts
     return abs(u1) <= limit and abs(u2) <= limit and abs(u3) <= limit and abs(u4) <= limit
 
-
-@dataclass(frozen=True, eq=False)
-class ReferenceSwitch:
-    """Switchable reference lasers with fixed H and D outputs, `polcore.S_H`
-    and `S_D` (`stabilizer.probe_link` sends them). Only the switching
-    latency `latency_s` is modelled; it must be finite and >= 0.
-    """
-
-    latency_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require(">= 0", lambda v: v >= 0.0, latency_s=self.latency_s)

@@ -38,10 +38,15 @@ def write_csv(path, header, rows) -> Path:
 
 
 def write_json(path, payload) -> Path:
+    """Write `payload` as JSON; a NaN or infinity in it raises ValueError
+    naming `path`, and nothing is written."""
     path = Path(path)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 

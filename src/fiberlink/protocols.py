@@ -202,7 +202,7 @@ def run_stabilize(scn: Scenario, out: Path) -> list[Path]:
         ch = scn.make_channel(f"channel.drift.{trial}", rotation)
         piezo = scn.make_piezo()
         pol = scn.make_polarimeter(f"polarimeter.{trial}")
-        run = stabilizer.stabilize(ch, piezo, pol, cfg, scn.make_switch())
+        run = stabilizer.stabilize(ch, piezo, pol, cfg)
         if first_run is None:
             first_run = run
         rows.append(
@@ -382,7 +382,6 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
             ch, piezo, pol, cfg,
             transmit_window_s=float(interval),
             total_s=total,
-            switch=scn.make_switch(),
             drift_dt_s=scn[("channel", "drift_dt_s")],
         )
         ops = np.array([ch.pdl.operator(), ch.spike_pdl().operator()])
@@ -456,8 +455,7 @@ def _prepare_arm_b(scn: Scenario, rho_pair: np.ndarray):
         return rho_pair, 1.0, None
     ch = scn.make_channel(rotation=polcore.random_rotation(scn.rng("protocol.initial_rotation")))
     piezo = scn.make_piezo()
-    run = stabilizer.stabilize(ch, piezo, scn.make_polarimeter(), scn.make_stabilizer_config(),
-                               scn.make_switch())
+    run = stabilizer.stabilize(ch, piezo, scn.make_polarimeter(), scn.make_stabilizer_config())
     link, comp = polcore.su2_of_rotation(np.array([ch.rotation, piezo.rotation()]))
     rho = quantum.on_arm_b(rho_pair, comp @ (ch.current_pdl().operator() @ link))
     prob = float(np.trace(rho).real)
@@ -614,17 +612,12 @@ def run_delay_drift(scn: Scenario, out: Path) -> list[Path]:
     )
     temp_observed = temp_actual + rng.normal(0.0, temp_noise, size=n)
 
-    times, observed = t.tolist(), temp_observed.tolist()
-    predicted = chmod.temperature_delay_prediction(model, list(zip(times, observed)))
-    true_delay = chmod.temperature_delay_prediction(model, list(zip(times, temp_actual.tolist())))
-    noise = rng.normal(0.0, meas_noise, size=n).tolist()
-    measured = [(ti, d + e) for (ti, d), e in zip(true_delay, noise)]
+    predicted = chmod.temperature_delay_prediction(model, np.column_stack((t, temp_observed)))
+    true_delay = chmod.temperature_delay_prediction(model, np.column_stack((t, temp_actual)))
+    measured = np.column_stack((t, true_delay[:, 1] + rng.normal(0.0, meas_noise, size=n)))
 
     r, rms = analysis.delay_correlation(measured, predicted)
-    rows = [
-        (ti, temp, p, m)
-        for ti, temp, (_, p), (_, m) in zip(times, observed, predicted, measured)
-    ]
+    rows = np.column_stack((t, temp_observed, predicted[:, 1], measured[:, 1])).tolist()
     return [
         write_csv(
             out / "delay_series.csv",

@@ -464,15 +464,13 @@ def _project_physical(rho: np.ndarray) -> np.ndarray:
 
     One eigendecomposition per call: the rebuilt state is positive because
     its eigenvalues are the clipped ones, so only Hermiticity and the trace
-    are checked on it.
+    are checked on it. `rho` has unit trace, so its largest eigenvalue is at
+    least 1/4 and the clipped spectrum sums to more than zero.
     """
     rho = 0.5 * (rho + rho.conj().T)
     evals, evecs = np.linalg.eigh(rho)
     evals = np.maximum(evals, 0.0)
-    s = evals.sum()
-    if s <= 0.0:
-        return np.eye(4, dtype=complex) / 4.0
-    evals = evals / s
+    evals = evals / evals.sum()
     rho = (evecs * evals) @ evecs.conj().T
     _check_hermitian_unit_trace(rho, "tomography_2q")
     return rho

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import polcore
 from .channel import ChannelState, transmit_probe
-from .instruments import PiezoController, Polarimeter, ReferenceSwitch, VoltageOutOfRange
+from .instruments import PiezoController, Polarimeter, VoltageOutOfRange
 from .output import write_csv
 
 __all__ = [
@@ -107,16 +107,17 @@ class StabilizerRun:
 
 
 class _Clock:
-    """Accumulates simulated time from instrument latencies."""
+    """Accumulates simulated time from instrument latencies: a probe pair is
+    two reads (each with its reference switch, `Polarimeter.latency_s`), a
+    voltage update one piezo settle."""
 
-    def __init__(self, polarimeter: Polarimeter, piezo: PiezoController, switch: ReferenceSwitch):
+    def __init__(self, polarimeter: Polarimeter, piezo: PiezoController):
         self.t = 0.0
         self._read = polarimeter.latency_s
         self._settle = piezo.settle_s
-        self._switch = switch.latency_s
 
     def probe_pair(self) -> None:
-        self.t += 2.0 * (self._switch + self._read)
+        self.t += 2.0 * self._read
 
     def piezo_apply(self) -> None:
         self.t += self._settle
@@ -193,7 +194,7 @@ def gradient(
     """
     if not (math.isfinite(delta_u_v) and delta_u_v > 0.0):
         raise ValueError(f"delta_u_v must be finite and > 0, got {delta_u_v}")
-    clock = clock or _Clock(polarimeter, piezo, ReferenceSwitch())
+    clock = clock or _Clock(polarimeter, piezo)
 
     def probe(u: list[float]) -> float:
         piezo.set_voltages(u)
@@ -244,7 +245,6 @@ def stabilize(
     piezo: PiezoController,
     polarimeter: Polarimeter,
     cfg: StabilizerConfig | None = None,
-    switch: ReferenceSwitch | None = None,
 ) -> StabilizerRun:
     """Run the feedback loop until fidelity reaches the threshold.
 
@@ -253,7 +253,7 @@ def stabilize(
     D outputs are mapped once and every probe reads that pair.
     """
     cfg = cfg or StabilizerConfig()
-    clock = _Clock(polarimeter, piezo, switch or ReferenceSwitch())
+    clock = _Clock(polarimeter, piezo)
     clamp_before = piezo.clamp_events
 
     link = probe_link(ch)
@@ -313,7 +313,6 @@ def duty_cycle_run(
     cfg: StabilizerConfig,
     transmit_window_s: float,
     total_s: float,
-    switch: ReferenceSwitch | None = None,
     drift_dt_s: float = 1.0,
 ) -> tuple[list[WindowRecord], np.ndarray, np.ndarray]:
     """Alternate free-drift transmission windows with stabilization runs;
@@ -339,7 +338,7 @@ def duty_cycle_run(
         fp_before = _fidelity_of_pair(s1, s2)
         iterations, duration, fp_after = 0, 0.0, fp_before
         if fp_before < cfg.fp_threshold:
-            run = stabilize(ch, piezo, polarimeter, cfg, switch)
+            run = stabilize(ch, piezo, polarimeter, cfg)
             iterations, duration, fp_after = run.iterations, run.duration_s, run.final_fp
         rotations[window], spiked[window] = ch.walk(dt, n_steps)
         records.append(WindowRecord(fp_before, iterations, duration, fp_after, piezo.rotation()))

@@ -338,6 +338,29 @@ def test_validate_bounds_max_iterations(tmp_path, capsys, iterations, rejected):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# A stabilization reads at most 10 * max_iterations + 1 probe pairs, each
+# after a piezo settle. A latency that made that time infinite exited 0 with
+# duration_s = inf and "mean_duration_s": Infinity. Neither value is run.
+@pytest.mark.parametrize("protocol, key, value, rejected", [
+    ("stabilize", "polarimeter_latency_s", "1e308", True),
+    ("stabilize", "piezo_settle_s", "1e308", True),
+    # 2001 * 2 * (8e307 + 0.045) overflows
+    ("distribute-entanglement", "switch_latency_s", "8e307", True),
+    ("stabilize", "polarimeter_latency_s", "1e300", False),
+], ids=["read", "settle", "distribute_switch", "finite"])
+def test_validate_bounds_the_stabilization_time(tmp_path, capsys, protocol, key, value, rejected):
+    path = tmp_path / "slow.ini"
+    path.write_text(f"[scenario]\nprotocol = {protocol}\nseed = 1\n[instruments]\n{key} = {value}\n"
+                    + ("[protocol]\nn_trials = 2\n" if protocol == "stabilize" else ""))
+    issues = config.validate_file(path)
+    assert [(i.section, i.key, i.line) for i in issues] == (
+        [("instruments", key, 5)] if rejected else []
+    )
+    assert cli.main(["validate", str(path)]) == (2 if rejected else 0)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and ("must be finite" in err) == rejected
+
+
 _DELAY = "[scenario]\nprotocol = delay-drift\n[protocol]\n"
 _DISTRIBUTE = "[scenario]\nprotocol = distribute-entanglement\n"
 
@@ -1220,6 +1243,31 @@ def test_write_csv_cells_match_repr_contract(tmp_path, rng):
     for row in rows:
         writer.writerow([_old_fmt(x) for x in row])
     assert path.read_text() == expected.getvalue()
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    from fiberlink.output import write_json
+
+    for value in (math.nan, math.inf, -math.inf):
+        path = tmp_path / "summary.json"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float")):
+            write_json(path, {"ok": 1.0, "bad": [value]})
+        assert not path.exists()
+
+
+# delay-drift at temp_amplitude_k = 1e307 overflows the delays it correlates,
+# and the run exited 0 with "pearson_r": NaN in delay_summary.json.
+def test_run_with_a_non_finite_json_value_exits_3(tmp_path, capsys):
+    path = tmp_path / "hot.ini"
+    path.write_text("[scenario]\nprotocol = delay-drift\nseed = 1\n"
+                    "[protocol]\ntemp_amplitude_k = 1e307\ndays = 0.1\n")
+    assert config.validate_file(path) == []
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"protocol failed: {out / 'delay_summary.json'}: Out of range float"), line
+    assert not (out / "delay_summary.json").exists() and not (out / "manifest.json").exists()
 
 
 SAMPLED_PPE = """

@@ -111,11 +111,8 @@ def test_polarimeter_validation():
     lambda: ins.PiezoController(settle_s=-1.0),
     lambda: ins.PiezoController(settle_s=math.nan),
     lambda: ins.PiezoController(settle_s=math.inf),
-    lambda: ins.ReferenceSwitch(latency_s=-5.0),
-    lambda: ins.ReferenceSwitch(latency_s=math.nan),
 ], ids=["pol_sigma_nan", "pol_sigma_inf", "pol_latency_nan", "pol_latency_negative",
-        "piezo_settle_negative", "piezo_settle_nan", "piezo_settle_inf",
-        "switch_latency_negative", "switch_latency_nan"])
+        "piezo_settle_negative", "piezo_settle_nan", "piezo_settle_inf"])
 def test_instrument_timing_and_noise_must_be_finite_and_non_negative(make):
     with pytest.raises(ValueError, match="finite and >= 0"):
         make()
@@ -126,8 +123,7 @@ def test_instrument_timing_and_noise_must_be_finite_and_non_negative(make):
     (ins.Polarimeter, "sigma", math.nan),
     (ins.Polarimeter, "latency_s", -5.0),
     (ins.Polarimeter, "rng", np.random.default_rng(1)),
-    (ins.ReferenceSwitch, "latency_s", -5.0),
-], ids=["pol_sigma_negative", "pol_sigma_nan", "pol_latency_negative", "pol_rng", "switch_latency"])
+], ids=["pol_sigma_negative", "pol_sigma_nan", "pol_latency_negative", "pol_rng"])
 def test_instrument_settings_are_fixed_at_construction(make, name, value):
     # a setting changed after construction would skip the constructor's check
     instrument = make()

@@ -153,11 +153,11 @@ def transmit_calls(monkeypatch):
 
 
 def _preset_channel(rotation_seed):
-    """The ppe_dutycycle preset's link, piezo, polarimeter, switch and loop
+    """The ppe_dutycycle preset's link, piezo, polarimeter and loop
     settings, from a Haar-random rotation."""
     scn = config.load(cli._preset_dir() / "ppe_dutycycle.ini")
     ch = scn.make_channel(rotation=pc.random_rotation(np.random.default_rng(rotation_seed)))
-    return ch, scn.make_piezo(), scn.make_polarimeter(), scn.make_switch(), scn.make_stabilizer_config()
+    return ch, scn.make_piezo(), scn.make_polarimeter(), scn.make_stabilizer_config()
 
 
 @pytest.fixture
@@ -177,8 +177,8 @@ def probe_pair_calls(monkeypatch):
 def test_stabilize_maps_a_held_still_link_once(transmit_calls, probe_pair_calls):
     # the gain of the link memo, counted instead of timed: one H and one D
     # map for a whole convergence of hundreds of probe pairs
-    ch, piezo, pol, switch, cfg = _preset_channel(11)
-    run = st.stabilize(ch, piezo, pol, cfg, switch)
+    ch, piezo, pol, cfg = _preset_channel(11)
+    run = st.stabilize(ch, piezo, pol, cfg)
     assert run.iterations > 10 and len(probe_pair_calls) > 100
     assert [s.tolist() for s in transmit_calls] == [pc.S_H.tolist(), pc.S_D.tolist()]
 
@@ -188,9 +188,9 @@ def test_duty_cycle_maps_each_window_boundary_once(transmit_calls, probe_pair_ca
     # each window maps the link once for its boundary probe and once for its
     # stabilization; the walk between windows moves it, and a spike each step
     # renews the loss
-    ch, piezo, pol, switch, cfg = _preset_channel(12)
+    ch, piezo, pol, cfg = _preset_channel(12)
     ch.spikes = chm.PdlSpikeProcess(rate_per_s=spike_rate, extra_db=0.5, duration_s=30.0)
-    records, _, _ = st.duty_cycle_run(ch, piezo, pol, cfg, transmit_window_s=5.0, total_s=10.0, switch=switch)
+    records, _, _ = st.duty_cycle_run(ch, piezo, pol, cfg, transmit_window_s=5.0, total_s=10.0)
     assert [r.stab_iterations > 0 for r in records] == [True, True]
     assert len(probe_pair_calls) > 100
     assert [s.tolist() for s in transmit_calls] == [pc.S_H.tolist(), pc.S_D.tolist()] * 4
