@@ -32,6 +32,10 @@ PIEZO_AXES_DEFAULT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1
 # The twelve axis components in channel order, for the fold in `quaternion`.
 _AXIS_COMPONENTS = tuple(c for axis in PIEZO_AXES_DEFAULT for c in axis)
 
+# Read-noise normals a polarimeter draws at once: 64 probe pairs (about 12 KB
+# as Python floats). Any block of at least six gives the same reads.
+_NOISE_BLOCK = 384
+
 _setattr = object.__setattr__  # past the frozen guard; looked up once per module
 
 
@@ -44,8 +48,14 @@ class Polarimeter:
     """Stokes polarimeter with iid Gaussian read noise per component.
 
     `read_pair` reads the H and D probe outputs together, in straight-line
-    Python-float arithmetic, from one draw of six normals: the same
-    generator stream as two successive `read` calls.
+    Python-float arithmetic, from the next six normals of the noise stream:
+    the same values as two successive `read` calls. The stream draws
+    `_NOISE_BLOCK` normals from `rng` at a time, on the first noisy read and
+    whenever a read runs past the block, and hands them out in stream
+    order: one numpy `Generator` gives the same values from one block draw
+    as from per-read draws. So `rng` runs up to one block ahead of the
+    reads: a caller that also draws from it gets other values than if each
+    read drew its own normals. A polarimeter with `sigma = 0` never draws.
 
     `latency_s` is one probe read, the switch to its reference light
     included. The 45 ms default makes one measure-feedback cycle (H probe
@@ -57,9 +67,11 @@ class Polarimeter:
     sigma: float = 0.0
     latency_s: float = 0.045
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
+    _noise: _NoiseStream = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _require(">= 0", lambda v: v >= 0.0, sigma=self.sigma, latency_s=self.latency_s)
+        _setattr(self, "_noise", _NoiseStream(self.rng, self.sigma))
 
     def read(self, s_true: np.ndarray) -> np.ndarray:
         """Noisy Stokes read; renormalized only if the noisy norm exceeds 1.
@@ -72,7 +84,7 @@ class Polarimeter:
         """
         x, y, z = np.asarray(s_true, dtype=float).tolist()
         if self.sigma > 0.0:
-            ex, ey, ez = self.rng.normal(0.0, self.sigma, size=3).tolist()
+            ex, ey, ez = self._noise.take(3)
             x, y, z = x + ex, y + ey, z + ez
         return np.array(_in_ball(x, y, z))
 
@@ -81,9 +93,31 @@ class Polarimeter:
         x1, y1, z1 = s1
         x2, y2, z2 = s2
         if self.sigma > 0.0:
-            e1, e2, e3, e4, e5, e6 = self.rng.normal(0.0, self.sigma, size=6).tolist()
+            e1, e2, e3, e4, e5, e6 = self._noise.take(6)
             x1, y1, z1, x2, y2, z2 = x1 + e1, y1 + e2, z1 + e3, x2 + e4, y2 + e5, z2 + e6
         return [_in_ball(x1, y1, z1), _in_ball(x2, y2, z2)]
+
+
+class _NoiseStream:
+    """A polarimeter's read noise: normals of scale `sigma` from `rng`,
+    drawn `_NOISE_BLOCK` at a time and handed out in stream order."""
+
+    __slots__ = ("rng", "sigma", "block", "pos")
+
+    def __init__(self, rng: np.random.Generator, sigma: float):
+        self.rng, self.sigma, self.block, self.pos = rng, sigma, [], 0
+
+    def take(self, k: int) -> list[float]:
+        """The next `k` (at most `_NOISE_BLOCK`) normals of the stream."""
+        pos = self.pos
+        end = pos + k
+        if end <= len(self.block):
+            self.pos = end
+            return self.block[pos:end]
+        head = self.block[pos:]
+        self.block = self.rng.normal(0.0, self.sigma, size=_NOISE_BLOCK).tolist()
+        self.pos = k - len(head)
+        return head + self.block[:self.pos]
 
 
 def _in_ball(x: float, y: float, z: float) -> tuple[float, float, float]:

@@ -264,7 +264,7 @@ def stabilize(
         if iteration > 0:
             d_step, du = adapt_parameters(cfg, fp) if iteration > 1 else (cfg.d0, cfg.du0_v)
             direction = gradient(link, piezo, polarimeter, du, clock)
-            piezo.apply_clamped(piezo.voltages + d_step * direction)
+            piezo.apply_clamped([u + d_step * g for u, g in zip(piezo.voltages, direction.tolist())])
             clock.piezo_apply()
 
         clock.probe_pair()

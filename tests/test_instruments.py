@@ -98,6 +98,48 @@ def test_polarimeter_paired_reads_follow_twin_generator(rng):
     assert 100 < renormalized < 500
 
 
+def test_polarimeter_noise_blocks_follow_twin_generator_across_refills(rng):
+    # Reads take their noise from blocks of _NOISE_BLOCK normals. Interleaved
+    # single and paired reads cross several refills, at least one of them
+    # inside a pair, and stay bit for bit the inputs plus a twin generator's
+    # per-read draws.
+    sigma = 0.05
+    p = ins.Polarimeter(sigma=sigma, rng=np.random.default_rng(9))
+    twin = np.random.default_rng(9)
+
+    def expected(s):
+        x, y, z = (a + e for a, e in zip(s, twin.normal(0.0, sigma, 3).tolist()))
+        n = math.sqrt(x * x + y * y + z * z)
+        return (x / n, y / n, z / n) if n > 1.0 else (x, y, z)
+
+    drawn, split_pairs = 0, 0
+    for k in range(ins._NOISE_BLOCK):
+        if k < 4 or k % 5 == 0:
+            s = random_bloch(rng, pure=True).tolist()
+            assert p.read(np.array(s)).tolist() == list(expected(s))
+            drawn += 3
+        else:
+            h, d = (tuple(random_bloch(rng, pure=True).tolist()) for _ in range(2))
+            assert p.read_pair(h, d) == [expected(h), expected(d)]
+            split_pairs += drawn // ins._NOISE_BLOCK != (drawn + 5) // ins._NOISE_BLOCK
+            drawn += 6
+    assert drawn // ins._NOISE_BLOCK >= 3 and split_pairs >= 1
+    # the generator runs ahead of the reads to the end of the current block
+    ahead = -drawn % ins._NOISE_BLOCK
+    twin.normal(0.0, sigma, ahead)
+    assert p.rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_noise_free_polarimeter_never_draws(rng):
+    p = ins.Polarimeter(sigma=0.0, rng=np.random.default_rng(3))
+    state = p.rng.bit_generator.state
+    for _ in range(ins._NOISE_BLOCK):
+        s = random_bloch(rng, pure=True)
+        p.read(s)
+        p.read_pair(s.tolist(), s.tolist())
+    assert p.rng.bit_generator.state == state
+
+
 def test_polarimeter_validation():
     with pytest.raises(ValueError):
         ins.Polarimeter(sigma=-0.1)

@@ -183,6 +183,28 @@ def test_stabilize_maps_a_held_still_link_once(transmit_calls, probe_pair_calls)
     assert [s.tolist() for s in transmit_calls] == [pc.S_H.tolist(), pc.S_D.tolist()]
 
 
+class _CountingGenerator:
+    """A numpy generator that counts its `normal` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_calls = rng, 0
+
+    def normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.normal(*args, **kwargs)
+
+
+def test_stabilize_draws_read_noise_in_blocks(probe_pair_calls):
+    # the gain of the noise blocks, counted instead of timed: N probe pairs
+    # take ceil(6 N / _NOISE_BLOCK) generator calls, not one per pair
+    ch, piezo, _, cfg = _preset_channel(11)
+    counting = _CountingGenerator(np.random.default_rng(11))
+    st.stabilize(ch, piezo, ins.Polarimeter(sigma=1e-3, rng=counting), cfg)
+    n = len(probe_pair_calls)
+    assert 6 * n > 2 * ins._NOISE_BLOCK
+    assert counting.normal_calls == math.ceil(6 * n / ins._NOISE_BLOCK)
+
+
 @pytest.mark.parametrize("spike_rate", [0.0, 1e3], ids=["quiet", "spiking"])
 def test_duty_cycle_maps_each_window_boundary_once(transmit_calls, probe_pair_calls, spike_rate):
     # each window maps the link once for its boundary probe and once for its
