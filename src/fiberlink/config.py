@@ -398,17 +398,6 @@ def _checks(text: str, protocol: str, values) -> list[Issue]:
     if values[("stabilizer", "du0_v")] + values[("stabilizer", "du1_v")] > limit:
         found.append(("stabilizer", "du0_v", f"du0_v + du1_v must be <= piezo_limit_v ({limit:g} V)"))
 
-    # A stabilization reads at most 10 * max_iterations + 1 probe pairs (up to
-    # nine per `gradient` call, one per iteration) and settles no more often.
-    timing = {key: values[("instruments", key)]
-              for key in ("switch_latency_s", "polarimeter_latency_s", "piezo_settle_s")}
-    switch, read, settle = timing.values()
-    longest = (10 * values[("stabilizer", "max_iterations")] + 1) * (2.0 * (switch + read) + settle)
-    if not math.isfinite(longest):
-        found.append(("instruments", max(timing, key=timing.get),
-                      f"the longest stabilization, (10 * max_iterations + 1) * (2 * (switch_latency_s + "
-                      f"polarimeter_latency_s) + piezo_settle_s) = {longest:g} s, must be finite"))
-
     if protocol in PROTOCOLS:
         found += PROTOCOLS[protocol].checks(values)
     return [Issue(section, key, message, _find_line(text, section, key))

@@ -38,6 +38,11 @@ class ProtocolFailed(RuntimeError):
 _MAX_TRACE_STEPS = 10**6
 _MAX_DRIFT_SAMPLES = 10**7
 
+# The largest delay swing `validate` lets a delay-drift run reach: the
+# correlation's squared deviations, (2 * 1e150)^2 for each of at most
+# _MAX_TRACE_STEPS + 1 samples, then sum to a finite number.
+_MAX_DELAY_SWING_PS = 1e150
+
 # Drift steps whose arm-B operators one stack holds: whole windows, or
 # chunks of one longer window, so no stack outgrows it at the step bound.
 _ARM_B_BLOCK_STEPS = 8192
@@ -49,6 +54,25 @@ def _too_long(key: str, steps: float, formula: str, unit: str) -> list[tuple[str
     if steps <= _MAX_TRACE_STEPS:
         return []
     return [("protocol", key, f"{formula} = {steps:g} {unit}; at most {_MAX_TRACE_STEPS} per run")]
+
+
+def _stabilization_checks(values, runs: float, count: str) -> list[tuple[str, str, str]]:
+    """One issue on the largest timing key if `runs` stabilizations, the most
+    whose times a run sums (`count` names them), could take an infinite time.
+
+    A stabilization reads at most 10 * max_iterations + 1 probe pairs (up to
+    nine per `gradient` call, one per iteration) and settles no more often.
+    """
+    timing = {key: values[("instruments", key)]
+              for key in ("switch_latency_s", "polarimeter_latency_s", "piezo_settle_s")}
+    switch, read, settle = timing.values()
+    longest = (10 * values[("stabilizer", "max_iterations")] + 1) * (2.0 * (switch + read) + settle)
+    if math.isfinite(runs * longest):
+        return []
+    return [("instruments", max(timing, key=timing.get),
+             f"{count} ({runs:g}) times the longest stabilization, (10 * max_iterations + 1) * "
+             f"(2 * (switch_latency_s + polarimeter_latency_s) + piezo_settle_s) = {longest:g} s, "
+             "must be finite")]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +214,11 @@ def run_drift_characterize(scn: Scenario, out: Path) -> list[Path]:
 # stabilize
 # ---------------------------------------------------------------------------
 
+def _stabilize_checks(values) -> list[tuple[str, str, str]]:
+    """The trials' summed stabilization time, for their mean, must be finite."""
+    return _stabilization_checks(values, values[("protocol", "n_trials")], "n_trials")
+
+
 def run_stabilize(scn: Scenario, out: Path) -> list[Path]:
     n_trials = scn.protocol_value("n_trials")
     cfg = scn.make_stabilizer_config()
@@ -308,6 +337,11 @@ def _distribute_checks(values) -> list[tuple[str, str, str]]:
             issues.append(("protocol", "intervals_s",
                            f"entries {labels[label]!r} and {interval!r} both label their random streams {label}"))
         labels.setdefault(label, interval)
+    # An interval's windows number at most ceil(total / interval); the duty
+    # ratio divides by the mean of their stabilization times.
+    windows = values[("protocol", "total_per_interval_s")] / min(values[("protocol", "intervals_s")])
+    windows = max(1, math.ceil(windows)) if math.isfinite(windows) else windows
+    issues += _stabilization_checks(values, windows, "windows per interval")
     return issues + _too_long("total_per_interval_s", _duty_cycle_steps(values),
                               "sum over intervals_s of windows * drift steps per window", "drift steps")
 
@@ -586,7 +620,30 @@ def run_teleport(scn: Scenario, out: Path) -> list[Path]:
 
 def _delay_checks(values) -> list[tuple[str, str, str]]:
     samples = values[("protocol", "days")] * 86400.0 / values[("protocol", "series_period_s")]
-    return _too_long("series_period_s", samples, "days * 86400 / series_period_s", "series samples")
+    issues = _too_long("series_period_s", samples, "days * 86400 / series_period_s", "series samples")
+    # The loop delay per kelvin, as `temperature_delay_prediction` scales it
+    scale = values[("channel", "temp_sensitivity_ps_per_km_k")] * 2.0 * values[("channel", "overhead_km")]
+    if not math.isfinite(scale):
+        return issues + [("channel", "temp_sensitivity_ps_per_km_k",
+                          f"temp_sensitivity_ps_per_km_k * 2 * overhead_km = {scale:g} ps/K must be finite")]
+    # Both delay series stay within the swing of zero; noise is counted at ten
+    # standard deviations, and the trend as the run forms it, trend * t / 86400.
+    days, amp, trend, temp_noise, noise = (values[("protocol", key)] for key in (
+        "days", "temp_amplitude_k", "temp_trend_k_per_day", "temp_noise_k", "measurement_noise_ps"))
+    terms = {
+        "temp_amplitude_k": scale * (2.0 * amp),
+        "temp_trend_k_per_day": scale * (abs(trend) * days * 86400.0 / 86400.0),
+        "temp_noise_k": scale * (20.0 * temp_noise),
+        "measurement_noise_ps": 10.0 * noise,
+    }
+    swing = sum(terms.values())
+    if swing <= _MAX_DELAY_SWING_PS:
+        return issues
+    # 0 * inf is NaN: a term that overflowed before the scale underflowed
+    return issues + [("protocol", max(terms, key=lambda k: math.inf if math.isnan(terms[k]) else terms[k]),
+                      "the delay swing temp_sensitivity_ps_per_km_k * 2 * overhead_km * (2 * temp_amplitude_k"
+                      " + |temp_trend_k_per_day| * days + 20 * temp_noise_k) + 10 * measurement_noise_ps"
+                      f" = {swing:g} ps; at most {_MAX_DELAY_SWING_PS:g} ps")]
 
 
 def run_delay_drift(scn: Scenario, out: Path) -> list[Path]:
@@ -704,7 +761,7 @@ PROTOCOLS = {
     }, checks=_drift_checks, reads=_DRIFT),
     "stabilize": Protocol(run_stabilize, {
         "n_trials": (int, 50, lambda v: 1 <= v <= _MAX_TRACE_STEPS, f"in [1, {_MAX_TRACE_STEPS}]"),
-    }, "n_trials", reads=(*_LOSS, *_CONTROL, *_TIMING)),
+    }, "n_trials", _stabilize_checks, reads=(*_LOSS, *_CONTROL, *_TIMING)),
     "distribute-entanglement": Protocol(run_distribute_entanglement, {
         "intervals_s": ("floats", "5,20,60,160", lambda v: min(v) > 0.0, "each > 0"),
         "total_per_interval_s": (float, 3200.0, positive, "> 0"),

@@ -361,8 +361,91 @@ def test_validate_bounds_the_stabilization_time(tmp_path, capsys, protocol, key,
     assert "Traceback" not in err and ("must be finite" in err) == rejected
 
 
+# A run sums up to n_trials stabilization times (stabilize) or one per window
+# of an interval (distribute-entanglement) for their mean. Here each takes at
+# least 8e307 s and at most 8.8e307 s, so three or five overflow the sum: the
+# duty cycle exited 0 with duty_ratio 0.0, the stabilize run 3 after writing
+# its trials CSV.
+@pytest.mark.parametrize("protocol, runs, rejected", [
+    ("stabilize", "n_trials = 2", False),
+    ("stabilize", "n_trials = 3", True),
+    ("distribute-entanglement", "intervals_s = 20\ntotal_per_interval_s = 40", False),
+    ("distribute-entanglement", "intervals_s = 20\ntotal_per_interval_s = 100", True),
+], ids=["two_trials", "three_trials", "two_windows", "five_windows"])
+def test_validate_bounds_the_summed_stabilization_time(tmp_path, capsys, protocol, runs, rejected):
+    path = tmp_path / "slow.ini"
+    path.write_text(f"[scenario]\nprotocol = {protocol}\nseed = 1\n[instruments]\n"
+                    "polarimeter_latency_s = 4e306\n[stabilizer]\nmax_iterations = 1\n"
+                    f"fp_threshold = 0.999999\n[protocol]\n{runs}\n")
+    issues = config.validate_file(path)
+    assert [(i.section, i.key, i.line) for i in issues] == (
+        [("instruments", "polarimeter_latency_s", 5)] if rejected else []
+    )
+    out = tmp_path / "out"
+    code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and ("must be finite" in err) == rejected
+    if rejected:
+        assert code == 2 and not out.exists()
+    elif protocol == "stabilize":
+        assert code == 0
+        mean = json.loads((out / "stabilize_summary.json").read_text())["mean_duration_s"]
+        assert 8e307 <= mean < math.inf
+    else:
+        assert code == 0
+        _, (row,) = read_csv_rows(out / "dutycycle_summary.csv")
+        assert int(row[5]) == 2 and 0.0 < float(row[6]) < 1e-306  # n_stabilizations, duty_ratio
+
+
 _DELAY = "[scenario]\nprotocol = delay-drift\n[protocol]\n"
 _DISTRIBUTE = "[scenario]\nprotocol = distribute-entanglement\n"
+
+
+# Both delay series stay within the swing of zero, and the correlation squares
+# their deviations: at temp_amplitude_k = 1e307 the run printed numpy overflow
+# warnings and exited 3 after writing delay_series.csv. The default link
+# turns a kelvin into 95.5944 ps of loop delay, so an amplitude of 5e147 K
+# swings the delays by 9.6e149 ps, inside the 1e150 ps bound, and 6e147 K
+# past it.
+@pytest.mark.parametrize("extra, key, rejected", [
+    ("temp_amplitude_k = 5e147\n", None, False),
+    ("temp_amplitude_k = 6e147\n", "temp_amplitude_k", True),
+    ("temp_amplitude_k = 1e307\n", "temp_amplitude_k", True),
+    ("temp_trend_k_per_day = -2e149\n", "temp_trend_k_per_day", True),
+    ("temp_noise_k = 1e148\n", "temp_noise_k", True),
+    ("measurement_noise_ps = 2e149\n", "measurement_noise_ps", True),
+    ("measurement_noise_ps = 9e148\n", None, False),
+], ids=["amplitude_inside", "amplitude_past", "amplitude_overflow", "trend", "temp_noise",
+        "measurement_noise", "measurement_noise_inside"])
+def test_validate_bounds_the_delay_swing(tmp_path, capsys, extra, key, rejected):
+    text = _DELAY + "days = 0.1\n" + extra
+    path = tmp_path / "hot.ini"
+    path.write_text(text)
+    issues = config.validate_file(path)
+    assert [(i.section, i.key, i.line) for i in issues] == (
+        [("protocol", key, 5)] if rejected else []
+    )
+    out = tmp_path / "out"
+    code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    if rejected:
+        assert code == 2 and "at most 1e+150 ps" in err and not out.exists()
+        return
+    assert code == 0
+    summary = json.loads((out / "delay_summary.json").read_text())
+    assert all(math.isfinite(v) for v in summary.values())
+    _, rows = read_csv_rows(out / "delay_series.csv")
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_validate_requires_a_finite_delay_scale(tmp_path):
+    path = tmp_path / "scale.ini"
+    path.write_text(_DELAY + "days = 0.1\n[channel]\noverhead_km = 1e200\n"
+                    "temp_sensitivity_ps_per_km_k = 1e200\n")
+    assert [(i.section, i.key, i.line) for i in config.validate_file(path)] == [
+        ("channel", "temp_sensitivity_ps_per_km_k", 7)]
+    assert cli.main(["validate", str(path)]) == 2
 
 
 # Each run holds or walks its series samples, drift steps, loss samples or
@@ -1255,16 +1338,16 @@ def test_write_json_refuses_non_finite_numbers(tmp_path):
         assert not path.exists()
 
 
-# delay-drift at temp_amplitude_k = 1e307 overflows the delays it correlates,
-# and the run exited 0 with "pearson_r": NaN in delay_summary.json.
-def test_run_with_a_non_finite_json_value_exits_3(tmp_path, capsys):
+# delay-drift at temp_amplitude_k = 1e307 overflowed the delays it correlates,
+# and the run exited 0 with "pearson_r": NaN in delay_summary.json. `validate`
+# now bounds the delay swing, so a stand-in correlation gives the NaN here.
+def test_run_with_a_non_finite_json_value_exits_3(tmp_path, capsys, monkeypatch):
     path = tmp_path / "hot.ini"
-    path.write_text("[scenario]\nprotocol = delay-drift\nseed = 1\n"
-                    "[protocol]\ntemp_amplitude_k = 1e307\ndays = 0.1\n")
+    path.write_text("[scenario]\nprotocol = delay-drift\nseed = 1\n[protocol]\ndays = 0.1\n")
     assert config.validate_file(path) == []
+    monkeypatch.setattr(protocols.analysis, "delay_correlation", lambda measured, predicted: (math.nan, 0.0))
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 3
+    assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 3
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"protocol failed: {out / 'delay_summary.json'}: Out of range float"), line
     assert not (out / "delay_summary.json").exists() and not (out / "manifest.json").exists()
