@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -569,6 +570,45 @@ def test_mc_uncertainty_matches_per_row_resampling_bit_for_bit():
             reference[k] = q.bell_fidelity(q.tomography_2q(resampled))
         assert res.values.tobytes() == reference.tobytes()
         assert rng.random() == ref_rng.random()
+
+
+def _pinned_tables():
+    """30 seeded (rows, accidental mean) pairs for the tomography pin."""
+    rng = np.random.default_rng(35)
+    tables = []
+    for k in range(27):
+        probs = q.coincidence_probabilities(_noisy_pair_state(rng))
+        mean = (20.0, 200.0, 2000.0)[k % 3]
+        accidentals = mean * rng.uniform(0.005, 0.05)
+        rows = [(a, b, float(rng.poisson(4 * mean * p + accidentals))) for (a, b), p in probs.items()]
+        tables.append((rows, accidentals))
+    zeroed = list(tables[4][0])
+    for i in (0, 5, 9, 14):
+        zeroed[i] = (*zeroed[i][:2], 0.0)
+    tables.append((zeroed, 1.5))
+    tables.append(([(a, b, 0.0) for a, b in q.TOMO_BASES_2Q], 0.0))
+    # the over-complete table of
+    # test_mc_uncertainty_matches_per_row_resampling_bit_for_bit at scale 40
+    probs = q.coincidence_probabilities(_noisy_pair_state(np.random.default_rng(5)))
+    tables.append(([(a, b, 0.0 if (i + rep) % 7 == 0 else 40.0 * p * (0.5 + i % 4), 0.5 + i % 4)
+                    for rep in range(2) for i, ((a, b), p) in enumerate(probs.items())], 0.3))
+    return tables
+
+
+def test_tomography_and_mc_uncertainty_bits_are_pinned():
+    # One digest over the raw and accidental-corrected states and the Monte
+    # Carlo values, mean and sigma of every pinned table: a change that moves
+    # one bit of tomography_2q moves it, even where mc_uncertainty follows.
+    digest = hashlib.sha256()
+    tables = _pinned_tables()
+    assert len(tables) == 30 and len(tables[-1][0]) == 32
+    for seed, (rows, accidentals) in enumerate(tables):
+        corrected = q.subtract_expected_accidentals(rows, accidentals)
+        mc = q.mc_uncertainty(rows, 100, np.random.default_rng(seed))
+        for arr in (q.tomography_2q(rows), q.tomography_2q(corrected), mc.values,
+                    np.array([mc.mean, mc.sigma])):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == "b9c1f41c020417779038e3dc2326d6f6e11b31cc37f11afa880119a56d82f284"
 
 
 def test_mc_uncertainty_calls_tomography_once_per_resample(monkeypatch):
