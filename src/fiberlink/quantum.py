@@ -89,6 +89,8 @@ _PAULI4.flags.writeable = False
 PAULI_LABELS = ("i", "hv", "da", "rl")
 
 BELL_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / _SQ2
+_BELL_PSI_PLUS_BRA = BELL_PSI_PLUS.conj()
+_BELL_PSI_PLUS_BRA.flags.writeable = False
 
 # Ideal memory-photon state after absorption of one pair photon:
 # (|-1/2>|R> - |+1/2>|L>)/sqrt2 with memory order (|-1/2>, |+1/2>).
@@ -129,13 +131,42 @@ class SingularDesign(ValueError):
     """Measurement set is not informationally complete."""
 
 
+def _surely_hermitian(rows: list[list[complex]]) -> bool:
+    """True only where np.allclose(rho, rho^dag, atol=1e-10) is True.
+
+    Python's abs of a complex (libm hypot) and numpy's may differ in the
+    last two bits, so an entry passes here only with both tolerances
+    tightened by 1e-11 (relative); False means "ask numpy". abs() raises
+    OverflowError where numpy returns inf.
+    """
+    for row, col in zip(rows, zip(*rows)):
+        for a, b in zip(row, col):
+            if not abs(a - b.conjugate()) <= 9.9999999999e-11 + 9.9999999999e-6 * abs(b):
+                return False
+    return True
+
+
 def _check_hermitian_unit_trace(rho: np.ndarray, context: str) -> None:
     # np.allclose(rho, h, atol=1e-10)'s formula; nan or inf fail here or in
-    # check_state's eigvalsh.
-    h = rho.conj().T
-    if not (np.abs(rho - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
-        raise ValueError(f"{context}: not Hermitian")
-    if abs(rho.trace().real - 1.0) > 1e-10:
+    # check_state's eigvalsh. A 4x4 state is checked in Python floats, which
+    # costs a fraction of the ufunc calls; numpy decides every entry that
+    # is not clearly inside, so the verdict is numpy's. Its trace sums the
+    # real diagonal in numpy's pairwise order, (d0 + d1) + (d2 + d3).
+    if rho.shape == (4, 4):
+        rows = rho.tolist()
+        try:
+            hermitian = _surely_hermitian(rows)
+        except OverflowError:
+            hermitian = False
+        r0, r1, r2, r3 = rows
+        trace = (r0[0].real + r1[1].real) + (r2[2].real + r3[3].real)
+    else:
+        hermitian, trace = False, rho.trace().real
+    if not hermitian:
+        h = rho.conj().T
+        if not (np.abs(rho - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
+            raise ValueError(f"{context}: not Hermitian")
+    if abs(trace - 1.0) > 1e-10:
         raise ValueError(f"{context}: trace {rho.trace().real} != 1")
 
 
@@ -143,7 +174,8 @@ def check_state(rho: np.ndarray, context: str = "state") -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
     _check_hermitian_unit_trace(rho, context)
-    if np.linalg.eigvalsh(rho).min() < -1e-9:
+    # Written so that a nan spectrum fails too.
+    if not np.linalg.eigvalsh(rho).min() >= -1e-9:
         raise ValueError(f"{context}: negative eigenvalue")
     return rho
 
@@ -159,7 +191,8 @@ def fidelity(rho: np.ndarray, target_ket: np.ndarray) -> float:
 
 
 def bell_fidelity(rho: np.ndarray) -> float:
-    return fidelity(rho, BELL_PSI_PLUS)
+    """`fidelity(rho, BELL_PSI_PLUS)`, with the bra read from a constant."""
+    return float((_BELL_PSI_PLUS_BRA @ (rho @ BELL_PSI_PLUS)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +403,18 @@ def _inversion_map(settings: tuple[tuple[str, str], ...]) -> np.ndarray:
     return inversion
 
 
+def _table_is_valid(counts: list[float], times: list[float]) -> bool:
+    """Every count finite and >= 0, every time finite and > 0, in Python
+    floats (a fraction of four numpy reductions); nan fails each comparison."""
+    for v in counts:
+        if not 0.0 <= v < math.inf:
+            return False
+    for v in times:
+        if not 0.0 < v < math.inf:
+            return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class CountTable:
     """A coincidence count table. `settings` holds each row's (basis_a,
@@ -389,9 +434,8 @@ class CountTable:
             raise ValueError(f"count table: {len(self.settings)} settings, {n.shape} counts, {t.shape} times")
         object.__setattr__(self, "counts", n)
         object.__setattr__(self, "integration_s", t)
-        # Written so that nan fails each comparison; the row is sought only on failure.
-        if n.size and not (0.0 <= n.min() and n.max() < math.inf
-                           and 0.0 < t.min() and t.max() < math.inf):
+        # The row is sought only on failure.
+        if not _table_is_valid(n.tolist(), t.tolist()):
             i = int(np.argmin((0.0 <= n) & (n < math.inf) & (0.0 < t) & (t < math.inf)))
             raise ValueError(f"count row {(*self.settings[i], float(n[i]), float(t[i]))!r}: counts "
                              "must be finite and >= 0 and the integration time finite and > 0")

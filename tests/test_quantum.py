@@ -847,6 +847,8 @@ def test_check_state_hermiticity_matches_allclose():
     {(0, 1): np.inf, (1, 0): np.inf},
     {(0, 1): complex(np.inf, np.inf), (1, 0): complex(np.inf, -np.inf)},
     {(0, 1): complex(np.inf, np.inf), (1, 0): complex(np.inf, 1.0)},
+    # Hermitian with unit trace in finite entries, but its spectrum is nan
+    {(0, 1): complex(1.5e308, 1.5e308), (1, 0): complex(1.5e308, -1.5e308)},
 ])
 def test_check_state_rejects_non_finite_entries(entries):
     rho = np.eye(4, dtype=complex) / 4.0
@@ -854,6 +856,72 @@ def test_check_state_rejects_non_finite_entries(entries):
         rho[ij] = value
     with np.errstate(invalid="ignore"), pytest.raises(ValueError):
         q.check_state(rho)
+
+
+@pytest.mark.parametrize("lower", [complex(1.5e308, -1.5e308), 0.0])
+def test_overflowing_abs_gets_numpys_verdict(lower):
+    # Python's abs of 1.5e308+1.5e308j raises OverflowError where numpy's is
+    # inf; the Hermitian matrix passes numpy's formula (inf tolerance) and
+    # fails on its nan spectrum, the other fails the formula.
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1], rho[1, 0] = complex(1.5e308, 1.5e308), lower
+    hermitian = lower != 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.allclose(rho, rho.conj().T, atol=1e-10) == hermitian
+        message = "negative eigenvalue" if hermitian else "not Hermitian"
+        with pytest.raises(ValueError, match=f"^state: {message}$"):
+            q.check_state(rho)
+        if hermitian:
+            q._check_hermitian_unit_trace(rho, "tomography_2q")
+        else:
+            with pytest.raises(ValueError, match="^tomography_2q: not Hermitian$"):
+                q._check_hermitian_unit_trace(rho, "tomography_2q")
+
+
+def test_hermiticity_verdict_is_numpys_at_the_last_bit():
+    # Entries within a few ulps of atol + rtol * |h|, where Python's abs
+    # (libm hypot) and numpy's complex abs can round apart. The state check
+    # must give np.allclose's verdict on each entry where the two formulas
+    # disagree (on this build, if any) and on 200 others.
+    rng = np.random.default_rng(12)
+    b = (rng.normal(size=200_000) + 1j * rng.normal(size=200_000)) * 10.0 ** rng.uniform(-8.0, 2.0, 200_000)
+    h = b.conj()
+    edge = (1e-10 + 1e-5 * np.abs(h)) * (1.0 + rng.integers(-6, 7, size=b.size) * 2.2e-16)
+    a = h + edge * np.exp(2j * np.pi * rng.random(b.size))
+    by_numpy = np.abs(a - h) <= 1e-10 + 1e-5 * np.abs(h)
+    by_python = np.array([abs(x - y) <= 1e-10 + 1e-5 * abs(y) for x, y in zip(a.tolist(), h.tolist())])
+    verdicts = set()
+    for k in np.flatnonzero(by_numpy != by_python).tolist() + list(range(200)):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[1, 2], rho[2, 1] = b[k], a[k]
+        hermitian = np.allclose(rho, rho.conj().T, atol=1e-10)
+        verdicts.add(hermitian)
+        try:
+            q._check_hermitian_unit_trace(rho, "state")
+            assert hermitian
+        except ValueError as exc:
+            assert str(exc) == "state: not Hermitian" and not hermitian
+    assert verdicts == {True, False}
+
+
+def test_trace_verdict_is_numpys_at_the_last_bit():
+    # Diagonals summing to within a few ulps of 1 +- 1e-10, where the order of
+    # the sum can move the verdict: the check must give np.trace's on each
+    # diagonal whose left-to-right sum disagrees with it, and on 200 others.
+    rng = np.random.default_rng(13)
+    d = rng.dirichlet(np.ones(4), size=2000) * rng.uniform(0.5, 2.0, size=(2000, 1))
+    d[:, 3] = (1.0 + rng.choice([-1e-10, 1e-10], size=2000) * (1.0 + rng.integers(-8, 9, size=2000) * 1e-6)
+               - d[:, :3].sum(axis=1))
+    states = [np.diag(row).astype(complex) for row in d]
+    by_numpy = np.array([abs(np.trace(rho).real - 1.0) > 1e-10 for rho in states])
+    left = np.abs(((d[:, 0] + d[:, 1]) + d[:, 2]) + d[:, 3] - 1.0) > 1e-10
+    assert by_numpy.any() and not by_numpy.all()
+    for k in np.flatnonzero(left != by_numpy).tolist() + list(range(200)):
+        try:
+            q._check_hermitian_unit_trace(states[k], "state")
+            assert not by_numpy[k]
+        except ValueError as exc:
+            assert str(exc) == f"state: trace {np.trace(states[k]).real} != 1" and by_numpy[k]
 
 
 def test_purity_and_fidelity():
