@@ -148,10 +148,9 @@ def _surely_hermitian(rows: list[list[complex]]) -> bool:
 
 def _check_hermitian_unit_trace(rho: np.ndarray, context: str) -> None:
     # np.allclose(rho, h, atol=1e-10)'s formula; nan or inf fail here or in
-    # check_state's eigvalsh. A 4x4 state is checked in Python floats, which
-    # costs a fraction of the ufunc calls; numpy decides every entry that
-    # is not clearly inside, so the verdict is numpy's. Its trace sums the
-    # real diagonal in numpy's pairwise order, (d0 + d1) + (d2 + d3).
+    # check_state's eigvalsh. A 4x4 state is checked in Python floats, a
+    # fraction of the ufunc calls, and numpy decides what they leave open;
+    # its trace sums the real diagonal in numpy's pairwise order.
     if rho.shape == (4, 4):
         rows = rho.tolist()
         try:
