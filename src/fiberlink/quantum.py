@@ -131,41 +131,12 @@ class SingularDesign(ValueError):
     """Measurement set is not informationally complete."""
 
 
-def _surely_hermitian(rows: list[list[complex]]) -> bool:
-    """True only where np.allclose(rho, rho^dag, atol=1e-10) is True.
-
-    Python's abs of a complex (libm hypot) and numpy's may differ in the
-    last two bits, so an entry passes here only with both tolerances
-    tightened by 1e-11 (relative); False means "ask numpy". abs() raises
-    OverflowError where numpy returns inf.
-    """
-    for row, col in zip(rows, zip(*rows)):
-        for a, b in zip(row, col):
-            if not abs(a - b.conjugate()) <= 9.9999999999e-11 + 9.9999999999e-6 * abs(b):
-                return False
-    return True
-
-
 def _check_hermitian_unit_trace(rho: np.ndarray, context: str) -> None:
-    # np.allclose(rho, h, atol=1e-10)'s formula; nan or inf fail here or in
-    # check_state's eigvalsh. A 4x4 state is checked in Python floats, a
-    # fraction of the ufunc calls, and numpy decides what they leave open;
-    # its trace sums the real diagonal in numpy's pairwise order.
-    if rho.shape == (4, 4):
-        rows = rho.tolist()
-        try:
-            hermitian = _surely_hermitian(rows)
-        except OverflowError:
-            hermitian = False
-        r0, r1, r2, r3 = rows
-        trace = (r0[0].real + r1[1].real) + (r2[2].real + r3[3].real)
-    else:
-        hermitian, trace = False, rho.trace().real
-    if not hermitian:
-        h = rho.conj().T
-        if not (np.abs(rho - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
-            raise ValueError(f"{context}: not Hermitian")
-    if abs(trace - 1.0) > 1e-10:
+    # np.allclose(rho, h, atol=1e-10)'s formula; nan or inf fail here.
+    h = rho.conj().T
+    if not (np.abs(rho - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
+        raise ValueError(f"{context}: not Hermitian")
+    if abs(rho.trace().real - 1.0) > 1e-10:
         raise ValueError(f"{context}: trace {rho.trace().real} != 1")
 
 
@@ -173,8 +144,10 @@ def check_state(rho: np.ndarray, context: str = "state") -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
     _check_hermitian_unit_trace(rho, context)
-    # Written so that a nan spectrum fails too.
-    if not np.linalg.eigvalsh(rho).min() >= -1e-9:
+    spectrum = np.linalg.eigvalsh(rho)
+    if not np.isfinite(spectrum).all():
+        raise ValueError(f"{context}: spectrum not finite")
+    if spectrum.min() < -1e-9:
         raise ValueError(f"{context}: negative eigenvalue")
     return rho
 
@@ -465,19 +438,24 @@ def tomography_2q(counts) -> np.ndarray:
     is one matrix-vector product (James et al., PRA 64, 052312, 2001).
 
     Raises SingularDesign when the setting list does not span the two-qubit
-    operator space.
+    operator space, and ValueError when the count rates overflow the state.
     """
     table = CountTable.of(counts)
     if len(table.settings) < 16:
         raise SingularDesign(f"need at least 16 settings, got {len(table.settings)}")
     inversion = _inversion_map(table.settings)
-    x = (inversion @ (table.counts / table.integration_s)).reshape(4, 4)
+    rates = table.counts / table.integration_s
+    x = (inversion @ rates).reshape(4, 4)
     total = float(x.trace().real)
     if total <= 0.0:
         # Pathological data (e.g. all-zero counts): fall back to the
         # maximally mixed state rather than dividing by a non-positive trace.
         return np.eye(4, dtype=complex) / 4.0
-    return _project_physical(x / total)
+    x = x / total
+    x = 0.5 * (x + x.conj().T)
+    if not (total < math.inf and np.isfinite(x).all()):  # finite counts: the rates overflow
+        raise ValueError(f"tomography_2q: count rates (max {rates.max():g}/s, trace {total:g}/s) overflow the state")
+    return _project_physical(x)
 
 
 def _hermitian_basis() -> tuple[np.ndarray, ...]:
@@ -503,20 +481,17 @@ _HERM_BASIS = _hermitian_basis()
 
 
 def _project_physical(rho: np.ndarray) -> np.ndarray:
-    """Clip the spectrum at zero and rescale it to unit trace.
-
-    One eigendecomposition per call: the rebuilt state is positive because
-    its eigenvalues are the clipped ones, so only Hermiticity and the trace
-    are checked on it. `rho` has unit trace, so its largest eigenvalue is at
-    least 1/4 and the clipped spectrum sums to more than zero.
+    """Clip the spectrum of a finite Hermitian `rho` of unit trace at zero
+    and rescale it to unit trace. The state V diag(clipped) V^dag / sum is
+    Hermitian, positive and of unit trace to rounding whenever that sum is
+    finite and > 0, so the sum is all that is checked (ValueError).
     """
-    rho = 0.5 * (rho + rho.conj().T)
     evals, evecs = np.linalg.eigh(rho)
     evals = np.maximum(evals, 0.0)
-    evals = evals / evals.sum()
-    rho = (evecs * evals) @ evecs.conj().T
-    _check_hermitian_unit_trace(rho, "tomography_2q")
-    return rho
+    total = evals.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"tomography_2q: clipped spectrum sums to {total}")
+    return (evecs * (evals / total)) @ evecs.conj().T
 
 
 @dataclass
