@@ -94,7 +94,7 @@ def _cmd_run(args) -> int:
 
     try:
         files = run_protocol(scn, out_dir)
-    except (ProtocolFailed, ValueError) as exc:
+    except (ProtocolFailed, ValueError, ArithmeticError) as exc:
         print(f"protocol failed: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

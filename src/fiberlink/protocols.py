@@ -43,6 +43,12 @@ _MAX_DRIFT_SAMPLES = 10**7
 # _MAX_TRACE_STEPS + 1 samples, then sum to a finite number.
 _MAX_DELAY_SWING_PS = 1e150
 
+# The largest PDL mean or spread, in dB, that a pdl-characterize run draws
+# from. A normal deviate past 40 spreads has probability below 1e-300, so the
+# fiber estimate stays within 6150 dB of zero and 10 ** (+-dB / 20) finite
+# (to about 6165 dB).
+_MAX_PDL_DB = 100.0
+
 # Drift steps whose arm-B operators one stack holds: whole windows, or
 # chunks of one longer window, so no stack outgrows it at the step bound.
 _ARM_B_BLOCK_STEPS = 8192
@@ -718,6 +724,7 @@ def non_negative(x: float) -> bool:
 
 
 _EXACT_COUNTS = (float, 0.0, non_negative, ">= 0 (0 = exact)")
+_PDL_DB = (lambda v: 0.0 <= v <= _MAX_PDL_DB, f"in [0, {_MAX_PDL_DB:g}]")
 _ARM_B = {"apply_link_to_arm_b": (bool, True, None, "")}
 
 
@@ -749,10 +756,10 @@ PROTOCOLS = {
     "pdl-characterize": Protocol(run_pdl_characterize, {
         "n_samples": (int, 500, lambda v: 2 <= v <= _MAX_TRACE_STEPS, f"in [2, {_MAX_TRACE_STEPS}]"),
         "sample_period_s": (float, 91.0, positive, "> 0"),
-        "link_pdl_mean_db": (float, 0.08, non_negative, ">= 0"),
-        "link_pdl_sigma_db": (float, 0.045, non_negative, ">= 0"),
-        "det_pdl_mean_db": (float, 0.23, non_negative, ">= 0"),
-        "det_pdl_sigma_db": (float, 0.02, non_negative, ">= 0"),
+        "link_pdl_mean_db": (float, 0.08, *_PDL_DB),
+        "link_pdl_sigma_db": (float, 0.045, *_PDL_DB),
+        "det_pdl_mean_db": (float, 0.23, *_PDL_DB),
+        "det_pdl_sigma_db": (float, 0.02, *_PDL_DB),
     }, "n_samples", _pdl_checks),
     "drift-characterize": Protocol(run_drift_characterize, {
         "total_s": (float, 4000.0, positive, "> 0"),
@@ -805,4 +812,7 @@ def run_protocol(scn: Scenario, out_dir) -> list[Path]:
         runner = RUNNERS[scn.protocol]
     except KeyError:
         raise ProtocolFailed(f"unknown protocol {scn.protocol!r}") from None
-    return runner(scn, out)
+    # An overflow, nan or division by zero in numpy raises FloatingPointError
+    # rather than writing inf or nan to an output.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return runner(scn, out)

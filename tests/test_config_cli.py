@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fiberlink import cli, config, protocols, seeding, stabilizer
 from fiberlink.output import read_csv_rows, sha256_file
-from fiberlink.protocols import PROTOCOLS, run_protocol
+from fiberlink.protocols import PROTOCOLS, RUNNERS, run_protocol
 
 
 MINIMAL = """
@@ -515,6 +515,55 @@ def test_validate_requires_finite_pdl_sample_times(tmp_path, capsys, n_samples, 
         assert code == 0
         _, rows = read_csv_rows(out / "pdl_series.csv")
         assert [float(row[1]) for row in rows] == [0.0, 8e307, 1.6e308]
+
+
+# Each PDL mean and spread is at most 100 dB, so 10 ** (+-dB / 20) of every
+# sample and of the fiber estimate is finite.
+@pytest.mark.parametrize("lines, rejected", [
+    # raised OverflowError in 10 ** (-mean_db / 20) (exit 1)
+    ("det_pdl_sigma_db = 1e15\n", True),
+    ("det_pdl_sigma_db = 1e300\n", True),
+    # exited 0 on a 1e15 dB fiber estimate
+    ("link_pdl_mean_db = 1e15\n", True),
+    ("det_pdl_mean_db = 100.5\n", True),
+    ("n_samples = 100000\nlink_pdl_mean_db = 100\nlink_pdl_sigma_db = 100\n"
+     "det_pdl_mean_db = 100\ndet_pdl_sigma_db = 100\n", False),
+], ids=["det_sigma_1e15", "det_sigma_1e300", "link_mean_1e15", "det_mean_100.5", "all_at_bound"])
+def test_validate_bounds_the_pdl_means_and_spreads(tmp_path, capsys, lines, rejected):
+    path = tmp_path / "pdl.ini"
+    path.write_text(_PDL + lines)
+    key = lines.split(" = ")[0]
+    out = tmp_path / "out"
+    for argv in (["validate", str(path), "--quiet"], ["run", str(path), "--out", str(out), "--quiet"]):
+        code = cli.main(argv)
+        err = capsys.readouterr().err.splitlines()
+        if rejected:
+            assert code == 2 and len(err) == 1 and f"[protocol] {key}:" in err[0] and "in [0, 100]" in err[0]
+        else:
+            assert code == 0 and err == []
+    if not rejected:
+        _, rows = read_csv_rows(out / "pdl_series.csv")
+        summary = json.loads((out / "pdl_summary.json").read_text())
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        assert all(math.isfinite(v) for v in summary.values())
+
+
+# A run is held to numpy's overflow, invalid and divide-by-zero errors, and
+# an ArithmeticError ends it with exit 3 and one line, not a traceback or an
+# inf or nan in its outputs.
+@pytest.mark.parametrize("fail", [
+    lambda: np.exp(np.array([1e3])),
+    lambda: np.array([0.0]) / 0.0,
+    lambda: np.array([1.0]) / 0.0,
+    lambda: 10.0 ** 1e3,  # a Python float's OverflowError
+], ids=["numpy_overflow", "numpy_invalid", "numpy_divide", "python_overflow"])
+def test_run_ends_an_arithmetic_error_with_exit_3(tmp_path, capsys, monkeypatch, fail):
+    monkeypatch.setitem(RUNNERS, "pdl-characterize", lambda scn, out: [fail()])
+    out = tmp_path / "out"
+    assert cli.main(["run", "pdl_characterize", "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("protocol failed: ")
+    assert not (out / "manifest.json").exists()
 
 
 # `validate` counts a distribute-entanglement run's drift steps with the window
