@@ -417,6 +417,73 @@ def test_tomography_all_zero_counts_falls_back_to_mixed():
     assert np.array_equal(rec, np.eye(4, dtype=complex) / 4.0)
 
 
+# The causes for which tomography_2q raises ValueError on a table that
+# CountTable accepts.
+_TOMOGRAPHY_CAUSES = re.compile(r"need at least 16 settings, got \d+$"
+                                r"|tomography_2q: count rates \(max \S+/s, trace \S+/s\) overflow the state$"
+                                r"|tomography_2q: clipped spectrum sums to \S+$")
+
+
+def _state_or_cause(rows):
+    """`tomography_2q(rows)` checked by `check_state`, or None where it
+    raised ValueError naming one of the causes. numpy's overflow warnings
+    are silenced: the verdict is what is checked."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = q.tomography_2q(rows)
+    except ValueError as exc:
+        assert _TOMOGRAPHY_CAUSES.match(str(exc)), str(exc)
+        return None
+    return q.check_state(rho, "tomography_2q")
+
+
+def test_tomography_returns_a_state_or_names_the_cause():
+    # A seeded corpus: Poisson tables at 20-2000 mean counts, the all-zero
+    # table, tables with counts in one setting and one-row tables, and tables
+    # whose counts reach 1e300 and times 1e-300, so that rates span 1e-303
+    # to past the float range.
+    rng = np.random.default_rng(36)
+    tables = [[(a, b, 0.0) for a, b in q.TOMO_BASES_2Q]]
+    for _ in range(60):
+        mean = 10.0 ** rng.uniform(math.log10(20.0), math.log10(2000.0))
+        probs = q.coincidence_probabilities(_noisy_pair_state(rng))
+        tables.append([(a, b, float(rng.poisson(4 * mean * p))) for (a, b), p in probs.items()])
+    for i, (a, b) in enumerate(q.TOMO_BASES_2Q):
+        n, t = 10.0 ** rng.uniform(-300.0, 300.0), 10.0 ** rng.uniform(-300.0, 3.0)
+        tables.append([(a, b, 100.0)])
+        tables.append([(*s, n if j == i else 0.0, t) for j, s in enumerate(q.TOMO_BASES_2Q)])
+    for _ in range(300):
+        # one count and one time scale per table, each row within 10^3 of it
+        counts = 10.0 ** (rng.uniform(-297.0, 297.0) + rng.uniform(-3.0, 3.0, 16)) * (rng.random(16) < 0.8)
+        times = 10.0 ** (rng.uniform(-297.0, 0.0) + rng.uniform(-3.0, 3.0, 16))
+        tables.append(list(zip(*zip(*q.TOMO_BASES_2Q), counts.tolist(), times.tolist())))
+    raised = [_state_or_cause(rows) is None for rows in tables]
+    # Every Poisson table gives a state, every one-row table raises, and the
+    # extreme tables reach both outcomes.
+    assert not any(raised[:61])
+    assert all(raised[61:93:2]) and 30 <= sum(raised[-300:]) <= 270
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(counts=hst.lists(hst.floats(0.0, 1e300), min_size=16, max_size=16),
+       times=hst.lists(hst.floats(1e-300, 1e300), min_size=16, max_size=16))
+def test_tomography_of_any_table_returns_a_state_or_names_the_cause(counts, times):
+    _state_or_cause(list(zip(*zip(*q.TOMO_BASES_2Q), counts, times)))
+
+
+@pytest.mark.parametrize("rows, rates", [
+    # every rate is finite, but their sum in the trace overflows
+    ([(a, b, 1e308, 1.0) for a, b in q.TOMO_BASES_2Q], "max 1e+308/s, trace inf/s"),
+    # one count over half a second: a rate past the float range
+    ([(a, b, 1e308, 0.5) if (a, b) == ("H", "D") else (a, b, 10.0, 1.0) for a, b in q.TOMO_BASES_2Q],
+     "max inf/s, trace nan/s"),
+], ids=["trace_overflows", "rate_overflows"])
+def test_tomography_names_overflowing_count_rates(rows, rates):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as exc:
+        q.tomography_2q(rows)
+    assert str(exc.value) == f"tomography_2q: count rates ({rates}) overflow the state"
+
+
 @pytest.mark.parametrize("field, value", [
     ("counts", -50.0),
     ("counts", np.nan),
