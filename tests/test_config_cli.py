@@ -809,12 +809,27 @@ def _runs_or_fails_cleanly(text, trials, unread=()):
             _check_estimates(Path(tmp) / "out", text)
 
 
+# Each float key a protocol reads, set alone to an extreme on the protocol's
+# cheap scenario, runs or fails cleanly; det_pdl_sigma_db = 1e15 and 1e300
+# raised OverflowError before the PDL bounds.
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_extreme_float_keys_run_or_fail_cleanly(protocol):
+    fields = {**config._FIELDS, **{("protocol", k): v for k, v in PROTOCOLS[protocol].fields.items()}}
+    for key in _CANDIDATES[protocol]:
+        if fields[key][0] in (float, "floats"):
+            for value in ("1e15", "1e300", "1e-300"):
+                _runs_or_fails_cleanly(_scenario_text(protocol, {key: value}), None)
+
+
 def _check_estimates(out, text):
-    """Every fidelity and purity a run wrote is finite and in [0, 1], and each
-    state tomography it wrote came from counts in HH, HV, VH and VV."""
+    """Every number a run wrote to a CSV is finite, every fidelity and purity
+    is in [0, 1], and each state tomography it wrote came from counts in HH,
+    HV, VH and VV."""
     values = []
     for path in out.glob("*.csv"):
         header, rows = read_csv_rows(path)
+        bad = [(c, cell) for row in rows for c, cell in zip(header, row) if cell.lstrip("-") in ("inf", "nan")]
+        assert not bad, f"{text}{path.name}: {bad[:3]}"
         values += [(path.name, c, row[i]) for i, c in enumerate(header)
                    if "fidelity" in c or "purity" in c for row in rows]
     for path in out.glob("*.json"):
