@@ -245,12 +245,11 @@ class ChannelState:
         for _ in range(n):
             rates.append(self.rate_at(clock))
             clock += dt
-        sigmas = [math.sqrt(2.0 * rate * dt) for rate in rates if rate > 0.0]
+        sigmas = np.sqrt(2.0 * np.compress(np.array(rates) > 0.0, rates) * dt)
         state = self.rng.bit_generator.state
         z = self.rng.standard_normal((len(sigmas), 4))
-        # row by row: a vectorized norm moves rotations in the last bit
-        norms = [math.sqrt(v @ v) for v in z[:, :3]]
-        if min(norms, default=1.0) < 1e-12:
+        norms = np.sqrt(np.vecdot(z[:, :3], z[:, :3]))
+        if (norms < 1e-12).any():
             self.rng.bit_generator.state = state
             for i in range(len(sigmas)):
                 v = self.rng.standard_normal(3)
@@ -259,8 +258,8 @@ class ChannelState:
                 z[i, :3], z[i, 3], norms[i] = v, self.rng.standard_normal(), norm
         # The drawn axis, normalized here and again in rotation_about, and
         # the angle 0 + sigma * z give the bits every drift step has had.
-        angles = [0.0 + sigma * x for sigma, x in zip(sigmas, z[:, 3].tolist())]
-        steps = iter(polcore.rotation_about(z[:, :3] / np.array(norms)[:, None], angles))
+        angles = 0.0 + sigmas * z[:, 3]
+        steps = iter(polcore.rotation_about(z[:, :3] / norms[:, None], angles))
         spike_p = 1.0 - math.exp(-self.spikes.rate_per_s * dt)
         uniforms = self.spike_rng.random(n).tolist() if self.spikes.rate_per_s > 0.0 else [1.0] * n
         m = start = self.rotation

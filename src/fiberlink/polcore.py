@@ -85,19 +85,21 @@ class FullyExtinguished(ValueError):
 
 def rotation_about(axis: np.ndarray, angle) -> np.ndarray:
     """Right-handed rotations by `angle` (rad) about `axis` (Rodrigues form):
-    axes (..., 3) and as many angles give (..., 3, 3). Norms, sines and
-    cosines are scalar, so a rotation has the same bits in a stack as alone.
+    axes (..., 3) and as many angles give (..., 3, 3). Each norm is
+    `np.sqrt(np.vecdot(a, a))` and each sine and cosine numpy's, which give
+    `math.sqrt(a @ a)`, `math.sin` and `math.cos` bit for bit on this
+    build, so a rotation has the same bits in a stack as alone.
     """
     a = np.asarray(axis, dtype=float)
     lead = a.shape[:-1]
     a = a.reshape(-1, 3)
-    norms = [math.sqrt(v @ v) for v in a]
-    if not all(norms):
+    norms = np.sqrt(np.vecdot(a, a))
+    if not norms.all():
         raise ValueError("rotation axis must be nonzero")
-    a = a / np.array(norms)[:, None]
-    angles = np.ravel(angle).tolist()
-    sin = np.array([math.sin(t) for t in angles])[:, None, None]
-    one_minus_cos = np.array([1.0 - math.cos(t) for t in angles])[:, None, None]
+    a = a / norms[:, None]
+    angles = np.ravel(np.asarray(angle, dtype=float))
+    sin = np.sin(angles)[:, None, None]
+    one_minus_cos = (1.0 - np.cos(angles))[:, None, None]
     k = np.zeros((len(a), 3, 3))
     k[:, 0, 1], k[:, 0, 2] = -a[:, 2], a[:, 1]
     k[:, 1, 0], k[:, 1, 2] = a[:, 2], -a[:, 0]
