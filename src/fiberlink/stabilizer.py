@@ -287,8 +287,11 @@ def stabilize(
 
 @dataclass
 class WindowRecord:
-    """One window: its boundary stabilization (none if `stab_iterations` is
-    0) and the compensator rotation the piezo holds through the window."""
+    """One window: its boundary stabilization and the compensator rotation
+    the piezo holds through the window. `fp_before` is the stabilization's
+    iteration-0 read; a window that read at or above the threshold there
+    has 0 `stab_iterations`, no `stab_duration_s` and `fp_after ==
+    fp_before`."""
 
     fp_before: float
     stab_iterations: int
@@ -321,11 +324,12 @@ def duty_cycle_run(
     spike mask after each drift step, shapes (windows, steps, 3, 3) and
     (windows, steps).
 
-    Fidelity is probed at each window boundary, and the loop runs only when
-    it has dropped below the threshold (otherwise the boundary costs just
-    the probe pair). Each window is then one `ch.walk` of its drift steps,
-    which fills its slice of both arrays. The piezo is idle for a whole
-    window, so its rotation is read once, as the record's compensator.
+    Each window boundary is one `stabilize` call: its iteration-0 probe is
+    the boundary read, and the loop steps only when that read is below the
+    threshold (otherwise the boundary costs just the probe pair, which the
+    record does not charge). Each window is then one `ch.walk` of its drift
+    steps, which fills its slice of both arrays. The piezo is idle for a
+    whole window, so its rotation is read once, as the record's compensator.
     """
     if transmit_window_s <= 0.0 or total_s <= 0.0:
         raise ValueError("windows must be > 0")
@@ -334,12 +338,9 @@ def duty_cycle_run(
     dt = transmit_window_s / n_steps
     rotations, spiked = np.empty((n_windows, n_steps, 3, 3)), np.empty((n_windows, n_steps), dtype=bool)
     for window in range(n_windows):
-        s1, s2 = measure_probe_pair(probe_link(ch), piezo, polarimeter)
-        fp_before = _fidelity_of_pair(s1, s2)
-        iterations, duration, fp_after = 0, 0.0, fp_before
-        if fp_before < cfg.fp_threshold:
-            run = stabilize(ch, piezo, polarimeter, cfg)
-            iterations, duration, fp_after = run.iterations, run.duration_s, run.final_fp
+        run = stabilize(ch, piezo, polarimeter, cfg)
+        duration = run.duration_s if run.iterations else 0.0
+        fp_before = run.trace[0][TRACE_HEADER.index("process_fidelity")]
         rotations[window], spiked[window] = ch.walk(dt, n_steps)
-        records.append(WindowRecord(fp_before, iterations, duration, fp_after, piezo.rotation()))
+        records.append(WindowRecord(fp_before, run.iterations, duration, run.final_fp, piezo.rotation()))
     return records, rotations, spiked

@@ -1583,8 +1583,8 @@ total_per_interval_s = 1800
 @pytest.mark.parametrize("text, dutycycle, summary", [
     (SPIKY_PPE, "e93feb3b466ca91eed2be4e6be6b9ea89d67abee31c75a3b895d72c4084080e2",
      "fa8d958d04ece7fd3c7cb0b7b1c77506f9b5f60af1db8da46187556b4d3cead8"),
-    (_ZERO_NIGHT_PPE, "1396ebb1a58328120aaddf605abf9cdb7d25ac6ddc64d27f21e547ed0f124027",
-     "7657e07176e80c75ede5cc64f96867326642baf8e875f26ec3129e2b130b036e"),
+    (_ZERO_NIGHT_PPE, "9dc2cb98860a0680d216fe834d13bf674c22b8f47975b3e2d3dd138ff38361c6",
+     "0932567a92d27d8e869f88843c01ef6774f73e0441144c55c94f55859cb215ab"),
 ], ids=["spikes", "zero_night_rate"])
 def test_unshipped_drift_outputs_are_pinned(tmp_path, text, dutycycle, summary):
     run_protocol(config.loads(text, name="pinned"), tmp_path)
@@ -1608,7 +1608,7 @@ piezo_settle_s = 0.003
     ("[scenario]\nprotocol = distribute-entanglement\nseed = 4243\n"
      "[channel]\nnight_rate_rad2_per_s = 1e-4\nday_rate_rad2_per_s = 1e-4\n" + _LATENCIES +
      "[stabilizer]\nfp_threshold = 0.999\n[protocol]\nintervals_s = 20\ntotal_per_interval_s = 200\n",
-     "dutycycle.csv", "e5f5d6a9563597f90c98bbd2a578a0748554c32d61cd9c7b7ada650f328d2fb7"),
+     "dutycycle.csv", "409b1b048a130e23a3a93719c969d447d7c361287d39eb046d4bfad11a684f64"),
 ], ids=["stabilize", "distribute"])
 def test_nonzero_latency_outputs_are_pinned(tmp_path, text, name, digest):
     run_protocol(config.loads(text, name="latencies"), tmp_path)
