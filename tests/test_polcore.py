@@ -92,15 +92,16 @@ def test_rotation_about_matches_scipy(rng):
         assert np.allclose(ours, theirs, atol=1e-12)
 
 
-# Angles where a sine, a cosine or a product may round to a signed zero
-_EDGE_ANGLES = (0.0, -0.0, math.pi, -math.pi, 5e-324, -5e-324, 1e3, -1e3)
+# Angles where a sine, a cosine or a product may round to a signed zero,
+# and large ones whose argument reduction numpy and math must agree on
+_EDGE_ANGLES = (0.0, -0.0, math.pi, -math.pi, 5e-324, -5e-324, 1e3, -1e3, 1e15, -1e15)
 
 
 def test_rotation_about_stack_matches_scalar_oracle_bits(rng):
     # each rotation of a stack has the scalar Rodrigues form's bits, signs of
     # zeros included, at any axis scale; coordinate axes put zeros in k
     n = 2000
-    axes = rng.normal(size=(n, 3)) * rng.choice([1e-6, 1.0, 1e6], size=(n, 1))
+    axes = rng.normal(size=(n, 3)) * rng.choice([1e-150, 1e-6, 1.0, 1e6, 1e150], size=(n, 1))
     axes[:6] = np.concatenate([np.eye(3), -np.eye(3)])
     axes[6:12] = np.concatenate([np.eye(3) * 1e-6, np.eye(3) * -1e6])
     axes[12] = [-0.0, 1.0, 0.0]
