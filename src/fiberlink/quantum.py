@@ -131,19 +131,15 @@ class SingularDesign(ValueError):
     """Measurement set is not informationally complete."""
 
 
-def _check_hermitian_unit_trace(rho: np.ndarray, context: str) -> None:
+def check_state(rho: np.ndarray, context: str = "state") -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity of a density matrix."""
+    rho = np.asarray(rho, dtype=complex)
     # np.allclose(rho, h, atol=1e-10)'s formula; nan or inf fail here.
     h = rho.conj().T
     if not (np.abs(rho - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
         raise ValueError(f"{context}: not Hermitian")
     if abs(rho.trace().real - 1.0) > 1e-10:
         raise ValueError(f"{context}: trace {rho.trace().real} != 1")
-
-
-def check_state(rho: np.ndarray, context: str = "state") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    _check_hermitian_unit_trace(rho, context)
     spectrum = np.linalg.eigvalsh(rho)
     if not np.isfinite(spectrum).all():
         raise ValueError(f"{context}: spectrum not finite")
