@@ -85,10 +85,9 @@ class FullyExtinguished(ValueError):
 
 def rotation_about(axis: np.ndarray, angle) -> np.ndarray:
     """Right-handed rotations by `angle` (rad) about `axis` (Rodrigues form):
-    axes (..., 3) and as many angles give (..., 3, 3). Each norm is
-    `np.sqrt(np.vecdot(a, a))` and each sine and cosine numpy's, which give
-    `math.sqrt(a @ a)`, `math.sin` and `math.cos` bit for bit on this
-    build, so a rotation has the same bits in a stack as alone.
+    axes (..., 3) and as many angles give (..., 3, 3). Norms by `np.vecdot`
+    and numpy's sines and cosines give `math`'s bits, so a rotation has the
+    same bits in a stack as alone.
     """
     a = np.asarray(axis, dtype=float)
     lead = a.shape[:-1]
@@ -97,7 +96,7 @@ def rotation_about(axis: np.ndarray, angle) -> np.ndarray:
     if not norms.all():
         raise ValueError("rotation axis must be nonzero")
     a = a / norms[:, None]
-    angles = np.ravel(np.asarray(angle, dtype=float))
+    angles = np.ravel(angle)
     sin = np.sin(angles)[:, None, None]
     one_minus_cos = (1.0 - np.cos(angles))[:, None, None]
     k = np.zeros((len(a), 3, 3))

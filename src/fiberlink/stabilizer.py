@@ -289,9 +289,8 @@ def stabilize(
 class WindowRecord:
     """One window: its boundary stabilization and the compensator rotation
     the piezo holds through the window. `fp_before` is the stabilization's
-    iteration-0 read; a window that read at or above the threshold there
-    has 0 `stab_iterations`, no `stab_duration_s` and `fp_after ==
-    fp_before`."""
+    first read; a window that took no step records 0 iterations, no time
+    and `fp_after == fp_before`."""
 
     fp_before: float
     stab_iterations: int
@@ -324,12 +323,11 @@ def duty_cycle_run(
     spike mask after each drift step, shapes (windows, steps, 3, 3) and
     (windows, steps).
 
-    Each window boundary is one `stabilize` call: its iteration-0 probe is
-    the boundary read, and the loop steps only when that read is below the
-    threshold (otherwise the boundary costs just the probe pair, which the
-    record does not charge). Each window is then one `ch.walk` of its drift
-    steps, which fills its slice of both arrays. The piezo is idle for a
-    whole window, so its rotation is read once, as the record's compensator.
+    Each boundary is one `stabilize` call, whose iteration-0 probe is the
+    boundary read (a window at or above the threshold takes no step and
+    records no time). Each window is then one `ch.walk` of its drift steps,
+    which fills its slice of both arrays. The piezo is idle for a whole
+    window, so its rotation is read once, as the record's compensator.
     """
     if transmit_window_s <= 0.0 or total_s <= 0.0:
         raise ValueError("windows must be > 0")
