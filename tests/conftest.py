@@ -141,6 +141,13 @@ def su2_of_rotation_oracle(m) -> np.ndarray:
     ])
 
 
+def on_arm_b_oracle(rho, op) -> np.ndarray:
+    """(I (x) op) rho (I (x) op)^dag by the kron sandwich: the reference for
+    `quantum.on_arm_b_superoperator` with `quantum.arm_b_superoperator(op)`."""
+    k = np.kron(np.eye(2, dtype=complex), op)
+    return k @ rho @ k.conj().T
+
+
 def process_design_oracle(inputs) -> np.ndarray:
     """Process-tomography design built column by column: the reference for
     `quantum._process_design`.

@@ -19,6 +19,8 @@ from fiberlink import cli, config, protocols, seeding, stabilizer
 from fiberlink.output import read_csv_rows, sha256_file
 from fiberlink.protocols import PROTOCOLS, RUNNERS, run_protocol
 
+from conftest import on_arm_b_oracle
+
 
 MINIMAL = """
 [scenario]
@@ -1511,7 +1513,7 @@ def test_distribute_window_superoperator_matches_per_step_sum(tmp_path, monkeypa
         comp = polcore.su2_of_rotation(rec.compensator)
         state_sum, trace_sum = np.zeros((4, 4), dtype=complex), 0.0
         for rotation, s in zip(rotations[window], spiked[window].tolist()):
-            term = quantum.on_arm_b(rho_src, comp @ chmod.transmit_qubit_kraus(rotation, losses[s].operator()))
+            term = on_arm_b_oracle(rho_src, comp @ chmod.transmit_qubit_kraus(rotation, losses[s].operator()))
             state_sum += term
             trace_sum += float(np.trace(term).real)
         success = float(row[header.index("success_prob")])

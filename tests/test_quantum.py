@@ -339,20 +339,34 @@ def test_coincidence_probabilities_match_per_setting_oracle(rng):
     assert not q._TOMO_PROJECTORS.flags.writeable
 
 
+def _unit(i, j):
+    m = np.zeros((4, 4), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+# Real basis of the 4x4 Hermitian matrices: the diagonal units, then for
+# each i < j the symmetric and the antisymmetric element.
+_HERMITIAN_BASIS = [_unit(i, i) for i in range(4)] + [
+    b for i in range(4) for j in range(i + 1, 4)
+    for b in (_unit(i, j) + _unit(j, i), 1j * (_unit(j, i) - _unit(i, j)))
+]
+
+
 def _lstsq_operator(rows):
-    """Oracle: the per-call least-squares solve the cached inversion map replaced.
+    """Oracle: a real least-squares solve over a Hermitian basis, per call.
 
     Returns the normalized operator before the physical projection, or None
     where tomography_2q falls back to I/4.
     """
     table = q.CountTable.of(rows)
     design = np.array([
-        [np.trace(q._projector_2q(ba, bb) @ b).real for b in q._HERM_BASIS]
+        [np.trace(q._projector_2q(ba, bb) @ b).real for b in _HERMITIAN_BASIS]
         for ba, bb in table.settings
     ])
     rates = np.array([n / t for n, t in zip(table.counts.tolist(), table.integration_s.tolist())])
     params, *_ = np.linalg.lstsq(design, rates, rcond=None)
-    x = sum(p * b for p, b in zip(params, q._HERM_BASIS))
+    x = sum(p * b for p, b in zip(params, _HERMITIAN_BASIS))
     total = float(np.trace(x).real)
     return None if total <= 0.0 else x / total
 
