@@ -354,19 +354,16 @@ def coincidence_probabilities(rho: np.ndarray) -> dict[tuple[str, str], float]:
 def _inversion_map(settings: tuple[tuple[str, str], ...]) -> np.ndarray:
     """Read-only map from a setting list's rates to the 16 entries of X.
 
-    Row nu of the design matrix holds tr(P_nu B_k) over the Hermitian basis
-    B_k; the map is H^T pinv(design), H the flattened basis. It is built,
-    and the design's rank checked, once per distinct setting tuple; a
+    Row nu of the design matrix is vec(P_nu^T), since tr(P_nu X) =
+    vec(P_nu^T) . vec(X); the map is its pseudo-inverse. It is built, and
+    the design's rank checked, once per distinct setting tuple; a
     rank-deficient or unknown setting list raises SingularDesign and is
     never cached, so every call with it raises again.
     """
-    design = np.empty((len(settings), 16))
-    for i, (ba, bb) in enumerate(settings):
-        proj = _projector_2q(ba, bb)
-        design[i] = [np.trace(proj @ b).real for b in _HERM_BASIS]
+    design = np.stack([_projector_2q(ba, bb).T.reshape(16) for ba, bb in settings])
     if np.linalg.matrix_rank(design, tol=1e-10) < 16:
         raise SingularDesign("measurement settings are not informationally complete")
-    inversion = np.stack(_HERM_BASIS).reshape(16, 16).T @ np.linalg.pinv(design)
+    inversion = np.linalg.pinv(design)
     inversion.flags.writeable = False
     return inversion
 
@@ -452,28 +449,6 @@ def tomography_2q(counts) -> np.ndarray:
     if not (total < math.inf and np.isfinite(x).all()):  # finite counts: the rates overflow
         raise ValueError(f"tomography_2q: count rates (max {rates.max():g}/s, trace {total:g}/s) overflow the state")
     return _project_physical(x)
-
-
-def _hermitian_basis() -> tuple[np.ndarray, ...]:
-    """Real basis of the 4x4 Hermitian matrices (diagonal, symmetric, antisymmetric)."""
-    basis = []
-    for i in range(4):
-        m = np.zeros((4, 4), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m = np.zeros((4, 4), dtype=complex)
-            m[i, j] = m[j, i] = 1.0
-            basis.append(m)
-            m = np.zeros((4, 4), dtype=complex)
-            m[i, j] = -1.0j
-            m[j, i] = 1.0j
-            basis.append(m)
-    return tuple(basis)
-
-
-_HERM_BASIS = _hermitian_basis()
 
 
 def _project_physical(rho: np.ndarray) -> np.ndarray:

@@ -1437,7 +1437,7 @@ def test_distribute_entanglement_sampled_counts(tmp_path):
     run_protocol(scn, tmp_path)
     # the Poisson branch of the count table, pinned
     assert sha256_file(tmp_path / "dutycycle.csv") == (
-        "256a029a19b4e82cf0e57fd5227bfc89e43b4ab5848f8fc859f3d669c20b13ce"
+        "d47c641903bbd4e348a451075dd49ebe13603b1e2ed69544438207da420d2ff8"
     )
     lines = (tmp_path / "dutycycle_summary.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -1583,10 +1583,10 @@ total_per_interval_s = 1800
 
 
 @pytest.mark.parametrize("text, dutycycle, summary", [
-    (SPIKY_PPE, "e93feb3b466ca91eed2be4e6be6b9ea89d67abee31c75a3b895d72c4084080e2",
-     "fa8d958d04ece7fd3c7cb0b7b1c77506f9b5f60af1db8da46187556b4d3cead8"),
-    (_ZERO_NIGHT_PPE, "9dc2cb98860a0680d216fe834d13bf674c22b8f47975b3e2d3dd138ff38361c6",
-     "0932567a92d27d8e869f88843c01ef6774f73e0441144c55c94f55859cb215ab"),
+    (SPIKY_PPE, "0a50b85991c8552c49b26ef1d1d55f7cd87b8f49319f5a73fdabefcd45cecb3e",
+     "f590f1803fc54023342ef7b88fffebb185c3cf8679fd7dbefecacae12c3216bc"),
+    (_ZERO_NIGHT_PPE, "184f5f494dc3e6e1ad8ca7031fa554e6bb716ec51c6724a4a1fc44a90fa9e84e",
+     "0ab8cea83c9d9c8e08f87521738fea5ae741f6704b90e8145619368a0f864883"),
 ], ids=["spikes", "zero_night_rate"])
 def test_unshipped_drift_outputs_are_pinned(tmp_path, text, dutycycle, summary):
     run_protocol(config.loads(text, name="pinned"), tmp_path)
@@ -1610,7 +1610,7 @@ piezo_settle_s = 0.003
     ("[scenario]\nprotocol = distribute-entanglement\nseed = 4243\n"
      "[channel]\nnight_rate_rad2_per_s = 1e-4\nday_rate_rad2_per_s = 1e-4\n" + _LATENCIES +
      "[stabilizer]\nfp_threshold = 0.999\n[protocol]\nintervals_s = 20\ntotal_per_interval_s = 200\n",
-     "dutycycle.csv", "409b1b048a130e23a3a93719c969d447d7c361287d39eb046d4bfad11a684f64"),
+     "dutycycle.csv", "f4c20c3d275382e6e1e8cb3efc625df26210acc7cd7b11f271220a720efe2488"),
 ], ids=["stabilize", "distribute"])
 def test_nonzero_latency_outputs_are_pinned(tmp_path, text, name, digest):
     run_protocol(config.loads(text, name="latencies"), tmp_path)
@@ -1659,7 +1659,7 @@ def test_ion_photon_sampled_counts_pinned(tmp_path):
             for name in ("tomo_counts.csv", "ion_photon_summary.json")} == {
         "tomo_counts.csv": "370956220f7f3e02393c91a426a8bfa9f0517c73adce8833c06925ff27b5f380",
         "ion_photon_summary.json":
-            "c5cad269b5aa63086eb1ada0e1279728158d58ad9a28c6976da570b8898a7cbe",
+            "ae2aff835be4165aa343e1b04701ebd64ca031624b5efb7ddb8fad8a681347c3",
     }
 
 

@@ -689,7 +689,7 @@ def test_tomography_and_mc_uncertainty_bits_are_pinned():
         for arr in (q.tomography_2q(rows), q.tomography_2q(corrected), mc.values,
                     np.array([mc.mean, mc.sigma])):
             digest.update(np.ascontiguousarray(arr).tobytes())
-    assert digest.hexdigest() == "b9c1f41c020417779038e3dc2326d6f6e11b31cc37f11afa880119a56d82f284"
+    assert digest.hexdigest() == "58c43d33c14a54071060241cddcead2288c6086841ca24a966082bcd5fae388a"
 
 
 def test_mc_uncertainty_calls_tomography_once_per_resample(monkeypatch):
