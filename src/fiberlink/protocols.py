@@ -425,11 +425,11 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
             drift_dt_s=scn[("channel", "drift_dt_s")],
         )
         ops = np.array([ch.pdl.operator(), ch.spike_pdl().operator()])
-        comps = polcore.su2_of_rotation(np.array([rec.compensator for rec in records]))
+        comps = quantum.arm_b_superoperator(polcore.su2_of_rotation(np.array([rec.compensator for rec in records])))
 
         fids_raw, fids_corr = [], []
         for window, (rec, link_sum, comp) in enumerate(zip(records, _arm_b_sums(rotations, spiked, ops), comps)):
-            acc_rho = quantum.on_arm_b(quantum.on_arm_b_superoperator(rho_src, link_sum), comp)
+            acc_rho = quantum.on_arm_b_superoperator(quantum.on_arm_b_superoperator(rho_src, link_sum), comp)
             tr = float(np.trace(acc_rho).real)
             if tr <= 0.0:
                 raise ProtocolFailed("window state fully extinguished")
@@ -497,7 +497,8 @@ def _prepare_arm_b(scn: Scenario, rho_pair: np.ndarray):
     piezo = scn.make_piezo()
     run = stabilizer.stabilize(ch, piezo, scn.make_polarimeter(), scn.make_stabilizer_config())
     link, comp = polcore.su2_of_rotation(np.array([ch.rotation, piezo.rotation()]))
-    rho = quantum.on_arm_b(rho_pair, comp @ (ch.current_pdl().operator() @ link))
+    rho = quantum.on_arm_b_superoperator(
+        rho_pair, quantum.arm_b_superoperator(comp @ (ch.current_pdl().operator() @ link)))
     prob = float(np.trace(rho).real)
     if prob <= 1e-12:
         raise ProtocolFailed("arm-B photon fully blocked")

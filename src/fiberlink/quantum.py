@@ -55,7 +55,6 @@ __all__ = [
     "fidelity",
     "heralded_absorption",
     "mc_uncertainty",
-    "on_arm_b",
     "on_arm_b_superoperator",
     "process_fidelity_element",
     "process_matrix_from_io",
@@ -197,12 +196,6 @@ def spdc_state(src: SpdcSource) -> np.ndarray:
     ket[2] = np.exp(-1.0j * src.phase_rad) / _SQ2
     rho = (1.0 - src.noise_p) * np.outer(ket, ket.conj()) + src.noise_p * np.eye(4) / 4.0
     return check_state(rho, "spdc_state")
-
-
-def on_arm_b(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """(I (x) op) rho (I (x) op)^dag: a single-qubit operator acting on arm B."""
-    k = np.kron(np.eye(2, dtype=complex), op)
-    return k @ rho @ k.conj().T
 
 
 def arm_b_superoperator(op: np.ndarray) -> np.ndarray:

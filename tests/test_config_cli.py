@@ -1437,7 +1437,7 @@ def test_distribute_entanglement_sampled_counts(tmp_path):
     run_protocol(scn, tmp_path)
     # the Poisson branch of the count table, pinned
     assert sha256_file(tmp_path / "dutycycle.csv") == (
-        "d47c641903bbd4e348a451075dd49ebe13603b1e2ed69544438207da420d2ff8"
+        "1661c24b40e40613e04661b790976eb6097d7768e5cf9d31d7501028952ceef0"
     )
     lines = (tmp_path / "dutycycle_summary.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -1583,10 +1583,10 @@ total_per_interval_s = 1800
 
 
 @pytest.mark.parametrize("text, dutycycle, summary", [
-    (SPIKY_PPE, "0a50b85991c8552c49b26ef1d1d55f7cd87b8f49319f5a73fdabefcd45cecb3e",
-     "f590f1803fc54023342ef7b88fffebb185c3cf8679fd7dbefecacae12c3216bc"),
-    (_ZERO_NIGHT_PPE, "184f5f494dc3e6e1ad8ca7031fa554e6bb716ec51c6724a4a1fc44a90fa9e84e",
-     "0ab8cea83c9d9c8e08f87521738fea5ae741f6704b90e8145619368a0f864883"),
+    (SPIKY_PPE, "ef4cb01c761330890715b6e5ba94abaf1df7575ccaa921f227613c08d03f950e",
+     "1ae90886b7331bf150a386f4acd1b688f7cc048886a02e8f04cf4116252fc7d2"),
+    (_ZERO_NIGHT_PPE, "b72895bf64febfa8e6fd3f449a9f3753cec64611344290e427f081f6b5c8929e",
+     "20cf1746dae1af19ba59b2840d1a859613b7a09b5589dbc3ed9c97817ec3d116"),
 ], ids=["spikes", "zero_night_rate"])
 def test_unshipped_drift_outputs_are_pinned(tmp_path, text, dutycycle, summary):
     run_protocol(config.loads(text, name="pinned"), tmp_path)
@@ -1610,7 +1610,7 @@ piezo_settle_s = 0.003
     ("[scenario]\nprotocol = distribute-entanglement\nseed = 4243\n"
      "[channel]\nnight_rate_rad2_per_s = 1e-4\nday_rate_rad2_per_s = 1e-4\n" + _LATENCIES +
      "[stabilizer]\nfp_threshold = 0.999\n[protocol]\nintervals_s = 20\ntotal_per_interval_s = 200\n",
-     "dutycycle.csv", "f4c20c3d275382e6e1e8cb3efc625df26210acc7cd7b11f271220a720efe2488"),
+     "dutycycle.csv", "ae1d80c2a0b4b7601b3c1b01d4da049a14d7b653b46b350ed9db012de6ee08d4"),
 ], ids=["stabilize", "distribute"])
 def test_nonzero_latency_outputs_are_pinned(tmp_path, text, name, digest):
     run_protocol(config.loads(text, name="latencies"), tmp_path)
@@ -1672,7 +1672,7 @@ def test_teleport_sampled_branches_pinned(tmp_path):
         "chi_phi_minus.json": "f83d4eaf78a7481f2603593e0cde358005f5ec0763fd4e4a28e26caaff2f0c9b",
         "chi_phi_plus.json": "82759fe87a99b850dac0ed80ac2b3a445514ccdf3aaf1d962c3c946a2784c9d6",
         "teleport_summary.csv": "e44800ce10f7881a8e7a2697f04bbafde558dbdd2dfc065da20fcfe6ffce0bd7",
-        "teleport_meta.json": "b08bb28f94a48a96a717568d965bd152672c4bcae1e65a3924434bda0d311586",
+        "teleport_meta.json": "8ec720e0b7bec66184d564fb6f54b4fc2218a178b113c92e2d4b784dd40475c6",
     }
 
 
