@@ -133,12 +133,14 @@ class SingularDesign(ValueError):
 def check_state(rho: np.ndarray, context: str = "state") -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of a density matrix."""
     rho = np.asarray(rho, dtype=complex)
-    # np.allclose(rho, h, atol=1e-10)'s formula; nan or inf fail here.
+    # np.allclose(rho, h, atol=1e-10)'s formula; nan fails here.
     h = rho.conj().T
     if not (np.abs(rho - h) <= 1e-10 + 1e-5 * np.abs(h)).all():
         raise ValueError(f"{context}: not Hermitian")
     if abs(rho.trace().real - 1.0) > 1e-10:
         raise ValueError(f"{context}: trace {rho.trace().real} != 1")
+    if not np.isfinite(rho).all():
+        raise ValueError(f"{context}: entries not finite")
     spectrum = np.linalg.eigvalsh(rho)
     if not np.isfinite(spectrum).all():
         raise ValueError(f"{context}: spectrum not finite")

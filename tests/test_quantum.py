@@ -935,9 +935,8 @@ def test_check_state_hermiticity_matches_allclose():
     ({(0, 0): np.inf}, "state: not Hermitian"),
     ({(0, 1): np.inf, (1, 0): np.inf}, "state: not Hermitian"),
     ({(0, 1): complex(np.inf, np.inf), (1, 0): complex(np.inf, -np.inf)}, "state: not Hermitian"),
-    # |rho - h| and |h| are both inf, so the Hermiticity check passes it and
-    # the eigensolver raises
-    ({(0, 1): complex(np.inf, np.inf), (1, 0): complex(np.inf, 1.0)}, "Eigenvalues did not converge"),
+    # |rho - h| and |h| are both inf, so the Hermiticity check passes it
+    ({(0, 1): complex(np.inf, np.inf), (1, 0): complex(np.inf, 1.0)}, "state: entries not finite"),
     # Hermitian with unit trace in finite entries, but |h| overflows to inf
     # (the tolerance with it) and the spectrum is nan
     ({(0, 1): complex(1.5e308, 1.5e308), (1, 0): complex(1.5e308, -1.5e308)}, "state: spectrum not finite"),
