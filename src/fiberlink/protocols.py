@@ -439,11 +439,11 @@ def run_distribute_entanglement(scn: Scenario, out: Path) -> list[Path]:
             where = f"interval {label} s, window {window}"
             counts = _measured(_window_counts(rho_bar, n_per_basis, accidental_mean, count_rng),
                                f"{where}: the raw count table")
-            fid_raw = quantum.bell_fidelity(quantum.tomography_2q(counts))
+            fid_raw = quantum.fidelity(quantum.tomography_2q(counts), quantum.BELL_PSI_PLUS)
             if correct:
                 corrected = _measured(_corrected_counts(counts, noise_p, accidental_mean),
                                       f"{where}: the corrected count table")
-                fid_corr = quantum.bell_fidelity(quantum.tomography_2q(corrected))
+                fid_corr = quantum.fidelity(quantum.tomography_2q(corrected), quantum.BELL_PSI_PLUS)
             else:
                 fid_corr = fid_raw
             fids_raw.append(fid_raw)

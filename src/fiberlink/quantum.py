@@ -48,7 +48,6 @@ __all__ = [
     "SingularDesign",
     "SpdcSource",
     "arm_b_superoperator",
-    "bell_fidelity",
     "bsm_branches",
     "check_state",
     "coincidence_probabilities",
@@ -88,8 +87,6 @@ _PAULI4.flags.writeable = False
 PAULI_LABELS = ("i", "hv", "da", "rl")
 
 BELL_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / _SQ2
-_BELL_PSI_PLUS_BRA = BELL_PSI_PLUS.conj()
-_BELL_PSI_PLUS_BRA.flags.writeable = False
 
 # Ideal memory-photon state after absorption of one pair photon:
 # (|-1/2>|R> - |+1/2>|L>)/sqrt2 with memory order (|-1/2>, |+1/2>).
@@ -157,11 +154,6 @@ def fidelity(rho: np.ndarray, target_ket: np.ndarray) -> float:
     """Overlap <psi| rho |psi> with a pure target."""
     k = np.asarray(target_ket, dtype=complex)
     return float((k.conj() @ (rho @ k)).real)
-
-
-def bell_fidelity(rho: np.ndarray) -> float:
-    """`fidelity(rho, BELL_PSI_PLUS)`, with the bra read from a constant."""
-    return float((_BELL_PSI_PLUS_BRA @ (rho @ BELL_PSI_PLUS)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +485,14 @@ def mc_uncertainty(
         warnings.append(
             f"degenerate design: only {nonzero} of {len(table.settings)} settings have counts"
         )
-    point = bell_fidelity(tomography_2q(table))
+    point = fidelity(tomography_2q(table), BELL_PSI_PLUS)
     # One (n_resamples, n_rows) block consumes the stream exactly as
     # resample-by-resample, row-by-row scalar rng.poisson(n) calls would.
     draws = rng.poisson(table.counts, size=(n_resamples, len(table.settings))).astype(float)
     values = np.empty(n_resamples)
     for k, counts_k in enumerate(draws):
         resampled = CountTable(table.settings, counts_k, table.integration_s)
-        values[k] = bell_fidelity(tomography_2q(resampled))
+        values[k] = fidelity(tomography_2q(resampled), BELL_PSI_PLUS)
     return McResult(
         mean=float(values.mean()),
         sigma=float(values.std(ddof=1)),

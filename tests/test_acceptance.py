@@ -235,10 +235,10 @@ def test_criterion_09_tomography_round_trip():
     assert worst >= 0.9999
 
     target = q.spdc_state(q.SpdcSource(noise_p=4 * (1 - 0.98) / 3))
-    truth = q.bell_fidelity(target)
+    truth = q.fidelity(target, q.BELL_PSI_PLUS)
     counts = [(a, b, rng.poisson(1e4 * p))
               for (a, b), p in q.coincidence_probabilities(target).items()]
-    point = q.bell_fidelity(q.tomography_2q(counts))
+    point = q.fidelity(q.tomography_2q(counts), q.BELL_PSI_PLUS)
     mc = q.mc_uncertainty(counts, n_resamples=300, rng=rng)
     assert abs(point - truth) <= 3 * mc.sigma
     elapsed = time.time() - t0

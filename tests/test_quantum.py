@@ -32,13 +32,13 @@ IDEAL_ION = q.IonMemory(decay_per_s=0.0)
 
 def test_spdc_state_zero_phase_is_maximally_entangled():
     rho = q.spdc_state(IDEAL_SOURCE)
-    assert q.bell_fidelity(rho) == pytest.approx(1.0, abs=1e-12)
+    assert q.fidelity(rho, q.BELL_PSI_PLUS) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spdc_state_white_limit():
     rho = q.spdc_state(q.SpdcSource(noise_p=1.0))
     assert np.allclose(rho, np.eye(4) / 4.0, atol=1e-12)
-    assert q.bell_fidelity(rho) == pytest.approx(0.25, abs=1e-12)
+    assert q.fidelity(rho, q.BELL_PSI_PLUS) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_spdc_noise_matches_measured_fidelity():
@@ -46,11 +46,11 @@ def test_spdc_noise_matches_measured_fidelity():
     p = 4.0 * (1.0 - 0.836) / 3.0
     assert p == pytest.approx(0.2187, abs=1e-4)
     rho = q.spdc_state(q.SpdcSource(noise_p=p))
-    assert q.bell_fidelity(rho) == pytest.approx(0.836, abs=1e-12)
+    assert q.fidelity(rho, q.BELL_PSI_PLUS) == pytest.approx(0.836, abs=1e-12)
 
 
 def test_spdc_fidelity_strictly_decreasing_in_noise():
-    fids = [q.bell_fidelity(q.spdc_state(q.SpdcSource(noise_p=p)))
+    fids = [q.fidelity(q.spdc_state(q.SpdcSource(noise_p=p)), q.BELL_PSI_PLUS)
             for p in np.linspace(0.0, 1.0, 11)]
     assert all(f2 < f1 for f1, f2 in zip(fids, fids[1:]))
     for p, f in zip(np.linspace(0.0, 1.0, 11), fids):
@@ -92,7 +92,7 @@ def test_apply_channel_pure_rotation_overlap_oracle(rng):
         out, prob = through_link_arm_b(rho, ch)
         u = pc.su2_of_rotation(r)
         amp = q.BELL_PSI_PLUS.conj() @ (np.kron(np.eye(2), u) @ q.BELL_PSI_PLUS)
-        assert q.bell_fidelity(out) == pytest.approx(abs(amp) ** 2, abs=1e-10)
+        assert q.fidelity(out, q.BELL_PSI_PLUS) == pytest.approx(abs(amp) ** 2, abs=1e-10)
         assert prob == pytest.approx(1.0, abs=1e-12)
 
 
@@ -100,7 +100,7 @@ def test_apply_channel_weak_pdl_fidelity_drop():
     rho = q.spdc_state(IDEAL_SOURCE)
     ch = make_test_channel(pdl_axis=[0, 1, 0], pdl_transmission=10 ** (-0.08 / 20))
     out, prob = through_link_arm_b(rho, ch)
-    assert 1.0 - q.bell_fidelity(out) < 0.01
+    assert 1.0 - q.fidelity(out, q.BELL_PSI_PLUS) < 0.01
     assert prob <= 1.0 + 1e-12
 
 
@@ -256,7 +256,7 @@ def exact_counts(rho, scale=1e6):
 def test_tomography_round_trip_bell_state():
     rho = q.spdc_state(IDEAL_SOURCE)
     rec = q.tomography_2q(exact_counts(rho))
-    assert q.bell_fidelity(rec) >= 0.9999
+    assert q.fidelity(rec, q.BELL_PSI_PLUS) >= 0.9999
 
 
 def test_tomography_round_trip_maximally_mixed():
@@ -285,12 +285,12 @@ def test_tomography_handles_unequal_integration(rng):
 
 def test_tomography_poisson_sampling_within_3_sigma(rng):
     target = q.spdc_state(q.SpdcSource(noise_p=4 * (1 - 0.98) / 3))
-    truth = q.bell_fidelity(target)
+    truth = q.fidelity(target, q.BELL_PSI_PLUS)
     counts = [(a, b, rng.poisson(1e4 * p))
               for (a, b), p in q.coincidence_probabilities(target).items()]
     rec = q.tomography_2q(counts)
     mc = q.mc_uncertainty(counts, n_resamples=200, rng=rng)
-    assert abs(q.bell_fidelity(rec) - truth) <= 3 * mc.sigma
+    assert abs(q.fidelity(rec, q.BELL_PSI_PLUS) - truth) <= 3 * mc.sigma
 
 
 def test_tomography_singular_design_raises():
@@ -648,7 +648,7 @@ def test_mc_uncertainty_matches_per_row_resampling_bit_for_bit():
         reference = np.empty(120)
         for k in range(120):
             resampled = [(a, b, float(ref_rng.poisson(n)), t) for a, b, n, t in table]
-            reference[k] = q.bell_fidelity(q.tomography_2q(resampled))
+            reference[k] = q.fidelity(q.tomography_2q(resampled), q.BELL_PSI_PLUS)
         assert res.values.tobytes() == reference.tobytes()
         assert rng.random() == ref_rng.random()
 
@@ -762,9 +762,9 @@ def test_background_correction_recovers_injected_accidentals(rng):
     accidental = rate_a * rate_b * window * integration
     counts = [(a, b, rng.poisson(n * p + accidental), integration)
               for (a, b), p in probs.items()]
-    raw_fid = q.bell_fidelity(q.tomography_2q(counts))
+    raw_fid = q.fidelity(q.tomography_2q(counts), q.BELL_PSI_PLUS)
     corrected = q.subtract_expected_accidentals(counts, rate_a * rate_b * window)
-    corr_fid = q.bell_fidelity(q.tomography_2q(corrected))
+    corr_fid = q.fidelity(q.tomography_2q(corrected), q.BELL_PSI_PLUS)
     mc = q.mc_uncertainty(corrected, n_resamples=200, rng=rng)
     assert corr_fid > raw_fid
     assert abs(corr_fid - 1.0) <= 3 * max(mc.sigma, 1e-3)
@@ -784,11 +784,11 @@ def test_background_correction_lifts_fidelity_toward_source_limit(rng):
     rho = q.spdc_state(src)
     n = 1e5
     counts = [(a, b, n * p, 1.0) for (a, b), p in q.coincidence_probabilities(rho).items()]
-    raw = q.bell_fidelity(q.tomography_2q(counts))
+    raw = q.fidelity(q.tomography_2q(counts), q.BELL_PSI_PLUS)
     assert raw == pytest.approx(0.836, abs=1e-3)
     group_total = sum(c for a, b, c, _ in counts if a in "HV" and b in "HV")
     corrected = q.subtract_expected_accidentals(counts, group_total * src.noise_p / 4.0)
-    lifted = q.bell_fidelity(q.tomography_2q(corrected))
+    lifted = q.fidelity(q.tomography_2q(corrected), q.BELL_PSI_PLUS)
     assert lifted >= 0.98
 
 
