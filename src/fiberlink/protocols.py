@@ -312,18 +312,11 @@ def _noise_checks(values) -> list[tuple[str, str, str]]:
 
 
 def _duty_cycle_steps(values) -> float:
-    """The drift steps `duty_cycle_run` walks over all intervals_s: exact
-    within the bound, and past it an estimate that stays past it."""
+    """The drift steps `duty_cycle_run` walks over all intervals_s, summed in
+    floats: exact within the bound, and inf where a product overflows."""
     total, dt = values[("protocol", "total_per_interval_s")], values[("channel", "drift_dt_s")]
-    steps = 0
-    for interval in values[("protocol", "intervals_s")]:
-        windows, per_window = total / interval, interval / dt
-        # Floats first, so ceil() and round() never see inf: a ratio past
-        # twice the bound puts its own count past the bound.
-        if max(windows, per_window) <= 2 * _MAX_TRACE_STEPS:
-            windows, per_window = stabilizer.window_plan(interval, total, dt)
-        steps += max(1.0, windows) * max(1.0, per_window)
-    return steps
+    return sum(math.prod(map(float, stabilizer.window_plan(interval, total, dt)))
+               for interval in values[("protocol", "intervals_s")])
 
 
 def _interval_label(interval: float) -> str:
@@ -343,10 +336,10 @@ def _distribute_checks(values) -> list[tuple[str, str, str]]:
             issues.append(("protocol", "intervals_s",
                            f"entries {labels[label]!r} and {interval!r} both label their random streams {label}"))
         labels.setdefault(label, interval)
-    # An interval's windows number at most ceil(total / interval); the duty
-    # ratio divides by the mean of their stabilization times.
-    windows = values[("protocol", "total_per_interval_s")] / min(values[("protocol", "intervals_s")])
-    windows = max(1, math.ceil(windows)) if math.isfinite(windows) else windows
+    # The shortest interval has the most windows; the duty ratio divides by
+    # the mean of their stabilization times.
+    shortest, total = min(values[("protocol", "intervals_s")]), values[("protocol", "total_per_interval_s")]
+    windows, _ = stabilizer.window_plan(shortest, total, values[("channel", "drift_dt_s")])
     issues += _stabilization_checks(values, windows, "windows per interval")
     return issues + _too_long("total_per_interval_s", _duty_cycle_steps(values),
                               "sum over intervals_s of windows * drift steps per window", "drift steps")

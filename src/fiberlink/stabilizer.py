@@ -299,13 +299,15 @@ class WindowRecord:
     compensator: np.ndarray
 
 
-def window_plan(transmit_window_s: float, total_s: float, drift_dt_s: float) -> tuple[int, int]:
+def window_plan(transmit_window_s: float, total_s: float, drift_dt_s: float) -> tuple[int | float, int | float]:
     """(windows, drift steps per window) of a duty cycle of `total_s` in
-    windows of `transmit_window_s`, each walked in steps of about `drift_dt_s`."""
+    windows of `transmit_window_s`, each walked in steps of about `drift_dt_s`.
+    A ratio that overflows to inf is returned as inf, which no int holds."""
     # Counted once, not by summing window starts: 2.1 / 0.7 is 3 windows. A
     # ratio that underflows to 0 still runs one window.
-    n_windows = max(1, math.ceil(total_s / transmit_window_s * (1.0 - 1e-9)))
-    return n_windows, max(1, round(transmit_window_s / drift_dt_s))
+    windows, steps = total_s / transmit_window_s * (1.0 - 1e-9), transmit_window_s / drift_dt_s
+    return (max(1, math.ceil(windows)) if windows < math.inf else windows,
+            max(1, round(steps)) if steps < math.inf else steps)
 
 
 def duty_cycle_run(

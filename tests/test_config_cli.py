@@ -406,6 +406,22 @@ _DELAY = "[scenario]\nprotocol = delay-drift\n[protocol]\n"
 _DISTRIBUTE = "[scenario]\nprotocol = distribute-entanglement\n"
 
 
+# `validate` counts an interval's windows with the window plan `duty_cycle_run`
+# walks. It took ceil(2.1 / 0.7) = 4 windows where the run walks 3, and
+# rejected a run whose three stabilizations take a finite 1.65e308 s at most.
+def test_validate_counts_the_windows_duty_cycle_run_walks(tmp_path, capsys):
+    path = tmp_path / "windows.ini"
+    path.write_text(_DISTRIBUTE + "seed = 1\n[instruments]\npolarimeter_latency_s = 2.5e306\n"
+                    "[stabilizer]\nmax_iterations = 1\n[protocol]\nintervals_s = 0.7\ntotal_per_interval_s = 2.1\n")
+    assert config.validate_file(path) == []
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    _, rows = read_csv_rows(out / "dutycycle.csv")
+    assert [row[1] for row in rows] == ["0", "1", "2"]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
 # Both delay series stay within the swing of zero, and the correlation squares
 # their deviations: at temp_amplitude_k = 1e307 the run printed numpy overflow
 # warnings and exited 3 after writing delay_series.csv. The default link
