@@ -23,7 +23,7 @@ TOLERANCE = 1e-12
 
 
 def _scaled_delta(a: float, b: float) -> float:
-    if a == b or (math.isnan(a) and math.isnan(b)):
+    if a == b:
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
