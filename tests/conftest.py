@@ -99,6 +99,27 @@ def piezo_quaternion_oracle(axes, gains, voltages) -> tuple[float, float, float,
     return w, x, y, z
 
 
+# The piezo controller's rotation axes, channel by channel: s1, s2, s1, s2.
+PIEZO_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+
+def piezo_turn_oracle(gain, voltages, vector) -> tuple[float, float, float]:
+    """Stokes vector `vector` turned by the four piezo channels, from scratch.
+
+    Channel i turns it by gain * U_i about its coordinate axis k in
+    `PIEZO_AXES`, channel 1 first: the two components (i, j) that follow k
+    cyclically become (c v_i - s v_j, s v_i + c v_j), and component k stays.
+    """
+    v = [float(x) for x in vector]
+    for axis, volt in zip(PIEZO_AXES, voltages):
+        k = axis.index(1.0)
+        i, j = (k + 1) % 3, (k + 2) % 3
+        angle = float(gain) * float(volt)
+        c, s = math.cos(angle), math.sin(angle)
+        v[i], v[j] = c * v[i] - s * v[j], s * v[i] + c * v[j]
+    return v[0], v[1], v[2]
+
+
 def quaternion_of_rotation_oracle(m) -> tuple[float, float, float, float]:
     """Unit quaternion (w >= 0) of one rotation matrix, in scalar arithmetic:
     the reference for `polcore._quaternion_of_rotation`.

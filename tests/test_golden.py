@@ -2,7 +2,8 @@
 seed, reproduces the SHA-256 of each output file recorded in
 `golden/preset_hashes.json`, and every output ends its lines with LF only.
 `golden/compare.py`, which checks a moved golden number by number, is
-tested on synthetic trees.
+tested on synthetic trees, and the trees `golden/regen.py --keep` leaves for
+it against the record.
 
 `ppe_dutycycle` is left out here: acceptance criterion 10 already runs it
 and checks its two CSV files against the same record.
@@ -16,7 +17,7 @@ from fiberlink import cli
 from fiberlink.output import sha256_file
 
 from conftest import GOLDEN_HASHES, golden_hashes
-from golden import compare
+from golden import compare, regen
 
 PRESETS = [p for p in cli.list_presets() if p != "ppe_dutycycle"]
 
@@ -36,6 +37,21 @@ def test_preset_outputs_match_golden_hashes(preset, tmp_path):
     assert got == golden_hashes(preset)
     for p in out.iterdir():
         assert b"\r" not in p.read_bytes(), p.name
+
+
+def test_regen_keeps_the_recorded_output_trees(tmp_path, monkeypatch):
+    # the kept trees hold every preset's recorded files, the record is
+    # rewritten unchanged, and an existing DIR is refused before any run
+    record = tmp_path / "preset_hashes.json"
+    record.write_text(GOLDEN_HASHES.read_text())
+    monkeypatch.setattr(regen, "GOLDEN", record)
+    kept = tmp_path / "kept"
+    assert regen.main(["--keep", str(kept)]) == 0
+    assert record.read_text() == GOLDEN_HASHES.read_text()
+    assert sorted(p.name for p in kept.iterdir()) == cli.list_presets()
+    for preset in cli.list_presets():
+        assert {p.name: sha256_file(p) for p in sorted((kept / preset).iterdir())} == golden_hashes(preset)
+    assert regen.main(["--keep", str(kept)]) == 2
 
 
 def _tree(root, cell, number):

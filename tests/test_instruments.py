@@ -11,7 +11,9 @@ from fiberlink import instruments as ins
 from fiberlink import polcore as pc
 from fiberlink import stabilizer as st
 
-from conftest import assert_same_floats, make_test_channel, piezo_quaternion_oracle, random_bloch
+from conftest import (
+    PIEZO_AXES, assert_same_floats, make_test_channel, piezo_quaternion_oracle, piezo_turn_oracle, random_bloch,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +242,22 @@ def test_piezo_rotation_matches_rotation_about(rng, gain):
         assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-14
         assert abs(np.linalg.det(r) - 1.0) <= 1e-14
         assert abs(math.fsum(v * v for v in c.quaternion()) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("gain", [0.5, -0.7, 1.3, 0.01, 3.0])
+def test_piezo_turn_oracle_matches_quaternion_oracle(gain):
+    # turning s1, s2 and s3 channel by channel gives the columns of the
+    # rotation of the four half-angle quaternions' product, to rounding
+    rng = np.random.default_rng(41)
+    cases = [[0.0] * 4, [-0.0] * 4, [10.0, -10.0, -10.0, 10.0],
+             *rng.uniform(-10.0, 10.0, size=(4000, 4)).tolist()]
+    basis = np.eye(3).tolist()
+    worst = 0.0
+    for u in cases:
+        turned = np.array([piezo_turn_oracle(gain, u, e) for e in basis]).T
+        quat = pc._rotation_of_quaternion(piezo_quaternion_oracle(PIEZO_AXES, [gain] * 4, u))
+        worst = max(worst, np.abs(turned - quat).max())
+    assert worst <= 4e-15
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
