@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import polcore
 from .channel import _require
 
 __all__ = [
@@ -23,14 +22,6 @@ __all__ = [
     "PiezoController",
     "VoltageOutOfRange",
 ]
-
-# The squeezer geometry: physical squeeze axes alternating 0 deg / 45 deg,
-# i.e. Poincare rotation axes alternating between the s1 and s2 directions,
-# as unit float triples. Two orthogonal equatorial axes with four channels
-# give full rotation coverage (verified by the controllability test).
-PIEZO_AXES_DEFAULT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-# The twelve axis components in channel order, for the fold in `quaternion`.
-_AXIS_COMPONENTS = tuple(c for axis in PIEZO_AXES_DEFAULT for c in axis)
 
 # Read-noise normals a polarimeter draws at once: 64 probe pairs (about 12 KB
 # as Python floats). Any block of at least six gives the same reads.
@@ -132,24 +123,26 @@ def _in_ball(x: float, y: float, z: float) -> tuple[float, float, float]:
 class PiezoController:
     """Four-channel piezo polarization controller: a fixed squeezer stack.
 
-    Channel i rotates the Poincare sphere by gain * U_i about its axis in
-    `PIEZO_AXES_DEFAULT` (s1, s2, s1, s2); every channel has the one gain
-    `gain_rad_per_v`, and the channels act on the light in order 1 -> 4.
-    `quaternion()` multiplies the four channels' half-angle quaternions
-    (q4 q3 q2 q1) in scalar arithmetic, and `rotation()` builds one matrix
-    from the product; the stabilizer's probes use the quaternion directly.
-    Voltages are clamped at +/- limit_v; a non-finite voltage is out of
-    range everywhere. `set_voltages` raises on out-of-range requests while
-    `apply_clamped` clamps after attempting a full-period re-centering (a
-    2*pi/|gain| shift leaves the rotation unchanged) and logs the event.
+    The squeeze axes alternate 0 deg / 45 deg, so channel i turns the
+    Poincare sphere by gain * U_i about s1 (channels 1 and 3) or s2
+    (channels 2 and 4); every channel has the one gain `gain_rad_per_v`,
+    and the channels act on the light in order 1 -> 4. Two orthogonal
+    equatorial axes with four channels give full rotation coverage.
+    `turn_pair` turns two Stokes vectors channel by channel in scalar
+    arithmetic (the stabilizer's probes), and `rotation()` is the matrix of
+    the same turns. Voltages are clamped at +/- limit_v; a non-finite
+    voltage is out of range everywhere. `set_voltages` raises on
+    out-of-range requests while `apply_clamped` clamps after attempting a
+    full-period re-centering (a 2*pi/|gain| shift leaves the rotation
+    unchanged) and logs the event.
 
     The settings are checked and fixed at construction: `gain_rad_per_v`
     must be finite and nonzero, `limit_v` finite and > 0, and `settle_s`
     finite and >= 0. Only the constructor, `set_voltages`, `apply_clamped`
     and `bias_neutral` store voltages: each checks them and stores a fresh
     tuple of four floats as `voltages` (item assignment raises TypeError).
-    A read changes nothing: each `quaternion()` call multiplies the four
-    half-angle factors afresh from the gain and `voltages`.
+    A read changes nothing: each turn is taken afresh from the gain and
+    `voltages`.
     """
 
     voltages: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
@@ -208,41 +201,26 @@ class PiezoController:
         return self.voltages
 
     def rotation(self) -> np.ndarray:
-        """Net Stokes rotation of the controller at its current voltages."""
-        return polcore._rotation_of_quaternion(self.quaternion())
+        """Net Stokes rotation of the controller at its current voltages:
+        its columns are the turned s1, s2 and s3 axes."""
+        e1, e2 = self.turn_pair((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        e3, _ = self.turn_pair((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
+        return np.column_stack((e1, e2, e3))
 
-    def quaternion(self) -> tuple[float, float, float, float]:
-        """Net unit quaternion (w, x, y, z) of the controller's rotation."""
-        # Channel i turns by gain * U_i about its unit axis a_i, i.e. the
-        # quaternion (cos h, sin h * a_i) with h the half angle. Channel 1
-        # acts first, so the net quaternion is q4 q3 q2 q1, each factor
-        # multiplied from the left, written out channel by channel. The zero
-        # components of the axes stay in the sums: dropping them could flip
-        # the sign of a zero.
-        a1x, a1y, a1z, a2x, a2y, a2z, a3x, a3y, a3z, a4x, a4y, a4z = _AXIS_COMPONENTS
-        cos, sin, half = math.cos, math.sin, 0.5 * self.gain_rad_per_v
+    def turn_pair(self, s, t) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+        """Stokes vectors `s` and `t` (three floats each) turned by the four
+        channels, channel 1 first."""
+        (x1, y1, z1), (x2, y2, z2) = s, t
+        cos, sin, g = math.cos, math.sin, self.gain_rad_per_v
         u1, u2, u3, u4 = self.voltages
-        w, x, y, z = 1.0, 0.0, 0.0, 0.0
-        h = half * u1
-        c, s = cos(h), sin(h)
-        bx, by, bz = s * a1x, s * a1y, s * a1z
-        w, x, y, z = (c * w - bx * x - by * y - bz * z, c * x + bx * w + by * z - bz * y,
-                      c * y - bx * z + by * w + bz * x, c * z + bx * y - by * x + bz * w)
-        h = half * u2
-        c, s = cos(h), sin(h)
-        bx, by, bz = s * a2x, s * a2y, s * a2z
-        w, x, y, z = (c * w - bx * x - by * y - bz * z, c * x + bx * w + by * z - bz * y,
-                      c * y - bx * z + by * w + bz * x, c * z + bx * y - by * x + bz * w)
-        h = half * u3
-        c, s = cos(h), sin(h)
-        bx, by, bz = s * a3x, s * a3y, s * a3z
-        w, x, y, z = (c * w - bx * x - by * y - bz * z, c * x + bx * w + by * z - bz * y,
-                      c * y - bx * z + by * w + bz * x, c * z + bx * y - by * x + bz * w)
-        h = half * u4
-        c, s = cos(h), sin(h)
-        bx, by, bz = s * a4x, s * a4y, s * a4z
-        return (c * w - bx * x - by * y - bz * z, c * x + bx * w + by * z - bz * y,
-                c * y - bx * z + by * w + bz * x, c * z + bx * y - by * x + bz * w)
+        for a, b in ((g * u1, g * u2), (g * u3, g * u4)):
+            # by angle a about s1: (y, z) -> (c y - s z, s y + c z)
+            c, n = cos(a), sin(a)
+            y1, z1, y2, z2 = c * y1 - n * z1, n * y1 + c * z1, c * y2 - n * z2, n * y2 + c * z2
+            # by angle b about s2: (z, x) -> (c z - s x, s z + c x)
+            c, n = cos(b), sin(b)
+            z1, x1, z2, x2 = c * z1 - n * x1, n * z1 + c * x1, c * z2 - n * x2, n * z2 + c * x2
+        return (x1, y1, z1), (x2, y2, z2)
 
 
 def _four_voltages(u) -> tuple[float, float, float, float]:

@@ -135,18 +135,11 @@ def measure_probe_pair(
     polarimeter: Polarimeter,
 ) -> list[tuple[float, float, float]]:
     """Read both receiver polarizations of the link outputs `link`
-    (`probe_link`) after the compensator.
-
-    The two link outputs are turned by the nine matrix entries of the
-    controller's quaternion in scalar arithmetic and read with one paired
-    polarimeter draw. Returns the H and D reads as float triples.
+    (`probe_link`) after the compensator: both are turned by the
+    controller's channels (`PiezoController.turn_pair`) and read with one
+    paired polarimeter draw. Returns the H and D reads as float triples.
     """
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = polcore._rotation_entries(piezo.quaternion())
-    (a, b, c), (d, e, f) = link
-    return polarimeter.read_pair(
-        (r00 * a + r01 * b + r02 * c, r10 * a + r11 * b + r12 * c, r20 * a + r21 * b + r22 * c),
-        (r00 * d + r01 * e + r02 * f, r10 * d + r11 * e + r12 * f, r20 * d + r21 * e + r22 * f),
-    )
+    return polarimeter.read_pair(*piezo.turn_pair(*link))
 
 
 def _error_of_pair(s1, s2) -> float:

@@ -1453,7 +1453,7 @@ def test_distribute_entanglement_sampled_counts(tmp_path):
     run_protocol(scn, tmp_path)
     # the Poisson branch of the count table, pinned
     assert sha256_file(tmp_path / "dutycycle.csv") == (
-        "1661c24b40e40613e04661b790976eb6097d7768e5cf9d31d7501028952ceef0"
+        "fd315c74d337d63efe2e22914d3e2d6a96bd68ab1729a90f76c3f878c0447fae"
     )
     lines = (tmp_path / "dutycycle_summary.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -1599,10 +1599,10 @@ total_per_interval_s = 1800
 
 
 @pytest.mark.parametrize("text, dutycycle, summary", [
-    (SPIKY_PPE, "ef4cb01c761330890715b6e5ba94abaf1df7575ccaa921f227613c08d03f950e",
-     "1ae90886b7331bf150a386f4acd1b688f7cc048886a02e8f04cf4116252fc7d2"),
-    (_ZERO_NIGHT_PPE, "b72895bf64febfa8e6fd3f449a9f3753cec64611344290e427f081f6b5c8929e",
-     "20cf1746dae1af19ba59b2840d1a859613b7a09b5589dbc3ed9c97817ec3d116"),
+    (SPIKY_PPE, "c37e34f06e034e6481da69a5bf9df8ed0e86c04b5551f416b66229fc5c15bcc9",
+     "b13e0bfa20884ba7884addd3b022155411eb2663fa9928644c2ea854beb2b312"),
+    (_ZERO_NIGHT_PPE, "24eb9ff340967b9f28d1afea97c1b547c3dd44e9ca5a895654bbbbf7e80abcbc",
+     "f12fd6a4d464ebc760894341a82701862d298cddbb1e949a38bb6e471e2fdbce"),
 ], ids=["spikes", "zero_night_rate"])
 def test_unshipped_drift_outputs_are_pinned(tmp_path, text, dutycycle, summary):
     run_protocol(config.loads(text, name="pinned"), tmp_path)
@@ -1622,11 +1622,11 @@ piezo_settle_s = 0.003
 
 @pytest.mark.parametrize("text, name, digest", [
     ("[scenario]\nprotocol = stabilize\nseed = 4242\n" + _LATENCIES + "[protocol]\nn_trials = 5\n",
-     "stabilize_trials.csv", "527ce22f05f5768f4ad52fd659337e82fc10cae02ef121ea2e4a87d638ccf0ed"),
+     "stabilize_trials.csv", "637479cc8802e294754613e39fda8160560d3d02efa8944793ff92a6b6cea111"),
     ("[scenario]\nprotocol = distribute-entanglement\nseed = 4243\n"
      "[channel]\nnight_rate_rad2_per_s = 1e-4\nday_rate_rad2_per_s = 1e-4\n" + _LATENCIES +
      "[stabilizer]\nfp_threshold = 0.999\n[protocol]\nintervals_s = 20\ntotal_per_interval_s = 200\n",
-     "dutycycle.csv", "ae1d80c2a0b4b7601b3c1b01d4da049a14d7b653b46b350ed9db012de6ee08d4"),
+     "dutycycle.csv", "8743d4818eae916b993b5f54ace1b861873bdff51c48c9d4607c25f2d264a944"),
 ], ids=["stabilize", "distribute"])
 def test_nonzero_latency_outputs_are_pinned(tmp_path, text, name, digest):
     run_protocol(config.loads(text, name="latencies"), tmp_path)
@@ -1687,8 +1687,8 @@ def test_teleport_sampled_branches_pinned(tmp_path):
     assert {f.name: sha256_file(f) for f in run_protocol(config.loads(text), tmp_path)} == {
         "chi_phi_minus.json": "f83d4eaf78a7481f2603593e0cde358005f5ec0763fd4e4a28e26caaff2f0c9b",
         "chi_phi_plus.json": "82759fe87a99b850dac0ed80ac2b3a445514ccdf3aaf1d962c3c946a2784c9d6",
-        "teleport_summary.csv": "e44800ce10f7881a8e7a2697f04bbafde558dbdd2dfc065da20fcfe6ffce0bd7",
-        "teleport_meta.json": "8ec720e0b7bec66184d564fb6f54b4fc2218a178b113c92e2d4b784dd40475c6",
+        "teleport_summary.csv": "609fbb3de83c007c1c4cff1a7ed49755fdfd58b14870adf8f05290a3362ce4cf",
+        "teleport_meta.json": "4c141f6a20c2441022905d8ab55852bb6a2bce558a3bba2994bc5b10dc3014e6",
     }
 
 

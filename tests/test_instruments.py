@@ -192,7 +192,7 @@ def test_piezo_single_channel_axis_angle(rng):
         volts = np.zeros(4)
         volts[i] = u
         c = ins.PiezoController(voltages=volts)
-        expected = pc.rotation_about(ins.PIEZO_AXES_DEFAULT[i], 0.5 * u)
+        expected = pc.rotation_about(PIEZO_AXES[i], 0.5 * u)
         assert np.allclose(c.rotation(), expected, atol=1e-12)
 
 
@@ -217,15 +217,16 @@ def test_piezo_voltage_limits():
 
 def _rotation_about_product(c):
     m = np.eye(3)
-    for axis, u in zip(ins.PIEZO_AXES_DEFAULT, c.voltages):
+    for axis, u in zip(PIEZO_AXES, c.voltages):
         m = pc.rotation_about(axis, c.gain_rad_per_v * u) @ m
     return m
 
 
 @pytest.mark.parametrize("gain", [0.5, -0.7, 1.1])
 def test_piezo_rotation_matches_rotation_about(rng, gain):
-    # the quaternion product agrees with the product of the four channels'
-    # Rodrigues matrices to rounding and is a proper rotation
+    # the columns are the turned axes of the scalar oracle, bit for bit, and
+    # agree with the product of the four channels' Rodrigues matrices to
+    # rounding: a proper rotation
     c = ins.PiezoController(gain_rad_per_v=gain)
     c.bias_neutral()
     cases = [
@@ -235,13 +236,14 @@ def test_piezo_rotation_matches_rotation_about(rng, gain):
         c.voltages,
         *rng.uniform(-c.limit_v, c.limit_v, size=(50, 4)),
     ]
+    basis = np.eye(3).tolist()
     for u in cases:
         c.set_voltages(u)
         r = c.rotation()
+        assert_same_floats(r.T.ravel().tolist(), [v for e in basis for v in piezo_turn_oracle(gain, c.voltages, e)])
         assert np.max(np.abs(r - _rotation_about_product(c))) <= 1e-14
         assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-14
         assert abs(np.linalg.det(r) - 1.0) <= 1e-14
-        assert abs(math.fsum(v * v for v in c.quaternion()) - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("gain", [0.5, -0.7, 1.3, 0.01, 3.0])
@@ -287,6 +289,8 @@ def test_piezo_apply_clamped_rejects_non_finite_voltage(bad):
 
 
 _WRITERS = ("constructor", "set_voltages", "apply_clamped", "bias_neutral")
+# two Stokes vectors for the controller to turn
+_PAIR = ((0.6, 0.0, -0.8), (-0.0, 0.96, 0.28))
 
 
 def _stored_by(writer):
@@ -317,21 +321,21 @@ def test_piezo_stored_voltages_are_read_only(writer):
     # read-only array raised ValueError)
     c = _stored_by(writer)
     before = c.voltages
-    q = c.quaternion()
+    turned = c.turn_pair(*_PAIR)
     with pytest.raises(TypeError):
         c.voltages[0] = 1.0
     with pytest.raises(TypeError):
         c.voltages += 1.0
-    assert c.voltages == before and c.quaternion() == q
+    assert c.voltages == before and c.turn_pair(*_PAIR) == turned
 
 
 @pytest.mark.parametrize("writer", _WRITERS)
 def test_piezo_read_leaves_the_controller_unchanged(writer):
-    # quaternion() and rotation() read the settings and voltages and store
+    # turn_pair() and rotation() read the settings and voltages and store
     # nothing: every attribute equals its snapshot from before the reads
     c = _stored_by(writer)
     before = copy.deepcopy(vars(c))
-    c.quaternion()
+    c.turn_pair(*_PAIR)
     c.rotation()
     after = vars(c)
     assert after.keys() == before.keys()
@@ -371,11 +375,11 @@ def test_piezo_settings_and_voltages_are_fixed_outside_the_writers(name, value):
     # only the checked writers store voltages, and the settings never change
     c = ins.PiezoController()
     c.set_voltages(np.array([0.5, -1.0, 2.0, 9.5]))
-    q = c.quaternion()
+    turned = c.turn_pair(*_PAIR)
     with pytest.raises(AttributeError):
         setattr(c, name, value)
     assert c.gain_rad_per_v == 0.5 and c.limit_v == 10.0
-    assert c.quaternion() == q
+    assert c.turn_pair(*_PAIR) == turned
 
 
 @pytest.mark.parametrize("n", [5, 3])
@@ -460,7 +464,7 @@ def test_piezo_controllability_grid_oracle(rng):
     grid_rots = []
     for angles in itertools.product(grid_1d, repeat=4):
         m = np.eye(3)
-        for axis, ang in zip(ins.PIEZO_AXES_DEFAULT, angles):
+        for axis, ang in zip(PIEZO_AXES, angles):
             m = pc.rotation_about(axis, ang) @ m
         grid_rots.append(m)
     grid_rots = np.array(grid_rots)
@@ -469,7 +473,7 @@ def test_piezo_controllability_grid_oracle(rng):
     def net_trace(u, target_t):
         # trace(R T) = sum over ij of R_ij T_ji, with R the rotation of the
         # channels' quaternion product and target_t the entries of T^T
-        w, x, y, z = piezo_quaternion_oracle(ins.PIEZO_AXES_DEFAULT, [gain] * 4, u.tolist())
+        w, x, y, z = piezo_quaternion_oracle(PIEZO_AXES, [gain] * 4, u.tolist())
         r = (
             1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
             2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),

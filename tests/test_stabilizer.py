@@ -11,7 +11,7 @@ from fiberlink import polcore as pc
 from fiberlink import stabilizer as st
 
 from conftest import (
-    assert_same_floats, make_test_channel, piezo_quaternion_oracle, random_bloch,
+    assert_same_floats, make_test_channel, piezo_turn_oracle, random_bloch,
 )
 
 
@@ -80,15 +80,12 @@ def test_measure_probe_pair_matches_matrix_oracle(rng, sigma, pdl_transmission):
     assert worst <= 1e-15
 
 
-def _direct_probe_pair(ch, q, twin):
-    """H and D reads of the link outputs turned by the rotation of quaternion
-    q, each output mapped afresh and read one at a time from `twin`."""
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = pc._rotation_entries(q)
+def _direct_probe_pair(ch, gain, volts, twin):
+    """H and D reads of the link outputs turned by `piezo_turn_oracle`, each
+    output mapped afresh and read one at a time from `twin`."""
     reads = []
     for s in (pc.S_H, pc.S_D):
-        a, b, c = pc.pdl_apply_bloch(ch.rotation @ s, ch.current_pdl()).tolist()
-        turned = [r00 * a + r01 * b + r02 * c, r10 * a + r11 * b + r12 * c,
-                  r20 * a + r21 * b + r22 * c]
+        turned = piezo_turn_oracle(gain, volts, pc.pdl_apply_bloch(ch.rotation @ s, ch.current_pdl()).tolist())
         reads += twin.read(np.array(turned)).tolist()
     return reads
 
@@ -106,9 +103,9 @@ _STEPS = hst.lists(
 )
 
 
-# Every way of storing voltages, in any order: the controller's quaternion
-# equals the scalar oracle, and the probe pair equals the direct map, bit for
-# bit. The oracle uses none of the controller's code.
+# Every way of storing voltages, in any order: the controller's turns equal
+# the scalar oracle, and the probe pair equals the direct map, bit for bit.
+# The oracle uses none of the controller's code.
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(steps=_STEPS, gain=hst.sampled_from(_GAINS), seed=hst.integers(0, 2**16))
 @example(steps=[("set", [0.0, 0.5, 0.0, -0.5]), ("set", [-0.0, 0.5, -0.0, -0.5]),
@@ -133,10 +130,11 @@ def test_probe_path_matches_scalar_oracle(steps, gain, seed):
             assert kind == "set"  # and the voltages stay as they were
         volts = piezo.voltages
         assert all(abs(v) <= piezo.limit_v + 1e-12 for v in volts)
-        q = piezo_quaternion_oracle(ins.PIEZO_AXES_DEFAULT, [gain] * 4, volts)
-        assert_same_floats(piezo.quaternion(), q)
-        got = st.measure_probe_pair(st.probe_link(ch), piezo, pol)
-        assert_same_floats([v for read in got for v in read], _direct_probe_pair(ch, q, twin))
+        link = st.probe_link(ch)
+        assert_same_floats([v for s in piezo.turn_pair(*link) for v in s],
+                           [v for s in link for v in piezo_turn_oracle(gain, volts, s)])
+        got = st.measure_probe_pair(link, piezo, pol)
+        assert_same_floats([v for read in got for v in read], _direct_probe_pair(ch, gain, volts, twin))
 
 
 @pytest.fixture
@@ -223,19 +221,23 @@ def test_duty_cycle_maps_each_window_boundary_once(transmit_calls, probe_pair_ca
     [0.4, -10.0, -0.0, 10.0],  # two channels on a limit and a negative zero
     [0.25, -0.5, 1.5, 0.0],
 ])
-def test_quaternion_prefix_follows_gradient_probe_order(monkeypatch, u0):
+def test_turn_pair_matches_oracle_in_gradient_probe_order(monkeypatch, u0):
     # over the gradient's probe order (one channel moved at a time, centre
-    # probes at a limit, then a new point), with zero and negative-zero half
-    # angles among the probes, quaternion() equals the scalar oracle, bit
-    # for bit
+    # probes at a limit, then a new point), with zero and negative-zero
+    # angles among the probes, turn_pair equals the scalar oracle, bit for bit
     piezo = ins.PiezoController(voltages=np.array(u0))
-    gains = [piezo.gain_rad_per_v] * 4
+    gain = piezo.gain_rad_per_v
+    pair = ((0.6, 0.0, -0.8), (-0.0, 0.96, 0.28))
     probed = []
+
+    def check_turns(volts):
+        want = [v for s in pair for v in piezo_turn_oracle(gain, volts, s)]
+        assert_same_floats([v for s in piezo.turn_pair(*pair) for v in s], want)
 
     def checking_error(link, piezo, polarimeter):
         volts = list(piezo.voltages)
         probed.append(volts)
-        assert_same_floats(piezo.quaternion(), piezo_quaternion_oracle(ins.PIEZO_AXES_DEFAULT, gains, volts))
+        check_turns(volts)
         return sum(v * v for v in volts)
 
     monkeypatch.setattr(st, "error_function", checking_error)
@@ -244,8 +246,7 @@ def test_quaternion_prefix_follows_gradient_probe_order(monkeypatch, u0):
         direction = st.gradient(_link(ch), piezo, noise_free_polarimeter(), delta_u_v=du)
         if k == 0:  # a channel on its limit probes the centre once
             assert probed.count(u0) == any(abs(v) == piezo.limit_v for v in u0)
-        volts = piezo.voltages
-        assert_same_floats(piezo.quaternion(), piezo_quaternion_oracle(ins.PIEZO_AXES_DEFAULT, gains, volts))
+        check_turns(piezo.voltages)
         piezo.apply_clamped(piezo.voltages + 0.1 * direction)
 
 
