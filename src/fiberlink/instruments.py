@@ -214,10 +214,10 @@ class PiezoController:
         cos, sin, g = math.cos, math.sin, self.gain_rad_per_v
         u1, u2, u3, u4 = self.voltages
         for a, b in ((g * u1, g * u2), (g * u3, g * u4)):
-            # by angle a about s1: (y, z) -> (c y - s z, s y + c z)
+            # by angle a about s1: (y, z) -> (c y - n z, n y + c z), c = cos a, n = sin a
             c, n = cos(a), sin(a)
             y1, z1, y2, z2 = c * y1 - n * z1, n * y1 + c * z1, c * y2 - n * z2, n * y2 + c * z2
-            # by angle b about s2: (z, x) -> (c z - s x, s z + c x)
+            # by angle b about s2: (z, x) -> (c z - n x, n z + c x)
             c, n = cos(b), sin(b)
             z1, x1, z2, x2 = c * z1 - n * x1, n * z1 + c * x1, c * z2 - n * x2, n * z2 + c * x2
         return (x1, y1, z1), (x2, y2, z2)

@@ -12,7 +12,8 @@ from fiberlink import polcore as pc
 from fiberlink import stabilizer as st
 
 from conftest import (
-    PIEZO_AXES, assert_same_floats, make_test_channel, piezo_quaternion_oracle, piezo_turn_oracle, random_bloch,
+    PIEZO_AXES, assert_same_floats, make_test_channel, piezo_quaternion_oracle, piezo_turn_oracle,
+    random_bloch,
 )
 
 
@@ -240,7 +241,8 @@ def test_piezo_rotation_matches_rotation_about(rng, gain):
     for u in cases:
         c.set_voltages(u)
         r = c.rotation()
-        assert_same_floats(r.T.ravel().tolist(), [v for e in basis for v in piezo_turn_oracle(gain, c.voltages, e)])
+        want = [v for e in basis for v in piezo_turn_oracle(gain, c.voltages, e)]
+        assert_same_floats(r.T.ravel().tolist(), want)
         assert np.max(np.abs(r - _rotation_about_product(c))) <= 1e-14
         assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-14
         assert abs(np.linalg.det(r) - 1.0) <= 1e-14

@@ -85,7 +85,8 @@ def _direct_probe_pair(ch, gain, volts, twin):
     output mapped afresh and read one at a time from `twin`."""
     reads = []
     for s in (pc.S_H, pc.S_D):
-        turned = piezo_turn_oracle(gain, volts, pc.pdl_apply_bloch(ch.rotation @ s, ch.current_pdl()).tolist())
+        link_out = pc.pdl_apply_bloch(ch.rotation @ s, ch.current_pdl()).tolist()
+        turned = piezo_turn_oracle(gain, volts, link_out)
         reads += twin.read(np.array(turned)).tolist()
     return reads
 
